@@ -20,7 +20,9 @@ once from ``sampling.random_problem`` (``default_bounds(n)``, margin 0.8)
 with the workload's own corpus seed, never redrawn or filtered.  ``--seed``
 mirrors a seed-chosen subset of them (x -> -x), which changes every input
 the program sees but neither the optimal times nor the planning work.  Every
-problem is planned in ``PASSES`` passes; its latency is its fastest pass.
+problem is planned in ``PASSES`` passes; its latency is the median over them
+of its wall time rescaled to a fixed machine speed (see speed.py), and the
+raw wall figures are kept beside the metrics.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs one
 untraced pass and one pass with every layer wrapped (see tracing.py) and
@@ -49,7 +51,6 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
-import time  # noqa: E402
 import traceback  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -67,10 +68,11 @@ from chainplan import (kinematics, laws, metrics, oracle, planner,  # noqa: E402
                        sampling, solver)
 from chainplan.model import Problem  # noqa: E402
 
+import speed  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 PASSES = 2
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 MARGIN = 0.8
 VERIFY_EPS = 1e-9
 TERMINAL_TOL = 1e-6
@@ -88,7 +90,7 @@ class Workload:
 # rates size each corpus so that a run lasts about --seconds on a shared
 # 2-core x86-64 machine; xcheck3 draws from criterion 7's seed
 WORKLOADS = {
-    "plan3": Workload(3, False, 1, 10.4),
+    "plan3": Workload(3, False, 1, 14.6),
     "plan4": Workload(4, False, 1, 0.75),
     "xcheck3": Workload(3, True, 107, 0.33),
 }
@@ -137,9 +139,14 @@ LAYER_METRICS = {
 }
 
 SETUP_CODE = (
-    "from chainplan import laws, metrics, oracle, planner, sampling\n"
-    "for n in (1, 2, 3):\n"
-    "    laws.enumerate_af(n)\n"
+    "import speed\n"
+    "with speed.Ticker() as ticker:\n"
+    "    t0 = speed.clock()\n"
+    "    from chainplan import laws, metrics, oracle, planner, sampling\n"
+    "    for n in (1, 2, 3):\n"
+    "        laws.enumerate_af(n)\n"
+    "    t1 = speed.clock()\n"
+    "print(*ticker.scaled(t0, t1))\n"
 )
 
 
@@ -268,29 +275,46 @@ def digest(outcomes) -> str:
 # measurement
 # ----------------------------------------------------------------------
 
-def run_pass(problems, cross_check: bool, tracer=None):
-    outcomes, seconds = [], []
-    clock = time.perf_counter
+def run_pass(problems, cross_check: bool):
+    """Plan every problem once under the speed ticker: outcomes, and per
+    problem its wall and its reference-speed seconds (see speed.py)."""
+    outcomes, spans = [], []
+    clock = speed.clock
+    with speed.Ticker() as ticker:
+        for problem in problems:
+            t0 = clock()
+            outcomes.append(attempt(problem, cross_check))
+            spans.append((t0, clock()))
+    walls, scaled = zip(*(ticker.scaled(t0, t1) for t0, t1 in spans))
+    return outcomes, list(walls), list(scaled)
+
+
+def run_traced_pass(problems, cross_check: bool, tracer):
+    """Plan every problem once with the layers wrapped and no ticker, whose
+    samples the tracer would charge to the layers; wall seconds only."""
+    outcomes, walls = [], []
+    clock = speed.clock
     for i, problem in enumerate(problems):
-        if tracer is not None:
-            tracer.problem = i
+        tracer.problem = i
         t0 = clock()
         outcomes.append(attempt(problem, cross_check))
-        seconds.append(clock() - t0)
-    return outcomes, seconds
+        walls.append(clock() - t0)
+    return outcomes, walls
 
 
-def measure_setup() -> list[float]:
-    """Fresh-process import of the package plus law-catalog warm-up."""
+def measure_setup() -> list[tuple[float, float]]:
+    """Fresh-process import of the package plus law-catalog warm-up, timed
+    inside the process: (wall, reference-speed) seconds per process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        p for p in (str(SRC), str(HERE), env.get("PYTHONPATH")) if p)
     out = []
     for _ in range(SETUP_SAMPLES):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", SETUP_CODE], env=env, cwd=ROOT,
-                       check=True, stdout=subprocess.DEVNULL)
-        out.append(time.perf_counter() - t0)
+        proc = subprocess.run([sys.executable, "-c", SETUP_CODE], env=env,
+                              cwd=ROOT, check=True, capture_output=True,
+                              text=True)
+        wall, scaled = proc.stdout.split()
+        out.append((float(wall), float(scaled)))
     return out
 
 
@@ -386,15 +410,15 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> int:
     problems, mirrored = make_corpus(workload, seed, seconds)
     size = len(problems)
 
-    passes = []
+    passes = [run_pass(problems, workload.cross_check)
+              for _ in range(1 if trace else PASSES)]
     tracer = None
-    for _ in range(1 if trace else PASSES):
-        passes.append(run_pass(problems, workload.cross_check))
     if trace:
         tracer = Tracer()
         tracer.install()
         try:
-            passes.append(run_pass(problems, workload.cross_check, tracer))
+            passes.append(run_traced_pass(problems, workload.cross_check,
+                                          tracer))
         finally:
             tracer.uninstall()
 
@@ -408,7 +432,11 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> int:
     failed = sum(by_kind.values())
     correct = not unstable and by_kind["check"] == 0
 
-    latencies = [min(p[1][i] for p in passes) for i in range(size)]
+    # per problem, the median over the passes run without the tracer
+    timed = passes[:1] if trace else passes
+    latencies = [statistics.median(p[2][i] for p in timed)
+                 for i in range(size)]
+    walls = [statistics.median(p[1][i] for p in timed) for i in range(size)]
     solved = [o.trajectory.t_f for o in outcomes if o.kind is None]
     tail_v, tail_pct, tail_beyond = tail(latencies)
     detail = {
@@ -433,7 +461,13 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> int:
         "latency_tail_pct": tail_pct,
         "latency_tail_beyond": tail_beyond,
         "latency_ms": [v * 1e3 for v in latencies],
-        "setup_samples_s": setup,
+        "wall": {"throughput_pps": size / sum(walls),
+                 "latency_p50_ms": statistics.median(walls) * 1e3,
+                 "latency_tail_ms": tail(walls)[0] * 1e3,
+                 "latency_ms": [v * 1e3 for v in walls],
+                 "setup_s": statistics.median(w for w, _ in setup)
+                 if setup else None},
+        "setup_samples_s": [s for _, s in setup],
     }
     if trace:
         untraced_s = sum(passes[0][1])
@@ -446,7 +480,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> int:
         detail["untraced_s"] = untraced_s
     else:
         result_metrics = {
-            "setup_s": {"value": statistics.median(setup), "unit": "s"},
+            "setup_s": {"value": statistics.median(s for _, s in setup),
+                        "unit": "s"},
             "throughput_pps": {"value": size / sum(latencies), "unit": "1/s"},
             "latency_p50_ms": {"value": statistics.median(latencies) * 1e3,
                                "unit": "ms"},
@@ -478,15 +513,22 @@ def report(name: str, detail: dict, result_metrics: dict) -> None:
           f"(python {env['python']}, numpy {env['numpy']}, scipy "
           f"{env['scipy']}, backend {env['backend']}, nproc {env['nproc']})")
     notes = {
-        "setup_s": f"median of {len(detail['setup_samples_s'])} fresh processes",
+        "setup_s": f"median of {len(detail['setup_samples_s'])} fresh "
+                   "processes, at reference speed",
+        "peak_rss_mb": "peak resident set of this process",
         "latency_tail_ms": f"p{detail['latency_tail_pct']:.1f}, "
                            f"{detail['latency_tail_beyond']} beyond, n={size}",
     }
     default = "traced pass" if "layers" in detail else \
-        f"n={size}, fastest of {PASSES} passes"
+        f"n={size}, median of {PASSES} passes, at reference speed"
     for key, m in result_metrics.items():
         print(f"  {key:<40} {m['value']:>14.6g} {m['unit']:<8} "
               f"{notes.get(key, default)}")
+    wall = detail["wall"]
+    print("  raw wall time: " + ", ".join(
+        f"{k} {wall[k]:.6g}" for k in
+        ("throughput_pps", "latency_p50_ms", "latency_tail_ms", "setup_s")
+        if wall[k] is not None))
     kinds = ", ".join(f"{k} {v}" for k, v in
                       detail["failures_by_kind"].items() if v)
     failed = sum(detail["failures_by_kind"].values())

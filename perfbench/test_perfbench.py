@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import run
+import speed
 from chainplan import planner
 from chainplan.model import Problem, Trajectory
 
@@ -156,6 +157,38 @@ def test_tail_has_ten_samples_beyond():
     assert run.tail(values) == (90.0, 90.0, 10)
     assert run.tail([float(v) for v in range(19)]) == (18.0, 100.0, 0)
     assert run.tail([float(v) for v in range(20)]) == (9.0, 50.0, 10)
+
+
+def test_ticker_excludes_its_ticks_and_rescales_by_nearby_rates():
+    ticker = speed.Ticker()
+    ticker.ticks = [(0.0, 0.001), (1.0, 1.001), (1.5, 1.502), (3.0, 3.001)]
+    # two ticks inside, none else within NEAR_S: mean of rates 1000 and 500
+    wall, scaled = ticker.scaled(0.9, 2.0)
+    assert wall == pytest.approx(1.1 - 0.003)
+    assert scaled == pytest.approx(wall * 750.0 * speed.REFERENCE_S)
+    # no tick near a short call: the nearest one on either side
+    wall, scaled = ticker.scaled(2.5, 2.51)
+    assert wall == pytest.approx(0.01)
+    assert scaled == pytest.approx(0.01 * 750.0 * speed.REFERENCE_S)
+
+
+def test_ticker_trims_outlying_ticks():
+    ticker = speed.Ticker()
+    ticker.ticks = [(0.01 * k, 0.01 * k + 0.001) for k in range(19)]
+    ticker.ticks.append((0.19, 0.29))        # a descheduled tick
+    wall, scaled = ticker.scaled(0.0, 0.5)
+    assert scaled == pytest.approx(wall * 1000.0 * speed.REFERENCE_S)
+
+
+def test_reference_work_reads_as_reference_time():
+    with speed.Ticker() as ticker:
+        t0 = speed.clock()
+        for _ in range(200):
+            speed.reference()
+        t1 = speed.clock()
+    assert len(ticker.ticks) >= 2
+    wall, scaled = ticker.scaled(t0, t1)
+    assert 0.5 < scaled / (200 * speed.REFERENCE_S) < 2.0
 
 
 def test_refuses_to_run_without_the_package(tmp_path):
