@@ -1,31 +1,113 @@
 """Exact kinematics of chain-of-integrators under constant control.
 
-Propagation and the per-segment machinery (state polynomials, stationary
-points, bound violation checks).  The inner numeric loops are delegated to a
-compiled extension when available; set CHAINPLAN_PURE=1 to force the pure
-Python fallback.
+The hot kernels of manifold interception (``propagate``, ``integral_top``
+and the order-2 closed form ``plan2``) and the per-segment machinery (state
+polynomials, stationary points, bound violation checks).  Callers reach the
+kernels as ``kinematics.<name>`` so that a profiler can wrap them here.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from math import fabs, sqrt
 from typing import Optional
 
-if os.environ.get("CHAINPLAN_PURE"):
-    from . import _kernels_py as _kernels
-else:
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _kernels
+# recorded by perfbench in its environment block; the kernels are pure Python
+BACKEND: str = "python"
 
-BACKEND: str = _kernels.BACKEND
 
-propagate = _kernels.propagate
-propagate_chain = _kernels.propagate_chain
-integral_top = _kernels.integral_top
-plan2 = _kernels.plan2
+def propagate(x, u, t):
+    """State after time t under constant control u. Exact up to float error.
+
+    State k is accumulated as 0.0 + x_k + x_{k-1} t + ... + u t^k/k!, with
+    the Taylor factors built as term *= t / (i + 1).  Orders up to 4 are
+    unrolled, the hot order 3 tested first; they do the loop's operations in
+    the loop's order, bar the exact steps x * 1.0 and 1.0 * (t / 1), so
+    every order gives the loop's bits, signed zeros included.
+    """
+    n = len(x)
+    if n == 3:
+        x1, x2, x3 = x
+        t2 = t * (t / 2)
+        t3 = t2 * (t / 3)
+        return (0.0 + x1 + u * t,
+                0.0 + x2 + x1 * t + u * t2,
+                0.0 + x3 + x2 * t + x1 * t2 + u * t3)
+    if n == 4:
+        x1, x2, x3, x4 = x
+        t2 = t * (t / 2)
+        t3 = t2 * (t / 3)
+        t4 = t3 * (t / 4)
+        return (0.0 + x1 + u * t,
+                0.0 + x2 + x1 * t + u * t2,
+                0.0 + x3 + x2 * t + x1 * t2 + u * t3,
+                0.0 + x4 + x3 * t + x2 * t2 + x1 * t3 + u * t4)
+    if n == 2:
+        x1, x2 = x
+        return (0.0 + x1 + u * t, 0.0 + x2 + x1 * t + u * (t * (t / 2)))
+    if n == 1:
+        return (0.0 + x[0] + u * t,)
+    out = []
+    for k in range(1, n + 1):
+        acc = 0.0
+        term = 1.0
+        for i in range(k):
+            acc += x[k - 1 - i] * term
+            term *= t / (i + 1)
+        acc += u * term
+        out.append(acc)
+    return tuple(out)
+
+
+def integral_top(x, u, t):
+    """Time integral of the highest state over [0, t] under constant u."""
+    n = len(x)
+    acc = 0.0
+    term = t
+    for i in range(1, n + 1):
+        acc += x[n - i] * term
+        term *= t / (i + 1)
+    acc += u * term
+    return acc
+
+
+def plan2(v0, p0, vf, pf, M0, M1, eps):
+    """Plan the two-state problem (velocity bound M1, M1 <= 0 for unbounded).
+
+    Returns a tuple of (control, duration) stages; empty for start == goal.
+    The position is unconstrained here; callers layer position handling.
+    """
+    mirror = 1.0
+    while True:
+        if v0 >= vf:
+            disp = (v0 * v0 - vf * vf) / (2.0 * M0)
+        else:
+            disp = (vf * vf - v0 * v0) / (2.0 * M0)
+        pstar = pf - disp
+        gap = p0 - pstar
+        scale = max(1.0, fabs(pstar))
+        if fabs(gap) <= eps * scale:
+            if v0 == vf and p0 == pf:
+                return ()
+            u = mirror * M0 if vf >= v0 else -mirror * M0
+            return ((u, fabs(vf - v0) / M0),)
+        if gap > 0.0:
+            v0, p0, vf, pf = -v0, -p0, -vf, -pf
+            mirror = -mirror
+            continue
+        break
+    w2 = M0 * (pf - p0) + 0.5 * (v0 * v0 + vf * vf)
+    if w2 < 0.0:
+        w2 = 0.0
+    w = sqrt(w2)
+    if M1 <= 0.0 or w <= M1:
+        return ((mirror * M0, (w - v0) / M0), (-mirror * M0, (w - vf) / M0))
+    t1 = (M1 - v0) / M0
+    t3 = (M1 - vf) / M0
+    tr = (pf - p0 - (M1 * M1 - v0 * v0) / (2.0 * M0)
+          - (M1 * M1 - vf * vf) / (2.0 * M0)) / M1
+    return ((mirror * M0, t1), (0.0, tr), (-mirror * M0, t3))
+
 
 _FACT = [1.0]
 for _i in range(1, 32):

@@ -32,7 +32,7 @@ class AslError(ValueError):
     """A switching-law sequence violates a structural rule.
 
     ``rule`` carries a stable identifier for the violated rule (see
-    chainplan.laws.RULES for the full catalog).
+    chainplan.laws.validate, which checks every rule).
     """
 
     def __init__(self, message: str, rule: str):

@@ -126,17 +126,8 @@ def _concat(a: _Plan, b: _Plan, extra_elements=(), extra_stages=()) -> _Plan:
     return _Plan(a.x0, stages, elements, tf)
 
 
-def _round_key(values) -> tuple:
-    return tuple(None if v is None else round(float(v), 12) for v in values)
-
-
 class Planner:
-    """Reentrant planning engine; one instance per top-level request.
-
-    Sub-plans are memoized on (order, start, goal, bounds) rounded to 12
-    digits, since interception evaluates the manifold projection many times
-    along a descent prefix.
-    """
+    """Reentrant planning engine; one instance per top-level request."""
 
     def __init__(self, eps_proper: float = 1e-9, bound_eps: float = 1e-9,
                  intercept_grid: int = 64, intercept_tol: float = 1e-11,
@@ -150,7 +141,6 @@ class Planner:
         self.solver_restarts = solver_restarts
         self.full_scan_max_order = full_scan_max_order
         self.max_marker_depth = max_marker_depth
-        self._memo: dict = {}
 
     # ------------------------------------------------------------------
     # public operations
@@ -237,23 +227,14 @@ class Planner:
         xf = tuple(map(float, xf))
         if n == 1:
             return self._plan1(x0, xf, M[0])
-        key = None
-        if n >= 3:
-            key = (n, _round_key(x0), _round_key(xf), _round_key(M))
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
         if n == 2:
-            plan = self._plan2(x0, xf, M)
-        else:
-            plan = self._plan_free(n, x0, xf, M)
-            Mn = M[n] if len(M) > n else None
-            if Mn is not None:
-                sides = self._violated_sides(n, plan, M)
-                if sides:
-                    plan = self._marker_search(n, x0, xf, M, sides, depth)
-        if key is not None:
-            self._memo[key] = plan
+            return self._plan2(x0, xf, M)
+        plan = self._plan_free(n, x0, xf, M)
+        Mn = M[n] if len(M) > n else None
+        if Mn is not None:
+            sides = self._violated_sides(n, plan, M)
+            if sides:
+                plan = self._marker_search(n, x0, xf, M, sides, depth)
         return plan
 
     def _plan1(self, x0, xf, M0: float) -> _Plan:

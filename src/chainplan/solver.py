@@ -94,6 +94,8 @@ class StageSystem:
         return self.stage_count * self.n + (self.num_equations - len(self.terminal))
 
     def residuals(self, times: Sequence[float]) -> np.ndarray:
+        # Newton hands in numpy arrays; Python floats make propagate cheaper
+        times = np.asarray(times, dtype=float).tolist()
         out = np.empty(self.num_equations)
         idx = 0
         cur = self.x0

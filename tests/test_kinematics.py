@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainplan import _kernels_py
 from chainplan import kinematics
 from chainplan.kinematics import (
     Polynomial,
@@ -62,9 +61,17 @@ def _bits(values):
 
 
 class TestPurePropagateBits:
-    """The unrolled pure kernel must give the reference loop's exact bits."""
+    """The unrolled kernel must give the reference loop's exact bits, and the
+    top-state integral must equal the reference loop's extra state."""
 
     M0 = 1.5
+
+    @staticmethod
+    def _check(x, u, t):
+        assert _bits(kinematics.propagate(x, u, t)) == \
+            _bits(_taylor_reference(x, u, t))
+        assert _bits((kinematics.integral_top(x, u, t),)) == \
+            _bits(_taylor_reference(x + (0.0,), u, t)[-1:])
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_random_states(self, n):
@@ -73,8 +80,7 @@ class TestPurePropagateBits:
             x = tuple(float(v) for v in rng.uniform(-5.0, 5.0, n))
             t = float(rng.uniform(0.0, 4.0))
             for u in (-self.M0, 0.0, self.M0):
-                assert _bits(_kernels_py.propagate(x, u, t)) == \
-                    _bits(_taylor_reference(x, u, t))
+                self._check(x, u, t)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_zero_time_and_signed_zeros(self, n):
@@ -84,8 +90,7 @@ class TestPurePropagateBits:
                       for _ in range(n))
             for t in (0.0, -0.0, float(rng.uniform(0.0, 2.0))):
                 for u in (-self.M0, -0.0, 0.0, self.M0):
-                    assert _bits(_kernels_py.propagate(x, u, t)) == \
-                        _bits(_taylor_reference(x, u, t))
+                    self._check(x, u, t)
 
 
 class TestStatePolynomial:
@@ -180,41 +185,3 @@ class TestSegmentBoundCheck:
             if dense_bad:
                 break
         assert (verdict is None) == (dense_bad is None)
-
-
-class TestKernelParity:
-    """The compiled extension and the pure fallback must agree exactly."""
-
-    compiled = kinematics.BACKEND == "compiled"
-
-    @pytest.mark.skipif(not compiled, reason="compiled kernels unavailable")
-    @given(st.lists(finite, min_size=1, max_size=6), finite, short)
-    def test_propagate(self, x, u, t):
-        x = tuple(x)
-        a = kinematics.propagate(x, u, t)
-        b = _kernels_py.propagate(x, u, t)
-        assert a == pytest.approx(b, rel=1e-15, abs=1e-15)
-
-    @pytest.mark.skipif(not compiled, reason="compiled kernels unavailable")
-    @given(st.lists(finite, min_size=1, max_size=6), finite, short)
-    def test_integral_top(self, x, u, t):
-        x = tuple(x)
-        a = kinematics.integral_top(x, u, t)
-        b = _kernels_py.integral_top(x, u, t)
-        assert a == pytest.approx(b, rel=1e-14, abs=1e-14)
-
-    @pytest.mark.skipif(not compiled, reason="compiled kernels unavailable")
-    @given(finite, finite, finite, finite,
-           st.floats(min_value=0.1, max_value=4.0),
-           st.sampled_from((-1.0, 0.5, 1.0, 2.0)))
-    @settings(max_examples=200)
-    def test_plan2(self, v0, p0, vf, pf, M0, M1):
-        if M1 > 0:
-            v0 = max(-M1, min(M1, v0))
-            vf = max(-M1, min(M1, vf))
-        a = kinematics.plan2(v0, p0, vf, pf, M0, M1, 1e-9)
-        b = _kernels_py.plan2(v0, p0, vf, pf, M0, M1, 1e-9)
-        assert len(a) == len(b)
-        for (ua, ta), (ub, tb) in zip(a, b):
-            assert ua == ub
-            assert ta == pytest.approx(tb, rel=1e-15, abs=1e-15)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chainplan import laws, oracle, solver
+from chainplan import kinematics, laws, oracle, solver
 from chainplan.model import Asl, Problem, Segment, Trajectory, asl_parse
 from chainplan.solver import AssembleError, assemble, realize, solve_times, verify
 
@@ -124,6 +124,55 @@ class TestSolveTimes:
                         best = tf if best is None else min(best, tf)
             expected = oracle.double_integrator_tf(x0, xf, M[0], M1)
             assert best == pytest.approx(expected, abs=1e-9)
+
+
+class TestResidualScalars:
+    """Newton hands residuals numpy arrays; every propagate must still get
+    Python floats, with the bytes numpy scalars would give."""
+
+    def _systems(self):
+        """Every order-2/3 catalog law, plus order-4 laws with a virtual
+        group so that the virtual-branch ops run too."""
+        groups = 0
+        for order in (2, 3, 4):
+            x0 = tuple(0.1 * (k + 1) for k in range(order))
+            xf = tuple(-0.05 * (k + 1) for k in range(order))
+            M = (1.0, 1.0, 1.5, 4.0, 20.0)[: order + 1]
+            for law in laws.enumerate_af(order):
+                for last in (1, -1):
+                    try:
+                        sys = assemble(laws.assign_signs(law, last), x0, xf, M)
+                    except AssembleError:
+                        continue
+                    if order < 4:
+                        yield sys
+                    elif any(op[0] == "vstart" for op in sys.ops):
+                        yield sys
+                        groups += 1
+                        if groups == 6:
+                            return
+
+    def test_propagate_gets_floats(self, monkeypatch):
+        propagate = kinematics.propagate
+
+        def spy(x, u, t):
+            assert type(t) is float
+            return propagate(x, u, t)
+
+        def on_numpy_scalars(x, u, t):
+            return propagate(x, u, np.float64(t))
+
+        rng = np.random.default_rng(11)
+        systems = list(self._systems())
+        assert len(systems) > 20
+        for sys in systems:
+            for _ in range(5):
+                times = rng.uniform(0.0, 3.0, sys.num_unknowns)
+                monkeypatch.setattr(kinematics, "propagate", spy)
+                got = sys.residuals(times).tobytes()
+                assert got == sys.residuals(times.tolist()).tobytes()
+                monkeypatch.setattr(kinematics, "propagate", on_numpy_scalars)
+                assert got == sys.residuals(times).tobytes()
 
 
 class TestRealizeAndVerify:
