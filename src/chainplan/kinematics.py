@@ -1,9 +1,10 @@
 """Exact kinematics of chain-of-integrators under constant control.
 
-The hot kernels of manifold interception (``propagate``, ``integral_top``
-and the order-2 closed form ``plan2``) and the per-segment machinery (state
-polynomials, stationary points, bound violation checks).  Callers reach the
-kernels as ``kinematics.<name>`` so that a profiler can wrap them here.
+The hot kernels of manifold interception (``propagate``, ``integral_top``,
+the order-2 closed form ``plan2`` and its bound-checked, integrated form
+``plan2_top``) and the per-segment machinery (state polynomials, stationary
+points, bound violation checks).  Callers reach the kernels as
+``kinematics.<name>`` so that a profiler can wrap them here.
 """
 
 from __future__ import annotations
@@ -107,6 +108,41 @@ def plan2(v0, p0, vf, pf, M0, M1, eps):
     tr = (pf - p0 - (M1 * M1 - v0 * v0) / (2.0 * M0)
           - (M1 * M1 - vf * vf) / (2.0 * M0)) / M1
     return ((mirror * M0, t1), (0.0, tr), (-mirror * M0, t3))
+
+
+def plan2_top(v0, p0, vf, pf, M0, M1, M2, eps, bound_eps):
+    """Order-2 plan with its position bound and top-state integral.
+
+    Returns ``(stages, integral)``: ``plan2``'s stages with durations
+    clipped at 0, and the time integral of the position over them.  Returns
+    None when the position leaves |p| <= M2 + bound_eps (M2 None: unbounded);
+    its extrema sit at stage ends and where the velocity crosses zero.  One
+    pass does the check, the integral and the stepping, with the float
+    operations of the order-2 ``integral_top`` and ``propagate`` in their
+    order, so the results carry their bits.
+    """
+    bounded = M2 is not None
+    if bounded:
+        lim = M2 + bound_eps
+    stages = []
+    total = 0.0
+    v, p = v0, p0
+    for u, t in plan2(v0, p0, vf, pf, M0, M1, eps):
+        t = t if t > 0.0 else 0.0
+        stages.append((u, t))
+        if bounded:
+            if fabs(p) > lim:
+                return None
+            if u != 0.0:
+                ts = -v / u
+                if 0.0 < ts < t and fabs(0.0 + p + v * ts + u * (ts * (ts / 2))) > lim:
+                    return None
+        t2 = t * (t / 2)
+        total += 0.0 + p * t + v * t2 + u * (t2 * (t / 3))
+        v, p = 0.0 + v + u * t, 0.0 + p + v * t + u * t2
+    if bounded and fabs(p) > lim:
+        return None
+    return tuple(stages), total
 
 
 _FACT = [1.0]

@@ -246,58 +246,45 @@ class Planner:
         return _Plan(x0, ((u, t),), (Behavior(0, 1 if u > 0 else -1),), t)
 
     def _plan2(self, x0, xf, M) -> _Plan:
-        M0 = M[0]
-        M1 = M[1] if M[1] is not None else -1.0
-        stages = kinematics.plan2(x0[0], x0[1], xf[0], xf[1], M0, M1,
-                                  self.eps_proper)
-        stages = tuple((u, max(0.0, t)) for u, t in stages)
+        stages = self._plan2_top(x0, xf, M)[0]
         elements = []
-        cur = x0
-        for u, t in stages:
+        for u, _ in stages:
             if u > 0.0:
                 elements.append(Behavior(0, 1))
             elif u < 0.0:
                 elements.append(Behavior(0, -1))
             else:
-                elements.append(Behavior(1, 1 if cur[0] > 0 else -1))
-            cur = kinematics.propagate(cur, u, t)
-        p = _Plan(x0, stages, tuple(elements), sum(t for _, t in stages))
-        M2 = M[2] if len(M) > 2 else None
-        if M2 is not None:
-            self._check_p2_bound(p, M2)
-        return p
+                # plan2 cruises only between its two ramps, at the velocity
+                # bound the first ramp heads for
+                elements.append(Behavior(1, 1 if stages[0][0] > 0.0 else -1))
+        return _Plan(x0, stages, tuple(elements), sum(t for _, t in stages))
 
-    def _check_p2_bound(self, p: _Plan, M2: float) -> None:
-        # position extrema sit where the velocity state crosses zero
-        cur = p.x0
-        lim = M2 + self.bound_eps
-        for u, t in p.stages:
-            if abs(cur[1]) > lim:
-                raise PlanError("position bound exceeded at order 2; no "
-                                "marker structure exists below order 3")
-            if u != 0.0:
-                ts = -cur[0] / u
-                if 0.0 < ts < t and abs(kinematics.propagate(cur, u, ts)[1]) > lim:
-                    raise PlanError("position bound exceeded at order 2; no "
-                                    "marker structure exists below order 3")
-            cur = kinematics.propagate(cur, u, t)
-        if abs(cur[1]) > lim:
+    def _plan2_top(self, x0, xf, M):
+        """``kinematics.plan2_top`` on an order-2 (sub-)problem; raises
+        PlanError where the plan leaves the position bound M[2]."""
+        top = kinematics.plan2_top(
+            x0[0], x0[1], xf[0], xf[1], M[0],
+            M[1] if M[1] is not None else -1.0,
+            M[2] if len(M) > 2 else None, self.eps_proper, self.bound_eps)
+        if top is None:
             raise PlanError("position bound exceeded at order 2; no marker "
                             "structure exists below order 3")
+        return top
 
     def _pstar(self, n: int, sub_state, xf, M) -> float:
+        if n == 3:
+            return xf[2] - self._plan2_top(sub_state, xf, M)[1]
         sub = self._plan(n - 1, sub_state, xf[: n - 1], M[:n])
         return xf[n - 1] - _integral_top(sub)
 
     def _plan_free(self, n: int, x0, xf, M) -> _Plan:
         """Plan order n with the top-state bound ignored."""
-        sub = self._plan(n - 1, x0[:-1], xf[:-1], M[:n])
-        p_star = xf[n - 1] - _integral_top(sub)
+        p_star = self._pstar(n, x0[:-1], xf, M)
         gap = x0[n - 1] - p_star
         Mn = M[n] if len(M) > n else None
         scale = max(1.0, abs(Mn)) if Mn is not None else max(1.0, abs(p_star))
         if abs(gap) <= self.eps_proper * scale:
-            return _lift(sub, x0[n - 1])
+            return _lift(self._plan(n - 1, x0[:-1], xf[:-1], M[:n]), x0[n - 1])
         if gap > 0.0:
             mirrored = self._plan_free(n, tuple(-v for v in x0),
                                        tuple(-v for v in xf), M)

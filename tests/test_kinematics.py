@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -8,6 +9,8 @@ from chainplan import kinematics
 from chainplan.kinematics import (
     Polynomial,
     Violation,
+    plan2,
+    plan2_top,
     propagate,
     real_roots,
     segment_bound_check,
@@ -91,6 +94,86 @@ class TestPurePropagateBits:
             for t in (0.0, -0.0, float(rng.uniform(0.0, 2.0))):
                 for u in (-self.M0, -0.0, 0.0, self.M0):
                     self._check(x, u, t)
+
+
+def _check_p2_bound(x0, stages, M2, bound_eps):
+    """The planner's order-2 position-bound check as it stood before
+    ``plan2_top`` folded it in; raises ValueError on a violation."""
+    cur = x0
+    lim = M2 + bound_eps
+    for u, t in stages:
+        if abs(cur[1]) > lim:
+            raise ValueError("position bound exceeded")
+        if u != 0.0:
+            ts = -cur[0] / u
+            if 0.0 < ts < t and abs(propagate(cur, u, ts)[1]) > lim:
+                raise ValueError("position bound exceeded")
+        cur = propagate(cur, u, t)
+    if abs(cur[1]) > lim:
+        raise ValueError("position bound exceeded")
+
+
+class TestPlan2Top:
+    """``plan2_top`` must give ``plan2``'s clipped stages, the integral of a
+    stage-by-stage ``integral_top``/``propagate`` loop to the bit, and None
+    exactly where the old order-2 bound check raised."""
+
+    EPS = 1e-9
+
+    def _check(self, v0, p0, vf, pf, M0, M1, M2):
+        stages = tuple((u, max(0.0, t)) for u, t in
+                       plan2(v0, p0, vf, pf, M0, M1, self.EPS))
+        got = plan2_top(v0, p0, vf, pf, M0, M1, M2, self.EPS, self.EPS)
+        if M2 is not None:
+            try:
+                _check_p2_bound((v0, p0), stages, M2, self.EPS)
+            except ValueError:
+                assert got is None
+                return None
+        assert got is not None
+        got_stages, got_total = got
+        assert [_bits(s) for s in got_stages] == [_bits(s) for s in stages]
+        total = 0.0
+        cur = (v0, p0)
+        for u, t in stages:
+            total += kinematics.integral_top(cur, u, t)
+            cur = propagate(cur, u, t)
+        assert _bits((got_total,)) == _bits((total,))
+        return got
+
+    @given(st.floats(min_value=0.2, max_value=3.0),
+           st.one_of(st.none(), st.floats(min_value=0.2, max_value=3.0)),
+           st.one_of(st.none(), st.floats(min_value=0.2, max_value=6.0)),
+           st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, M0, M1, M2, data):
+        vcap = M1 if M1 is not None else 3.0
+        pcap = M2 if M2 is not None else 6.0
+        vel = st.floats(min_value=-vcap, max_value=vcap)
+        pos = st.floats(min_value=-pcap, max_value=pcap)
+        self._check(data.draw(vel), data.draw(pos), data.draw(vel),
+                    data.draw(pos), M0, -1.0 if M1 is None else M1, M2)
+
+    def test_start_equals_goal(self):
+        assert self._check(0.3, -0.2, 0.3, -0.2, 1.0, 1.0, 1.5) == ((), 0.0)
+
+    def test_unbounded_velocity_and_position(self):
+        assert len(self._check(0.0, 5.0, 0.0, 0.0, 1.0, -1.0, None)[0]) == 2
+
+    def test_cruise_stage(self):
+        stages, _ = self._check(0.0, 2.0, 0.0, 0.0, 1.0, 1.0, 2.5)
+        assert [u for u, _ in stages] == [-1.0, 0.0, 1.0]
+
+    def test_interior_velocity_zero_crossing(self):
+        # turning around from speed 1 peaks at position 2.0 mid-stage
+        assert self._check(1.0, 1.5, -1.0, 1.5, 1.0, 1.0, 1.9) is None
+        assert self._check(1.0, 1.5, -1.0, 1.5, 1.0, 1.0, 2.1) is not None
+
+    def test_signed_zeros(self):
+        for v0, p0 in itertools.product((0.0, -0.0), repeat=2):
+            for vf, pf in ((0.0, 0.0), (-0.0, 0.5), (0.5, -0.0)):
+                for M2 in (None, 1.0):
+                    self._check(v0, p0, vf, pf, 1.0, 1.0, M2)
 
 
 class TestStatePolynomial:

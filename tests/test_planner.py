@@ -11,6 +11,7 @@ from chainplan.planner import (
     PROPER,
     PlanError,
     Planner,
+    _integral_top,
     classify,
     intercept_time,
     plan,
@@ -19,19 +20,10 @@ from chainplan.planner import (
     tangent_marker_search,
 )
 
+from helpers import draw_feasible
+
 M3 = (1.0, 1.0, 1.5, 4.0)
 M4 = (1.0, 1.0, 1.5, 4.0, 20.0)
-
-
-def draw_feasible(n, M, rng, margin=0.8):
-    """Rejection-sample a dynamically feasible problem (boundary states can
-    live with the position corridor) and return it with its plan."""
-    while True:
-        prob = sampling.random_problem(n, M, rng, margin)
-        try:
-            return prob, plan(prob)
-        except PlanError:
-            continue
 
 
 class TestFirstOrder:
@@ -104,6 +96,26 @@ class TestProperPosition:
         assert classify((1.0, p_star), (0.0, 0.0), M).kind == PROPER
         assert classify((1.0, p_star + 0.1), (0.0, 0.0), M).kind == HIGHER
         assert classify((1.0, p_star - 0.1), (0.0, 0.0), M).kind == LOWER
+
+    def test_third_order_pstar_bits(self):
+        # the order-3 proper position is the goal minus the integral of the
+        # order-2 sub-plan, to the bit, and fails exactly where that plan does
+        M = sampling.default_bounds(3)
+        rng = np.random.default_rng(31)
+        pl = Planner()
+        raised = 0
+        for _ in range(2000):
+            s = tuple(float(rng.uniform(-b, b)) for b in M[1:3])
+            xf = tuple(float(rng.uniform(-b, b)) for b in M[1:4])
+            try:
+                ref = xf[2] - _integral_top(pl._plan(2, s, xf[:2], M))
+            except PlanError:
+                raised += 1
+                with pytest.raises(PlanError, match="position bound"):
+                    pl._pstar(3, s, xf, M)
+                continue
+            assert pl._pstar(3, s, xf, M).hex() == ref.hex()
+        assert 0 < raised < 2000
 
     def test_third_order_manifold_membership(self):
         # projecting onto the manifold and planning from there reduces the
