@@ -17,6 +17,7 @@ the realized trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,8 +27,6 @@ from . import kinematics
 from .model import (
     Asl,
     Behavior,
-    Problem,
-    Segment,
     TangentMarker,
     Trajectory,
     VirtualGroup,
@@ -56,12 +55,16 @@ def stage_controls(asl: Asl, M0: float) -> list[float]:
     return out
 
 
-# ops: ("adv", u, t_idx)            real chain advance
-#      ("ride", k, sign)            riding residuals at the current state
-#      ("mark", k, sign, degree)    marker residuals at the current state
-#      ("vstart", u, t_idx)         virtual branch leaves the pre-stage state
-#      ("vadv", u, t_idx)           virtual chain advance
-#      ("vride", k, sign)           riding residuals on the virtual state
+# A residual program is a tuple of steps (advance, u, time index, pins).
+# The advance moves one chain and names the state x that the pins read:
+#   _ADV     real chain: cur = propagate(cur, u, times[i]); x = cur
+#   _VSTART  virtual branch leaves the state entering the last real stage:
+#            virt = propagate(prev, u, times[i]); x = virt
+#   _VADV    virtual chain: virt = propagate(virt, u, times[i]); x = virt
+#   _HOLD    no motion; x = cur
+# Each pin (state index, target, scale) yields the residual
+# (x[index] - target) / scale.
+_ADV, _VSTART, _VADV, _HOLD = range(4)
 
 
 @dataclass(frozen=True)
@@ -73,76 +76,43 @@ class StageSystem:
     x0: tuple[float, ...]
     xf: tuple[float, ...]
     M: tuple[Optional[float], ...]
-    ops: tuple[tuple, ...]
+    program: tuple[tuple, ...]
     controls: tuple[float, ...]          # one per time unknown
-    num_unknowns: int                    # durations
+    num_unknowns: int                    # durations: behaviors + group members
     num_equations: int                   # scaled residuals
-    stage_count: int                     # behaviors + group members
-    scales: tuple[float, ...]
     terminal: tuple[tuple[int, float], ...]   # (state index, target value)
 
     @property
     def stage_variable_count(self) -> int:
         """Variables of the unreduced per-stage formulation (state + time per
         stage, terminal state substituted)."""
-        return self.stage_count * (self.n + 1) - self.n
+        return self.num_unknowns * (self.n + 1) - self.n
 
     @property
     def stage_equation_count(self) -> int:
         """Equations of the unreduced formulation: n propagation equations
         per stage plus the riding/marker conditions."""
-        return self.stage_count * self.n + (self.num_equations - len(self.terminal))
+        return self.num_unknowns * self.n + (self.num_equations - len(self.terminal))
 
-    def residuals(self, times: Sequence[float]) -> np.ndarray:
-        # Newton hands in numpy arrays; Python floats make propagate cheaper
-        times = np.asarray(times, dtype=float).tolist()
-        out = np.empty(self.num_equations)
-        idx = 0
-        cur = self.x0
-        prev = self.x0                   # state entering the current stage
-        virt = self.x0
-        scales = self.scales
-        for op in self.ops:
-            code = op[0]
-            if code == "adv":
+    def residuals(self, times: Sequence[float]) -> list[float]:
+        """Scaled residuals at the given durations.  Pass Python floats:
+        numpy scalars would make every propagate step run in numpy."""
+        propagate = kinematics.propagate
+        out = []
+        cur = prev = virt = self.x0
+        for code, u, i, pins in self.program:
+            if code == _ADV:
                 prev = cur
-                cur = kinematics.propagate(cur, op[1], times[op[2]])
-            elif code == "ride":
-                k, sign = op[1], op[2]
-                out[idx] = (cur[k - 1] - sign * self.M[k]) / scales[k - 1]
-                idx += 1
-                for j in range(1, k):
-                    out[idx] = cur[j - 1] / scales[j - 1]
-                    idx += 1
-            elif code == "mark":
-                k, sign, degree = op[1], op[2], op[3]
-                out[idx] = (cur[k - 1] - sign * self.M[k]) / scales[k - 1]
-                idx += 1
-                for j in range(1, degree):
-                    out[idx] = cur[k - 1 - j] / scales[k - 1 - j]
-                    idx += 1
-            elif code == "vstart":
-                virt = kinematics.propagate(prev, op[1], times[op[2]])
-            elif code == "vadv":
-                virt = kinematics.propagate(virt, op[1], times[op[2]])
-            else:  # "vride"
-                k, sign = op[1], op[2]
-                out[idx] = (virt[k - 1] - sign * self.M[k]) / scales[k - 1]
-                idx += 1
-                for j in range(1, k):
-                    out[idx] = virt[j - 1] / scales[j - 1]
-                    idx += 1
-        for k, value in self.terminal:
-            out[idx] = (cur[k - 1] - value) / scales[k - 1]
-            idx += 1
+                x = cur = propagate(cur, u, times[i])
+            elif code == _VSTART:
+                x = virt = propagate(prev, u, times[i])
+            elif code == _VADV:
+                x = virt = propagate(virt, u, times[i])
+            else:
+                x = cur
+            for k, target, scale in pins:
+                out.append((x[k] - target) / scale)
         return out
-
-    def end_state(self, times: Sequence[float]) -> tuple[float, ...]:
-        cur = self.x0
-        for op in self.ops:
-            if op[0] == "adv":
-                cur = kinematics.propagate(cur, op[1], times[op[2]])
-        return cur
 
 
 def _ride_bound(M, k: int, where: str) -> float:
@@ -171,63 +141,69 @@ def assemble(asl: Asl, x0, xf, M,
     if terminal is None:
         terminal = tuple((k, float(xf[k - 1])) for k in range(1, n + 1))
     M0 = M[0]
-    ops: list[tuple] = []
+    scales = tuple(
+        max(1.0, M[k]) if M[k] is not None
+        else max(1.0, abs(x0[k - 1]), abs(xf[k - 1]))
+        for k in range(1, n + 1)
+    )
+    steps: list[tuple[int, float, int, list]] = []
     controls: list[float] = []
-    times = 0
-    residuals = 0
-    stage_count = 0
+
+    def advance(code: int, u: float) -> None:
+        steps.append((code, u, len(controls), []))
+        controls.append(u)
+
+    def pin(k: int, target: float, virtual: bool = False) -> None:
+        # a pin reads the state its step reached; a real-chain pin after a
+        # virtual step gets a hold step of its own
+        if not virtual and (not steps or steps[-1][0] in (_VSTART, _VADV)):
+            steps.append((_HOLD, 0.0, 0, []))
+        steps[-1][3].append((k - 1, target, scales[k - 1]))
+
+    def ride(k: int, sign: int, virtual: bool = False) -> None:
+        pin(k, sign * M[k], virtual)
+        for j in range(1, k):
+            pin(j, 0.0, virtual)
+
     elems = asl.elements
     for i, e in enumerate(elems):
         if isinstance(e, Behavior):
-            u = _control_of(e, M0)
-            ops.append(("adv", u, times))
-            controls.append(u)
-            times += 1
-            stage_count += 1
+            advance(_ADV, _control_of(e, M0))
             if e.value != 0:
                 if e.value > n:
                     raise AssembleError(f"behavior value {e.value} above order {n}")
                 _ride_bound(M, e.value, "riding stage")
-                ops.append(("ride", e.value, e.sign))
-                residuals += e.value
+                ride(e.value, e.sign)
         elif isinstance(e, TangentMarker):
             k = e.behavior.value
             if k > n:
                 raise AssembleError(f"marker value {k} above order {n}")
             _ride_bound(M, k, "tangent marker")
-            ops.append(("mark", k, e.behavior.sign, e.degree))
-            residuals += e.degree
+            pin(k, e.behavior.sign * M[k])
+            for j in range(1, e.degree):
+                pin(k - j, 0.0)
         else:
             if i == 0 or not isinstance(elems[i - 1], Behavior):
                 raise AssembleError("virtual group lacks a preceding stage")
-            lead: Behavior = elems[i - 1]
-            ops.append(("vstart", _control_of(lead, M0), times))
-            controls.append(_control_of(lead, M0))
-            times += 1
-            stage_count += 1
+            advance(_VSTART, _control_of(elems[i - 1], M0))
             for j, m in enumerate(e.members):
                 if m.value != 0:
                     if m.value > n:
                         raise AssembleError(
                             f"group member value {m.value} above order {n}")
                     _ride_bound(M, m.value, "virtual riding stage")
-                    ops.append(("vride", m.value, m.sign))
-                    residuals += m.value
+                    ride(m.value, m.sign, virtual=True)
                 if j + 1 < len(e.members):
-                    ops.append(("vadv", _control_of(m, M0), times))
-                    controls.append(_control_of(m, M0))
-                    times += 1
-                    stage_count += 1
-    scales = tuple(
-        max(1.0, M[k]) if M[k] is not None
-        else max(1.0, abs(x0[k - 1]), abs(xf[k - 1]))
-        for k in range(1, n + 1)
-    )
+                    advance(_VADV, _control_of(m, M0))
+    for k, value in terminal:
+        pin(k, value)
+    program = tuple((code, u, i, tuple(pins)) for code, u, i, pins in steps)
     system = StageSystem(
         asl=asl, n=n, x0=tuple(map(float, x0)), xf=tuple(map(float, xf)),
-        M=tuple(M), ops=tuple(ops), controls=tuple(controls),
-        num_unknowns=times, num_equations=residuals + len(terminal),
-        stage_count=stage_count, scales=scales, terminal=tuple(terminal),
+        M=tuple(M), program=program, controls=tuple(controls),
+        num_unknowns=len(controls),
+        num_equations=sum(len(step[3]) for step in program),
+        terminal=tuple(terminal),
     )
     if system.num_unknowns != system.num_equations:
         raise AssembleError(
@@ -270,26 +246,25 @@ def solve_times(system: StageSystem,
     """
     T = system.num_unknowns
     if T == 0:
-        r = system.residuals(())
-        err = float(np.max(np.abs(r))) if len(r) else 0.0
+        err = _max_abs(system.residuals(()))
         return Solved((), (), err) if err < tol else None
     tau = _seed_scale(system)
-    trial_seeds: list[np.ndarray] = []
+    trial_seeds: list[list[float]] = []
     if seeds is not None:
-        trial_seeds.extend(np.asarray(s, dtype=float) for s in seeds)
+        trial_seeds.extend([float(v) for v in s] for s in seeds)
     else:
-        trial_seeds.append(np.full(T, tau))
+        trial_seeds.append([tau] * T)
         rng = np.random.default_rng(seed)
         base = tau if tau > 0.0 else 1.0
         # restarts climb a geometric scale ladder: roots can sit far above
         # the boundary-difference scale when the states swing back and forth
         for i in range(max_restarts):
             scale = base * (2.0 ** (i // 2))
-            trial_seeds.append(scale * (0.25 + 1.75 * rng.random(T)))
+            trial_seeds.append((scale * (0.25 + 1.75 * rng.random(T))).tolist())
     best: Optional[Solved] = None
     hits = 0
     for start in trial_seeds:
-        sol = _newton(system, np.clip(np.asarray(start, dtype=float), 0.0, None), tol)
+        sol = _newton(system, _project(start), tol)
         if sol is None:
             continue
         if accept is not None and not accept(sol):
@@ -302,25 +277,47 @@ def solve_times(system: StageSystem,
     return best
 
 
-def _newton(system: StageSystem, t: np.ndarray, tol: float) -> Optional[Solved]:
+# The Newton loop runs on lists of Python floats.  numpy does two jobs only:
+# the LAPACK step and the merit r @ r, whose BLAS summation order decides
+# which line-search steps are accepted.
+
+def _project(t: list[float]) -> list[float]:
+    # np.clip(t, 0.0, None) bit for bit: -0.0 -> 0.0, NaN stays NaN
+    return [0.0 if v <= 0.0 else v for v in t]
+
+
+def _max_abs(r: list[float]) -> float:
+    # np.max(np.abs(r)): NaN wins wherever it sits
+    if any(v != v for v in r):
+        return math.nan
+    return max(map(abs, r), default=0.0)
+
+
+def _merit(r: list[float]) -> float:
+    a = np.array(r)
+    return float(a @ a)
+
+
+def _newton(system: StageSystem, t: list[float], tol: float) -> Optional[Solved]:
     T = len(t)
     r = system.residuals(t)
-    merit = float(r @ r)
+    merit = _merit(r)
     for _ in range(80):
-        err = float(np.max(np.abs(r)))
-        if err < tol:
+        if _max_abs(r) < tol:
             return _package(system, t)
-        J = np.empty((len(r), T))
+        cols = []
         for i in range(T):
             h = 1e-7 * max(1.0, abs(t[i]))
             tp = t.copy()
             tp[i] += h
-            J[:, i] = (system.residuals(tp) - r) / h
+            cols.append([(a - b) / h for a, b in zip(system.residuals(tp), r)])
+        J = np.array(cols).T
+        rhs = -np.array(r)
         try:
-            step = np.linalg.solve(J, -r)
+            step = np.linalg.solve(J, rhs).tolist()
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
+            step = np.linalg.lstsq(J, rhs, rcond=None)[0].tolist()
+        if not all(map(math.isfinite, step)):
             return None
         improved, t, r, merit = _line_search(system, t, r, merit, step)
         if not improved:
@@ -329,68 +326,47 @@ def _newton(system: StageSystem, t: np.ndarray, tol: float) -> Optional[Solved]:
             active = [i for i in range(T) if t[i] <= 0.0 and step[i] < 0.0]
             if active and len(active) < T:
                 free = [i for i in range(T) if i not in active]
-                sub, *_ = np.linalg.lstsq(J[:, free], -r, rcond=None)
-                step2 = np.zeros(T)
-                step2[free] = sub
-                if np.all(np.isfinite(step2)):
+                sub = np.linalg.lstsq(J[:, free], rhs, rcond=None)[0]
+                step2 = [0.0] * T
+                for i, v in zip(free, sub.tolist()):
+                    step2[i] = v
+                if all(map(math.isfinite, step2)):
                     improved, t, r, merit = _line_search(system, t, r, merit,
                                                          step2)
         if not improved:
             return None
-    if float(np.max(np.abs(r))) < tol:
+    if _max_abs(r) < tol:
         return _package(system, t)
     return None
 
 
-def _line_search(system: StageSystem, t: np.ndarray, r: np.ndarray,
-                 merit: float, step: np.ndarray):
+def _line_search(system: StageSystem, t: list[float], r: list[float],
+                 merit: float, step: list[float]):
     alpha = 1.0
     for _ in range(20):
-        t_new = np.clip(t + alpha * step, 0.0, None)
+        t_new = _project([a + alpha * s for a, s in zip(t, step)])
         r_new = system.residuals(t_new)
-        m_new = float(r_new @ r_new)
+        m_new = _merit(r_new)
         if m_new < merit:
             return True, t_new, r_new, m_new
         alpha *= 0.5
     return False, t, r, merit
 
 
-def _package(system: StageSystem, t: np.ndarray) -> Optional[Solved]:
+def _package(system: StageSystem, t: list[float]) -> Optional[Solved]:
     times = []
     for v in t:
         if v < -1e-12:
             return None
-        times.append(max(0.0, float(v)))
-    err = float(np.max(np.abs(system.residuals(times))))
+        times.append(max(0.0, v))
+    err = _max_abs(system.residuals(times))
     cur = system.x0
     states = []
-    for op in system.ops:
-        if op[0] == "adv":
-            cur = kinematics.propagate(cur, op[1], times[op[2]])
+    for code, u, i, _ in system.program:
+        if code == _ADV:
+            cur = kinematics.propagate(cur, u, times[i])
             states.append(cur)
     return Solved(tuple(times), tuple(states), err)
-
-
-def realize(asl: Asl, solved: Solved, x0, xf, M) -> Trajectory:
-    """Trajectory of the real chain: virtual stages are solved but never
-    traversed; tangent markers split their surrounding saturation run."""
-    n = len(x0)
-    problem = Problem(n, tuple(x0), tuple(xf), tuple(M))
-    segments: list[Segment] = []
-    cur = tuple(map(float, x0))
-    ti = 0
-    M0 = M[0]
-    for e in asl.elements:
-        if isinstance(e, Behavior):
-            u = _control_of(e, M0)
-            dur = solved.times[ti]
-            segments.append(Segment(u, dur, cur))
-            cur = kinematics.propagate(cur, u, dur)
-            ti += 1
-        elif isinstance(e, VirtualGroup):
-            ti += len(e.members)          # virtual durations, never traversed
-    t_f = sum(s.duration for s in segments)
-    return Trajectory(tuple(segments), t_f, asl, problem)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
-from chainplan import planner, sampling
+from chainplan import kinematics, planner, sampling
+from chainplan.model import Behavior, Problem, Segment, Trajectory, VirtualGroup
 
 
 def draw_feasible(n, M, rng, margin=0.8, **plan_kwargs):
@@ -13,3 +14,22 @@ def draw_feasible(n, M, rng, margin=0.8, **plan_kwargs):
             return prob, planner.plan(prob, **plan_kwargs)
         except planner.PlanError:
             continue
+
+
+def stage_trajectory(system, solved):
+    """Trajectory of a solved stage system's real chain: one segment per
+    behavior; virtual-group durations are solved but never traversed."""
+    segments = []
+    cur = system.x0
+    ti = 0
+    for e in system.asl.elements:
+        if isinstance(e, Behavior):
+            u, dur = system.controls[ti], solved.times[ti]
+            segments.append(Segment(u, dur, cur))
+            cur = kinematics.propagate(cur, u, dur)
+            ti += 1
+        elif isinstance(e, VirtualGroup):
+            ti += len(e.members)
+    problem = Problem(system.n, system.x0, system.xf, system.M)
+    return Trajectory(tuple(segments), sum(s.duration for s in segments),
+                      system.asl, problem)
