@@ -22,7 +22,15 @@ import numpy as np
 
 from . import laws, metrics, oracle, sampling
 from .laws import LawEnumerationError
-from .model import InfeasibleError, Problem, Trajectory, asl_parse
+from .model import (
+    InfeasibleError,
+    Problem,
+    Segment,
+    Trajectory,
+    asl_parse,
+    check_bounds,
+    check_state,
+)
 from .planner import PlanError, Planner
 
 EXIT_INFEASIBLE = 1
@@ -58,14 +66,17 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 
 def trajectory_from_dict(data: dict, problem: Problem) -> Trajectory:
-    from .model import Segment
-    segs = tuple(
-        Segment(float(s["u"]), float(s["duration"]),
-                tuple(float(v) for v in s["start"]))
-        for s in data["segments"]
-    )
-    asl = asl_parse(data.get("asl", ""))
-    return Trajectory(segs, float(data["t_f"]), asl, problem)
+    try:
+        segs = tuple(
+            Segment(float(s["u"]), float(s["duration"]),
+                    check_state(s["start"], problem.n))
+            for s in data["segments"]
+        )
+        t_f = float(data["t_f"])
+        asl = asl_parse(data.get("asl", ""))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"trajectory JSON missing or malformed field: {e}") from e
+    return Trajectory(segs, t_f, asl, problem)
 
 
 def _load_json(path: str):
@@ -165,6 +176,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if args.samples < 1:
+        return _fail(EXIT_IO, f"samples must be >= 1, got {args.samples}")
     try:
         pdata = _load_json(args.problem)
         tdata = _load_json(args.trajectory)
@@ -185,14 +198,15 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    if args.order < 1:
+        return _fail(EXIT_IO, f"order must be >= 1, got {args.order}")
+    if not 0.0 < args.margin <= 1.0:
+        return _fail(EXIT_IO, f"margin must lie in (0, 1], got {args.margin}")
     if args.bounds:
         try:
-            M = tuple(None if v is None else float(v)
-                      for v in json.loads(args.bounds))
-        except (json.JSONDecodeError, TypeError, ValueError) as e:
+            M = check_bounds(json.loads(args.bounds), args.order)
+        except (TypeError, ValueError) as e:
             return _fail(EXIT_IO, f"bad bounds JSON: {e}")
-        if len(M) != args.order + 1:
-            return _fail(EXIT_IO, f"bounds need {args.order + 1} entries")
     else:
         M = sampling.default_bounds(args.order)
     rng = np.random.default_rng(args.seed)

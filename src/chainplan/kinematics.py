@@ -194,34 +194,38 @@ def state_polynomial(x, u: float, k: int) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def _refine_root(p: Polynomial, lo: float, hi: float, tol: float) -> float:
-    """Locate the sign change of a monotone-on-bracket polynomial by bisection."""
-    flo = p(lo)
-    if flo == 0.0:
-        return lo
-    fhi = p(hi)
-    if fhi == 0.0:
-        return hi
+def bisect_root(f, lo: float, f_lo: float, hi: float, tol: float) -> float:
+    """Bisect the sign change of f on [lo, hi], where f(lo) = f_lo != 0.
+
+    At most 200 halvings, stopping once hi - lo <= tol; returns a midpoint
+    where f is exactly 0 at once, else the midpoint of the last bracket.  An
+    f that returns None ends the halving there.
+    """
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        fm = p(mid)
-        if fm == 0.0:
+        f_mid = f(mid)
+        if f_mid is None:
+            break
+        if f_mid == 0.0:
             return mid
-        if (flo < 0.0) != (fm < 0.0):
-            hi, fhi = mid, fm
+        if (f_lo < 0.0) != (f_mid < 0.0):
+            hi = mid
         else:
-            lo, flo = mid, fm
+            lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
 
 
-def real_roots(p: Polynomial, interval: tuple[float, float],
-               tol: float = 1e-12, dedup: float = 1e-10) -> list[float]:
-    """All real roots of p on [a, b], sorted, deduplicated within ``dedup``.
+ROOT_TOL = 1e-12
+ROOT_DEDUP = 1e-10
+
+
+def real_roots(p: Polynomial, interval: tuple[float, float]) -> list[float]:
+    """All real roots of p on [a, b], sorted, deduplicated within ROOT_DEDUP.
 
     Roots are isolated by subdividing at derivative roots (recursively down
-    to the linear case), then polished by bisection to ``tol``.  Raises
+    to the linear case), then polished by ``bisect_root`` to ROOT_TOL.  Raises
     ValueError for the identically zero polynomial.
     """
     a, b = interval
@@ -238,7 +242,7 @@ def real_roots(p: Polynomial, interval: tuple[float, float],
         return []
     breakpoints = [a, b]
     if deg >= 2:
-        breakpoints = sorted(set([a, b]) | set(real_roots(p.derivative(), interval, tol, dedup)))
+        breakpoints = sorted(set([a, b]) | set(real_roots(p.derivative(), interval)))
     roots = []
     for t in breakpoints:
         if abs(p(t)) <= feps:
@@ -248,11 +252,11 @@ def real_roots(p: Polynomial, interval: tuple[float, float],
         if abs(flo) <= feps or abs(fhi) <= feps:
             continue
         if (flo < 0.0) != (fhi < 0.0):
-            roots.append(_refine_root(p, lo, hi, tol))
+            roots.append(bisect_root(p, lo, flo, hi, ROOT_TOL))
     roots.sort()
     out: list[float] = []
     for r in roots:
-        if not out or r - out[-1] > dedup:
+        if not out or r - out[-1] > ROOT_DEDUP:
             out.append(r)
     return out
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import root
 
 from . import kinematics, laws
-from .model import Asl, Behavior, Problem, TangentMarker, VirtualGroup
+from .model import Behavior, Problem, TangentMarker, VirtualGroup
 
 
 class OracleError(RuntimeError):
@@ -114,19 +114,23 @@ def _law_residuals(elements, x0, xf, M, n):
     return fun
 
 
-def exhaustive_tf(problem: Problem, law_set: Optional[Sequence[Asl]] = None,
-                  seeds: int = 32, tol: float = 1e-10) -> OracleResult:
+# root searches per signed law, and the largest residual a solution may keep
+SEEDS_PER_LAW = 32
+RESIDUAL_TOL = 1e-10
+
+
+def exhaustive_tf(problem: Problem) -> OracleResult:
     """Minimum time over every catalog law by multi-start root finding.
 
-    Each unsigned law is tried with both terminal signs; converged,
-    nonnegative, bound-respecting solutions compete on total time.  Only
-    orders up to 3 are supported (the catalog is exact there).
+    Each unsigned law is tried with both terminal signs from up to
+    SEEDS_PER_LAW starts; converged, nonnegative, bound-respecting solutions
+    compete on total time.  Only orders up to 3 are supported (the catalog
+    is exact there).
     """
     n = problem.n
     if n > 3:
         raise OracleError("exhaustive search supports orders 1..3")
     x0, xf, M = problem.x0, problem.xf, problem.M
-    candidates = law_set if law_set is not None else laws.enumerate_af(n)
     rng = np.random.default_rng(12345)
     tau = 1.0
     for k in range(1, n + 1):
@@ -137,7 +141,7 @@ def exhaustive_tf(problem: Problem, law_set: Optional[Sequence[Asl]] = None,
         if delta > 0.0:
             tau = max(tau, (2.0 * delta / Mk) ** (1.0 / k))
     best: Optional[tuple[float, str]] = None
-    for law in candidates:
+    for law in laws.enumerate_af(n):
         if any(isinstance(e, VirtualGroup) for e in law.elements):
             raise OracleError("virtual groups do not occur at orders 1..3")
         for last in (1, -1):
@@ -153,7 +157,7 @@ def exhaustive_tf(problem: Problem, law_set: Optional[Sequence[Asl]] = None,
                 continue
             fun = _law_residuals(signed.elements, x0, xf, M, n)
             hits = 0
-            for trial in range(seeds):
+            for trial in range(SEEDS_PER_LAW):
                 if trial == 0:
                     guess = np.full(stage_count, tau / stage_count)
                 else:
@@ -163,7 +167,7 @@ def exhaustive_tf(problem: Problem, law_set: Optional[Sequence[Asl]] = None,
                     guess = scale * rng.random(stage_count)
                 sol = root(fun, guess, method="hybr", tol=1e-12,
                            options={"maxfev": 40 * (stage_count + 1)})
-                if not sol.success and float(np.max(np.abs(sol.fun))) > tol:
+                if not sol.success and float(np.max(np.abs(sol.fun))) > RESIDUAL_TOL:
                     if trial + 1 >= 8 and hits == 0:
                         break  # law looks unsolvable for this data
                     continue
@@ -171,7 +175,7 @@ def exhaustive_tf(problem: Problem, law_set: Optional[Sequence[Asl]] = None,
                 if np.any(times < -1e-9):
                     continue
                 times = np.clip(times, 0.0, None)
-                if float(np.max(np.abs(fun(times)))) > tol:
+                if float(np.max(np.abs(fun(times)))) > RESIDUAL_TOL:
                     continue
                 if not _feasible(signed.elements, x0, M, times):
                     continue
@@ -183,7 +187,7 @@ def exhaustive_tf(problem: Problem, law_set: Optional[Sequence[Asl]] = None,
                     break
     if best is None:
         raise OracleError("no catalog law admits a feasible solution")
-    return OracleResult(best[0], best[1], (best[0] - tol, best[0] + tol))
+    return OracleResult(best[0], best[1], (best[0] - RESIDUAL_TOL, best[0] + RESIDUAL_TOL))
 
 
 def _feasible(elements, x0, M, times) -> bool:

@@ -46,6 +46,18 @@ HIGHER = "higher"
 LOWER = "lower"
 PROPER = "proper"
 
+# a start within EPS_PROPER (relative to max(1, bound or |p*|)) of the proper
+# position counts as on the manifold
+EPS_PROPER = 1e-9
+# interception: grid points per prefix stage, the bisection's final width,
+# and the highest order whose every stage is grid-scanned (see _intercept_scan)
+INTERCEPT_GRID = 64
+INTERCEPT_TOL = 1e-11
+FULL_SCAN_MAX_ORDER = 3
+# randomized Newton restarts per saturation-only solve (marker legs get twice)
+SOLVER_RESTARTS = 8
+MAX_MARKER_DEPTH = 8
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -129,18 +141,8 @@ def _concat(a: _Plan, b: _Plan, extra_elements=(), extra_stages=()) -> _Plan:
 class Planner:
     """Reentrant planning engine; one instance per top-level request."""
 
-    def __init__(self, eps_proper: float = 1e-9, bound_eps: float = 1e-9,
-                 intercept_grid: int = 64, intercept_tol: float = 1e-11,
-                 solver_seed: int = 0, solver_restarts: int = 8,
-                 full_scan_max_order: int = 3, max_marker_depth: int = 8):
-        self.eps_proper = eps_proper
+    def __init__(self, bound_eps: float = 1e-9):
         self.bound_eps = bound_eps
-        self.intercept_grid = intercept_grid
-        self.intercept_tol = intercept_tol
-        self.solver_seed = solver_seed
-        self.solver_restarts = solver_restarts
-        self.full_scan_max_order = full_scan_max_order
-        self.max_marker_depth = max_marker_depth
 
     # ------------------------------------------------------------------
     # public operations
@@ -151,7 +153,12 @@ class Planner:
         if problem.x0 == problem.xf:
             return Trajectory((), 0.0, Asl(()), problem)
         p = self._plan(problem.n, problem.x0, problem.xf, problem.M)
-        traj = self._to_trajectory(p, problem)
+        try:
+            traj = self._to_trajectory(p, problem)
+        except AslError as e:
+            # a splice can break the law's sign chain; that is a planner
+            # failure, not malformed input
+            raise PlanError(f"planned law is invalid: {e}") from e
         failure = solver.verify(traj, problem.M, self.bound_eps)
         if failure is not None:
             raise PlanError(f"planned trajectory failed verification: {failure}")
@@ -179,19 +186,13 @@ class Planner:
         return self._pstar(n, tuple(map(float, x0[:-1])),
                            tuple(map(float, xf)), tuple(M))
 
-    def classify(self, x0, xf, M, eps_proper: Optional[float] = None) -> Classification:
-        eps = self.eps_proper if eps_proper is None else eps_proper
+    def classify(self, x0, xf, M) -> Classification:
+        """Whether x0 lies on, above or below the lower-order manifold of xf."""
         n = len(x0)
-        p_star = self.proper_position(x0, xf, M)
-        Mn = M[n] if len(M) > n else None
-        scale = max(1.0, abs(Mn)) if Mn is not None else max(1.0, abs(p_star))
-        gap = x0[n - 1] - p_star
-        if abs(gap) <= eps * scale:
-            kind = PROPER
-        elif gap > 0.0:
-            kind = HIGHER
-        else:
-            kind = LOWER
+        if n < 2:
+            raise ValueError("classification needs order >= 2")
+        kind, p_star = self._classify(n, tuple(map(float, x0)),
+                                      tuple(map(float, xf)), tuple(M))
         return Classification(kind, p_star)
 
     def intercept_time(self, prefix: Trajectory, xf, M) -> Optional[float]:
@@ -265,7 +266,7 @@ class Planner:
         top = kinematics.plan2_top(
             x0[0], x0[1], xf[0], xf[1], M[0],
             M[1] if M[1] is not None else -1.0,
-            M[2] if len(M) > 2 else None, self.eps_proper, self.bound_eps)
+            M[2] if len(M) > 2 else None, EPS_PROPER, self.bound_eps)
         if top is None:
             raise PlanError("position bound exceeded at order 2; no marker "
                             "structure exists below order 3")
@@ -277,15 +278,22 @@ class Planner:
         sub = self._plan(n - 1, sub_state, xf[: n - 1], M[:n])
         return xf[n - 1] - _integral_top(sub)
 
-    def _plan_free(self, n: int, x0, xf, M) -> _Plan:
-        """Plan order n with the top-state bound ignored."""
+    def _classify(self, n: int, x0, xf, M) -> tuple[str, float]:
+        """PROPER, HIGHER or LOWER for the float state x0, with p*."""
         p_star = self._pstar(n, x0[:-1], xf, M)
         gap = x0[n - 1] - p_star
         Mn = M[n] if len(M) > n else None
         scale = max(1.0, abs(Mn)) if Mn is not None else max(1.0, abs(p_star))
-        if abs(gap) <= self.eps_proper * scale:
+        if abs(gap) <= EPS_PROPER * scale:
+            return PROPER, p_star
+        return (HIGHER if gap > 0.0 else LOWER), p_star
+
+    def _plan_free(self, n: int, x0, xf, M) -> _Plan:
+        """Plan order n with the top-state bound ignored."""
+        kind, _ = self._classify(n, x0, xf, M)
+        if kind == PROPER:
             return _lift(self._plan(n - 1, x0[:-1], xf[:-1], M[:n]), x0[n - 1])
-        if gap > 0.0:
+        if kind == HIGHER:
             mirrored = self._plan_free(n, tuple(-v for v in x0),
                                        tuple(-v for v in xf), M)
             return _negate(mirrored)
@@ -310,17 +318,16 @@ class Planner:
         """First manifold crossing along the prefix: (time, state) or None.
 
         Scans segment boundaries and a refinement grid, then bisects.  For
-        orders above ``full_scan_max_order`` a boundary pass runs first and
-        only its bracket is grid-refined, falling back to the full scan
-        when no boundary sign change exists.
+        orders above FULL_SCAN_MAX_ORDER a boundary pass runs first and only
+        its bracket is grid-refined, falling back to the full scan when no
+        boundary sign change exists.
         """
-        grid = self.intercept_grid
-        if n <= self.full_scan_max_order:
-            return self._scan_over(n, prefix, xf, M, grid)
-        hit = self._scan_over(n, prefix, xf, M, 1, refine=grid)
+        if n <= FULL_SCAN_MAX_ORDER:
+            return self._scan_over(n, prefix, xf, M, INTERCEPT_GRID)
+        hit = self._scan_over(n, prefix, xf, M, 1, refine=INTERCEPT_GRID)
         if hit is not None:
             return hit
-        return self._scan_over(n, prefix, xf, M, grid)
+        return self._scan_over(n, prefix, xf, M, INTERCEPT_GRID)
 
     def _scan_over(self, n, prefix: _Plan, xf, M, grid: int, refine: int = 0):
         g_prev = None
@@ -348,7 +355,7 @@ class Planner:
                                                    t_prev, g_prev, t_abs, g, refine)
                         if sub is not None:
                             t_prev, g_prev, t_abs, g = sub
-                    return self._bisect(n, prefix, xf, M, t_prev, g_prev, t_abs, g)
+                    return self._bisect(n, prefix, xf, M, t_prev, g_prev, t_abs)
                 g_prev, t_prev = g, t_abs
             t0 += dur
             cur = kinematics.propagate(cur, u, dur)
@@ -377,23 +384,15 @@ class Planner:
             cur = kinematics.propagate(cur, u, dur)
         return cur
 
-    def _bisect(self, n, prefix, xf, M, lo, g_lo, hi, g_hi):
-        for _ in range(200):
-            if hi - lo <= self.intercept_tol:
-                break
-            mid = 0.5 * (lo + hi)
+    def _bisect(self, n, prefix, xf, M, lo, g_lo, hi):
+        def g_of(t):
             try:
-                g_mid = self._gap_at(n, self._state_at(prefix, mid), xf, M)
+                return self._gap_at(n, self._state_at(prefix, t), xf, M)
             except PlanError:
-                break
-            if g_mid == 0.0:
-                lo = hi = mid
-                break
-            if (g_lo < 0.0) != (g_mid < 0.0):
-                hi = mid
-            else:
-                lo, g_lo = mid, g_mid
-        t2 = 0.5 * (lo + hi)
+                # no lower-order plan here: stop at the current bracket
+                return None
+
+        t2 = kinematics.bisect_root(g_of, lo, g_lo, hi, INTERCEPT_TOL)
         return t2, self._state_at(prefix, t2)
 
     # ---------------- composition ----------------
@@ -458,19 +457,7 @@ class Planner:
             hi *= 2.0
         else:
             raise PlanError("cruise ride never reaches the manifold")
-        for _ in range(200):
-            if hi - lo <= self.intercept_tol:
-                break
-            mid = 0.5 * (lo + hi)
-            g_mid = g_of(mid)
-            if g_mid == 0.0:
-                lo = hi = mid
-                break
-            if (g_lo < 0.0) != (g_mid < 0.0):
-                hi = mid
-            else:
-                lo, g_lo = mid, g_mid
-        t = 0.5 * (lo + hi)
+        t = kinematics.bisect_root(g_of, lo, g_lo, hi, INTERCEPT_TOL)
         return t, kinematics.propagate(start, 0.0, t)
 
     # ---------------- saturation-only systems ----------------
@@ -484,8 +471,7 @@ class Planner:
             signed = laws.assign_signs(base, last)
             attempted.append(signed.text())
             system = solver.assemble(signed, x0, xf, M_free)
-            sol = solver.solve_times(system, max_restarts=self.solver_restarts,
-                                     seed=self.solver_seed)
+            sol = solver.solve_times(system, max_restarts=SOLVER_RESTARTS)
             if sol is None:
                 continue
             p = _Plan(tuple(x0), tuple(zip(system.controls, sol.times)),
@@ -525,9 +511,9 @@ class Planner:
         return sides
 
     def _marker_search(self, n: int, x0, xf, M, sides, depth: int) -> _Plan:
-        if depth >= self.max_marker_depth:
+        if depth >= MAX_MARKER_DEPTH:
             raise PlanError("tangent-marker recursion exceeded depth "
-                            f"{self.max_marker_depth}")
+                            f"{MAX_MARKER_DEPTH}")
         best: Optional[_Plan] = None
         best_key = None
         attempted: list[str] = []
@@ -553,12 +539,8 @@ class Planner:
                             or first.value != 0:
                         extra = (marker, Behavior(0, sigma))
                         pad_stage = ((sigma * M[0], 0.0),)
-                    try:
-                        candidate = _concat(leg_plan, cont,
-                                            extra_elements=extra,
-                                            extra_stages=pad_stage)
-                    except AslError:
-                        continue
+                    candidate = _concat(leg_plan, cont, extra_elements=extra,
+                                        extra_stages=pad_stage)
                     key = (candidate.tf, laws.canonical(Asl(candidate.elements)))
                     if best is None or candidate.tf < best_key[0] - 1e-12 \
                             or (candidate.tf < best_key[0] + 1e-12
@@ -600,8 +582,8 @@ class Planner:
             seeds = [tuple(tau * w for w in combo)
                      for combo in itertools.product(ticks, repeat=T)]
         sol = solver.solve_times(system, seeds=seeds,
-                                 max_restarts=2 * self.solver_restarts,
-                                 seed=self.solver_seed, accept=tangent)
+                                 max_restarts=2 * SOLVER_RESTARTS,
+                                 accept=tangent)
         if sol is None:
             return None
         p = _Plan(tuple(x0), tuple(zip(system.controls, sol.times)),
@@ -634,26 +616,26 @@ class Planner:
 # module-level operations (fresh planner per call; reentrant)
 # ----------------------------------------------------------------------
 
-def plan(problem: Problem, **kwargs) -> Trajectory:
-    return Planner(**kwargs).plan(problem)
+def plan(problem: Problem) -> Trajectory:
+    return Planner().plan(problem)
 
 
-def plan_unconstrained(n: int, x0, xf, M0: float, **kwargs) -> Trajectory:
-    return Planner(**kwargs).plan_unconstrained(n, x0, xf, M0)
+def plan_unconstrained(n: int, x0, xf, M0: float) -> Trajectory:
+    return Planner().plan_unconstrained(n, x0, xf, M0)
 
 
-def proper_position(x0, xf, M, **kwargs) -> float:
-    return Planner(**kwargs).proper_position(x0, xf, M)
+def proper_position(x0, xf, M) -> float:
+    return Planner().proper_position(x0, xf, M)
 
 
-def classify(x0, xf, M, eps_proper: float = 1e-9, **kwargs) -> Classification:
-    return Planner(**kwargs).classify(x0, xf, M, eps_proper)
+def classify(x0, xf, M) -> Classification:
+    return Planner().classify(x0, xf, M)
 
 
-def intercept_time(prefix: Trajectory, xf, M, **kwargs) -> Optional[float]:
-    return Planner(**kwargs).intercept_time(prefix, xf, M)
+def intercept_time(prefix: Trajectory, xf, M) -> Optional[float]:
+    return Planner().intercept_time(prefix, xf, M)
 
 
-def tangent_marker_search(problem: Problem, unconstrained: Trajectory,
-                          **kwargs) -> Trajectory:
-    return Planner(**kwargs).tangent_marker_search(problem, unconstrained)
+def tangent_marker_search(problem: Problem,
+                          unconstrained: Trajectory) -> Trajectory:
+    return Planner().tangent_marker_search(problem, unconstrained)

@@ -21,17 +21,19 @@ def default_bounds(n: int) -> tuple[Optional[float], ...]:
     return tuple(out)
 
 
+UNBOUNDED_RANGE = 10.0
+
+
 def random_problem(n: int, M, rng: np.random.Generator,
-                   margin: float = 0.95,
-                   unbounded_range: float = 10.0) -> Problem:
+                   margin: float = 0.95) -> Problem:
     """Draw boundary states uniformly inside the bounds (scaled by
-    ``margin``); unbounded components draw from ±unbounded_range."""
+    ``margin``); unbounded components draw from ±UNBOUNDED_RANGE."""
 
     def draw() -> tuple[float, ...]:
         out = []
         for k in range(1, n + 1):
             bound = M[k] if k < len(M) else None
-            r = margin * bound if bound is not None else unbounded_range
+            r = margin * bound if bound is not None else UNBOUNDED_RANGE
             out.append(float(rng.uniform(-r, r)))
         return tuple(out)
 

@@ -233,10 +233,15 @@ def _seed_scale(system: StageSystem) -> float:
     return tau / max(1, system.num_unknowns)
 
 
+# a root is accepted once every residual is below NEWTON_TOL; the restarts
+# draw from a fixed seed, so solves are deterministic
+NEWTON_TOL = 1e-10
+RESTART_SEED = 0
+
+
 def solve_times(system: StageSystem,
                 seeds: Optional[Sequence[Sequence[float]]] = None,
-                max_restarts: int = 8, tol: float = 1e-10,
-                seed: int = 0, accept=None) -> Optional[Solved]:
+                max_restarts: int = 8, accept=None) -> Optional[Solved]:
     """Solve the stage system by damped Newton iteration with projection of
     durations onto [0, inf) and seeded randomized restarts.
 
@@ -247,14 +252,14 @@ def solve_times(system: StageSystem,
     T = system.num_unknowns
     if T == 0:
         err = _max_abs(system.residuals(()))
-        return Solved((), (), err) if err < tol else None
+        return Solved((), (), err) if err < NEWTON_TOL else None
     tau = _seed_scale(system)
     trial_seeds: list[list[float]] = []
     if seeds is not None:
         trial_seeds.extend([float(v) for v in s] for s in seeds)
     else:
         trial_seeds.append([tau] * T)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(RESTART_SEED)
         base = tau if tau > 0.0 else 1.0
         # restarts climb a geometric scale ladder: roots can sit far above
         # the boundary-difference scale when the states swing back and forth
@@ -264,7 +269,7 @@ def solve_times(system: StageSystem,
     best: Optional[Solved] = None
     hits = 0
     for start in trial_seeds:
-        sol = _newton(system, _project(start), tol)
+        sol = _newton(system, _project(start), NEWTON_TOL)
         if sol is None:
             continue
         if accept is not None and not accept(sol):

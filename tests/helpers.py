@@ -4,14 +4,14 @@ from chainplan import kinematics, planner, sampling
 from chainplan.model import Behavior, Problem, Segment, Trajectory, VirtualGroup
 
 
-def draw_feasible(n, M, rng, margin=0.8, **plan_kwargs):
+def draw_feasible(n, M, rng, margin=0.8):
     """Rejection-sample a dynamically feasible problem and return it with its
     plan.  Draws whose boundary states cannot live with the position corridor
     are rejected (the planner proves it by exhausting its law search)."""
     while True:
         prob = sampling.random_problem(n, M, rng, margin)
         try:
-            return prob, planner.plan(prob, **plan_kwargs)
+            return prob, planner.plan(prob)
         except planner.PlanError:
             continue
 

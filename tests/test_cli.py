@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from chainplan import sampling
 from chainplan.cli import main
 
 FIG7A = {
@@ -55,6 +57,17 @@ class TestPlan:
     def test_unplannable_exit_2(self, tmp_path):
         data = dict(FIG7A, x0=[0.52, -0.17, 2.73], xf=[0.37, -1.16, 3.61])
         inp = write_problem(tmp_path, data)
+        assert main(["plan", "--input", inp]) == 2
+
+    def test_invalid_planned_law_exit_2(self, tmp_path):
+        # order-3 draw 17 at seed 5 with x2 unbounded: the ride splice yields
+        # a law that breaks the sign chain
+        M = [1.0, 1.0, None, 4.0]
+        rng = np.random.default_rng(5)
+        for _ in range(18):
+            prob = sampling.random_problem(3, M, rng, 0.8)
+        inp = write_problem(tmp_path, {"order": 3, "x0": list(prob.x0),
+                                       "xf": list(prob.xf), "M": M})
         assert main(["plan", "--input", inp]) == 2
 
     def test_cross_check_runs(self, tmp_path, capsys):
@@ -116,6 +129,26 @@ class TestMetrics:
         assert scores["t_f"] == pytest.approx(6.31076388, abs=1e-6)
 
 
+    @pytest.mark.parametrize("trajectory", [
+        {"t_f": 1.0, "segments": [{"u": 1.0, "duration": None,
+                                   "start": [0.0, 0.0, 0.0]}]},
+        {"t_f": 1.0, "segments": 5},
+        {"t_f": 1.0, "segments": [{"u": 1.0, "duration": 1.0,
+                                   "start": [0.0]}]},
+    ], ids=["null-duration", "segments-not-a-list", "short-start"])
+    def test_malformed_trajectory_exit_3(self, tmp_path, trajectory):
+        inp = write_problem(tmp_path, FIG7A)
+        tpath = write_problem(tmp_path, trajectory, "traj.json")
+        assert main(["metrics", "--trajectory", tpath, "--problem", inp]) == 3
+
+    def test_zero_samples_exit_3(self, tmp_path):
+        inp = write_problem(tmp_path, FIG7A)
+        tout = str(tmp_path / "t.json")
+        assert main(["plan", "--input", inp, "--output", tout]) == 0
+        assert main(["metrics", "--trajectory", tout, "--problem", inp,
+                     "--samples", "0"]) == 3
+
+
 class TestBatch:
     def test_deterministic_report(self, tmp_path):
         a = str(tmp_path / "a.json")
@@ -147,6 +180,18 @@ class TestBatch:
     def test_bad_bounds_exit_3(self, tmp_path):
         assert main(["batch", "--order", "2", "--count", "1",
                      "--bounds", "oops"]) == 3
+
+    @pytest.mark.parametrize("extra", [
+        ["--order", "0"],
+        ["--order", "2", "--bounds", "[null, 1, 1]"],
+        ["--order", "2", "--bounds", "[1, -1, 1]"],
+        ["--order", "2", "--margin", "1.5"],
+        ["--order", "2", "--margin", "0"],
+        ["--order", "2", "--margin", "-0.5"],
+    ], ids=["order-0", "null-M0", "negative-M1", "margin-1.5", "margin-0",
+            "margin-negative"])
+    def test_bad_arguments_exit_3(self, tmp_path, extra):
+        assert main(["batch", "--count", "1"] + extra) == 3
 
     def test_timing_flag_adds_section(self, tmp_path):
         out = str(tmp_path / "r.json")

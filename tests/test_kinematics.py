@@ -3,12 +3,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chainplan import kinematics
 from chainplan.kinematics import (
     Polynomial,
     Violation,
+    bisect_root,
     plan2,
     plan2_top,
     propagate,
@@ -230,6 +231,146 @@ class TestRealRoots:
     def test_endpoint_roots(self):
         roots = real_roots(Polynomial((0.0, 1.0)), (0.0, 1.0))
         assert roots == [0.0]
+
+
+class _NoPlan(Exception):
+    """Stands in for the PlanError that a failed gap evaluation raises."""
+
+
+def _old_refine_root(p, lo, hi, tol):
+    # kinematics._refine_root as it was before bisect_root replaced it
+    flo = p(lo)
+    if flo == 0.0:
+        return lo
+    fhi = p(hi)
+    if fhi == 0.0:
+        return hi
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = p(mid)
+        if fm == 0.0:
+            return mid
+        if (flo < 0.0) != (fm < 0.0):
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def _old_intercept_bisect(g, lo, g_lo, hi, tol):
+    # the loop of Planner._bisect as it was; g raises _NoPlan for PlanError
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        try:
+            g_mid = g(mid)
+        except _NoPlan:
+            break
+        if g_mid == 0.0:
+            lo = hi = mid
+            break
+        if (g_lo < 0.0) != (g_mid < 0.0):
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+    return 0.5 * (lo + hi)
+
+
+def _old_ride_bisect(g, lo, g_lo, hi, tol):
+    # the bisection half of Planner._ride_root as it was
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            lo = hi = mid
+            break
+        if (g_lo < 0.0) != (g_mid < 0.0):
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+    return 0.5 * (lo + hi)
+
+
+tols = st.sampled_from((0.0, 1e-12, 1e-11, 1e-6, 0.1))
+
+
+@st.composite
+def bracketed_polynomials(draw):
+    """A polynomial with a sign change on [lo, hi], nonzero at both ends."""
+    coeffs = draw(st.lists(finite, min_size=2, max_size=6))
+    lo = draw(st.floats(min_value=-5.0, max_value=5.0))
+    hi = lo + draw(st.floats(min_value=1e-9, max_value=10.0))
+    r = draw(st.floats(min_value=lo, max_value=hi))
+    coeffs[0] -= Polynomial(tuple(coeffs))(r)
+    p = Polynomial(tuple(coeffs))
+    flo, fhi = p(lo), p(hi)
+    assume(flo != 0.0 and fhi != 0.0 and (flo < 0.0) != (fhi < 0.0))
+    return p, lo, hi
+
+
+class TestBisectRoot:
+    """bisect_root replaces three loops; it must return their bits."""
+
+    @given(bracketed_polynomials(), tols)
+    @settings(max_examples=300, deadline=None)
+    def test_polynomial_matches_old_loops(self, case, tol):
+        p, lo, hi = case
+        got = bisect_root(p, lo, p(lo), hi, tol).hex()
+        assert got == _old_refine_root(p, lo, hi, tol).hex()
+        assert got == _old_intercept_bisect(p, lo, p(lo), hi, tol).hex()
+        assert got == _old_ride_bisect(p, lo, p(lo), hi, tol).hex()
+
+    @given(bracketed_polynomials(), tols, st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_none_stops_like_plan_error(self, case, tol, w):
+        p, lo, hi = case
+        cut = lo + w * (hi - lo)
+
+        def g_none(t):
+            return p(t) if t <= cut else None
+
+        def g_raise(t):
+            if t > cut:
+                raise _NoPlan
+            return p(t)
+
+        assert bisect_root(g_none, lo, p(lo), hi, tol).hex() == \
+            _old_intercept_bisect(g_raise, lo, p(lo), hi, tol).hex()
+
+    @given(st.integers(-40, 40), st.integers(1, 40), st.integers(1, 30),
+           st.data(), st.sampled_from((1.0, -3.0)),
+           st.sampled_from((0.0, 1e-12)))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_zero_returned_at_once(self, a, b, m, data, slope, tol):
+        # dyadic ends and root: some midpoint lands on the root exactly
+        lo, hi = a / 8.0, a / 8.0 + b / 8.0
+        k = data.draw(st.integers(0, 2 ** (m - 1) - 1)) * 2 + 1
+        r = lo + (hi - lo) * k / 2.0 ** m
+
+        def f(t):
+            return slope * (t - r)
+
+        got = bisect_root(f, lo, f(lo), hi, tol)
+        assert got == r
+        assert got.hex() == _old_refine_root(f, lo, hi, tol).hex()
+        assert got.hex() == _old_intercept_bisect(f, lo, f(lo), hi, tol).hex()
+        assert got.hex() == _old_ride_bisect(f, lo, f(lo), hi, tol).hex()
+
+    def test_stops_at_tolerance(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t - 0.3
+
+        t = bisect_root(f, 0.0, -0.3, 1.0, 0.25)
+        assert calls == [0.5, 0.25]
+        assert t == 0.375
 
 
 class TestSegmentBoundCheck:

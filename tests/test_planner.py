@@ -231,6 +231,50 @@ class TestTangentMarkerSearch:
         assert e.value.attempted
 
 
+def _seed5_draws(n, M, count):
+    rng = np.random.default_rng(5)
+    return [sampling.random_problem(n, M, rng, 0.8) for _ in range(count)]
+
+
+class TestRidePath:
+    """With x_{n-1} unbounded and x_{n-2} bounded, the lower branch rides the
+    x_{n-2} cruise and finds the crossing with _ride_root."""
+
+    def test_order4_rides_and_verifies(self, monkeypatch):
+        ride = Planner._ride_root
+        reached = set()
+        draw = [None]
+
+        def spy(self, *args):
+            reached.add(draw[0])
+            return ride(self, *args)
+
+        monkeypatch.setattr(Planner, "_ride_root", spy)
+        M = (1.0, 1.0, 1.5, None, 20.0)
+        planned, invalid = 0, []
+        for i, prob in enumerate(_seed5_draws(4, M, 60)):
+            draw[0] = i
+            try:
+                traj = plan(prob)
+            except PlanError as e:
+                if "planned law is invalid" in str(e):
+                    invalid.append(i)
+                continue
+            planned += 1
+            assert solver.verify(traj, prob.M, 1e-9) is None
+        assert len(reached) == 58
+        assert planned > 0
+        # the ride splice can break the sign chain (a known planner defect);
+        # it must surface as a PlanError, not as an AslError
+        assert invalid == [1, 10, 18]
+
+    @pytest.mark.parametrize("index", [17, 20])
+    def test_order3_invalid_law_is_plan_error(self, index):
+        prob = _seed5_draws(3, (1.0, 1.0, None, 4.0), index + 1)[index]
+        with pytest.raises(PlanError, match="planned law is invalid"):
+            plan(prob)
+
+
 class TestInvariants:
     def test_feasibility_and_terminal(self):
         rng = np.random.default_rng(21)
