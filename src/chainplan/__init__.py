@@ -19,7 +19,7 @@ from .model import (
     asl_parse,
     asl_to_string,
 )
-from .planner import PlanError, plan, plan_unconstrained
+from .planner import InfeasibleProblem, PlanError, plan, plan_unconstrained
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,7 @@ __all__ = [
     "AslError",
     "Behavior",
     "InfeasibleError",
+    "InfeasibleProblem",
     "ParseError",
     "PlanError",
     "Problem",

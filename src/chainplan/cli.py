@@ -31,7 +31,7 @@ from .model import (
     check_bounds,
     check_state,
 )
-from .planner import PlanError, Planner
+from .planner import InfeasibleProblem, PlanError, Planner
 
 EXIT_INFEASIBLE = 1
 EXIT_PLANNER = 2
@@ -144,6 +144,8 @@ def cmd_plan(args) -> int:
     planner = Planner(bound_eps=args.eps)
     try:
         traj = planner.plan(problem)
+    except InfeasibleProblem as e:
+        return _fail(EXIT_INFEASIBLE, f"infeasible input: {e}")
     except PlanError as e:
         return _fail(EXIT_PLANNER, f"planning failed: {e}")
     if args.cross_check and problem.n <= 3:
@@ -200,6 +202,8 @@ def cmd_metrics(args) -> int:
 def cmd_batch(args) -> int:
     if args.order < 1:
         return _fail(EXIT_IO, f"order must be >= 1, got {args.order}")
+    if args.count < 0:
+        return _fail(EXIT_IO, f"count must be >= 0, got {args.count}")
     if not 0.0 < args.margin <= 1.0:
         return _fail(EXIT_IO, f"margin must lie in (0, 1], got {args.margin}")
     if args.bounds:

@@ -145,6 +145,41 @@ def plan2_top(v0, p0, vf, pf, M0, M1, M2, eps, bound_eps):
     return tuple(stages), total
 
 
+def brake_peak(x, M0, M1):
+    """Signed peak of x3 under the hardest brake from the order-3 state x.
+
+    Let s be the sign of x2, or of x1 when x2 is 0 (a state with both 0 is
+    at rest: its peak is x3).  In the s-frame (a, v, p) = s * (x1, x2, x3)
+    the brake ramps a down at -M0 until v reaches 0 or a reaches -M1 (never
+    when M1 is None), then rides a = -M1 until v reaches 0; the value
+    returned is s times p at that stop, the brake's extreme x3.
+
+    Why it bounds every trajectory: an admissible x1 falls no faster than
+    M0 and never below -M1, so until the brake's x2 reaches 0 every
+    admissible x1 is at least the brake's x1, every x2 at least its x2 and
+    every x3 at least its x3.  A trajectory from x that lasts that long
+    therefore reaches at least the brake's peak (the bound on x2, which the
+    brake ignores, only removes trajectories).  One that ends sooner ends
+    in a state at least the brake's state at that time, componentwise in
+    the s-frame, and the brake from such a state peaks at least as high.
+    """
+    x1, x2, x3 = x
+    if x2 != 0.0:
+        s = 1.0 if x2 > 0.0 else -1.0
+    elif x1 != 0.0:
+        s = 1.0 if x1 > 0.0 else -1.0
+    else:
+        return x3
+    a, v, p = s * x1, s * x2, s * x3
+    t = (a + sqrt(a * a + 2.0 * M0 * v)) / M0
+    if M1 is not None and t > (a + M1) / M0:
+        t = (a + M1) / M0
+        v1 = v + a * t - M0 * t * t / 2.0
+        p1 = p + v * t + a * t * t / 2.0 - M0 * t * t * t / 6.0
+        return s * (p1 + v1 * v1 / (2.0 * M1))
+    return s * (p + v * t + a * t * t / 2.0 - M0 * t * t * t / 6.0)
+
+
 _FACT = [1.0]
 for _i in range(1, 32):
     _FACT.append(_FACT[-1] * _i)

@@ -68,15 +68,18 @@ class OracleResult:
 
 
 def _law_residuals(elements, x0, xf, M, n):
-    """Residual closure for a signed plain/marker law, built directly on the
-    propagation primitive.
+    """Residual closure for a signed plain/marker law of order 1 to 3, built
+    directly on the chain's constant-control step.
 
     The law is walked once, here, into steps of (control, pin).  A step
-    propagates one stage under its control (None for a marker, which has no
+    advances one stage under its control (None for a marker, which has no
     stage of its own), then, if its pin ``(k, target, zeros)`` is not None,
     pins the state at index ``k`` to ``target`` and those at ``zeros`` to
     zero.  The closure takes any sequence of stage times and runs them as
     Python floats: numpy scalars would give the same bits, only slower.
+    The stage step is ``kinematics.propagate``'s order-3 step written out,
+    on states padded with zeros to three: its first n components carry the
+    bits of the order-n step.
     """
     M0 = M[0]
     steps = []
@@ -90,25 +93,29 @@ def _law_residuals(elements, x0, xf, M, n):
             k = e.behavior.value
             zeros = tuple(k - 1 - j for j in range(1, e.degree))
             steps.append((None, (k - 1, e.behavior.sign * M[k], zeros)))
-    start = tuple(x0)
+    start = tuple(x0) + (0.0,) * (3 - n)
     goal = tuple(xf[k] for k in range(n))
 
     def fun(times):
-        propagate = kinematics.propagate  # per call: tracers swap it
         times = np.asarray(times, dtype=float).tolist()
         res = []
-        cur = start
+        x1, x2, x3 = start
         ti = 0
         for u, pin in steps:
             if u is not None:
-                cur = propagate(cur, u, times[ti])
+                t = times[ti]
                 ti += 1
+                t2 = t * (t / 2)
+                x1, x2, x3 = (0.0 + x1 + u * t,
+                              0.0 + x2 + x1 * t + u * t2,
+                              0.0 + x3 + x2 * t + x1 * t2 + u * (t2 * (t / 3)))
             if pin is not None:
+                cur = (x1, x2, x3)
                 k, target, zeros = pin
                 res.append(cur[k] - target)
                 for j in zeros:
                     res.append(cur[j])
-        res += [a - b for a, b in zip(cur, goal)]
+        res += [a - b for a, b in zip((x1, x2, x3), goal)]
         return np.array(res)
 
     return fun

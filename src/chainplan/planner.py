@@ -42,6 +42,14 @@ class PlanError(RuntimeError):
         self.attempted = tuple(attempted)
 
 
+class InfeasibleProblem(PlanError):
+    """No trajectory exists: a boundary state provably cannot keep a bound.
+
+    Raised by ``Planner.plan`` before any search runs.  The message begins
+    with "no tangent-marker law", the message of the search it replaces.
+    """
+
+
 HIGHER = "higher"
 LOWER = "lower"
 PROPER = "proper"
@@ -152,6 +160,8 @@ class Planner:
         """Feasible trajectory from x0 to xf; raises PlanError on failure."""
         if problem.x0 == problem.xf:
             return Trajectory((), 0.0, Asl(()), problem)
+        if problem.n == 3 and problem.M[3] is not None:
+            self._raise_if_infeasible(problem)
         p = self._plan(problem.n, problem.x0, problem.xf, problem.M)
         try:
             traj = self._to_trajectory(p, problem)
@@ -163,6 +173,36 @@ class Planner:
         if failure is not None:
             raise PlanError(f"planned trajectory failed verification: {failure}")
         return traj
+
+    def _raise_if_infeasible(self, problem: Problem) -> None:
+        """Raise InfeasibleProblem when a boundary state of an order-3
+        problem cannot keep |x3| <= M3.
+
+        ``kinematics.brake_peak`` bounds the x3 peak of every trajectory
+        leaving x0 and, on the reversed chain (state (x1, -x2, x3)), of every
+        trajectory arriving at xf.  A trajectory may end before that brake
+        stops, but then it ends in a state whose own brake peaks at least as
+        high on the same side; so a peak beyond M3 proves nothing while the
+        other boundary state's brake peaks as high there (less bound_eps,
+        against rounding).
+        """
+        M = problem.M
+        lim = M[3] + self.bound_eps
+        x0, xf = problem.x0, problem.xf
+        back0 = (x0[0], -x0[1], x0[2])
+        backf = (xf[0], -xf[1], xf[2])
+        for where, state, other in (("start cannot keep", x0, xf),
+                                    ("goal cannot be reached keeping", backf, back0)):
+            peak = kinematics.brake_peak(state, M[0], M[1])
+            if abs(peak) <= lim:
+                continue
+            side = 1.0 if peak > 0.0 else -1.0
+            peer = kinematics.brake_peak(other, M[0], M[1])
+            if side * peer >= side * peak - self.bound_eps:
+                continue
+            raise InfeasibleProblem(
+                f"no tangent-marker law exists: the {where} |x3| <= M3 "
+                f"(hardest brake peaks at {peak:.6g})")
 
     def plan_unconstrained(self, n: int, x0, xf, M0: float) -> Trajectory:
         """Pure saturation plan with every interior bound removed."""

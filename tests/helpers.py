@@ -7,7 +7,9 @@ from chainplan.model import Behavior, Problem, Segment, Trajectory, VirtualGroup
 def draw_feasible(n, M, rng, margin=0.8):
     """Rejection-sample a dynamically feasible problem and return it with its
     plan.  Draws whose boundary states cannot live with the position corridor
-    are rejected (the planner proves it by exhausting its law search)."""
+    are rejected: at order 3 the planner proves it with its hard-brake
+    certificate (``InfeasibleProblem``).  Any other PlanError is redrawn
+    too, so a planner failure can still pass for an infeasible draw."""
     while True:
         prob = sampling.random_problem(n, M, rng, margin)
         try:

@@ -54,10 +54,13 @@ class TestPlan:
         inp = write_problem(tmp_path, data)
         assert main(["plan", "--input", inp]) == 1
 
-    def test_unplannable_exit_2(self, tmp_path):
+    def test_certified_infeasible_exit_1(self, tmp_path, capsys):
+        # the goal arrives at the x3 wall too fast for any brake
         data = dict(FIG7A, x0=[0.52, -0.17, 2.73], xf=[0.37, -1.16, 3.61])
         inp = write_problem(tmp_path, data)
-        assert main(["plan", "--input", inp]) == 2
+        assert main(["plan", "--input", inp]) == 1
+        assert "infeasible input: no tangent-marker law exists" in \
+            capsys.readouterr().err
 
     def test_invalid_planned_law_exit_2(self, tmp_path):
         # order-3 draw 17 at seed 5 with x2 unbounded: the ride splice yields
@@ -188,8 +191,9 @@ class TestBatch:
         ["--order", "2", "--margin", "1.5"],
         ["--order", "2", "--margin", "0"],
         ["--order", "2", "--margin", "-0.5"],
+        ["--order", "2", "--count", "-1"],
     ], ids=["order-0", "null-M0", "negative-M1", "margin-1.5", "margin-0",
-            "margin-negative"])
+            "margin-negative", "negative-count"])
     def test_bad_arguments_exit_3(self, tmp_path, extra):
         assert main(["batch", "--count", "1"] + extra) == 3
 

@@ -10,6 +10,7 @@ from chainplan.kinematics import (
     Polynomial,
     Violation,
     bisect_root,
+    brake_peak,
     plan2,
     plan2_top,
     propagate,
@@ -175,6 +176,83 @@ class TestPlan2Top:
             for vf, pf in ((0.0, 0.0), (-0.0, 0.5), (0.5, -0.0)):
                 for M2 in (None, 1.0):
                     self._check(v0, p0, vf, pf, 1.0, 1.0, M2)
+
+
+def _stepped_brake(x, M0, M1, count=4000):
+    """Largest s * x3 of the hardest brake on a grid of ``propagate`` steps,
+    s being the brake's side, and the grid's bound on how far it can fall
+    short of the brake's peak."""
+    x1, x2, _ = x
+    s = 1.0 if x2 > 0.0 or (x2 == 0.0 and x1 > 0.0) else -1.0
+    a, v = s * x1, s * x2
+    # x2 turns within the ramp time to v = 0 plus, with M1, the ride from
+    # the ramp's end at the largest speed the ramp can reach
+    horizon = (2.0 * abs(a) + (2.0 * M0 * v) ** 0.5) / M0
+    if M1 is not None:
+        ramp = (a + M1) / M0
+        horizon += ramp + (v + a * a / (2.0 * M0)) / M1
+    horizon = 1.5 * horizon + 0.01
+    best = -float("inf")
+    for i in range(count + 1):
+        t = horizon * i / count
+        if M1 is None or t <= ramp:
+            state = propagate(x, -s * M0, t)
+        else:
+            state = propagate(propagate(x, -s * M0, ramp), 0.0, t - ramp)
+        best = max(best, s * state[2])
+    h = horizon / count
+    return s, best, (abs(a) + M0 * horizon) * h * h + 1e-9
+
+
+@st.composite
+def brake_cases(draw):
+    M0 = draw(st.floats(min_value=0.2, max_value=3.0))
+    M1 = draw(st.one_of(st.none(), st.floats(min_value=0.2, max_value=2.0)))
+    cap = 2.0 if M1 is None else M1
+    x1 = draw(st.one_of(st.floats(min_value=-cap, max_value=cap),
+                        st.sampled_from((cap, -cap, 0.0, -0.0))))
+    x2 = draw(st.one_of(st.floats(min_value=-3.0, max_value=3.0),
+                        st.sampled_from((0.0, -0.0))))
+    x3 = draw(st.floats(min_value=-4.0, max_value=4.0))
+    return (x1, x2, x3), M0, M1
+
+
+class TestBrakePeak:
+    """``brake_peak`` is the extreme x3 of the hardest brake, which ramps x1
+    away from x2's side at -M0, rides x1 = -M1, and stops when x2 turns."""
+
+    @given(brake_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stepped_brake(self, case):
+        x, M0, M1 = case
+        peak = brake_peak(x, M0, M1)
+        if x[0] == 0.0 and x[1] == 0.0:
+            assert peak == x[2]
+            return
+        s, best, tol = _stepped_brake(x, M0, M1)
+        assert best <= s * peak + 1e-9
+        assert s * peak <= best + tol
+
+    @given(brake_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_mirror_negates_to_the_bit(self, case):
+        x, M0, M1 = case
+        assert brake_peak(tuple(-v for v in x), M0, M1) == -brake_peak(x, M0, M1)
+
+    def test_signed_zeros(self):
+        for x1, x2 in itertools.product((0.0, -0.0), repeat=2):
+            assert brake_peak((x1, x2, 1.25), 1.0, 1.0) == 1.25
+        # x2 = -0 leaves the side to x1: x1 ramps 1 -> -1, x2 turns at t = 2
+        # with x3 = 2 - 8/6
+        assert brake_peak((1.0, -0.0, 0.0), 1.0, None) == \
+            pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert brake_peak((-1.0, 0.0, 0.0), 1.0, None) == \
+            pytest.approx(-2.0 / 3.0, abs=1e-15)
+
+    def test_ride_at_the_x1_bound(self):
+        # x1 already at -M1: ride, and x3 gains v^2 / (2 M1)
+        assert brake_peak((-1.0, 2.0, 0.5), 1.0, 1.0) == 2.5
+        assert brake_peak((1.0, -2.0, -0.5), 1.0, 1.0) == -2.5
 
 
 class TestStatePolynomial:

@@ -116,3 +116,18 @@ class TestLawResiduals:
                     got = fun(times)
                     assert got.tobytes() == fun(times.tolist()).tobytes()
                     assert got.tobytes() == ref(times).tobytes()
+
+    @pytest.mark.parametrize("n, M", [(1, (1.0, None)), (2, (1.0, 1.0, 1.5))])
+    def test_low_orders_match_reference_bits(self, n, M):
+        # the residual pads lower-order states to three components
+        rng = np.random.default_rng(7)
+        x0, xf = tuple(rng.uniform(-0.8, 0.8, n)), tuple(rng.uniform(-0.8, 0.8, n))
+        for law in laws.enumerate_af(n):
+            for last in (1, -1):
+                elements = laws.assign_signs(law, last).elements
+                stages = sum(isinstance(e, Behavior) for e in elements)
+                fun = _law_residuals(elements, x0, xf, M, n)
+                ref = _reference_residuals(elements, x0, xf, M, n)
+                for _ in range(20):
+                    times = rng.uniform(0.0, 3.0, stages)
+                    assert fun(times).tobytes() == ref(times).tobytes()

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from chainplan import oracle, sampling, solver
+from chainplan import kinematics, oracle, sampling, solver
 from chainplan.model import InfeasibleError, Problem
 from chainplan.planner import (
     HIGHER,
     LOWER,
     PROPER,
+    InfeasibleProblem,
     PlanError,
     Planner,
     _integral_top,
@@ -224,16 +225,89 @@ class TestTangentMarkerSearch:
         assert solver.verify(traj, M3, 1e-9) is None
 
     def test_exhaustion_lists_attempts(self):
-        # terminal state incompatible with the corridor: every law fails
+        # terminal state incompatible with the corridor: every law fails;
+        # plan proves it before searching, so run the search unguarded
         prob = Problem(3, (0.52, -0.17, 2.73), (0.37, -1.16, 3.61), M3)
         with pytest.raises(PlanError) as e:
-            plan(prob)
+            Planner()._plan(3, prob.x0, prob.xf, prob.M)
         assert e.value.attempted
+        with pytest.raises(InfeasibleProblem):
+            plan(prob)
 
 
 def _seed5_draws(n, M, count):
     rng = np.random.default_rng(5)
     return [sampling.random_problem(n, M, rng, 0.8) for _ in range(count)]
+
+
+def _certified_infeasible(prob):
+    try:
+        Planner()._raise_if_infeasible(prob)
+    except InfeasibleProblem:
+        return True
+    return False
+
+
+class TestInfeasibilityCertificate:
+    """``Planner.plan`` proves an order-3 problem infeasible when a boundary
+    state's hardest brake leaves |x3| <= M3."""
+
+    @staticmethod
+    def _draws(seed):
+        rng = np.random.default_rng(seed)
+        M = sampling.default_bounds(3)
+        return [sampling.random_problem(3, M, rng, 0.8) for _ in range(350)]
+
+    @pytest.mark.parametrize("seed, count", [(1, 23), (1003, 10)])
+    def test_flags_no_plannable_draw(self, seed, count):
+        flagged = [p for p in self._draws(seed) if _certified_infeasible(p)]
+        assert len(flagged) == count
+        for prob in flagged:
+            with pytest.raises(PlanError):
+                Planner()._plan(3, prob.x0, prob.xf, prob.M)
+
+    def test_flags_the_search_failures_of_seed_1(self):
+        # every "no tangent-marker law" failure of the search but 333, which
+        # the oracle solves (law 000)
+        draws = self._draws(1)
+        assert [i for i, p in enumerate(draws) if _certified_infeasible(p)] == [
+            53, 79, 89, 93, 102, 108, 148, 155, 160, 171, 175, 185, 196, 205,
+            223, 225, 236, 251, 270, 275, 299, 324, 341]
+        for i in (53, 79, 89):
+            with pytest.raises(oracle.OracleError):
+                oracle.exhaustive_tf(draws[i])
+            with pytest.raises(InfeasibleProblem,
+                               match="^no tangent-marker law exists"):
+                plan(draws[i])
+
+    def test_mirror_gives_the_same_flag(self):
+        for prob in self._draws(1):
+            mirrored = Problem(3, tuple(-v for v in prob.x0),
+                               tuple(-v for v in prob.xf), prob.M)
+            assert _certified_infeasible(mirrored) == \
+                _certified_infeasible(prob)
+
+    def test_both_states_past_the_wall_proves_nothing(self):
+        # both brakes peak above M3 on the same side, yet 0.1 s joins them
+        prob = Problem(3, (0.0, 1.0, 3.5), (0.0, 1.0, 3.6), M3)
+        assert kinematics.brake_peak(prob.x0, 1.0, 1.0) > 4.0
+        assert kinematics.brake_peak(prob.xf, 1.0, 1.0) > 4.0
+        traj = plan(prob)
+        assert traj.t_f == pytest.approx(0.1, abs=1e-3)
+        assert solver.verify(traj, M3, 1e-9) is None
+
+    def test_unbounded_velocity_draws(self):
+        # all 60 draws fail: 58 with "no tangent-marker law", 17 and 20 with
+        # an invalid law (TestRidePath).  Draw 11 is infeasible too (the
+        # oracle finds no law), but both of its reversed states' brakes peak
+        # beyond M3 on one side, and that proves nothing
+        draws = _seed5_draws(3, (1.0, 1.0, None, 4.0), 60)
+        flagged = {i for i, p in enumerate(draws) if _certified_infeasible(p)}
+        assert flagged == set(range(60)) - {11, 17, 20}
+        with pytest.raises(oracle.OracleError):
+            oracle.exhaustive_tf(draws[11])
+        with pytest.raises(PlanError, match="^no tangent-marker law reaches"):
+            plan(draws[11])
 
 
 class TestRidePath:
