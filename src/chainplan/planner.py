@@ -57,11 +57,8 @@ PROPER = "proper"
 # a start within EPS_PROPER (relative to max(1, bound or |p*|)) of the proper
 # position counts as on the manifold
 EPS_PROPER = 1e-9
-# interception: grid points per prefix stage, the bisection's final width,
-# and the highest order whose every stage is grid-scanned (see _intercept_scan)
-INTERCEPT_GRID = 64
+# the final width of the interception bisection
 INTERCEPT_TOL = 1e-11
-FULL_SCAN_MAX_ORDER = 3
 # randomized Newton restarts per saturation-only solve (marker legs get twice)
 SOLVER_RESTARTS = 8
 MAX_MARKER_DEPTH = 8
@@ -236,8 +233,9 @@ class Planner:
         return Classification(kind, p_star)
 
     def intercept_time(self, prefix: Trajectory, xf, M) -> Optional[float]:
-        """Earliest time at which the prefix state meets the lower-order
-        manifold of xf; None if the manifold gap never changes sign."""
+        """Time at which the prefix state meets the lower-order manifold of
+        xf, bisected in the first stage across whose ends the manifold gap
+        changes sign; None when the gap keeps one sign at every stage end."""
         n = len(xf)
         stages = tuple((s.u, s.duration) for s in prefix.segments)
         if not stages:
@@ -357,62 +355,31 @@ class Planner:
     def _intercept_scan(self, n: int, prefix: _Plan, xf, M):
         """First manifold crossing along the prefix: (time, state) or None.
 
-        Scans segment boundaries and a refinement grid, then bisects.  For
-        orders above FULL_SCAN_MAX_ORDER a boundary pass runs first and only
-        its bracket is grid-refined, falling back to the full scan when no
-        boundary sign change exists.
+        Evaluates the gap at the prefix start and at each stage end (a
+        zero-length stage ends where it starts and is skipped) and bisects
+        the first bracket whose ends differ in sign.  None when the gap keeps
+        one sign at every stage end.  A stage end where the lower-order plan
+        fails starts a new bracket.
         """
-        if n <= FULL_SCAN_MAX_ORDER:
-            return self._scan_over(n, prefix, xf, M, INTERCEPT_GRID)
-        hit = self._scan_over(n, prefix, xf, M, 1, refine=INTERCEPT_GRID)
-        if hit is not None:
-            return hit
-        return self._scan_over(n, prefix, xf, M, INTERCEPT_GRID)
-
-    def _scan_over(self, n, prefix: _Plan, xf, M, grid: int, refine: int = 0):
-        g_prev = None
-        t_prev = 0.0
-        t0 = 0.0
-        cur = prefix.x0
+        ends = [(0.0, prefix.x0)]
+        t, cur = 0.0, prefix.x0
         for u, dur in prefix.stages:
-            samples = [(0.0, cur)] if t0 == 0.0 and g_prev is None else []
             if dur > 0.0:
-                for i in range(1, grid + 1):
-                    tau = dur * i / grid
-                    samples.append((tau, kinematics.propagate(cur, u, tau)))
-            for tau, state in samples:
-                try:
-                    g = self._gap_at(n, state, xf, M)
-                except PlanError:
-                    g_prev = None
-                    continue
-                t_abs = t0 + tau
-                if g == 0.0:
-                    return t_abs, state
-                if g_prev is not None and (g_prev < 0.0) != (g < 0.0):
-                    if refine:
-                        sub = self._refine_bracket(n, prefix, xf, M,
-                                                   t_prev, g_prev, t_abs, g, refine)
-                        if sub is not None:
-                            t_prev, g_prev, t_abs, g = sub
-                    return self._bisect(n, prefix, xf, M, t_prev, g_prev, t_abs)
-                g_prev, t_prev = g, t_abs
-            t0 += dur
-            cur = kinematics.propagate(cur, u, dur)
-        return None
-
-    def _refine_bracket(self, n, prefix, xf, M, lo, g_lo, hi, g_hi, grid):
-        step = (hi - lo) / grid
-        t, g_t = lo, g_lo
-        for i in range(1, grid + 1):
-            t_next = lo + i * step
+                t += dur
+                cur = kinematics.propagate(cur, u, dur)
+                ends.append((t, cur))
+        lo = None
+        for t, state in ends:
             try:
-                g_next = self._gap_at(n, self._state_at(prefix, t_next), xf, M)
+                g = self._gap_at(n, state, xf, M)
             except PlanError:
-                return None
-            if g_next == 0.0 or (g_t < 0.0) != (g_next < 0.0):
-                return t, g_t, t_next, g_next
-            t, g_t = t_next, g_next
+                lo = None
+                continue
+            if g == 0.0:
+                return t, state
+            if lo is not None and (lo[1] < 0.0) != (g < 0.0):
+                return self._bisect(n, prefix, xf, M, lo[0], lo[1], t)
+            lo = (t, g)
         return None
 
     def _state_at(self, prefix: _Plan, t: float):
@@ -478,8 +445,15 @@ class Planner:
             t_ride, ride_end = self._ride_root(n, end, xf, M)
         cont = self._plan(n - 1, ride_end[: n - 1], xf[:-1], M[:n])
         cont_l = _lift(cont, ride_end[n - 1])
-        head = _Plan(p1_lifted.x0, p1_lifted.stages + ((0.0, t_ride),),
-                     p1_lifted.elements + (Behavior(m, 1),),
+        # the ascent to x_m = M_m can end in zero-length ramps whose sign
+        # breaks the law's sign chain before the ride; they move nothing
+        stages, elements = list(p1_lifted.stages), list(p1_lifted.elements)
+        while stages and stages[-1][1] == 0.0 \
+                and isinstance(elements[-1], Behavior):
+            stages.pop()
+            elements.pop()
+        head = _Plan(p1_lifted.x0, tuple(stages) + ((0.0, t_ride),),
+                     tuple(elements) + (Behavior(m, 1),),
                      p1_lifted.tf + t_ride)
         return _concat(head, cont_l)
 

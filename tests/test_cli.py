@@ -63,13 +63,13 @@ class TestPlan:
             capsys.readouterr().err
 
     def test_invalid_planned_law_exit_2(self, tmp_path):
-        # order-3 draw 17 at seed 5 with x2 unbounded: the ride splice yields
+        # order-4 draw 18 at seed 5 with x3 unbounded: the ride splice yields
         # a law that breaks the sign chain
-        M = [1.0, 1.0, None, 4.0]
+        M = [1.0, 1.0, 1.5, None, 20.0]
         rng = np.random.default_rng(5)
-        for _ in range(18):
-            prob = sampling.random_problem(3, M, rng, 0.8)
-        inp = write_problem(tmp_path, {"order": 3, "x0": list(prob.x0),
+        for _ in range(19):
+            prob = sampling.random_problem(4, M, rng, 0.8)
+        inp = write_problem(tmp_path, {"order": 4, "x0": list(prob.x0),
                                        "xf": list(prob.xf), "M": M})
         assert main(["plan", "--input", inp]) == 2
 

@@ -13,6 +13,7 @@ from chainplan.planner import (
     PlanError,
     Planner,
     _integral_top,
+    _Plan,
     classify,
     intercept_time,
     plan,
@@ -297,10 +298,10 @@ class TestInfeasibilityCertificate:
         assert solver.verify(traj, M3, 1e-9) is None
 
     def test_unbounded_velocity_draws(self):
-        # all 60 draws fail: 58 with "no tangent-marker law", 17 and 20 with
-        # an invalid law (TestRidePath).  Draw 11 is infeasible too (the
-        # oracle finds no law), but both of its reversed states' brakes peak
-        # beyond M3 on one side, and that proves nothing
+        # 58 draws fail with "no tangent-marker law"; 17 and 20 plan
+        # (TestRidePath).  Draw 11 is infeasible too (the oracle finds no
+        # law), but both of its reversed states' brakes peak beyond M3 on one
+        # side, and that proves nothing
         draws = _seed5_draws(3, (1.0, 1.0, None, 4.0), 60)
         flagged = {i for i, p in enumerate(draws) if _certified_infeasible(p)}
         assert flagged == set(range(60)) - {11, 17, 20}
@@ -338,15 +339,128 @@ class TestRidePath:
             assert solver.verify(traj, prob.M, 1e-9) is None
         assert len(reached) == 58
         assert planned > 0
-        # the ride splice can break the sign chain (a known planner defect);
-        # it must surface as a PlanError, not as an AslError
-        assert invalid == [1, 10, 18]
+        # draw 18's ascent ends in a ramp of 1.1e-16 s, not 0 s, so the ride
+        # splice still breaks its sign chain (a known planner defect); it
+        # must surface as a PlanError, not as an AslError
+        assert invalid == [18]
 
     @pytest.mark.parametrize("index", [17, 20])
-    def test_order3_invalid_law_is_plan_error(self, index):
+    def test_order3_ride_splice_plans_optimally(self, index):
+        # the ascent ends in a zero-length ramp, which the splice drops
         prob = _seed5_draws(3, (1.0, 1.0, None, 4.0), index + 1)[index]
-        with pytest.raises(PlanError, match="planned law is invalid"):
-            plan(prob)
+        traj = plan(prob)
+        assert solver.verify(traj, prob.M, 1e-9) is None
+        assert traj.t_f <= oracle.exhaustive_tf(prob).t_f + 1e-9
+
+
+class _GridScanPlanner(Planner):
+    """Reference interception by grid scan: 64 points per stage at order
+    <= 3; above, a stage-end pass whose bracket is grid-refined, falling
+    back to the full grid.  The stage-end pass must find what it finds."""
+
+    GRID = 64
+
+    def _intercept_scan(self, n, prefix, xf, M):
+        if n <= 3:
+            return self._scan_over(n, prefix, xf, M, self.GRID)
+        hit = self._scan_over(n, prefix, xf, M, 1, refine=self.GRID)
+        if hit is not None:
+            return hit
+        return self._scan_over(n, prefix, xf, M, self.GRID)
+
+    def _scan_over(self, n, prefix, xf, M, grid, refine=0):
+        g_prev = None
+        t_prev = 0.0
+        t0 = 0.0
+        cur = prefix.x0
+        for u, dur in prefix.stages:
+            samples = [(0.0, cur)] if t0 == 0.0 and g_prev is None else []
+            if dur > 0.0:
+                for i in range(1, grid + 1):
+                    tau = dur * i / grid
+                    samples.append((tau, kinematics.propagate(cur, u, tau)))
+            for tau, state in samples:
+                try:
+                    g = self._gap_at(n, state, xf, M)
+                except PlanError:
+                    g_prev = None
+                    continue
+                t_abs = t0 + tau
+                if g == 0.0:
+                    return t_abs, state
+                if g_prev is not None and (g_prev < 0.0) != (g < 0.0):
+                    if refine:
+                        sub = self._refine_bracket(n, prefix, xf, M, t_prev,
+                                                   g_prev, t_abs, refine)
+                        if sub is not None:
+                            t_prev, g_prev, t_abs = sub
+                    return self._bisect(n, prefix, xf, M, t_prev, g_prev, t_abs)
+                g_prev, t_prev = g, t_abs
+            t0 += dur
+            cur = kinematics.propagate(cur, u, dur)
+        return None
+
+    def _refine_bracket(self, n, prefix, xf, M, lo, g_lo, hi, grid):
+        step = (hi - lo) / grid
+        t, g_t = lo, g_lo
+        for i in range(1, grid + 1):
+            t_next = lo + i * step
+            try:
+                g_next = self._gap_at(n, self._state_at(prefix, t_next), xf, M)
+            except PlanError:
+                return None
+            if g_next == 0.0 or (g_t < 0.0) != (g_next < 0.0):
+                return t, g_t, t_next
+            t, g_t = t_next, g_next
+        return None
+
+
+def _outcome(planner, prob):
+    """("ok", law, t_f) or (error class, message up to its details, None)."""
+    try:
+        traj = planner.plan(prob)
+    except PlanError as e:
+        return type(e).__name__, str(e).split(":")[0].split(" (")[0], None
+    return "ok", traj.asl.text(), traj.t_f
+
+
+class TestInterceptBoundaryPass:
+    """Bisecting the first stage whose end gaps differ in sign finds the
+    crossing that the 64-point grid scan found."""
+
+    @pytest.mark.parametrize("n, count", [(3, 100), (4, 4)])
+    def test_matches_grid_scan(self, n, count):
+        rng = np.random.default_rng(1)
+        M = sampling.default_bounds(n)
+        planned = 0
+        for _ in range(count):
+            prob = sampling.random_problem(n, M, rng, 0.8)
+            kind, law, t_f = _outcome(Planner(), prob)
+            ref_kind, ref_law, ref_t_f = _outcome(_GridScanPlanner(), prob)
+            assert (kind, law) == (ref_kind, ref_law)
+            if kind == "ok":
+                planned += 1
+                assert abs(t_f - ref_t_f) <= 1e-12
+        assert planned > count // 2
+
+    def test_failed_gap_evaluation_splits_the_bracket(self):
+        # x1 climbs 0 -> 1 -> 2 -> 3 over three stages and the gap is
+        # x1 - 1.5; where no lower-order plan exists at x1 = 2, the ends at
+        # x1 = 1 and x1 = 3 must not form a bracket
+        class Line(Planner):
+            def _gap_at(self, n, state, xf, M):
+                return state[0] - 1.5
+
+        class Gappy(Line):
+            def _gap_at(self, n, state, xf, M):
+                if state[0] == 2.0:
+                    raise PlanError("no lower-order plan")
+                return super()._gap_at(n, state, xf, M)
+
+        prefix = _Plan((0.0, 0.0), ((1.0, 1.0),) * 3, (), 3.0)
+        t, _ = Line()._intercept_scan(2, prefix, None, None)
+        assert t == pytest.approx(1.5, abs=1e-10)
+        assert Gappy()._intercept_scan(2, prefix, None, None) is None
 
 
 class TestInvariants:
