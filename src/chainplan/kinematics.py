@@ -2,19 +2,24 @@
 
 The hot kernels of manifold interception (``propagate``, ``integral_top``,
 the order-2 closed form ``plan2`` and its bound-checked, integrated form
-``plan2_top``) and the per-segment machinery (state polynomials, stationary
-points, bound violation checks).  Callers reach the kernels as
-``kinematics.<name>`` so that a profiler can wrap them here.
+``plan2_top``), the per-segment machinery (state polynomials, stationary
+points, bound violation checks) and ``bracket_root``, the one root solver:
+it polishes polynomial roots and solves the manifold interception.  Callers
+reach the kernels as ``kinematics.<name>`` so that a profiler can wrap them
+here.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import fabs, sqrt
 from typing import Optional
 
 # recorded by perfbench in its environment block; the kernels are pure Python
 BACKEND: str = "python"
+
+_EPS = sys.float_info.epsilon
 
 
 def propagate(x, u, t):
@@ -229,27 +234,60 @@ def state_polynomial(x, u: float, k: int) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def bisect_root(f, lo: float, f_lo: float, hi: float, tol: float) -> float:
-    """Bisect the sign change of f on [lo, hi], where f(lo) = f_lo != 0.
+def bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
+                 tol: float) -> float:
+    """A point within tol of a sign change of f on [lo, hi], where f(lo) =
+    f_lo and f(hi) = f_hi differ in sign.
 
-    At most 200 halvings, stopping once hi - lo <= tol; returns a midpoint
-    where f is exactly 0 at once, else the midpoint of the last bracket.  An
-    f that returns None ends the halving there.
+    Brent's method (zeroin; Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4): an inverse-quadratic or secant step when it
+    shrinks the bracket fast enough, a bisection step otherwise, always
+    keeping a sign change between the best iterate b and the other bracket
+    end c.  It stops once |c - b| / 2 <= 2 eps |b| + tol / 2 (the relative
+    term keeps large t from spinning at a tight tol) and returns b.  An
+    exact zero is returned at once; an f that returns None ends the search
+    at the best iterate so far.  At most 200 evaluations.
     """
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid is None:
-            break
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p = 2.0 * xm * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * xm * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else (tol1 if xm > 0.0 else -tol1)
+        fb = f(b)
+        if fb is None:
+            return a
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    return b
 
 
 ROOT_TOL = 1e-12
@@ -260,7 +298,7 @@ def real_roots(p: Polynomial, interval: tuple[float, float]) -> list[float]:
     """All real roots of p on [a, b], sorted, deduplicated within ROOT_DEDUP.
 
     Roots are isolated by subdividing at derivative roots (recursively down
-    to the linear case), then polished by ``bisect_root`` to ROOT_TOL.  Raises
+    to the linear case), then polished by ``bracket_root`` to ROOT_TOL.  Raises
     ValueError for the identically zero polynomial.
     """
     a, b = interval
@@ -287,7 +325,7 @@ def real_roots(p: Polynomial, interval: tuple[float, float]) -> list[float]:
         if abs(flo) <= feps or abs(fhi) <= feps:
             continue
         if (flo < 0.0) != (fhi < 0.0):
-            roots.append(bisect_root(p, lo, flo, hi, ROOT_TOL))
+            roots.append(bracket_root(p, lo, flo, hi, fhi, ROOT_TOL))
     roots.sort()
     out: list[float] = []
     for r in roots:

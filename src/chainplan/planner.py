@@ -57,8 +57,8 @@ PROPER = "proper"
 # a start within EPS_PROPER (relative to max(1, bound or |p*|)) of the proper
 # position counts as on the manifold
 EPS_PROPER = 1e-9
-# the final width of the interception bisection
-INTERCEPT_TOL = 1e-11
+# the tolerance to which interception and cruise-ride crossings are solved
+INTERCEPT_TOL = 1e-13
 # randomized Newton restarts per saturation-only solve (marker legs get twice)
 SOLVER_RESTARTS = 8
 MAX_MARKER_DEPTH = 8
@@ -234,7 +234,7 @@ class Planner:
 
     def intercept_time(self, prefix: Trajectory, xf, M) -> Optional[float]:
         """Time at which the prefix state meets the lower-order manifold of
-        xf, bisected in the first stage across whose ends the manifold gap
+        xf, solved in the first stage across whose ends the manifold gap
         changes sign; None when the gap keeps one sign at every stage end."""
         n = len(xf)
         stages = tuple((s.u, s.duration) for s in prefix.segments)
@@ -356,7 +356,7 @@ class Planner:
         """First manifold crossing along the prefix: (time, state) or None.
 
         Evaluates the gap at the prefix start and at each stage end (a
-        zero-length stage ends where it starts and is skipped) and bisects
+        zero-length stage ends where it starts and is skipped) and solves
         the first bracket whose ends differ in sign.  None when the gap keeps
         one sign at every stage end.  A stage end where the lower-order plan
         fails starts a new bracket.
@@ -378,7 +378,7 @@ class Planner:
             if g == 0.0:
                 return t, state
             if lo is not None and (lo[1] < 0.0) != (g < 0.0):
-                return self._bisect(n, prefix, xf, M, lo[0], lo[1], t)
+                return self._bisect(n, prefix, xf, M, lo[0], lo[1], t, g)
             lo = (t, g)
         return None
 
@@ -391,7 +391,7 @@ class Planner:
             cur = kinematics.propagate(cur, u, dur)
         return cur
 
-    def _bisect(self, n, prefix, xf, M, lo, g_lo, hi):
+    def _bisect(self, n, prefix, xf, M, lo, g_lo, hi, g_hi):
         def g_of(t):
             try:
                 return self._gap_at(n, self._state_at(prefix, t), xf, M)
@@ -399,7 +399,7 @@ class Planner:
                 # no lower-order plan here: stop at the current bracket
                 return None
 
-        t2 = kinematics.bisect_root(g_of, lo, g_lo, hi, INTERCEPT_TOL)
+        t2 = kinematics.bracket_root(g_of, lo, g_lo, hi, g_hi, INTERCEPT_TOL)
         return t2, self._state_at(prefix, t2)
 
     # ---------------- composition ----------------
@@ -471,7 +471,7 @@ class Planner:
             hi *= 2.0
         else:
             raise PlanError("cruise ride never reaches the manifold")
-        t = kinematics.bisect_root(g_of, lo, g_lo, hi, INTERCEPT_TOL)
+        t = kinematics.bracket_root(g_of, lo, g_lo, hi, g_hi, INTERCEPT_TOL)
         return t, kinematics.propagate(start, 0.0, t)
 
     # ---------------- saturation-only systems ----------------

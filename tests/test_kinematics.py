@@ -1,4 +1,5 @@
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from chainplan import kinematics
 from chainplan.kinematics import (
     Polynomial,
     Violation,
-    bisect_root,
+    bracket_root,
     brake_peak,
     plan2,
     plan2_top,
@@ -311,70 +312,46 @@ class TestRealRoots:
         assert roots == [0.0]
 
 
-class _NoPlan(Exception):
-    """Stands in for the PlanError that a failed gap evaluation raises."""
+EPS = 2.0 ** -52
 
 
-def _old_refine_root(p, lo, hi, tol):
-    # kinematics._refine_root as it was before bisect_root replaced it
-    flo = p(lo)
-    if flo == 0.0:
-        return lo
-    fhi = p(hi)
-    if fhi == 0.0:
-        return hi
+def _bisect_root(f, lo, f_lo, hi, tol):
+    # the bisection that interception and root polishing shared before
+    # bracket_root replaced it
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        fm = p(mid)
-        if fm == 0.0:
+        f_mid = f(mid)
+        if f_mid is None:
+            break
+        if f_mid == 0.0:
             return mid
-        if (flo < 0.0) != (fm < 0.0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _old_intercept_bisect(g, lo, g_lo, hi, tol):
-    # the loop of Planner._bisect as it was; g raises _NoPlan for PlanError
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        try:
-            g_mid = g(mid)
-        except _NoPlan:
-            break
-        if g_mid == 0.0:
-            lo = hi = mid
-            break
-        if (g_lo < 0.0) != (g_mid < 0.0):
+        if (f_lo < 0.0) != (f_mid < 0.0):
             hi = mid
         else:
-            lo, g_lo = mid, g_mid
+            lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
 
 
-def _old_ride_bisect(g, lo, g_lo, hi, tol):
-    # the bisection half of Planner._ride_root as it was
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            lo = hi = mid
-            break
-        if (g_lo < 0.0) != (g_mid < 0.0):
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi)
+def _recorded(f):
+    """f, and the list of (t, f(t)) it appends each call to."""
+    calls = []
+
+    def g(t):
+        v = f(t)
+        calls.append((t, v))
+        return v
+
+    return g, calls
 
 
-tols = st.sampled_from((0.0, 1e-12, 1e-11, 1e-6, 0.1))
+def _stop_width(tol, t):
+    # bracket_root stops once its bracket is at most tol + 4 eps |b| wide
+    return tol + 4.0 * EPS * abs(t)
+
+
+tols = st.sampled_from((0.0, 1e-13, 1e-12, 1e-11, 1e-6, 0.1))
 
 
 @st.composite
@@ -391,64 +368,113 @@ def bracketed_polynomials(draw):
     return p, lo, hi
 
 
-class TestBisectRoot:
-    """bisect_root replaces three loops; it must return their bits."""
+class TestBracketRoot:
+    """The contract every caller relies on: a point within tol (plus the
+    relative term) of a sign change of f, inside the bracket."""
 
     @given(bracketed_polynomials(), tols)
     @settings(max_examples=300, deadline=None)
-    def test_polynomial_matches_old_loops(self, case, tol):
+    def test_sign_change_within_tol(self, case, tol):
         p, lo, hi = case
-        got = bisect_root(p, lo, p(lo), hi, tol).hex()
-        assert got == _old_refine_root(p, lo, hi, tol).hex()
-        assert got == _old_intercept_bisect(p, lo, p(lo), hi, tol).hex()
-        assert got == _old_ride_bisect(p, lo, p(lo), hi, tol).hex()
+        f, calls = _recorded(p)
+        got = bracket_root(f, lo, p(lo), hi, p(hi), tol)
+        assert lo <= got <= hi
+        seen = dict([(lo, p(lo)), (hi, p(hi))] + calls)
+        f_got = seen[got]
+        if f_got != 0.0:
+            w = _stop_width(tol, got)
+            assert any(abs(t - got) <= w and (v < 0.0) != (f_got < 0.0)
+                       for t, v in seen.items())
+
+    @given(st.integers(-40, 40), st.integers(1, 40), st.data(),
+           st.sampled_from((1.0, -3.0)), tols)
+    @settings(max_examples=300, deadline=None)
+    def test_exact_zero_returned_at_once(self, a, b, data, slope, tol):
+        # f vanishes on a plateau of a quarter of the bracket: the first
+        # evaluation that lands there is returned
+        lo, hi = a / 8.0, a / 8.0 + b / 8.0
+        z0 = lo + (hi - lo) * data.draw(st.floats(0.05, 0.7))
+        z1 = z0 + 0.25 * (hi - lo)
+
+        def plateau(t):
+            return slope * (t - z0 if t < z0 else t - z1 if t > z1 else 0.0)
+
+        f, calls = _recorded(plateau)
+        got = bracket_root(f, lo, plateau(lo), hi, plateau(hi), tol)
+        zeros = [i for i, (_, v) in enumerate(calls) if v == 0.0]
+        # until an evaluation lands on the plateau, the bracket holds all of it
+        assert zeros or tol >= z1 - z0
+        if zeros:
+            assert zeros == [len(calls) - 1]
+            assert got == calls[-1][0]
+        assert bracket_root(f, lo, -1.0, hi, 0.0, tol) == hi
+        assert bracket_root(f, lo, 0.0, hi, 1.0, tol) == lo
 
     @given(bracketed_polynomials(), tols, st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=300, deadline=None)
-    def test_none_stops_like_plan_error(self, case, tol, w):
+    def test_none_stops_inside_bracket(self, case, tol, w):
         p, lo, hi = case
         cut = lo + w * (hi - lo)
+        f, calls = _recorded(lambda t: p(t) if t <= cut else None)
+        got = bracket_root(f, lo, p(lo), hi, p(hi), tol)
+        nones = [i for i, (_, v) in enumerate(calls) if v is None]
+        assert nones in ([], [len(calls) - 1])
+        assert lo <= got <= hi
+        assert got in [lo, hi] + [t for t, v in calls if v is not None]
 
-        def g_none(t):
-            return p(t) if t <= cut else None
-
-        def g_raise(t):
-            if t > cut:
-                raise _NoPlan
-            return p(t)
-
-        assert bisect_root(g_none, lo, p(lo), hi, tol).hex() == \
-            _old_intercept_bisect(g_raise, lo, p(lo), hi, tol).hex()
-
-    @given(st.integers(-40, 40), st.integers(1, 40), st.integers(1, 30),
-           st.data(), st.sampled_from((1.0, -3.0)),
-           st.sampled_from((0.0, 1e-12)))
+    @given(bracketed_polynomials(), tols)
     @settings(max_examples=300, deadline=None)
-    def test_exact_zero_returned_at_once(self, a, b, m, data, slope, tol):
-        # dyadic ends and root: some midpoint lands on the root exactly
-        lo, hi = a / 8.0, a / 8.0 + b / 8.0
-        k = data.draw(st.integers(0, 2 ** (m - 1) - 1)) * 2 + 1
-        r = lo + (hi - lo) * k / 2.0 ** m
+    def test_negated_f_gives_same_bits(self, case, tol):
+        # criterion 9's mirror symmetry needs the mirrored gap's crossing to
+        # be the same float
+        p, lo, hi = case
+        q = Polynomial(tuple(-c for c in p.coeffs))
+        assert bracket_root(q, lo, q(lo), hi, q(hi), tol).hex() == \
+            bracket_root(p, lo, p(lo), hi, p(hi), tol).hex()
 
-        def f(t):
-            return slope * (t - r)
+    @given(bracketed_polynomials(), tols)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_bisection_on_a_simple_root(self, case, tol):
+        p, lo, hi = case
+        # np.roots divides by the leading coefficient
+        assume(all(c == 0.0 or abs(c) >= 1e-100 for c in p.coeffs))
+        real = [z.real for z in np.roots(p.coeffs[::-1])
+                if abs(z.imag) <= 1e-9 and lo - 1e-6 <= z.real <= hi + 1e-6]
+        assume(len(real) == 1)
+        r = real[0]
+        # where rounding alone can flip the sign of p, either solver may stop
+        slope = abs(p.derivative()(r))
+        noise = 8.0 * EPS * sum(abs(c) * max(1.0, abs(r)) ** i
+                                for i, c in enumerate(p.coeffs))
+        assume(slope > 0.0 and noise / slope <= 1e-3 * max(tol, 1e-12))
+        got = bracket_root(p, lo, p(lo), hi, p(hi), tol)
+        old = _bisect_root(p, lo, p(lo), hi, tol)
+        assert abs(got - old) <= tol + _stop_width(tol, r) + 2.0 * noise / slope
 
-        got = bisect_root(f, lo, f(lo), hi, tol)
-        assert got == r
-        assert got.hex() == _old_refine_root(f, lo, hi, tol).hex()
-        assert got.hex() == _old_intercept_bisect(f, lo, f(lo), hi, tol).hex()
-        assert got.hex() == _old_ride_bisect(f, lo, f(lo), hi, tol).hex()
+    @pytest.mark.parametrize("slope, root", [
+        (1.0, 0.3), (-3.0, 0.3), (1e-3, 0.999), (250.0, 1e-7), (2.0, 0.5)])
+    @pytest.mark.parametrize("tol", [0.0, 1e-13, 1e-6])
+    def test_linear_takes_at_most_two_evaluations(self, slope, root, tol):
+        f, calls = _recorded(lambda t: slope * (t - root))
+        got = bracket_root(f, 0.0, f(0.0), 1.0, f(1.0), tol)
+        del calls[:2]
+        assert len(calls) <= 2
+        assert abs(got - root) <= _stop_width(tol, got)
 
-    def test_stops_at_tolerance(self):
-        calls = []
-
-        def f(t):
-            calls.append(t)
-            return t - 0.3
-
-        t = bisect_root(f, 0.0, -0.3, 1.0, 0.25)
-        assert calls == [0.5, 0.25]
-        assert t == 0.375
+    @pytest.mark.parametrize("step", [0.3, 0.5, 0.7071, 1e-9, 1.0 - 1e-9])
+    @pytest.mark.parametrize("heights", [(-1.0, 1.0), (-1e-6, 5.0), (-7.0, 1e-3)])
+    @pytest.mark.parametrize("tol", [1e-13, 1e-6, 0.01])
+    # at t near 1e3 a float step is 1.1e-13: without the relative term in
+    # the stopping rule, tol = 1e-13 would spin until the evaluation cap
+    @pytest.mark.parametrize("lo, hi", [(-2.0, 3.0), (1000.0, 1024.0)])
+    def test_step_costs_at_most_twice_bisection(self, step, heights, tol,
+                                                lo, hi):
+        root = lo + step * (hi - lo)
+        f, calls = _recorded(
+            lambda t: heights[0] if t < root else heights[1])
+        got = bracket_root(f, lo, heights[0], hi, heights[1], tol)
+        assert len(calls) <= 2 * math.ceil(math.log2((hi - lo) / tol)) + 2
+        assert abs(got - root) <= _stop_width(tol, got)
 
 
 class TestSegmentBoundCheck:
