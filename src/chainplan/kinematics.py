@@ -26,10 +26,10 @@ def propagate(x, u, t):
     """State after time t under constant control u. Exact up to float error.
 
     State k is accumulated as 0.0 + x_k + x_{k-1} t + ... + u t^k/k!, with
-    the Taylor factors built as term *= t / (i + 1).  Orders up to 4 are
+    the Taylor factors built as term *= t / (i + 1).  Orders 3 and 4 are
     unrolled, the hot order 3 tested first; they do the loop's operations in
     the loop's order, bar the exact steps x * 1.0 and 1.0 * (t / 1), so
-    every order gives the loop's bits, signed zeros included.
+    they give the loop's bits, signed zeros included.
     """
     n = len(x)
     if n == 3:
@@ -48,11 +48,6 @@ def propagate(x, u, t):
                 0.0 + x2 + x1 * t + u * t2,
                 0.0 + x3 + x2 * t + x1 * t2 + u * t3,
                 0.0 + x4 + x3 * t + x2 * t2 + x1 * t3 + u * t4)
-    if n == 2:
-        x1, x2 = x
-        return (0.0 + x1 + u * t, 0.0 + x2 + x1 * t + u * (t * (t / 2)))
-    if n == 1:
-        return (0.0 + x[0] + u * t,)
     out = []
     for k in range(1, n + 1):
         acc = 0.0
@@ -234,6 +229,13 @@ def state_polynomial(x, u: float, k: int) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
+# Brent steps of bracket_root before it only bisects, well above the few
+# dozen that a planner root takes, and its evaluation cap: those plus 2,100
+# bisections
+_BRENT_EVALS = 100
+_ROOT_EVALS = _BRENT_EVALS + 2100
+
+
 def bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
                  tol: float) -> float:
     """A point within tol of a sign change of f on [lo, hi], where f(lo) =
@@ -246,12 +248,19 @@ def bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
     end c.  It stops once |c - b| / 2 <= 2 eps |b| + tol / 2 (the relative
     term keeps large t from spinning at a tight tol) and returns b.  An
     exact zero is returned at once; an f that returns None ends the search
-    at the best iterate so far.  At most 200 evaluations.
+    at the best iterate so far.
+
+    Brent's method alone can take thousands of steps to that stop at
+    tol = 0 (t^3 on [-1, 1e308] takes 3,337), so after _BRENT_EVALS
+    evaluations every step bisects.  Each bisection halves the bracket,
+    whose width starts below 2^1025 and stops the search below 2^-1073, so
+    any bracket of finite width reaches the stop within _ROOT_EVALS
+    evaluations.
     """
     a, fa, b, fb = lo, f_lo, hi, f_hi
     c, fc = a, fa
     d = e = b - a
-    for _ in range(200):
+    for k in range(_ROOT_EVALS):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -259,7 +268,7 @@ def bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
+        if k < _BRENT_EVALS and abs(e) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
                 p = 2.0 * xm * s

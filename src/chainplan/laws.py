@@ -160,17 +160,18 @@ def _check_group(i: int, g: VirtualGroup, after: Optional[Behavior],
 
 
 def validate(asl: Asl) -> list[RuleViolation]:
-    """Check every structural and sign rule; empty list means valid."""
+    """Check every structural and sign rule; empty list means valid.
+
+    ``Asl`` construction already rejects marker-flanks, and adjacent-nonzero
+    and sign-chain between two plain behaviors; the rules left are checked
+    here.
+    """
     out: list[RuleViolation] = []
     elems = asl.elements
     for i, e in enumerate(elems):
         before = elems[i - 1] if i > 0 else None
         after = elems[i + 1] if i + 1 < len(elems) else None
         if isinstance(e, TangentMarker):
-            for side in (before, after):
-                if not (isinstance(side, Behavior) and side.value == 0):
-                    out.append(RuleViolation("marker-flanks", i,
-                                             "marker not between saturation stages"))
             if e.degree >= e.behavior.value:
                 out.append(RuleViolation("marker-degree", i,
                                          f"marker degree {e.degree} not below "
@@ -189,24 +190,14 @@ def validate(asl: Asl) -> list[RuleViolation]:
                 out.append(RuleViolation("group-context", i,
                                          "virtual group must precede a saturation stage"))
             _check_group(i, e, after if isinstance(after, Behavior) else None, out)
-        else:
-            if isinstance(after, Behavior):
-                if e.value != 0 and after.value != 0:
-                    out.append(RuleViolation("adjacent-nonzero", i,
-                                             f"{e.text()} {after.text()} adjacent"))
-                want = expected_prev_sign(after)
+        elif isinstance(after, VirtualGroup):
+            # the group is transparent to the main chain
+            nxt = elems[i + 2] if i + 2 < len(elems) else None
+            if isinstance(nxt, Behavior):
+                want = expected_prev_sign(nxt)
                 if want is not None and e.sign is not None and e.sign != want:
                     out.append(RuleViolation("sign-chain", i,
-                                             f"{e.text()} inconsistent before {after.text()}"))
-            elif isinstance(after, VirtualGroup):
-                # the group is transparent to the main chain
-                j = i + 2
-                nxt = elems[j] if j < len(elems) else None
-                if isinstance(nxt, Behavior):
-                    want = expected_prev_sign(nxt)
-                    if want is not None and e.sign is not None and e.sign != want:
-                        out.append(RuleViolation("sign-chain", i,
-                                                 f"{e.text()} inconsistent across group"))
+                                             f"{e.text()} inconsistent across group"))
     return out
 
 

@@ -268,12 +268,8 @@ def _tokenize(text: str):
 
 
 def _parse_behavior(token: str) -> Behavior:
-    if token[0] in "+-":
-        return Behavior(int(token[1:]), 1 if token[0] == "+" else -1)
-    if len(token) == 1:
-        return Behavior(int(token))
-    # compact unsigned runs split into single digits: "0102010"
-    raise AssertionError("multi-digit tokens are split by the caller")
+    """A signed token such as "+2"; unsigned runs are split by the caller."""
+    return Behavior(int(token[1:]), 1 if token[0] == "+" else -1)
 
 
 def asl_parse(text: str) -> Asl:

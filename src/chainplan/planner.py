@@ -5,7 +5,10 @@ onto the lower-order manifold of states that finish the remaining problem
 exactly (the proper position), mirrors when above, and otherwise ascends
 toward the extreme cruise state of the highest bounded state, handing over
 to the lower-order plan the moment the running state is intercepted by the
-manifold.  When the top-state bound still activates, the planner searches
+manifold.  That moment is found in stage-local time: the manifold gap is
+evaluated at the ascent's stage ends, and the first sign change is solved
+inside its stage, as a stage index, a time into that stage and the state
+there.  When the top-state bound still activates, the planner searches
 tangent-marker constructions: reach the bound with a low-order catalog law
 pinning the touch conditions, then continue from the touch state.
 
@@ -62,14 +65,6 @@ INTERCEPT_TOL = 1e-13
 # randomized Newton restarts per saturation-only solve (marker legs get twice)
 SOLVER_RESTARTS = 8
 MAX_MARKER_DEPTH = 8
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Position of a start state relative to the lower-order manifold."""
-
-    kind: str
-    p_star: float
 
 
 @dataclass(frozen=True)
@@ -213,50 +208,6 @@ class Planner:
             p = self._bang(n, problem.x0, problem.xf, float(M0))
         return self._to_trajectory(p, problem)
 
-    def proper_position(self, x0, xf, M) -> float:
-        """Position placing (x0_1..x0_{n-1}, .) on the lower-order manifold
-        of xf: the goal position minus the top-state integral of the
-        lower-order plan."""
-        n = len(x0)
-        if n < 2:
-            raise ValueError("proper position needs order >= 2")
-        return self._pstar(n, tuple(map(float, x0[:-1])),
-                           tuple(map(float, xf)), tuple(M))
-
-    def classify(self, x0, xf, M) -> Classification:
-        """Whether x0 lies on, above or below the lower-order manifold of xf."""
-        n = len(x0)
-        if n < 2:
-            raise ValueError("classification needs order >= 2")
-        kind, p_star = self._classify(n, tuple(map(float, x0)),
-                                      tuple(map(float, xf)), tuple(M))
-        return Classification(kind, p_star)
-
-    def intercept_time(self, prefix: Trajectory, xf, M) -> Optional[float]:
-        """Time at which the prefix state meets the lower-order manifold of
-        xf, solved in the first stage across whose ends the manifold gap
-        changes sign; None when the gap keeps one sign at every stage end."""
-        n = len(xf)
-        stages = tuple((s.u, s.duration) for s in prefix.segments)
-        if not stages:
-            return None
-        p = _Plan(prefix.segments[0].start, stages, (), prefix.t_f)
-        hit = self._intercept_scan(n, p, tuple(map(float, xf)), tuple(M))
-        return None if hit is None else hit[0]
-
-    def tangent_marker_search(self, problem: Problem,
-                              unconstrained: Trajectory) -> Trajectory:
-        """Best marker-mediated trajectory when the top-state bound is hit."""
-        n = problem.n
-        base = _Plan(problem.x0,
-                     tuple((s.u, s.duration) for s in unconstrained.segments),
-                     tuple(unconstrained.asl.elements), unconstrained.t_f)
-        sides = self._violated_sides(n, base, problem.M)
-        if not sides:
-            raise PlanError("top-state bound is not active; no marker needed")
-        p = self._marker_search(n, problem.x0, problem.xf, problem.M, sides, 0)
-        return self._to_trajectory(p, problem)
-
     # ------------------------------------------------------------------
     # recursion
     # ------------------------------------------------------------------
@@ -340,91 +291,77 @@ class Planner:
             return self._bang(n, x0, xf, M[0])
         m = max(k for k in range(1, n) if M[k] is not None)
         target = tuple(M[m] if k == m else 0.0 for k in range(1, n))
-        p1 = self._plan(n - 1, x0[:-1], target, M[:n])
-        p1_lifted = _lift(p1, x0[n - 1])
-        hit = self._intercept_scan(n, p1_lifted, xf, M)
+        ascent = _lift(self._plan(n - 1, x0[:-1], target, M[:n]), x0[n - 1])
+        hit = self._intercept_scan(n, ascent, xf, M)
         if hit is not None:
-            return self._splice_intercept(n, p1_lifted, p1, hit[0], xf, M, m)
-        return self._ride_and_return(n, p1_lifted, xf, M, m)
+            return self._splice_intercept(n, ascent, hit, xf, M, m)
+        return self._ride_and_return(n, ascent, xf, M, m)
 
     # ---------------- interception ----------------
 
     def _gap_at(self, n: int, state, xf, M) -> float:
         return state[n - 1] - self._pstar(n, state[: n - 1], xf, M)
 
+    def _gap_or_none(self, n: int, state, xf, M) -> Optional[float]:
+        """The gap, or None where the lower-order plan fails."""
+        try:
+            return self._gap_at(n, state, xf, M)
+        except PlanError:
+            return None
+
     def _intercept_scan(self, n: int, prefix: _Plan, xf, M):
-        """First manifold crossing along the prefix: (time, state) or None.
+        """First manifold crossing along the prefix, as (j, tau, state): the
+        crossing lies tau into stage j.  None when the gap keeps one sign at
+        every stage end.
 
         Evaluates the gap at the prefix start and at each stage end (a
-        zero-length stage ends where it starts and is skipped) and solves
-        the first bracket whose ends differ in sign.  None when the gap keeps
-        one sign at every stage end.  A stage end where the lower-order plan
-        fails starts a new bracket.
+        zero-length stage ends where it starts and is skipped).  An exact
+        zero is returned as it is; the first sign change is solved inside
+        the stage that produced it, from that stage's start state.  A stage
+        end where the lower-order plan fails starts a new bracket.
         """
-        ends = [(0.0, prefix.x0)]
-        t, cur = 0.0, prefix.x0
-        for u, dur in prefix.stages:
-            if dur > 0.0:
-                t += dur
-                cur = kinematics.propagate(cur, u, dur)
-                ends.append((t, cur))
-        lo = None
-        for t, state in ends:
-            try:
-                g = self._gap_at(n, state, xf, M)
-            except PlanError:
-                lo = None
+        cur = prefix.x0
+        g = self._gap_or_none(n, cur, xf, M)
+        if g == 0.0:
+            return 0, 0.0, cur
+        for j, (u, dur) in enumerate(prefix.stages):
+            if dur <= 0.0:
                 continue
-            if g == 0.0:
-                return t, state
-            if lo is not None and (lo[1] < 0.0) != (g < 0.0):
-                return self._bisect(n, prefix, xf, M, lo[0], lo[1], t, g)
-            lo = (t, g)
+            end = kinematics.propagate(cur, u, dur)
+            g_end = self._gap_or_none(n, end, xf, M)
+            if g_end == 0.0:
+                return j, dur, end
+            if g is not None and g_end is not None \
+                    and (g < 0.0) != (g_end < 0.0):
+                return (j,) + self._stage_root(n, cur, u, 0.0, g, dur, g_end,
+                                               xf, M)
+            cur, g = end, g_end
         return None
 
-    def _state_at(self, prefix: _Plan, t: float):
-        cur = prefix.x0
-        for u, dur in prefix.stages:
-            if t <= dur:
-                return kinematics.propagate(cur, u, t)
-            t -= dur
-            cur = kinematics.propagate(cur, u, dur)
-        return cur
-
-    def _bisect(self, n, prefix, xf, M, lo, g_lo, hi, g_hi):
-        def g_of(t):
-            try:
-                return self._gap_at(n, self._state_at(prefix, t), xf, M)
-            except PlanError:
-                # no lower-order plan here: stop at the current bracket
-                return None
-
-        t2 = kinematics.bracket_root(g_of, lo, g_lo, hi, g_hi, INTERCEPT_TOL)
-        return t2, self._state_at(prefix, t2)
+    def _stage_root(self, n, start, u, lo, g_lo, hi, g_hi, xf, M):
+        """(tau, state) where the gap of propagate(start, u, tau) changes
+        sign on [lo, hi]; a gap evaluation without a lower-order plan ends
+        the search at the best iterate."""
+        tau = kinematics.bracket_root(
+            lambda t: self._gap_or_none(n, kinematics.propagate(start, u, t),
+                                        xf, M),
+            lo, g_lo, hi, g_hi, INTERCEPT_TOL)
+        return tau, kinematics.propagate(start, u, tau)
 
     # ---------------- composition ----------------
 
-    def _splice_intercept(self, n, prefix_lifted: _Plan, p1: _Plan, t2, xf, M, m) -> _Plan:
-        stage_elem = [i for i, e in enumerate(p1.elements)
+    def _splice_intercept(self, n, prefix_lifted: _Plan, hit, xf, M, m) -> _Plan:
+        j, tau, state = hit
+        stage_elem = [i for i, e in enumerate(prefix_lifted.elements)
                       if isinstance(e, Behavior)]
-        elapsed = 0.0
-        cut = max(0, len(prefix_lifted.stages) - 1)
-        local = prefix_lifted.stages[-1][1] if prefix_lifted.stages else 0.0
-        for j, (u, dur) in enumerate(prefix_lifted.stages):
-            if t2 <= elapsed + dur or j == len(prefix_lifted.stages) - 1:
-                cut = j
-                local = min(max(t2 - elapsed, 0.0), dur)
-                break
-            elapsed += dur
-        state2 = self._state_at(prefix_lifted, t2)
-        cont = self._plan(n - 1, state2[: n - 1], xf[:-1], M[:n])
-        cont_l = _lift(cont, state2[n - 1])
-        head_stages = prefix_lifted.stages[:cut] \
-            + ((prefix_lifted.stages[cut][0], local),)
-        head_elems = prefix_lifted.elements[: stage_elem[cut] + 1]
+        cont = self._plan(n - 1, state[: n - 1], xf[:-1], M[:n])
+        cont_l = _lift(cont, state[n - 1])
+        head_stages = prefix_lifted.stages[:j] \
+            + ((prefix_lifted.stages[j][0], tau),)
+        head_elems = prefix_lifted.elements[: stage_elem[j] + 1]
         head = _Plan(prefix_lifted.x0, head_stages, head_elems,
                      sum(t for _, t in head_stages))
-        members = [e for e in p1.elements[stage_elem[cut] + 1:]
+        members = [e for e in prefix_lifted.elements[stage_elem[j] + 1:]
                    if isinstance(e, Behavior)]
         members.append(Behavior(m, 1))
         group = laws.simplify(Asl((VirtualGroup(tuple(members)),))).elements
@@ -458,21 +395,17 @@ class Planner:
         return _concat(head, cont_l)
 
     def _ride_root(self, n, start, xf, M):
-        def g_of(t):
-            return self._gap_at(n, kinematics.propagate(start, 0.0, t), xf, M)
-
         lo, g_lo = 0.0, self._gap_at(n, start, xf, M)
         hi = 1.0
         for _ in range(120):
-            g_hi = g_of(hi)
+            g_hi = self._gap_at(n, kinematics.propagate(start, 0.0, hi), xf, M)
             if g_hi == 0.0 or (g_lo < 0.0) != (g_hi < 0.0):
                 break
             lo, g_lo = hi, g_hi
             hi *= 2.0
         else:
             raise PlanError("cruise ride never reaches the manifold")
-        t = kinematics.bracket_root(g_of, lo, g_lo, hi, g_hi, INTERCEPT_TOL)
-        return t, kinematics.propagate(start, 0.0, t)
+        return self._stage_root(n, start, 0.0, lo, g_lo, hi, g_hi, xf, M)
 
     # ---------------- saturation-only systems ----------------
 
@@ -637,19 +570,3 @@ def plan(problem: Problem) -> Trajectory:
 def plan_unconstrained(n: int, x0, xf, M0: float) -> Trajectory:
     return Planner().plan_unconstrained(n, x0, xf, M0)
 
-
-def proper_position(x0, xf, M) -> float:
-    return Planner().proper_position(x0, xf, M)
-
-
-def classify(x0, xf, M) -> Classification:
-    return Planner().classify(x0, xf, M)
-
-
-def intercept_time(prefix: Trajectory, xf, M) -> Optional[float]:
-    return Planner().intercept_time(prefix, xf, M)
-
-
-def tangent_marker_search(problem: Problem,
-                          unconstrained: Trajectory) -> Trajectory:
-    return Planner().tangent_marker_search(problem, unconstrained)

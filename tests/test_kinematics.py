@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chainplan import kinematics
 from chainplan.kinematics import (
@@ -351,7 +351,8 @@ def _stop_width(tol, t):
     return tol + 4.0 * EPS * abs(t)
 
 
-tols = st.sampled_from((0.0, 1e-13, 1e-12, 1e-11, 1e-6, 0.1))
+TOLS = (0.0, 1e-13, 1e-12, 1e-11, 1e-6, 0.1)
+tols = st.sampled_from(TOLS)
 
 
 @st.composite
@@ -368,11 +369,61 @@ def bracketed_polynomials(draw):
     return p, lo, hi
 
 
+def _noise(p, r):
+    """A bound on the rounding error of p near r: where |p| is below it,
+    rounding alone can flip the sign of p."""
+    return 8.0 * EPS * sum(abs(c) * max(1.0, abs(r)) ** i
+                           for i, c in enumerate(p.coeffs))
+
+
+def _times(a, b):
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def simple_root_cases(draw):
+    """(p, lo, hi, r, tol): p = lead (t - r) prod((t - s)^2 + h) with h > 0,
+    so r is its only real root and a simple one, inside [lo, hi].  tol is
+    one of TOLS at which the rounding noise near r, over the slope there,
+    stays below 1e-3 max(tol, 1e-12)."""
+    r = draw(st.floats(min_value=-5.0, max_value=5.0))
+    lo = r - draw(st.floats(min_value=0.01, max_value=5.0))
+    hi = r + draw(st.floats(min_value=0.01, max_value=5.0))
+    coeffs = [-r, 1.0]
+    pairs = st.tuples(st.floats(min_value=-5.0, max_value=5.0),
+                      st.floats(min_value=0.1, max_value=4.0))
+    for s, h in draw(st.lists(pairs, max_size=2)):
+        coeffs = _times(coeffs, [s * s + h, -2.0 * s, 1.0])
+    lead = draw(st.floats(min_value=0.1, max_value=10.0)) \
+        * draw(st.sampled_from((1.0, -1.0)))
+    p = Polynomial(tuple(lead * c for c in coeffs))
+    ratio = _noise(p, r) / abs(p.derivative()(r))
+    tol = draw(st.sampled_from(
+        [t for t in TOLS if ratio <= 1e-3 * max(t, 1e-12)]))
+    return p, lo, hi, r, tol
+
+
+# t^3 at tol = 0 (hypothesis seeds 1, 3, 13, 19 and 27): the bracket must
+# shrink to the underflow of t^3 before the stop rule is met
+_CUBE = Polynomial((0.0, 0.0, 0.0, 1.0))
+# a simple root at -0.5758 and a double root at 1, the first midpoint of
+# the bracket (hypothesis seed 7)
+_DOUBLE_AT_MIDPOINT = (Polynomial((-3.25, 1.0, 8.0, -6.0, 0.25)), -2.0, 4.0)
+
+
 class TestBracketRoot:
     """The contract every caller relies on: a point within tol (plus the
     relative term) of a sign change of f, inside the bracket."""
 
     @given(bracketed_polynomials(), tols)
+    @example(case=(_CUBE, -1.0, 2.0), tol=0.0)
+    @example(case=(_CUBE, -0.25, 0.75), tol=0.0)
+    @example(case=(_CUBE, -0.75, 0.25), tol=0.0)
+    @example(case=_DOUBLE_AT_MIDPOINT, tol=1e-11)
     @settings(max_examples=300, deadline=None)
     def test_sign_change_within_tol(self, case, tol):
         p, lo, hi = case
@@ -385,6 +436,18 @@ class TestBracketRoot:
             w = _stop_width(tol, got)
             assert any(abs(t - got) <= w and (v < 0.0) != (f_got < 0.0)
                        for t, v in seen.items())
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1e308), (-1e308, 1.0)])
+    def test_tol_zero_from_the_widest_brackets(self, lo, hi):
+        # Brent's steps alone take 3,337 evaluations from [-1, 1e308]; the
+        # bisections after its budget reach the exact zero within the cap
+        def cube(t):
+            return t ** 3 if abs(t) < 1e100 else math.copysign(1e300, t)
+
+        f, calls = _recorded(cube)
+        got = bracket_root(f, lo, cube(lo), hi, cube(hi), 0.0)
+        assert len(calls) <= kinematics._ROOT_EVALS
+        assert cube(got) == 0.0
 
     @given(st.integers(-40, 40), st.integers(1, 40), st.data(),
            st.sampled_from((1.0, -3.0)), tols)
@@ -423,6 +486,7 @@ class TestBracketRoot:
         assert got in [lo, hi] + [t for t, v in calls if v is not None]
 
     @given(bracketed_polynomials(), tols)
+    @example(case=_DOUBLE_AT_MIDPOINT, tol=1e-11)
     @settings(max_examples=300, deadline=None)
     def test_negated_f_gives_same_bits(self, case, tol):
         # criterion 9's mirror symmetry needs the mirrored gap's crossing to
@@ -432,21 +496,17 @@ class TestBracketRoot:
         assert bracket_root(q, lo, q(lo), hi, q(hi), tol).hex() == \
             bracket_root(p, lo, p(lo), hi, p(hi), tol).hex()
 
-    @given(bracketed_polynomials(), tols)
+    @given(simple_root_cases())
+    # t^5 - 1: well enough conditioned for tol = 0
+    @example(case=(Polynomial((-1.0, 0.0, 0.0, 0.0, 0.0, 1.0)), 0.5, 1.5,
+                   1.0, 0.0))
     @settings(max_examples=300, deadline=None)
-    def test_agrees_with_bisection_on_a_simple_root(self, case, tol):
-        p, lo, hi = case
-        # np.roots divides by the leading coefficient
-        assume(all(c == 0.0 or abs(c) >= 1e-100 for c in p.coeffs))
-        real = [z.real for z in np.roots(p.coeffs[::-1])
-                if abs(z.imag) <= 1e-9 and lo - 1e-6 <= z.real <= hi + 1e-6]
-        assume(len(real) == 1)
-        r = real[0]
+    def test_agrees_with_bisection_on_a_simple_root(self, case):
+        p, lo, hi, r, tol = case
         # where rounding alone can flip the sign of p, either solver may stop
         slope = abs(p.derivative()(r))
-        noise = 8.0 * EPS * sum(abs(c) * max(1.0, abs(r)) ** i
-                                for i, c in enumerate(p.coeffs))
-        assume(slope > 0.0 and noise / slope <= 1e-3 * max(tol, 1e-12))
+        noise = _noise(p, r)
+        assert noise / slope <= 1e-3 * max(tol, 1e-12)
         got = bracket_root(p, lo, p(lo), hi, p(hi), tol)
         old = _bisect_root(p, lo, p(lo), hi, tol)
         assert abs(got - old) <= tol + _stop_width(tol, r) + 2.0 * noise / slope

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chainplan import kinematics, oracle, sampling, solver
-from chainplan.model import InfeasibleError, Problem
+from chainplan.model import InfeasibleError, Problem, Trajectory
 from chainplan.planner import (
     HIGHER,
     LOWER,
@@ -14,18 +14,59 @@ from chainplan.planner import (
     Planner,
     _integral_top,
     _Plan,
-    classify,
-    intercept_time,
     plan,
     plan_unconstrained,
-    proper_position,
-    tangent_marker_search,
 )
 
 from helpers import draw_feasible
 
 M3 = (1.0, 1.0, 1.5, 4.0)
 M4 = (1.0, 1.0, 1.5, 4.0, 20.0)
+
+
+def proper_position(x0, xf, M):
+    """p*: the position placing (x0_1..x0_{n-1}, p*) on the lower-order
+    manifold of xf."""
+    return Planner()._pstar(len(x0), tuple(map(float, x0[:-1])),
+                            tuple(map(float, xf)), tuple(M))
+
+
+def classify(x0, xf, M):
+    """PROPER, HIGHER or LOWER: where x0 lies against that manifold."""
+    return Planner()._classify(len(x0), tuple(map(float, x0)),
+                               tuple(map(float, xf)), tuple(M))[0]
+
+
+def intercept_time(prefix: Trajectory, xf, M):
+    """Time into the prefix at which its state meets the lower-order
+    manifold of xf, or None."""
+    stages = tuple((s.u, s.duration) for s in prefix.segments)
+    p = _Plan(prefix.segments[0].start, stages, (), prefix.t_f)
+    hit = Planner()._intercept_scan(len(xf), p, tuple(map(float, xf)),
+                                    tuple(M))
+    if hit is None:
+        return None
+    j, tau, _ = hit
+    return sum(t for _, t in stages[:j]) + tau
+
+
+def _plan_stages(traj: Trajectory) -> _Plan:
+    return _Plan(traj.problem.x0,
+                 tuple((s.u, s.duration) for s in traj.segments),
+                 tuple(traj.asl.elements), traj.t_f)
+
+
+def violated_sides(problem: Problem, free: Trajectory):
+    """Sides of the top-state bound that the free plan crosses."""
+    return Planner()._violated_sides(problem.n, _plan_stages(free), problem.M)
+
+
+def tangent_marker_search(problem: Problem, free: Trajectory) -> Trajectory:
+    """Best marker-mediated trajectory on the sides the free plan crosses."""
+    pl = Planner()
+    p = pl._marker_search(problem.n, problem.x0, problem.xf, problem.M,
+                          violated_sides(problem, free), 0)
+    return pl._to_trajectory(p, problem)
 
 
 class TestFirstOrder:
@@ -95,9 +136,9 @@ class TestProperPosition:
     def test_classify_three_ways(self):
         M = (1.0, 1.0, None)
         p_star = proper_position((1.0, 0.0), (0.0, 0.0), M)
-        assert classify((1.0, p_star), (0.0, 0.0), M).kind == PROPER
-        assert classify((1.0, p_star + 0.1), (0.0, 0.0), M).kind == HIGHER
-        assert classify((1.0, p_star - 0.1), (0.0, 0.0), M).kind == LOWER
+        assert classify((1.0, p_star), (0.0, 0.0), M) == PROPER
+        assert classify((1.0, p_star + 0.1), (0.0, 0.0), M) == HIGHER
+        assert classify((1.0, p_star - 0.1), (0.0, 0.0), M) == LOWER
 
     def test_third_order_pstar_bits(self):
         # the order-3 proper position is the goal minus the integral of the
@@ -138,7 +179,6 @@ class TestInterceptTime:
         prob = Problem(2, (0.0, 0.5), (0.0, 0.0), (1.0, 1.0, None))
         prefix = plan(Problem(2, (0.0, 0.5), (-1.0, -10.0), (1.0, 1.0, None)))
         # use only the initial saturation piece as the descent prefix
-        from chainplan.model import Trajectory
         descent = Trajectory(prefix.segments[:1], prefix.segments[0].duration,
                              prefix.asl, prob)
         t2 = intercept_time(descent, prob.xf, prob.M)
@@ -154,7 +194,6 @@ class TestInterceptTime:
         # far above the manifold: the descent piece never reaches it
         prob = Problem(2, (0.0, 50.0), (0.0, 0.0), (1.0, 1.0, None))
         donor = plan(Problem(2, (0.0, 50.0), (-1.0, 40.0), (1.0, 1.0, None)))
-        from chainplan.model import Trajectory
         descent = Trajectory(donor.segments[:1], donor.segments[0].duration,
                              donor.asl, prob)
         assert intercept_time(descent, prob.xf, prob.M) is None
@@ -215,8 +254,7 @@ class TestTangentMarkerSearch:
     def test_not_entered_when_feasible(self):
         prob = Problem(3, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), M3)
         free = plan(Problem(3, prob.x0, prob.xf, (1.0, 1.0, 1.5, None)))
-        with pytest.raises(PlanError, match="not active"):
-            tangent_marker_search(prob, free)
+        assert violated_sides(prob, free) == []
 
     def test_entered_on_touch_problem(self):
         prob = Problem(3, (1.0, -0.375, 3.999), (0.0, 0.0, 4.0), M3)
@@ -234,6 +272,42 @@ class TestTangentMarkerSearch:
         assert e.value.attempted
         with pytest.raises(InfeasibleProblem):
             plan(prob)
+
+
+class TestNearTouchMarkers:
+    """Perturbed copies of the order-3 touch profile, where the free plan
+    grazes x3 = +/-M3 and a tangent-marker leg has to reach the touch."""
+
+    @staticmethod
+    def _draws(count):
+        rng = np.random.default_rng(43)
+        w = 0.003
+        M = sampling.default_bounds(3)
+        out = []
+        for _ in range(count):
+            s = rng.choice((-1.0, 1.0))
+            x0 = (1.0 + w * rng.uniform(-0.5, 0.0),
+                  -0.375 + w * rng.uniform(-0.5, 0.5),
+                  3.999 - w * rng.uniform(0.0, 0.3))
+            xf = (w * rng.uniform(-0.3, 0.3), w * rng.uniform(-0.3, 0.3),
+                  4.0 - w * rng.uniform(0.0, 0.3))
+            out.append(Problem(3, tuple(s * v for v in x0),
+                               tuple(s * v for v in xf), M))
+        return out
+
+    def test_marker_plans(self):
+        draws = self._draws(12)
+        marked = {}
+        for i, prob in enumerate(draws):
+            try:
+                traj = plan(prob)
+            except PlanError:
+                continue
+            if "(+3,2)" in traj.asl.text() or "(-3,2)" in traj.asl.text():
+                marked[i] = traj
+        assert sorted(marked) == [3, 5, 9, 10, 11]
+        for i in (3, 9):
+            assert marked[i].t_f <= oracle.exhaustive_tf(draws[i]).t_f + 1e-6
 
 
 def _seed5_draws(n, M, count):
@@ -354,9 +428,10 @@ class TestRidePath:
 
 
 class _GridScanPlanner(Planner):
-    """Reference interception by grid scan: 64 points per stage at order
-    <= 3; above, a stage-end pass whose bracket is grid-refined, falling
-    back to the full grid.  The stage-end pass must find what it finds."""
+    """Reference interception by grid scan in prefix time: 64 points per
+    stage at order <= 3; above, a stage-end pass whose bracket is
+    grid-refined, falling back to the full grid.  The stage-end pass must
+    find what it finds."""
 
     GRID = 64
 
@@ -387,19 +462,49 @@ class _GridScanPlanner(Planner):
                     continue
                 t_abs = t0 + tau
                 if g == 0.0:
-                    return t_abs, state
+                    return self._stage_local(prefix, t_abs)
                 if g_prev is not None and (g_prev < 0.0) != (g < 0.0):
                     if refine:
                         sub = self._refine_bracket(n, prefix, xf, M, t_prev,
                                                    g_prev, t_abs, refine)
                         if sub is not None:
                             t_prev, g_prev, t_abs, g = sub
-                    return self._bisect(n, prefix, xf, M, t_prev, g_prev,
-                                        t_abs, g)
+                    return self._solve(n, prefix, xf, M, t_prev, g_prev,
+                                       t_abs, g)
                 g_prev, t_prev = g, t_abs
             t0 += dur
             cur = kinematics.propagate(cur, u, dur)
         return None
+
+    def _state_at(self, prefix, t):
+        cur = prefix.x0
+        for u, dur in prefix.stages:
+            if t <= dur:
+                return kinematics.propagate(cur, u, t)
+            t -= dur
+            cur = kinematics.propagate(cur, u, dur)
+        return cur
+
+    def _solve(self, n, prefix, xf, M, lo, g_lo, hi, g_hi):
+        def g_of(t):
+            try:
+                return self._gap_at(n, self._state_at(prefix, t), xf, M)
+            except PlanError:
+                return None
+
+        t = kinematics.bracket_root(g_of, lo, g_lo, hi, g_hi, 1e-13)
+        return self._stage_local(prefix, t)
+
+    def _stage_local(self, prefix, t):
+        """(j, tau, state) for prefix time t: the first stage that ends at or
+        after t, or the last stage."""
+        elapsed = 0.0
+        last = len(prefix.stages) - 1
+        for j, (u, dur) in enumerate(prefix.stages):
+            if t <= elapsed + dur or j == last:
+                tau = min(max(t - elapsed, 0.0), dur)
+                return j, tau, self._state_at(prefix, t)
+            elapsed += dur
 
     def _refine_bracket(self, n, prefix, xf, M, lo, g_lo, hi, grid):
         step = (hi - lo) / grid
@@ -459,9 +564,22 @@ class TestInterceptBoundaryPass:
                 return super()._gap_at(n, state, xf, M)
 
         prefix = _Plan((0.0, 0.0), ((1.0, 1.0),) * 3, (), 3.0)
-        t, _ = Line()._intercept_scan(2, prefix, None, None)
-        assert t == pytest.approx(1.5, abs=1e-10)
+        j, tau, _ = Line()._intercept_scan(2, prefix, None, None)
+        assert (j, tau) == (1, 0.5)
         assert Gappy()._intercept_scan(2, prefix, None, None) is None
+
+    def test_failed_gap_evaluation_ends_the_ride_solve(self):
+        # x2 = tau on the ride from (1, 0) and the gap is x2 - 3: doubling
+        # brackets the crossing in [2, 4], and the solve's first evaluation,
+        # at 3, finds no lower-order plan, so it stops at the best iterate
+        class Gappy(Planner):
+            def _gap_at(self, n, state, xf, M):
+                if 2.5 < state[1] < 3.5:
+                    raise PlanError("no lower-order plan")
+                return state[1] - 3.0
+
+        tau, state = Gappy()._ride_root(2, (1.0, 0.0), None, None)
+        assert (tau, state) == (4.0, (1.0, 4.0))
 
 
 class TestRootCounts:
