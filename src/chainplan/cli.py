@@ -107,11 +107,7 @@ def write_csv(traj: Trajectory, path: str, dt: float) -> None:
     while k * dt < traj.t_f - 1e-15:
         times.append(k * dt)
         k += 1
-    acc = 0.0
-    for seg in traj.segments:
-        if acc > 0.0:
-            times.append(acc)
-        acc += seg.duration
+    times.extend(b for b in boundaries[:-1] if b > 0.0)
     times.append(traj.t_f)
     times = sorted(set(times))
     dedup = [times[0]]

@@ -71,9 +71,6 @@ class Behavior:
             raise AslError(f"behavior sign must be +1/-1/None, got {self.sign}",
                            "behavior-sign")
 
-    def with_sign(self, sign: int) -> "Behavior":
-        return Behavior(self.value, sign)
-
     def negated(self) -> "Behavior":
         return Behavior(self.value, None if self.sign is None else -self.sign)
 

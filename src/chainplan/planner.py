@@ -79,13 +79,6 @@ class _Plan:
     tf: float
 
 
-def _end_state(p: _Plan) -> tuple[float, ...]:
-    cur = p.x0
-    for u, t in p.stages:
-        cur = kinematics.propagate(cur, u, t)
-    return cur
-
-
 def _integral_top(p: _Plan) -> float:
     total = 0.0
     cur = p.x0
@@ -268,34 +261,47 @@ class Planner:
         return xf[n - 1] - _integral_top(sub)
 
     def _classify(self, n: int, x0, xf, M) -> tuple[str, float]:
-        """PROPER, HIGHER or LOWER for the float state x0, with p*."""
+        """PROPER, HIGHER or LOWER for the float state x0, with its gap."""
         p_star = self._pstar(n, x0[:-1], xf, M)
         gap = x0[n - 1] - p_star
         Mn = M[n] if len(M) > n else None
         scale = max(1.0, abs(Mn)) if Mn is not None else max(1.0, abs(p_star))
         if abs(gap) <= EPS_PROPER * scale:
-            return PROPER, p_star
-        return (HIGHER if gap > 0.0 else LOWER), p_star
+            return PROPER, gap
+        return (HIGHER if gap > 0.0 else LOWER), gap
 
     def _plan_free(self, n: int, x0, xf, M) -> _Plan:
         """Plan order n with the top-state bound ignored."""
-        kind, _ = self._classify(n, x0, xf, M)
+        kind, gap = self._classify(n, x0, xf, M)
         if kind == PROPER:
             return _lift(self._plan(n - 1, x0[:-1], xf[:-1], M[:n]), x0[n - 1])
         if kind == HIGHER:
             mirrored = self._plan_free(n, tuple(-v for v in x0),
                                        tuple(-v for v in xf), M)
             return _negate(mirrored)
-        # below the manifold: ascend toward the highest bounded cruise
+        # below the manifold: ascend toward the highest bounded cruise, and
+        # hand over where the manifold intercepts the ascent or its cruise
         if all(M[k] is None for k in range(1, n)):
             return self._bang(n, x0, xf, M[0])
         m = max(k for k in range(1, n) if M[k] is not None)
         target = tuple(M[m] if k == m else 0.0 for k in range(1, n))
         ascent = _lift(self._plan(n - 1, x0[:-1], target, M[:n]), x0[n - 1])
-        hit = self._intercept_scan(n, ascent, xf, M)
+        hit, end, g = self._intercept_scan(n, ascent, gap, xf, M)
         if hit is not None:
             return self._splice_intercept(n, ascent, hit, xf, M, m)
-        return self._ride_and_return(n, ascent, xf, M, m)
+        # no crossing on the ascent: ride the cruise from its last stage end
+        if g is None:
+            # no lower-order plan there; fail with its error
+            g = self._gap_at(n, end, xf, M)
+        if g > 0.0:
+            raise PlanError("ascent prefix overshot the manifold")
+        if m == n - 1:
+            # the sub-state is frozen on the cruise; the gap closes linearly
+            t_ride = -g / M[m]
+            ride_end = kinematics.propagate(end, 0.0, t_ride)
+        else:
+            t_ride, ride_end = self._ride_root(n, end, g, xf, M)
+        return self._splice_ride(n, ascent, t_ride, ride_end, xf, M, m)
 
     # ---------------- interception ----------------
 
@@ -309,34 +315,36 @@ class Planner:
         except PlanError:
             return None
 
-    def _intercept_scan(self, n: int, prefix: _Plan, xf, M):
-        """First manifold crossing along the prefix, as (j, tau, state): the
-        crossing lies tau into stage j.  None when the gap keeps one sign at
-        every stage end.
+    def _intercept_scan(self, n: int, prefix: _Plan, g, xf, M):
+        """Walk the prefix from its start gap g to the first manifold
+        crossing: (hit, end, g_end).  hit is (j, tau, state) when the
+        crossing lies tau into stage j, else None; end and g_end are where
+        the walk stopped and the gap there (None where the lower-order plan
+        fails), from which the cruise ride goes on.
 
-        Evaluates the gap at the prefix start and at each stage end (a
-        zero-length stage ends where it starts and is skipped).  An exact
-        zero is returned as it is; the first sign change is solved inside
-        the stage that produced it, from that stage's start state.  A stage
-        end where the lower-order plan fails starts a new bracket.
+        Evaluates the gap at each stage end (a zero-length stage ends where
+        it starts and is skipped).  An exact zero is returned as it is; the
+        first sign change is solved inside the stage that produced it, from
+        that stage's start state.  A stage end where the lower-order plan
+        fails starts a new bracket.
         """
         cur = prefix.x0
-        g = self._gap_or_none(n, cur, xf, M)
         if g == 0.0:
-            return 0, 0.0, cur
+            return (0, 0.0, cur), cur, g
         for j, (u, dur) in enumerate(prefix.stages):
             if dur <= 0.0:
                 continue
             end = kinematics.propagate(cur, u, dur)
             g_end = self._gap_or_none(n, end, xf, M)
             if g_end == 0.0:
-                return j, dur, end
+                return (j, dur, end), end, g_end
             if g is not None and g_end is not None \
                     and (g < 0.0) != (g_end < 0.0):
-                return (j,) + self._stage_root(n, cur, u, 0.0, g, dur, g_end,
-                                               xf, M)
+                hit = (j,) + self._stage_root(n, cur, u, 0.0, g, dur, g_end,
+                                              xf, M)
+                return hit, end, g_end
             cur, g = end, g_end
-        return None
+        return None, cur, g
 
     def _stage_root(self, n, start, u, lo, g_lo, hi, g_hi, xf, M):
         """(tau, state) where the gap of propagate(start, u, tau) changes
@@ -369,34 +377,24 @@ class Planner:
             return _concat(head, cont_l)
         return _concat(head, cont_l, extra_elements=group)
 
-    def _ride_and_return(self, n, p1_lifted: _Plan, xf, M, m) -> _Plan:
-        end = _end_state(p1_lifted)
-        g0 = self._gap_at(n, end, xf, M)
-        if g0 > 0.0:
-            raise PlanError("ascent prefix overshot the manifold")
-        if m == n - 1:
-            # the sub-state is frozen on the cruise; the gap closes linearly
-            t_ride = -g0 / M[m]
-            ride_end = kinematics.propagate(end, 0.0, t_ride)
-        else:
-            t_ride, ride_end = self._ride_root(n, end, xf, M)
-        cont = self._plan(n - 1, ride_end[: n - 1], xf[:-1], M[:n])
-        cont_l = _lift(cont, ride_end[n - 1])
+    def _splice_ride(self, n, ascent: _Plan, t_ride, state, xf, M, m) -> _Plan:
+        cont = self._plan(n - 1, state[: n - 1], xf[:-1], M[:n])
+        cont_l = _lift(cont, state[n - 1])
         # the ascent to x_m = M_m can end in zero-length ramps whose sign
         # breaks the law's sign chain before the ride; they move nothing
-        stages, elements = list(p1_lifted.stages), list(p1_lifted.elements)
+        stages, elements = list(ascent.stages), list(ascent.elements)
         while stages and stages[-1][1] == 0.0 \
                 and isinstance(elements[-1], Behavior):
             stages.pop()
             elements.pop()
-        head = _Plan(p1_lifted.x0, tuple(stages) + ((0.0, t_ride),),
-                     tuple(elements) + (Behavior(m, 1),),
-                     p1_lifted.tf + t_ride)
+        head = _Plan(ascent.x0, tuple(stages) + ((0.0, t_ride),),
+                     tuple(elements) + (Behavior(m, 1),), ascent.tf + t_ride)
         return _concat(head, cont_l)
 
-    def _ride_root(self, n, start, xf, M):
-        lo, g_lo = 0.0, self._gap_at(n, start, xf, M)
-        hi = 1.0
+    def _ride_root(self, n, start, g_lo, xf, M):
+        """(tau, state) where the gap, g_lo at start, changes sign on the
+        cruise ride from start."""
+        lo, hi = 0.0, 1.0
         for _ in range(120):
             g_hi = self._gap_at(n, kinematics.propagate(start, 0.0, hi), xf, M)
             if g_hi == 0.0 or (g_lo < 0.0) != (g_hi < 0.0):

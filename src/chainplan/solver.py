@@ -4,8 +4,7 @@ A law plus boundary states induces a square system: one duration per
 saturation/riding stage and per virtual-group member, against the riding
 conditions, tangent-marker conditions, and the terminal state.  Intermediate
 states are eliminated by forward propagation, so the unknown vector holds
-durations only; the classic per-stage variable/equation balance is still
-reported for auditing.
+durations only.
 
 Virtual groups solve as a side branch: the branch re-runs the stage
 preceding the group from that stage's entry state for its own (longer)
@@ -24,13 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kinematics
-from .model import (
-    Asl,
-    Behavior,
-    TangentMarker,
-    Trajectory,
-    VirtualGroup,
-)
+from .model import Asl, Behavior, TangentMarker, Trajectory
 
 
 class AssembleError(ValueError):
@@ -39,20 +32,6 @@ class AssembleError(ValueError):
 
 def _control_of(b: Behavior, M0: float) -> float:
     return b.sign * M0 if b.value == 0 else 0.0
-
-
-def stage_controls(asl: Asl, M0: float) -> list[float]:
-    """Control value for every stage holding one: saturation stages take the
-    signed input bound, bound-riding stages ride with zero input.  Group
-    members are included; tangent markers carry no control."""
-    out: list[float] = []
-    for e in asl.elements:
-        if isinstance(e, Behavior):
-            out.append(_control_of(e, M0))
-        elif isinstance(e, VirtualGroup):
-            for m in e.members:
-                out.append(_control_of(m, M0))
-    return out
 
 
 # A residual program is a tuple of steps (advance, u, time index, pins).
@@ -81,18 +60,6 @@ class StageSystem:
     num_unknowns: int                    # durations: behaviors + group members
     num_equations: int                   # scaled residuals
     terminal: tuple[tuple[int, float], ...]   # (state index, target value)
-
-    @property
-    def stage_variable_count(self) -> int:
-        """Variables of the unreduced per-stage formulation (state + time per
-        stage, terminal state substituted)."""
-        return self.num_unknowns * (self.n + 1) - self.n
-
-    @property
-    def stage_equation_count(self) -> int:
-        """Equations of the unreduced formulation: n propagation equations
-        per stage plus the riding/marker conditions."""
-        return self.num_unknowns * self.n + (self.num_equations - len(self.terminal))
 
     def residuals(self, times: Sequence[float]) -> list[float]:
         """Scaled residuals at the given durations.  Pass Python floats:

@@ -42,8 +42,10 @@ def intercept_time(prefix: Trajectory, xf, M):
     manifold of xf, or None."""
     stages = tuple((s.u, s.duration) for s in prefix.segments)
     p = _Plan(prefix.segments[0].start, stages, (), prefix.t_f)
-    hit = Planner()._intercept_scan(len(xf), p, tuple(map(float, xf)),
-                                    tuple(M))
+    n, xf, M = len(xf), tuple(map(float, xf)), tuple(M)
+    pl = Planner()
+    hit, _, _ = pl._intercept_scan(n, p, pl._gap_or_none(n, p.x0, xf, M),
+                                   xf, M)
     if hit is None:
         return None
     j, tau, _ = hit
@@ -435,13 +437,20 @@ class _GridScanPlanner(Planner):
 
     GRID = 64
 
-    def _intercept_scan(self, n, prefix, xf, M):
+    def _intercept_scan(self, n, prefix, g, xf, M):
+        # the start gap g is not used: the grid evaluates its own, and the
+        # ride starts from the prefix end state and a fresh gap there
         if n <= 3:
-            return self._scan_over(n, prefix, xf, M, self.GRID)
-        hit = self._scan_over(n, prefix, xf, M, 1, refine=self.GRID)
+            hit = self._scan_over(n, prefix, xf, M, self.GRID)
+        else:
+            hit = self._scan_over(n, prefix, xf, M, 1, refine=self.GRID) \
+                or self._scan_over(n, prefix, xf, M, self.GRID)
         if hit is not None:
-            return hit
-        return self._scan_over(n, prefix, xf, M, self.GRID)
+            return hit, None, None
+        end = prefix.x0
+        for u, dur in prefix.stages:
+            end = kinematics.propagate(end, u, dur)
+        return None, end, self._gap_or_none(n, end, xf, M)
 
     def _scan_over(self, n, prefix, xf, M, grid, refine=0):
         g_prev = None
@@ -564,9 +573,12 @@ class TestInterceptBoundaryPass:
                 return super()._gap_at(n, state, xf, M)
 
         prefix = _Plan((0.0, 0.0), ((1.0, 1.0),) * 3, (), 3.0)
-        j, tau, _ = Line()._intercept_scan(2, prefix, None, None)
+        (j, tau, _), _, _ = Line()._intercept_scan(2, prefix, -1.5, None, None)
         assert (j, tau) == (1, 0.5)
-        assert Gappy()._intercept_scan(2, prefix, None, None) is None
+        # no crossing: the walk ends at the last stage end, x1 = 3
+        hit, end, g = Gappy()._intercept_scan(2, prefix, -1.5, None, None)
+        assert hit is None
+        assert (end[0], g) == (3.0, 1.5)
 
     def test_failed_gap_evaluation_ends_the_ride_solve(self):
         # x2 = tau on the ride from (1, 0) and the gap is x2 - 3: doubling
@@ -578,8 +590,48 @@ class TestInterceptBoundaryPass:
                     raise PlanError("no lower-order plan")
                 return state[1] - 3.0
 
-        tau, state = Gappy()._ride_root(2, (1.0, 0.0), None, None)
+        tau, state = Gappy()._ride_root(2, (1.0, 0.0), -3.0, None, None)
         assert (tau, state) == (4.0, (1.0, 4.0))
+
+    def test_failed_end_gap_fails_the_ride_with_its_error(self):
+        # below the manifold, the ascent to x2 = M2 meets no lower-order plan
+        # at any stage end: the ride fails with that plan's own error
+        class Gappy(Planner):
+            def _gap_at(self, n, state, xf, M):
+                raise PlanError("no lower-order plan")
+
+        prob = Problem(3, (0.0, 0.0, -2.0), (0.0, 0.0, 0.0), M3)
+        assert classify(prob.x0, prob.xf, prob.M) == LOWER
+        with pytest.raises(PlanError, match="^no lower-order plan$"):
+            Gappy()._plan_free(3, prob.x0, prob.xf, prob.M)
+
+
+class TestGapEvaluations:
+    """The lower branch walks the ascent and its cruise once: the gap that
+    classifies the start opens the walk, and the ride continues from the
+    walk's last stage end and gap, so no order plans the same sub-state
+    twice in a row."""
+
+    @pytest.mark.parametrize("n, count", [(3, 100), (4, 4)])
+    def test_no_lower_order_plan_repeats(self, n, count, monkeypatch):
+        pstar = Planner._pstar
+        last, calls, repeats = {}, [0], []
+
+        def spy(self, k, sub_state, xf, M):
+            key = (tuple(sub_state), tuple(xf))
+            calls[0] += 1
+            if last.get(k) == key:
+                repeats.append(k)
+            last[k] = key
+            return pstar(self, k, sub_state, xf, M)
+
+        monkeypatch.setattr(Planner, "_pstar", spy)
+        rng = np.random.default_rng(1)
+        M = sampling.default_bounds(n)
+        for _ in range(count):
+            _outcome(Planner(), sampling.random_problem(n, M, rng, 0.8))
+        assert calls[0] > 100 * n
+        assert repeats == []
 
 
 class TestRootCounts:

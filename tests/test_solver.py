@@ -23,26 +23,12 @@ M2 = (1.0, 1.0, None)
 FIG7A = dict(x0=(1.0, -0.375, 4.0), xf=(0.0, 0.0, 0.0), M=(1.0, 1.0, 1.5, 4.0))
 
 
-class TestStageControls:
-    def test_bang_ride_bang(self):
-        assert solver.stage_controls(asl_parse("-0 -1 +0"), 1.0) == [-1.0, 0.0, 1.0]
-
-    def test_scaled_input(self):
-        assert solver.stage_controls(asl_parse("+0 -0"), 2.0) == [2.0, -2.0]
-
-    def test_group_members_ride(self):
-        assert solver.stage_controls(asl_parse("-0 ( -3 ) +0"), 1.0) == \
-            [-1.0, 0.0, 1.0]
-
-
 class TestAssemble:
     def test_counts_second_order(self):
         sys = assemble(asl_parse("-0 -1 +0"), (0.0, 2.0), (0.0, 0.0),
                        (1.0, 1.0, None))
         assert sys.num_unknowns == 3
         assert sys.num_equations == 3
-        assert sys.stage_variable_count == 7
-        assert sys.stage_equation_count == 7
 
     def test_counts_first_order(self):
         sys = assemble(asl_parse("-0"), (1.0,), (0.0,), (1.0, None))
@@ -75,7 +61,6 @@ class TestAssemble:
             signed = laws.assign_signs(law, 1)
             sys = assemble(signed, x0, xf, M)
             assert sys.num_unknowns == sys.num_equations
-            assert sys.stage_variable_count == sys.stage_equation_count
 
 
 class TestSolveTimes:
