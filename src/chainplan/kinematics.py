@@ -3,17 +3,18 @@
 The hot kernels of manifold interception (``propagate``, ``integral_top``,
 the order-2 closed form ``plan2`` and its bound-checked, integrated form
 ``plan2_top``), the per-segment machinery (state polynomials, stationary
-points, bound violation checks) and ``bracket_root``, the one root solver:
-it polishes polynomial roots and solves the manifold interception.  Callers
-reach the kernels as ``kinematics.<name>`` so that a profiler can wrap them
-here.
+points, bound violation checks), ``bracket_root``, the one root solver
+(it polishes polynomial roots and solves the manifold interception), and
+``touch_roots``, the exact two-duration solve of degree-2 tangent-marker
+legs.  Callers reach the kernels as ``kinematics.<name>`` so that a
+profiler can wrap them here.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import fabs, sqrt
+from math import fabs, frexp, ldexp, sqrt
 from typing import Optional
 
 # recorded by perfbench in its environment block; the kernels are pure Python
@@ -341,6 +342,217 @@ def real_roots(p: Polynomial, interval: tuple[float, float]) -> list[float]:
         if not out or r - out[-1] > ROOT_DEDUP:
             out.append(r)
     return out
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a != 0.0:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _poly_add(p: list, q: list, sign: float = 1.0) -> list:
+    """p + sign * q on coefficient lists."""
+    out = list(p) + [0.0] * (len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] += sign * c
+    return out
+
+
+def _poly_det(m) -> list:
+    """Determinant of a square matrix of polynomials (coefficient lists).
+
+    Laplace expansion row by row over column subsets: the minor on the
+    first r rows and the columns of a bit mask is built once, so an N x N
+    matrix costs N 2^(N-1) polynomial products, and no division is made.
+    """
+    minors = {0: [1.0]}
+    for row in m:
+        nxt: dict = {}
+        for mask, minor in minors.items():
+            for c, entry in enumerate(row):
+                bit = 1 << c
+                if mask & bit or not any(entry):
+                    continue
+                # expanding along the last row: the sign counts the columns
+                # of the minor to the right of c
+                sign = -1.0 if bin(mask >> (c + 1)).count("1") % 2 else 1.0
+                key = mask | bit
+                nxt[key] = _poly_add(nxt.get(key, [0.0]),
+                                     _poly_mul(entry, minor), sign)
+        minors = nxt
+    return minors.get((1 << len(m)) - 1, [0.0])
+
+
+def _stay_time(x, u: float, lim: float) -> float:
+    """The last time at which x_n, under constant u from x, is within
+    |x_n| <= lim, padded by 1e-6 of itself: a stage that keeps that bound
+    ends by then.  0.0 where x_n never moves."""
+    p = state_polynomial(x, u, len(x))
+    end = 0.0
+    for side in (lim, -lim):
+        q = Polynomial((p.coeffs[0] - side,) + p.coeffs[1:])
+        d = q.degree
+        if d > 0:
+            # every root lies within Fujiwara's bound of 0
+            c = [abs(v / q.coeffs[d]) for v in q.coeffs]
+            bound = 2.0 * max([c[d - i] ** (1.0 / i) for i in range(1, d)]
+                              + [(0.5 * c[0]) ** (1.0 / d)])
+            end = max([end] + real_roots(q, (0.0, bound)))
+    return end * (1.0 + 1e-6)
+
+
+def _touch_residual(x, ua, ub, top, a, b) -> float:
+    z = propagate(propagate(x, ua, a), ub, b)
+    return max(abs(z[-2]), abs(z[-1] - top))
+
+
+def _touch_polish(x, ua, ub, top, a, b):
+    """Newton steps on the 2 x 2 touch system, each kept only where it
+    lowers the residual.  At a touch on the b = 0 boundary the Jacobian is
+    singular (both durations move x_n at rate x_{n-1} = 0), and such a step
+    is refused rather than taken."""
+    n = len(x)
+    r = _touch_residual(x, ua, ub, top, a, b)
+    for _ in range(3):
+        if r == 0.0:
+            break
+        y = propagate(x, ua, a)
+        z = propagate(y, ub, b)
+        # d z / d a is the switch state's rate under ua, (ua, y_1, ...,
+        # y_{n-1}), carried through the last stage; d z / d b is the end
+        # state's rate under ub
+        ja = propagate((ua,) + y[:-1], 0.0, b)
+        jb = (ub,) + z[:-1]
+        det = ja[n - 2] * jb[n - 1] - jb[n - 2] * ja[n - 1]
+        if det == 0.0:
+            break
+        r1, r2 = z[n - 2], z[n - 1] - top
+        na = a - (r1 * jb[n - 1] - jb[n - 2] * r2) / det
+        nb = b - (ja[n - 2] * r2 - r1 * ja[n - 1]) / det
+        na, nb = max(0.0, na), max(0.0, nb)
+        nr = _touch_residual(x, ua, ub, top, na, nb)
+        if not nr < r:
+            break
+        a, b, r = na, nb, nr
+    return a, b
+
+
+def _touch_resultant(x, ua, ub, top, c, h) -> Polynomial:
+    """Resultant in b of x_{n-1} and x_n - top after stages (ua, a) and
+    (ub, b), as a polynomial in s where a = c + h s."""
+    n = len(x)
+    xc = propagate(x, ua, c)
+    # y_k(s), the states after the first stage
+    y = [[v * h ** i for i, v in enumerate(state_polynomial(xc, ua, k).coeffs)]
+         for k in range(1, n + 1)]
+    # f = x_{n-1} and g = x_n - top after the second stage, as coefficient
+    # lists in b of coefficient lists in s (padded to degree n)
+    f = [[v / _FACT[i] for v in y[n - 2 - i]] for i in range(n - 1)]
+    f += [[ub / _FACT[n - 1]], [0.0]]
+    g = [_poly_add(y[n - 1], [top], -1.0)]
+    g += [[v / _FACT[i] for v in y[n - 1 - i]] for i in range(1, n)]
+    g += [[ub / _FACT[n]]]
+    # Bezout matrix of (f, g): (f(p) g(q) - f(q) g(p)) / (p - q) in b = p, q
+    bez = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry = [0.0]
+            for k in range(min(i, n - 1 - j) + 1):
+                entry = _poly_add(entry, _poly_mul(f[j + k + 1], g[i - k]))
+                entry = _poly_add(entry, _poly_mul(f[i - k], g[j + k + 1]), -1.0)
+            row.append(entry)
+        bez.append(row)
+    res = _poly_det(bez)
+    # scale by a power of two (exactly) to a largest coefficient in
+    # [0.5, 1): real_roots takes values below 1e-12 of that for zeros
+    big = max(map(abs, res))
+    if big == 0.0:
+        return Polynomial(tuple(res))
+    shift = -frexp(big)[1]
+    return Polynomial(tuple(ldexp(v, shift) for v in res))
+
+
+def _flat_roots(p: Polynomial) -> list[float]:
+    """Candidate roots of p on [-1, 1]: each strict sign change between
+    consecutive stationary points (or ends), solved by ``bracket_root``,
+    and each such point where |p| is within real_roots' zero tolerance.
+
+    real_roots skips a sign change next to a point it takes for a zero.  A
+    touch resultant can be that flat over a whole region (at a touch its
+    slope scales as b^(n-1)), so here both are kept.
+    """
+    points = [-1.0, 1.0]
+    if p.degree >= 2:
+        points = sorted(set(points) | set(real_roots(p.derivative(), (-1.0, 1.0))))
+    feps = 1e-12 * max(1.0, sum(map(abs, p.coeffs)))
+    values = [p(t) for t in points]
+    out = [t for t, v in zip(points, values) if abs(v) <= feps]
+    for lo, f_lo, hi, f_hi in zip(points, values, points[1:], values[1:]):
+        if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
+            out.append(bracket_root(p, lo, f_lo, hi, f_hi, ROOT_TOL))
+    return out
+
+
+def touch_roots(x, ua: float, ub: float, top: float,
+                a_hi: Optional[float] = None,
+                b_hi: Optional[float] = None) -> list[tuple[float, float]]:
+    """Durations (a, b) of two constant-control stages from x, u = ua for a
+    and then u = ub for b, that end with x_{n-1} = 0 and x_n = top: the two
+    free durations of a degree-2 tangent-marker leg.  The second stage
+    ramps: ub != 0.
+
+    Both end states are polynomials in b whose coefficients are polynomials
+    in a, and x_{n-1} is the b-derivative of x_n.  Their resultant in b (the
+    determinant of their Bezout matrix, degree <= n(n-1) in a) vanishes at
+    every a of a common root, so its real roots on [0, a_hi]
+    (``_flat_roots``) are all the candidate a.  Each is back-substituted
+    through the real roots of x_{n-1} in b on [0, b_hi] and polished by
+    guarded Newton steps.  A bound given as None is replaced by the last
+    time at which that stage alone keeps |x_n| <= |top|, which a leg that
+    keeps the bound it touches cannot outlast.  No real root proves that no
+    such leg exists in the box.
+
+    Every common root in the box appears, to float accuracy.  A candidate
+    can also come from a resultant root whose common root is complex, so
+    callers check the residual.  The pairs are sorted and deduplicated.
+    The system is solved in the frame where top >= 0, so a negated x, ua,
+    ub and top give the same bits.
+    """
+    if top < 0.0:
+        x = tuple(-v for v in x)
+        ua, ub, top = -ua, -ub, -top
+    n = len(x)
+    if a_hi is None:
+        a_hi = _stay_time(x, ua, top)
+    # the resultant's coefficients lose roots in a region small against the
+    # span they are taken on, so a box wider than 2 tau, where tau is the
+    # time ub takes to move x_n from rest to |top|, is cut into [0, 2 tau]
+    # and pieces that double from there; each piece is centred, a = c + h s
+    # with s in [-1, 1]
+    tau = (_FACT[n] * top / abs(ub)) ** (1.0 / n)
+    cuts = [0.0, min(a_hi, 2.0 * tau) if tau > 0.0 else a_hi]
+    while cuts[-1] < a_hi:
+        cuts.append(min(a_hi, 2.0 * cuts[-1]))
+    out = set()
+    for lo, hi in zip(cuts, cuts[1:]):
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        res = _touch_resultant(x, ua, ub, top, c, h)
+        if res.is_zero():
+            continue
+        for sa in _flat_roots(res):
+            a = c + h * sa
+            y = propagate(x, ua, a)
+            fb = state_polynomial(y, ub, n - 1)
+            if fb.is_zero():
+                continue
+            b_end = b_hi if b_hi is not None else _stay_time(y, ub, top)
+            for b in real_roots(fb, (0.0, b_end)):
+                out.add(_touch_polish(x, ua, ub, top, a, b))
+    return sorted(out)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ that encodes interception does not occur in true optima).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -501,9 +501,11 @@ class Planner:
         """Reach the touch state through a catalog law: the top state on its
         bound with d-1 vanishing lower states.
 
-        A genuine touch must curve back inward, so the first state below the
-        pinned ones has to oppose the touched side; roots crossing the bound
-        are rejected and further seeds tried.
+        d = 2 legs are solved exactly (``_touch_times``); deeper legs by
+        Newton.  A root must meet the stage system to Newton's tolerance,
+        and a genuine touch must curve back inward, so the first state below
+        the pinned ones has to oppose the touched side; the shortest root
+        that also keeps every bound is the leg.
         """
         conditions = [(n, sigma * M[n])]
         conditions.extend((n - j, 0.0) for j in range(1, d))
@@ -513,37 +515,60 @@ class Planner:
         except solver.AssembleError:
             return None
 
-        def tangent(sol: solver.Solved) -> bool:
-            end = sol.states[-1] if sol.states else x0
+        def tangent(end) -> bool:
             return sigma * end[n - 1 - d] < 0.0
 
-        # touch systems have few unknowns but several nearby roots (touch vs
-        # crossing); a deterministic grid multistart separates their basins
-        T = system.num_unknowns
-        seeds = None
-        if T <= 3:
-            tau = max(solver._seed_scale(system) * T, 1e-3)
-            ticks = (0.05, 0.3, 1.0, 2.5, 6.0)
-            seeds = [tuple(tau * w for w in combo)
-                     for combo in itertools.product(ticks, repeat=T)]
-        sol = solver.solve_times(system, seeds=seeds,
-                                 max_restarts=2 * SOLVER_RESTARTS,
-                                 accept=tangent)
-        if sol is None:
-            return None
-        p = _Plan(tuple(x0), tuple(zip(system.controls, sol.times)),
-                  signed_law.elements, sum(sol.times))
-        # the leg must respect every bound, including the one it touches
-        cur = p.x0
-        for u, dur in p.stages:
-            if kinematics.segment_bound_check(cur, u, dur, M, self.bound_eps):
-                return None
-            cur = kinematics.propagate(cur, u, dur)
-        touch = list(cur)
-        touch[n - 1] = sigma * M[n]
-        for j in range(1, d):
-            touch[n - 1 - j] = 0.0
-        return p, tuple(touch)
+        if d == 2:
+            candidates = self._touch_times(x0, M, system.controls,
+                                           sigma * M[n])
+        else:
+            sol = solver.solve_times(
+                system, max_restarts=2 * SOLVER_RESTARTS,
+                accept=lambda sol: tangent(sol.states[-1] if sol.states
+                                           else x0))
+            candidates = [] if sol is None else [sol.times]
+        for times in sorted(candidates, key=sum):
+            if not all(abs(r) < solver.NEWTON_TOL
+                       for r in system.residuals(times)):
+                continue
+            stages = tuple(zip(system.controls, times))
+            starts = [tuple(x0)]
+            for u, dur in stages:
+                starts.append(kinematics.propagate(starts[-1], u, dur))
+            end = starts.pop()
+            # the leg must respect every bound, including the one it touches
+            if not tangent(end) or any(
+                    kinematics.segment_bound_check(x, u, dur, M, self.bound_eps)
+                    for x, (u, dur) in zip(starts, stages)):
+                continue
+            touch = list(end)
+            touch[n - 1] = sigma * M[n]
+            for j in range(1, d):
+                touch[n - 1 - j] = 0.0
+            p = _Plan(tuple(x0), stages, signed_law.elements, sum(times))
+            return p, tuple(touch)
+        return None
+
+    def _touch_times(self, x0, M, controls, top):
+        """Duration tuples that may solve a d = 2 leg, law 00 or 010, from
+        ``kinematics.touch_roots`` on the box of durations that keep the
+        bounds (within bound_eps).  010's first ramp is fixed by its ride
+        x1 = +/-M1; its ride and last ramp are the two free durations."""
+        M0 = M[0]
+        lim1 = M[1] + self.bound_eps if M[1] is not None else None
+        ramp_hi = 2.0 * lim1 / M0 if lim1 is not None else None
+        if len(controls) == 2:
+            ua, ub = controls
+            a_hi = (lim1 + abs(x0[0])) / M0 if lim1 is not None else None
+            return kinematics.touch_roots(x0, ua, ub, top, a_hi, ramp_hi)
+        u1, ride, ub = controls
+        t1 = (math.copysign(M[1], u1) - x0[0]) / u1
+        t1 = t1 if t1 > 0.0 else 0.0
+        y = kinematics.propagate(x0, u1, t1)
+        ride_hi = 2.0 * (M[2] + self.bound_eps) / M[1] \
+            if M[2] is not None else None
+        return [(t1, a, b) for a, b in kinematics.touch_roots(
+            y, ride, ub, top, ride_hi, ramp_hi)]
 
     # ---------------- realization ----------------
 

@@ -206,9 +206,8 @@ NEWTON_TOL = 1e-10
 RESTART_SEED = 0
 
 
-def solve_times(system: StageSystem,
-                seeds: Optional[Sequence[Sequence[float]]] = None,
-                max_restarts: int = 8, accept=None) -> Optional[Solved]:
+def solve_times(system: StageSystem, max_restarts: int = 8,
+                accept=None) -> Optional[Solved]:
     """Solve the stage system by damped Newton iteration with projection of
     durations onto [0, inf) and seeded randomized restarts.
 
@@ -221,18 +220,14 @@ def solve_times(system: StageSystem,
         err = _max_abs(system.residuals(()))
         return Solved((), (), err) if err < NEWTON_TOL else None
     tau = _seed_scale(system)
-    trial_seeds: list[list[float]] = []
-    if seeds is not None:
-        trial_seeds.extend([float(v) for v in s] for s in seeds)
-    else:
-        trial_seeds.append([tau] * T)
-        rng = np.random.default_rng(RESTART_SEED)
-        base = tau if tau > 0.0 else 1.0
-        # restarts climb a geometric scale ladder: roots can sit far above
-        # the boundary-difference scale when the states swing back and forth
-        for i in range(max_restarts):
-            scale = base * (2.0 ** (i // 2))
-            trial_seeds.append((scale * (0.25 + 1.75 * rng.random(T))).tolist())
+    trial_seeds = [[tau] * T]
+    rng = np.random.default_rng(RESTART_SEED)
+    base = tau if tau > 0.0 else 1.0
+    # restarts climb a geometric scale ladder: roots can sit far above the
+    # boundary-difference scale when the states swing back and forth
+    for i in range(max_restarts):
+        scale = base * (2.0 ** (i // 2))
+        trial_seeds.append((scale * (0.25 + 1.75 * rng.random(T))).tolist())
     best: Optional[Solved] = None
     hits = 0
     for start in trial_seeds:

@@ -18,6 +18,7 @@ from chainplan.kinematics import (
     real_roots,
     segment_bound_check,
     state_polynomial,
+    touch_roots,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -535,6 +536,78 @@ class TestBracketRoot:
         got = bracket_root(f, lo, heights[0], hi, heights[1], tol)
         assert len(calls) <= 2 * math.ceil(math.log2((hi - lo) / tol)) + 2
         assert abs(got - root) <= _stop_width(tol, got)
+
+
+@st.composite
+def touch_legs(draw, n):
+    """(x, ua, ub, top, a, b): a start x from which the stages (ua, a) and
+    (ub, b) end on a touch, x_{n-1} = 0 and x_n = top with x_{n-2} opposing
+    top (the tangency a marker leg needs); x is found by propagating the
+    touch state backwards.  The first stage ramps (law 00) or rides at zero
+    control (law 010); the second ramps.
+
+    At the touch, a moves x_n at rate (ua - ub) b^(n-1) / (n-1)! only, so
+    rounding moves the durations by about 1e-16 over that rate; drawn legs
+    keep the rate above 1e-5, where 1e-9 is within reach."""
+    top = draw(st.floats(min_value=0.5, max_value=5.0)) \
+        * draw(st.sampled_from((1.0, -1.0)))
+    low = [draw(st.floats(min_value=-2.0, max_value=2.0)) for _ in range(n - 3)]
+    inward = -math.copysign(draw(st.floats(min_value=0.1, max_value=2.0)), top)
+    z = tuple(low) + (inward, 0.0, top)
+    ub = draw(st.floats(min_value=0.5, max_value=2.0)) \
+        * draw(st.sampled_from((1.0, -1.0)))
+    ua = draw(st.sampled_from((-ub, 0.0)))
+    a = draw(st.floats(min_value=0.05, max_value=2.0))
+    b = draw(st.floats(min_value=0.05, max_value=2.0))
+    assume(abs(ua - ub) * b ** (n - 1) / math.factorial(n - 1) >= 1e-5)
+    x = propagate(propagate(z, ub, -b), ua, -a)
+    return x, ua, ub, top, a, b
+
+
+class TestTouchRoots:
+    """The exact two-duration touch solve behind degree-2 marker legs."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_recovers_the_durations(self, n, data):
+        x, ua, ub, top, a, b = data.draw(touch_legs(n))
+        got = touch_roots(x, ua, ub, top, 2.5, 2.5)
+        assert any(abs(p - a) <= 1e-9 and abs(q - b) <= 1e-9
+                   for p, q in got), (a, b, got)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_negated_inputs_give_same_bits(self, n, data):
+        x, ua, ub, top, _, _ = data.draw(touch_legs(n))
+        got = touch_roots(x, ua, ub, top, 2.5, 2.5)
+        neg = touch_roots(tuple(-v for v in x), -ua, -ub, -top, 2.5, 2.5)
+        assert [(p.hex(), q.hex()) for p, q in got] == \
+            [(p.hex(), q.hex()) for p, q in neg]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_open_box_is_the_stay_within_top(self, n, data):
+        # no box given: each duration is bounded by the last time its stage
+        # alone keeps |x_n| <= |top|, which a leg keeping that bound cannot
+        # outlast; that box can be many durations wide
+        x, ua, ub, top, a, b = data.draw(touch_legs(n))
+        M = (1.0,) + (None,) * (n - 1) + (abs(top),)
+        assume(segment_bound_check(x, ua, a, M) is None)
+        assume(segment_bound_check(propagate(x, ua, a), ub, b, M) is None)
+        got = touch_roots(x, ua, ub, top)
+        assert any(abs(p - a) <= 1e-9 and abs(q - b) <= 1e-9
+                   for p, q in got), (a, b, got)
+
+    def test_boundary_root(self):
+        # the order-3 leg of the fourth-order touch-and-cruise profile: x3
+        # reaches 4 as x2 reaches 0 at the end of the first ramp, so b = 0,
+        # where both durations move x3 at rate x2 = 0 and the Jacobian is
+        # singular; the root must survive the polish
+        got = touch_roots((1.0, -0.375, 4.0), -1.0, 1.0, 4.0, 2.0, 2.0)
+        assert any(b == 0.0 and abs(a - 1.5) <= 1e-12 for a, b in got), got
 
 
 class TestSegmentBoundCheck:

@@ -307,9 +307,64 @@ class TestNearTouchMarkers:
                 continue
             if "(+3,2)" in traj.asl.text() or "(-3,2)" in traj.asl.text():
                 marked[i] = traj
-        assert sorted(marked) == [3, 5, 9, 10, 11]
+        assert sorted(marked) == [3, 5, 7, 9, 10, 11]
         for i in (3, 9):
             assert marked[i].t_f <= oracle.exhaustive_tf(draws[i]).t_f + 1e-6
+
+    @pytest.mark.parametrize("i", [7, 15, 23, 24])
+    def test_tangent_root_beside_a_crossing(self, i):
+        # the touch leg +0 -0 (sigma = -1) of these draws lies beside a
+        # crossing root that breaks tangency and bounds (draw 7: touch
+        # (1.4027, 0.1300), crossing (1.3640, 0.4882)); the exact leg finds
+        # the touch, and the plan matches the oracle's optimum
+        prob = self._draws(i + 1)[i]
+        traj = plan(prob)
+        assert "(+3,2)" in traj.asl.text() or "(-3,2)" in traj.asl.text()
+        assert solver.verify(traj, prob.M, 1e-9) is None
+        assert traj.t_f == pytest.approx(oracle.exhaustive_tf(prob).t_f,
+                                         abs=1e-6)
+
+
+def _plan4_corpus():
+    """perfbench's plan4 corpus at seed 1: 18 order-4 draws of
+    ``default_rng(1)``, each mirrored where a ``default_rng(1)`` coin says."""
+    M = sampling.default_bounds(4)
+    rng = np.random.default_rng(1)
+    base = [sampling.random_problem(4, M, rng, 0.8) for _ in range(18)]
+    flips = np.random.default_rng(1).integers(0, 2, 18)
+    return [Problem(4, tuple(-v for v in p.x0), tuple(-v for v in p.xf), p.M)
+            if flip else p for p, flip in zip(base, flips)]
+
+
+class TestMarkerLegSolves:
+    """Degree-2 marker legs are root problems, not Newton solves: a leg
+    without a root costs one resultant, not a multistart."""
+
+    def test_degree_two_legs_make_no_newton_solve(self, monkeypatch):
+        degrees, from_leg, inside = [], [], []
+        leg, solve = Planner._marker_leg, solver.solve_times
+
+        def leg_spy(self, n, x0, M, signed_law, sigma, d):
+            degrees.append(d)
+            inside.append(True)
+            try:
+                return leg(self, n, x0, M, signed_law, sigma, d)
+            finally:
+                inside.pop()
+
+        def solve_spy(*args, **kwargs):
+            from_leg.append(bool(inside))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(Planner, "_marker_leg", leg_spy)
+        monkeypatch.setattr(solver, "solve_times", solve_spy)
+        for prob in _plan4_corpus() + TestNearTouchMarkers._draws(40):
+            try:
+                plan(prob)
+            except PlanError:
+                pass
+        assert degrees and set(degrees) == {2}
+        assert not any(from_leg)
 
 
 def _seed5_draws(n, M, count):

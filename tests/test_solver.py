@@ -371,9 +371,10 @@ class TestNewtonPath:
         assert runs > 60 and 0 < converged < runs
 
     def test_marker_leg_systems(self, monkeypatch):
-        # assembled and seeded as Planner._marker_leg does at order 3; the
-        # first start has touch roots, the second is a marker failure of
-        # the order-3 benchmark corpus
+        # order-3 tangent-marker leg systems (law 00 or 010 to x3 = +/-M3
+        # with x2 = 0), kept as a hard Newton case: several nearby roots and
+        # a 5^T grid of starts; the first start has touch roots, the second
+        # is a marker failure of the order-3 benchmark corpus
         n, d = 3, 2
         M = sampling.default_bounds(n)
         ticks = (0.05, 0.3, 1.0, 2.5, 6.0)
