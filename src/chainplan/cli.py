@@ -241,13 +241,13 @@ def cmd_batch(args) -> int:
             "success": metrics.is_success(traj, problem),
         })
     succ = [r["success"] for r in records]
-    tfs = sorted(r["t_f"] for r in records if r["t_f"] is not None)
-    errs = sorted(r["E_s"] for r in records if r["E_s"] is not None)
+    tfs = sorted(r["t_f"] for r in records)
+    errs = sorted(r["E_s"] for r in records)
     report = {
         "order": args.order,
         "count": args.count,
         "seed": args.seed,
-        "M": [None if v is None else v for v in M],
+        "M": list(M),
         "rejected": rejected,
         "problems": records,
         "aggregate": {

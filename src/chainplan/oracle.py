@@ -3,7 +3,13 @@
 Deliberately shares only the kinematics primitives (and the law catalog,
 which the exhaustive search enumerates over) with the planning path: the
 closed forms are derived separately and the stage systems are re-assembled
-here from scratch and solved with a library root finder.
+here from scratch and solved with a library root finder, MINPACK's hybrid
+Powell method (``scipy.optimize.root``, method "hybr").
+
+The planner's ``solver.solve_times`` calls the same MINPACK routine, but on
+residuals it assembles itself; the oracle keeps its own residual closures,
+starts and tolerances.  At orders up to 3, only problems with no bounded
+interior state reach the planner's solver.
 """
 
 from __future__ import annotations

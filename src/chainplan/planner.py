@@ -62,8 +62,9 @@ PROPER = "proper"
 EPS_PROPER = 1e-9
 # the tolerance to which interception and cruise-ride crossings are solved
 INTERCEPT_TOL = 1e-13
-# randomized Newton restarts per saturation-only solve (marker legs get twice)
-SOLVER_RESTARTS = 8
+# randomized restarts of solver.solve_times per saturation-only solve (marker
+# legs get twice)
+SOLVER_RESTARTS = 16
 MAX_MARKER_DEPTH = 8
 
 
@@ -148,16 +149,7 @@ class Planner:
         if problem.n == 3 and problem.M[3] is not None:
             self._raise_if_infeasible(problem)
         p = self._plan(problem.n, problem.x0, problem.xf, problem.M)
-        try:
-            traj = self._to_trajectory(p, problem)
-        except AslError as e:
-            # a splice can break the law's sign chain; that is a planner
-            # failure, not malformed input
-            raise PlanError(f"planned law is invalid: {e}") from e
-        failure = solver.verify(traj, problem.M, self.bound_eps)
-        if failure is not None:
-            raise PlanError(f"planned trajectory failed verification: {failure}")
-        return traj
+        return self._realize(p, problem)
 
     def _raise_if_infeasible(self, problem: Problem) -> None:
         """Raise InfeasibleProblem when a boundary state of an order-3
@@ -199,7 +191,7 @@ class Planner:
             p = self._plan1(problem.x0, problem.xf, float(M0))
         else:
             p = self._bang(n, problem.x0, problem.xf, float(M0))
-        return self._to_trajectory(p, problem)
+        return self._realize(p, problem)
 
     # ------------------------------------------------------------------
     # recursion
@@ -502,10 +494,10 @@ class Planner:
         bound with d-1 vanishing lower states.
 
         d = 2 legs are solved exactly (``_touch_times``); deeper legs by
-        Newton.  A root must meet the stage system to Newton's tolerance,
-        and a genuine touch must curve back inward, so the first state below
-        the pinned ones has to oppose the touched side; the shortest root
-        that also keeps every bound is the leg.
+        ``solver.solve_times``.  A root must meet the stage system to the
+        solver's tolerance, and a genuine touch must curve back inward, so
+        the first state below the pinned ones has to oppose the touched
+        side; the shortest root that also keeps every bound is the leg.
         """
         conditions = [(n, sigma * M[n])]
         conditions.extend((n - j, 0.0) for j in range(1, d))
@@ -528,7 +520,7 @@ class Planner:
                                            else x0))
             candidates = [] if sol is None else [sol.times]
         for times in sorted(candidates, key=sum):
-            if not all(abs(r) < solver.NEWTON_TOL
+            if not all(abs(r) < solver.RESIDUAL_TOL
                        for r in system.residuals(times)):
                 continue
             stages = tuple(zip(system.controls, times))
@@ -571,6 +563,19 @@ class Planner:
             y, ride, ub, top, ride_hi, ramp_hi)]
 
     # ---------------- realization ----------------
+
+    def _realize(self, p: _Plan, problem: Problem) -> Trajectory:
+        """The plan as a trajectory, verified; raises PlanError otherwise."""
+        try:
+            traj = self._to_trajectory(p, problem)
+        except AslError as e:
+            # a splice can break the law's sign chain; that is a planner
+            # failure, not malformed input
+            raise PlanError(f"planned law is invalid: {e}") from e
+        failure = solver.verify(traj, problem.M, self.bound_eps)
+        if failure is not None:
+            raise PlanError(f"planned trajectory failed verification: {failure}")
+        return traj
 
     def _to_trajectory(self, p: _Plan, problem: Problem) -> Trajectory:
         segments = []

@@ -4,7 +4,9 @@ A law plus boundary states induces a square system: one duration per
 saturation/riding stage and per virtual-group member, against the riding
 conditions, tangent-marker conditions, and the terminal state.  Intermediate
 states are eliminated by forward propagation, so the unknown vector holds
-durations only.
+durations only.  ``solve_times`` finds its roots with MINPACK's hybrid
+Powell method (``scipy.optimize.root``, method "hybr"), the routine the
+oracle uses, from a seeded ladder of starts.
 
 Virtual groups solve as a side branch: the branch re-runs the stage
 preceding the group from that stage's entry state for its own (longer)
@@ -16,7 +18,6 @@ the realized trajectory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -59,7 +60,6 @@ class StageSystem:
     controls: tuple[float, ...]          # one per time unknown
     num_unknowns: int                    # durations: behaviors + group members
     num_equations: int                   # scaled residuals
-    terminal: tuple[tuple[int, float], ...]   # (state index, target value)
 
     def residuals(self, times: Sequence[float]) -> list[float]:
         """Scaled residuals at the given durations.  Pass Python floats:
@@ -170,7 +170,6 @@ def assemble(asl: Asl, x0, xf, M,
         M=tuple(M), program=program, controls=tuple(controls),
         num_unknowns=len(controls),
         num_equations=sum(len(step[3]) for step in program),
-        terminal=tuple(terminal),
     )
     if system.num_unknowns != system.num_equations:
         raise AssembleError(
@@ -181,11 +180,10 @@ def assemble(asl: Asl, x0, xf, M,
 
 @dataclass(frozen=True)
 class Solved:
-    """Converged durations plus the real-chain states they induce."""
+    """Accepted durations plus the real-chain states they induce."""
 
     times: tuple[float, ...]
     states: tuple[tuple[float, ...], ...]
-    residual: float
 
 
 def _seed_scale(system: StageSystem) -> float:
@@ -200,38 +198,44 @@ def _seed_scale(system: StageSystem) -> float:
     return tau / max(1, system.num_unknowns)
 
 
-# a root is accepted once every residual is below NEWTON_TOL; the restarts
-# draw from a fixed seed, so solves are deterministic
-NEWTON_TOL = 1e-10
+# a root is accepted once every scaled residual is below RESIDUAL_TOL; the
+# restarts draw from a fixed seed, so solves are deterministic
+RESIDUAL_TOL = 1e-10
 RESTART_SEED = 0
 
 
 def solve_times(system: StageSystem, max_restarts: int = 8,
                 accept=None) -> Optional[Solved]:
-    """Solve the stage system by damped Newton iteration with projection of
-    durations onto [0, inf) and seeded randomized restarts.
+    """Solve the stage system by MINPACK's hybrid Powell method
+    (``scipy.optimize.root``, method "hybr") from seeded randomized starts.
 
-    ``accept`` optionally filters converged roots (systems can have several);
-    rejected roots are discarded and further seeds are tried.  Returns the
-    shortest-total-time accepted solution, or None when no seed converges.
+    A root is accepted when no duration is below -1e-12 and every scaled
+    residual is below RESIDUAL_TOL at the durations clipped to >= 0; the
+    optional ``accept`` filters these further (systems can have several
+    roots).  Returns the shortest in total time of the first three hits, or
+    None when no start yields one.
     """
+    from scipy.optimize import root  # slow to import; few plans get here
     T = system.num_unknowns
     if T == 0:
-        err = _max_abs(system.residuals(()))
-        return Solved((), (), err) if err < NEWTON_TOL else None
+        return _accepted(system, [])
     tau = _seed_scale(system)
-    trial_seeds = [[tau] * T]
+    starts = [[tau] * T]
     rng = np.random.default_rng(RESTART_SEED)
     base = tau if tau > 0.0 else 1.0
     # restarts climb a geometric scale ladder: roots can sit far above the
     # boundary-difference scale when the states swing back and forth
     for i in range(max_restarts):
         scale = base * (2.0 ** (i // 2))
-        trial_seeds.append((scale * (0.25 + 1.75 * rng.random(T))).tolist())
+        starts.append((scale * (0.25 + 1.75 * rng.random(T))).tolist())
     best: Optional[Solved] = None
     hits = 0
-    for start in trial_seeds:
-        sol = _newton(system, _project(start), NEWTON_TOL)
+    for start in starts:
+        # hybr's default tol (a relative step of 1.5e-8) stops with residuals
+        # far above RESIDUAL_TOL; iterate to near machine precision instead
+        x = root(lambda t: system.residuals(t.tolist()), start,
+                 method="hybr", tol=1e-14).x
+        sol = _accepted(system, x.tolist())
         if sol is None:
             continue
         if accept is not None and not accept(sol):
@@ -244,96 +248,20 @@ def solve_times(system: StageSystem, max_restarts: int = 8,
     return best
 
 
-# The Newton loop runs on lists of Python floats.  numpy does two jobs only:
-# the LAPACK step and the merit r @ r, whose BLAS summation order decides
-# which line-search steps are accepted.
-
-def _project(t: list[float]) -> list[float]:
-    # np.clip(t, 0.0, None) bit for bit: -0.0 -> 0.0, NaN stays NaN
-    return [0.0 if v <= 0.0 else v for v in t]
-
-
-def _max_abs(r: list[float]) -> float:
-    # np.max(np.abs(r)): NaN wins wherever it sits
-    if any(v != v for v in r):
-        return math.nan
-    return max(map(abs, r), default=0.0)
-
-
-def _merit(r: list[float]) -> float:
-    a = np.array(r)
-    return float(a @ a)
-
-
-def _newton(system: StageSystem, t: list[float], tol: float) -> Optional[Solved]:
-    T = len(t)
-    r = system.residuals(t)
-    merit = _merit(r)
-    for _ in range(80):
-        if _max_abs(r) < tol:
-            return _package(system, t)
-        cols = []
-        for i in range(T):
-            h = 1e-7 * max(1.0, abs(t[i]))
-            tp = t.copy()
-            tp[i] += h
-            cols.append([(a - b) / h for a, b in zip(system.residuals(tp), r)])
-        J = np.array(cols).T
-        rhs = -np.array(r)
-        try:
-            step = np.linalg.solve(J, rhs).tolist()
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, rhs, rcond=None)[0].tolist()
-        if not all(map(math.isfinite, step)):
-            return None
-        improved, t, r, merit = _line_search(system, t, r, merit, step)
-        if not improved:
-            # roots can sit on the boundary of the time domain; pin the
-            # coordinates pressed against zero and re-solve on the rest
-            active = [i for i in range(T) if t[i] <= 0.0 and step[i] < 0.0]
-            if active and len(active) < T:
-                free = [i for i in range(T) if i not in active]
-                sub = np.linalg.lstsq(J[:, free], rhs, rcond=None)[0]
-                step2 = [0.0] * T
-                for i, v in zip(free, sub.tolist()):
-                    step2[i] = v
-                if all(map(math.isfinite, step2)):
-                    improved, t, r, merit = _line_search(system, t, r, merit,
-                                                         step2)
-        if not improved:
-            return None
-    if _max_abs(r) < tol:
-        return _package(system, t)
-    return None
-
-
-def _line_search(system: StageSystem, t: list[float], r: list[float],
-                 merit: float, step: list[float]):
-    alpha = 1.0
-    for _ in range(20):
-        t_new = _project([a + alpha * s for a, s in zip(t, step)])
-        r_new = system.residuals(t_new)
-        m_new = _merit(r_new)
-        if m_new < merit:
-            return True, t_new, r_new, m_new
-        alpha *= 0.5
-    return False, t, r, merit
-
-
-def _package(system: StageSystem, t: list[float]) -> Optional[Solved]:
-    times = []
-    for v in t:
-        if v < -1e-12:
-            return None
-        times.append(max(0.0, v))
-    err = _max_abs(system.residuals(times))
+def _accepted(system: StageSystem, t: list[float]) -> Optional[Solved]:
+    """Solved at durations t, or None if they fail the acceptance rule."""
+    if not all(v >= -1e-12 for v in t):
+        return None
+    times = [max(0.0, v) for v in t]
+    if not all(abs(r) < RESIDUAL_TOL for r in system.residuals(times)):
+        return None
     cur = system.x0
     states = []
     for code, u, i, _ in system.program:
         if code == _ADV:
             cur = kinematics.propagate(cur, u, times[i])
             states.append(cur)
-    return Solved(tuple(times), tuple(states), err)
+    return Solved(tuple(times), tuple(states))
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,33 @@ class TestPlanUnconstrained:
             assert switches <= n - 1
             assert all(abs(s.u) == 1.0 for s in traj.segments)
 
+    def test_wide_order4_draws_plan(self):
+        # draws 5, 33, 70, 86 and 110 were once lost: the stage solve found
+        # no root for either terminal sign
+        rng = np.random.default_rng(2004)
+        M = (1.0, None, None, None, None)
+        for i in range(150):
+            x0 = rng.uniform(-5, 5, 4).tolist()
+            xf = rng.uniform(-5, 5, 4).tolist()
+            traj = plan_unconstrained(4, x0, xf, 1.0)
+            assert solver.verify(traj, M, 1e-9) is None, i
+            switches = sum(1 for a, b in zip(traj.segments, traj.segments[1:])
+                           if a.u != b.u and a.duration > 0 and b.duration > 0)
+            assert switches <= 3, i
+
+    def test_off_target_plan_fails_verification(self, monkeypatch):
+        bang = Planner._bang
+
+        def off_target(self, n, x0, xf, M0):
+            p = bang(self, n, x0, xf, M0)
+            (u, t), *rest = p.stages
+            return _Plan(p.x0, ((u, t + 0.1), *rest), p.elements, p.tf + 0.1)
+
+        monkeypatch.setattr(Planner, "_bang", off_target)
+        with pytest.raises(PlanError,
+                           match="planned trajectory failed verification"):
+            plan_unconstrained(3, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.0)
+
 
 class TestTangentMarkerSearch:
     def test_not_entered_when_feasible(self):
@@ -337,8 +364,8 @@ def _plan4_corpus():
 
 
 class TestMarkerLegSolves:
-    """Degree-2 marker legs are root problems, not Newton solves: a leg
-    without a root costs one resultant, not a multistart."""
+    """Degree-2 marker legs are root problems, not numerical stage solves:
+    a leg without a root costs one resultant, not a multistart."""
 
     def test_degree_two_legs_make_no_newton_solve(self, monkeypatch):
         degrees, from_leg, inside = [], [], []
