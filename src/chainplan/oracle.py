@@ -6,6 +6,14 @@ closed forms are derived separately and the stage systems are re-assembled
 here from scratch and solved with a library root finder, MINPACK's hybrid
 Powell method (``scipy.optimize.root``, method "hybr").
 
+A law with a tangent marker is solved in two parts, split at the touch: the
+leg (the stages up to the marker, pinned by its conditions) and the rest
+(the stages after it, from the touch state to the goal).  Every law that
+starts with the same signed leg shares its solutions, so each leg is solved
+once per search.  The oracle finds its legs by multi-start root finding; it
+does not call the planner's exact leg solver (``kinematics.touch_roots``),
+whose errors it must be able to catch.
+
 The planner's ``solver.solve_times`` calls the same MINPACK routine, but on
 residuals it assembles itself; the oracle keeps its own residual closures,
 starts and tolerances.  At orders up to 3, only problems with no bounded
@@ -15,6 +23,7 @@ interior state reach the planner's solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import sqrt
 from typing import Optional
 
@@ -81,11 +90,13 @@ def _law_residuals(elements, x0, xf, M, n):
     advances one stage under its control (None for a marker, which has no
     stage of its own), then, if its pin ``(k, target, zeros)`` is not None,
     pins the state at index ``k`` to ``target`` and those at ``zeros`` to
-    zero.  The closure takes any sequence of stage times and runs them as
-    Python floats: numpy scalars would give the same bits, only slower.
-    The stage step is ``kinematics.propagate``'s order-3 step written out,
-    on states padded with zeros to three: its first n components carry the
-    bits of the order-n step.
+    zero.  The terminal rows pin the end state to ``xf``; with ``xf`` None
+    there are none, and the pins of the law's last marker end the system (a
+    marker leg).  The closure takes any sequence of stage times and runs
+    them as Python floats: numpy scalars would give the same bits, only
+    slower.  The stage step is ``kinematics.propagate``'s order-3 step
+    written out, on states padded with zeros to three: its first n
+    components carry the bits of the order-n step.
     """
     M0 = M[0]
     steps = []
@@ -100,7 +111,7 @@ def _law_residuals(elements, x0, xf, M, n):
             zeros = tuple(k - 1 - j for j in range(1, e.degree))
             steps.append((None, (k - 1, e.behavior.sign * M[k], zeros)))
     start = tuple(x0) + (0.0,) * (3 - n)
-    goal = tuple(xf[k] for k in range(n))
+    goal = () if xf is None else tuple(xf[k] for k in range(n))
 
     def fun(times):
         times = np.asarray(times, dtype=float).tolist()
@@ -127,18 +138,75 @@ def _law_residuals(elements, x0, xf, M, n):
     return fun
 
 
-# root searches per signed law, and the largest residual a solution may keep
+# root searches per signed system, and the largest residual a solution may keep
 SEEDS_PER_LAW = 32
 RESIDUAL_TOL = 1e-10
+# two solutions of one marker leg whose stage times all agree this closely
+# are the same touch
+SAME_LEG_TOL = 1e-9
+
+
+def _solutions(elements, x0, xf, M, n, tau, rng):
+    """Accepted solutions of one signed system, in the order the starts find
+    them: (stage times, end state) pairs.
+
+    The starts climb the seed ladder: one even split of ``tau``, then random
+    times on scales tau, 2 tau, 4 tau, 8 tau, and again.  A solution is
+    accepted when its residual is at most RESIDUAL_TOL, its times are
+    >= -1e-9 (then clipped to zero) and every stage keeps the bounds.  After
+    8 starts without an accepted solution the system is given up.
+    """
+    fun = _law_residuals(elements, x0, xf, M, n)
+    stage_count = sum(1 for e in elements if isinstance(e, Behavior))
+    hits = 0
+    for trial in range(SEEDS_PER_LAW):
+        if trial == 0:
+            guess = np.full(stage_count, tau / stage_count)
+        else:
+            # swing solutions sit well above the boundary-difference
+            # scale; climb a geometric ladder while restarting
+            scale = tau * (2.0 ** ((trial - 1) % 4))
+            guess = scale * rng.random(stage_count)
+        sol = root(fun, guess, method="hybr", tol=1e-12,
+                   options={"maxfev": 40 * (stage_count + 1)})
+        if not sol.success and float(np.max(np.abs(sol.fun))) > RESIDUAL_TOL:
+            if trial + 1 >= 8 and hits == 0:
+                return  # system looks unsolvable for this data
+            continue
+        times = sol.x
+        if np.any(times < -1e-9):
+            continue
+        times = np.clip(times, 0.0, None)
+        if float(np.max(np.abs(fun(times)))) > RESIDUAL_TOL:
+            continue
+        end = _feasible(elements, x0, M, times)
+        if end is None:
+            continue
+        hits += 1
+        yield times, end
+
+
+def _leg_touches(leg, x0, M, n, tau, rng):
+    """Every distinct solution of a marker leg: (leg time, touch state)."""
+    found = []
+    for times, end in _solutions(leg, x0, None, M, n, tau, rng):
+        if all(float(np.max(np.abs(times - other))) > SAME_LEG_TOL
+               for other, _ in found):
+            found.append((times, end))
+    return [(float(np.sum(times)), end) for times, end in found]
 
 
 def exhaustive_tf(problem: Problem) -> OracleResult:
     """Minimum time over every catalog law by multi-start root finding.
 
-    Each unsigned law is tried with both terminal signs from up to
-    SEEDS_PER_LAW starts; converged, nonnegative, bound-respecting solutions
-    compete on total time.  Only orders up to 3 are supported (the catalog
-    is exact there).
+    Each unsigned law is tried with both terminal signs.  A plain law is one
+    system, searched from up to SEEDS_PER_LAW starts until three solutions
+    are accepted.  A law with a tangent marker is split at the marker: its
+    leg is solved once per call for all laws that share it, keeping every
+    distinct touch, and the rest of the law is searched like a plain law
+    from each touch state; its time is the leg's plus the rest's.  Accepted
+    solutions compete on total time.  Only orders up to 3 are supported (the
+    catalog is exact there).
     """
     n = problem.n
     if n > 3:
@@ -153,57 +221,45 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
         delta = abs(xf[k - 1] - x0[k - 1])
         if delta > 0.0:
             tau = max(tau, (2.0 * delta / Mk) ** (1.0 / k))
+    # signed leg -> its (leg time, touch state) solutions; a plain law's
+    # empty leg ends where it starts
+    touches = {(): [(0.0, x0)]}
     best: Optional[tuple[float, str]] = None
     for law in laws.enumerate_af(n):
         if any(isinstance(e, VirtualGroup) for e in law.elements):
             raise OracleError("virtual groups do not occur at orders 1..3")
         for last in (1, -1):
-            signed = laws.assign_signs(law, last)
-            stage_count = sum(1 for e in signed.elements if isinstance(e, Behavior))
-            riding = sum(e.value for e in signed.elements if isinstance(e, Behavior))
-            marker = sum(e.degree for e in signed.elements
+            elements = laws.assign_signs(law, last).elements
+            stage_count = sum(1 for e in elements if isinstance(e, Behavior))
+            riding = sum(e.value for e in elements if isinstance(e, Behavior))
+            marker = sum(e.degree for e in elements
                          if isinstance(e, TangentMarker))
             if stage_count != riding + marker + n:
                 continue
-            if any(isinstance(e, Behavior) and e.value > 0 and M[e.value] is None
-                   for e in signed.elements):
+            # the states that stages ride and markers touch must be bounded
+            pinned = [e.behavior.value if isinstance(e, TangentMarker)
+                      else e.value for e in elements]
+            if any(k > 0 and M[k] is None for k in pinned):
                 continue
-            fun = _law_residuals(signed.elements, x0, xf, M, n)
-            hits = 0
-            for trial in range(SEEDS_PER_LAW):
-                if trial == 0:
-                    guess = np.full(stage_count, tau / stage_count)
-                else:
-                    # swing solutions sit well above the boundary-difference
-                    # scale; climb a geometric ladder while restarting
-                    scale = tau * (2.0 ** ((trial - 1) % 4))
-                    guess = scale * rng.random(stage_count)
-                sol = root(fun, guess, method="hybr", tol=1e-12,
-                           options={"maxfev": 40 * (stage_count + 1)})
-                if not sol.success and float(np.max(np.abs(sol.fun))) > RESIDUAL_TOL:
-                    if trial + 1 >= 8 and hits == 0:
-                        break  # law looks unsolvable for this data
-                    continue
-                times = sol.x
-                if np.any(times < -1e-9):
-                    continue
-                times = np.clip(times, 0.0, None)
-                if float(np.max(np.abs(fun(times)))) > RESIDUAL_TOL:
-                    continue
-                if not _feasible(signed.elements, x0, M, times):
-                    continue
-                tf = float(np.sum(times))
-                hits += 1
-                if best is None or tf < best[0] - 1e-15:
-                    best = (tf, laws.canonical(law))
-                if hits >= 3:
-                    break
+            cut = next((i + 1 for i, e in enumerate(elements)
+                        if isinstance(e, TangentMarker)), 0)
+            leg, rest = elements[:cut], elements[cut:]
+            if leg not in touches:
+                touches[leg] = _leg_touches(leg, x0, M, n, tau, rng)
+            for t_leg, start in touches[leg]:
+                for times, _ in islice(
+                        _solutions(rest, start, xf, M, n, tau, rng), 3):
+                    tf = t_leg + float(np.sum(times))
+                    if best is None or tf < best[0] - 1e-15:
+                        best = (tf, laws.canonical(law))
     if best is None:
         raise OracleError("no catalog law admits a feasible solution")
     return OracleResult(best[0], best[1], (best[0] - RESIDUAL_TOL, best[0] + RESIDUAL_TOL))
 
 
-def _feasible(elements, x0, M, times) -> bool:
+def _feasible(elements, x0, M, times) -> Optional[tuple[float, ...]]:
+    """The end state of the law's stages run from ``x0``, or None when a
+    stage leaves the bounds."""
     cur = tuple(x0)
     ti = 0
     M0 = M[0]
@@ -212,7 +268,7 @@ def _feasible(elements, x0, M, times) -> bool:
             continue
         u = e.sign * M0 if e.value == 0 else 0.0
         if kinematics.segment_bound_check(cur, u, float(times[ti]), M, 1e-9):
-            return False
+            return None
         cur = kinematics.propagate(cur, u, float(times[ti]))
         ti += 1
-    return True
+    return cur

@@ -1,5 +1,7 @@
 """Shared test utilities."""
 
+import numpy as np
+
 from chainplan import kinematics, planner, sampling
 from chainplan.model import Behavior, Problem, Segment, Trajectory, VirtualGroup
 
@@ -16,6 +18,27 @@ def draw_feasible(n, M, rng, margin=0.8):
             return prob, planner.plan(prob)
         except planner.PlanError:
             continue
+
+
+def near_touch_draws(count):
+    """Perturbed copies of the order-3 touch profile, where the free plan
+    grazes x3 = +/-M3 and a tangent-marker leg has to reach the touch: the
+    first ``count`` draws of ``default_rng(43)`` at width w = 0.003, each
+    mirrored where the draw's coin says."""
+    rng = np.random.default_rng(43)
+    w = 0.003
+    M = sampling.default_bounds(3)
+    out = []
+    for _ in range(count):
+        s = rng.choice((-1.0, 1.0))
+        x0 = (1.0 + w * rng.uniform(-0.5, 0.0),
+              -0.375 + w * rng.uniform(-0.5, 0.5),
+              3.999 - w * rng.uniform(0.0, 0.3))
+        xf = (w * rng.uniform(-0.3, 0.3), w * rng.uniform(-0.3, 0.3),
+              4.0 - w * rng.uniform(0.0, 0.3))
+        out.append(Problem(3, tuple(s * v for v in x0),
+                           tuple(s * v for v in xf), M))
+    return out
 
 
 def stage_trajectory(system, solved):

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from chainplan import kinematics, laws, planner
+from chainplan import kinematics, laws, oracle, planner, sampling
 from chainplan.model import Behavior, Problem
 from chainplan.oracle import (
     OracleError,
@@ -11,6 +12,8 @@ from chainplan.oracle import (
     double_integrator_tf,
     exhaustive_tf,
 )
+
+from helpers import near_touch_draws
 
 
 class TestDoubleIntegrator:
@@ -66,11 +69,74 @@ class TestExhaustive:
         with pytest.raises(OracleError):
             exhaustive_tf(prob)
 
+    def test_unbounded_top_state_has_no_marker_law(self):
+        # with M3 unbounded no law touches x3 = +/-M3, and none is tried
+        prob = Problem(3, (0.1, 0.2, 0.3), (-0.2, 0.1, 0.5),
+                       (1.0, 1.0, 1.5, None))
+        res = exhaustive_tf(prob)
+        assert res.law == "000"
+        assert res.t_f == pytest.approx(planner.plan(prob).t_f, abs=1e-9)
+
     def test_dynamically_infeasible_raises(self):
         prob = Problem(3, (0.52, -0.17, 2.73), (0.37, -1.16, 3.61),
                        (1.0, 1.0, 1.5, 4.0))
         with pytest.raises(OracleError):
             exhaustive_tf(prob)
+
+
+def _mirrored(prob):
+    return Problem(prob.n, tuple(-v for v in prob.x0),
+                   tuple(-v for v in prob.xf), prob.M)
+
+
+class TestMarkerSplit:
+    """Marker laws are solved in two parts, split at the touch: each signed
+    leg once per search, then the rest of every law that shares it."""
+
+    @pytest.mark.parametrize("i", [11, 18])
+    def test_finds_near_touch_marker_solutions(self, i):
+        # a full-law root search on these draws found no marker solution
+        prob = near_touch_draws(i + 1)[i]
+        res = exhaustive_tf(prob)
+        assert res.law == "00(3,2)000"
+        assert res.t_f == pytest.approx(planner.plan(prob).t_f, abs=1e-6)
+        assert exhaustive_tf(_mirrored(prob)).t_f == pytest.approx(
+            res.t_f, abs=1e-9)
+
+    def test_each_signed_leg_is_solved_once(self, monkeypatch):
+        legs = Counter()
+        residuals = oracle._law_residuals
+
+        def spy(elements, x0, xf, M, n):
+            if xf is None:
+                legs[tuple(e.text() for e in elements)] += 1
+            return residuals(elements, x0, xf, M, n)
+
+        monkeypatch.setattr(oracle, "_law_residuals", spy)
+        rng = np.random.default_rng(107)
+        probs = near_touch_draws(4) + [
+            sampling.random_problem(3, sampling.default_bounds(3), rng, 0.8)
+            for _ in range(2)]
+        for prob in probs:
+            legs.clear()
+            try:
+                exhaustive_tf(prob)
+            except OracleError:
+                pass
+            assert legs == Counter({("-0", "+0", "(+3,2)"): 1,
+                                    ("+0", "-0", "(-3,2)"): 1,
+                                    ("-0", "-1", "+0", "(+3,2)"): 1,
+                                    ("+0", "+1", "-0", "(-3,2)"): 1})
+
+    def test_leg_has_no_terminal_rows(self):
+        # a leg's residual ends with its marker's pins x3 = sigma M3, x2 = 0
+        M = (1.0, 1.0, 1.5, 4.0)
+        leg = laws.assign_signs(laws.enumerate_af(3)[0], 1).elements[:3]
+        x0 = (0.3, -0.2, 1.1)
+        times = [0.7, 0.4]
+        x = kinematics.propagate(kinematics.propagate(x0, -1.0, 0.7), 1.0, 0.4)
+        got = _law_residuals(leg, x0, None, M, 3)(times)
+        assert got.tolist() == [x[2] - 4.0, x[1]]
 
 
 def _reference_residuals(elements, x0, xf, M, n):

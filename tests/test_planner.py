@@ -18,7 +18,7 @@ from chainplan.planner import (
     plan_unconstrained,
 )
 
-from helpers import draw_feasible
+from helpers import draw_feasible, near_touch_draws
 
 M3 = (1.0, 1.0, 1.5, 4.0)
 M4 = (1.0, 1.0, 1.5, 4.0, 20.0)
@@ -307,25 +307,8 @@ class TestNearTouchMarkers:
     """Perturbed copies of the order-3 touch profile, where the free plan
     grazes x3 = +/-M3 and a tangent-marker leg has to reach the touch."""
 
-    @staticmethod
-    def _draws(count):
-        rng = np.random.default_rng(43)
-        w = 0.003
-        M = sampling.default_bounds(3)
-        out = []
-        for _ in range(count):
-            s = rng.choice((-1.0, 1.0))
-            x0 = (1.0 + w * rng.uniform(-0.5, 0.0),
-                  -0.375 + w * rng.uniform(-0.5, 0.5),
-                  3.999 - w * rng.uniform(0.0, 0.3))
-            xf = (w * rng.uniform(-0.3, 0.3), w * rng.uniform(-0.3, 0.3),
-                  4.0 - w * rng.uniform(0.0, 0.3))
-            out.append(Problem(3, tuple(s * v for v in x0),
-                               tuple(s * v for v in xf), M))
-        return out
-
     def test_marker_plans(self):
-        draws = self._draws(12)
+        draws = near_touch_draws(12)
         marked = {}
         for i, prob in enumerate(draws):
             try:
@@ -335,8 +318,8 @@ class TestNearTouchMarkers:
             if "(+3,2)" in traj.asl.text() or "(-3,2)" in traj.asl.text():
                 marked[i] = traj
         assert sorted(marked) == [3, 5, 7, 9, 10, 11]
-        for i in (3, 9):
-            assert marked[i].t_f <= oracle.exhaustive_tf(draws[i]).t_f + 1e-6
+        for i, traj in marked.items():
+            assert traj.t_f <= oracle.exhaustive_tf(draws[i]).t_f + 1e-6
 
     @pytest.mark.parametrize("i", [7, 15, 23, 24])
     def test_tangent_root_beside_a_crossing(self, i):
@@ -344,7 +327,7 @@ class TestNearTouchMarkers:
         # crossing root that breaks tangency and bounds (draw 7: touch
         # (1.4027, 0.1300), crossing (1.3640, 0.4882)); the exact leg finds
         # the touch, and the plan matches the oracle's optimum
-        prob = self._draws(i + 1)[i]
+        prob = near_touch_draws(i + 1)[i]
         traj = plan(prob)
         assert "(+3,2)" in traj.asl.text() or "(-3,2)" in traj.asl.text()
         assert solver.verify(traj, prob.M, 1e-9) is None
@@ -385,7 +368,7 @@ class TestMarkerLegSolves:
 
         monkeypatch.setattr(Planner, "_marker_leg", leg_spy)
         monkeypatch.setattr(solver, "solve_times", solve_spy)
-        for prob in _plan4_corpus() + TestNearTouchMarkers._draws(40):
+        for prob in _plan4_corpus() + near_touch_draws(40):
             try:
                 plan(prob)
             except PlanError:
