@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from bisect import bisect_right
@@ -127,6 +128,9 @@ def write_csv(traj: Trajectory, path: str, dt: float) -> None:
 
 
 def cmd_plan(args) -> int:
+    if not 0.0 < args.sample_dt < math.inf:
+        return _fail(EXIT_IO, f"sample-dt must be positive and finite, "
+                              f"got {args.sample_dt}")
     try:
         data = _load_json(args.input)
     except (OSError, json.JSONDecodeError) as e:

@@ -2,12 +2,12 @@
 
 The hot kernels of manifold interception (``propagate``, ``integral_top``,
 the order-2 closed form ``plan2`` and its bound-checked, integrated form
-``plan2_top``), the per-segment machinery (state polynomials, stationary
-points, bound violation checks), ``bracket_root``, the one root solver
-(it polishes polynomial roots and solves the manifold interception), and
-``touch_roots``, the exact two-duration solve of degree-2 tangent-marker
-legs.  Callers reach the kernels as ``kinematics.<name>`` so that a
-profiler can wrap them here.
+``plan2_top``), the per-segment machinery (state polynomials, a state's
+samples at a segment's ends and stationary points, bound violation checks),
+``bracket_root``, the one root solver (it polishes polynomial roots and
+solves the manifold interception), and ``touch_roots``, the exact
+two-duration solve of degree-2 tangent-marker legs.  Callers reach the
+kernels as ``kinematics.<name>`` so that a profiler can wrap them here.
 """
 
 from __future__ import annotations
@@ -564,30 +564,34 @@ class Violation:
     value: float
 
 
+def segment_samples(x, u: float, T: float, k: int) -> list[tuple[float, float]]:
+    """(t, x_k(t)) at the ends of a constant-control segment of duration T
+    and at its interior stationary points, in time order: where state k
+    takes its extremes on the segment."""
+    poly = state_polynomial(x, u, k)
+    times = [0.0, T]
+    if T > 0.0 and k >= 2:
+        # stationary points of state k are the roots of state k-1
+        deriv = state_polynomial(x, u, k - 1)
+        if not deriv.is_zero():
+            times.extend(t for t in real_roots(deriv, (0.0, T)) if 0.0 < t < T)
+    times.sort()
+    return [(t, poly(t)) for t in times]
+
+
 def segment_bound_check(x, u: float, T: float, M, eps: float = 1e-9) -> Optional[Violation]:
     """Check |xk(t)| <= Mk + eps along one constant-control segment.
 
-    Evaluates each bounded state at the segment ends and at its interior
-    stationary points (enough for polynomials); returns the first violation
-    or None.
+    Evaluates each bounded state at its ``segment_samples`` (enough for
+    polynomials); returns the first violation or None.
     """
     if T < 0.0:
         raise ValueError(f"segment duration must be >= 0, got {T}")
-    n = len(x)
-    for k in range(1, n + 1):
+    for k in range(1, len(x) + 1):
         bound = M[k]
         if bound is None:
             continue
-        poly = state_polynomial(x, u, k)
-        times = [0.0, T]
-        if T > 0.0 and k >= 2:
-            # stationary points of state k are the roots of state k-1
-            deriv = state_polynomial(x, u, k - 1)
-            if not deriv.is_zero():
-                times.extend(t for t in real_roots(deriv, (0.0, T)) if 0.0 < t < T)
-        times.sort()
-        for t in times:
-            v = poly(t)
+        for t, v in segment_samples(x, u, T, k):
             if abs(v) > bound + eps:
                 return Violation(k, t, v)
     return None

@@ -2,15 +2,18 @@
 
 The planner reduces an order-n problem to order n-1: it projects the start
 onto the lower-order manifold of states that finish the remaining problem
-exactly (the proper position), mirrors when above, and otherwise ascends
-toward the extreme cruise state of the highest bounded state, handing over
-to the lower-order plan the moment the running state is intercepted by the
-manifold.  That moment is found in stage-local time: the manifold gap is
-evaluated at the ascent's stage ends, and the first sign change is solved
-inside its stage, as a stage index, a time into that stage and the state
-there.  When the top-state bound still activates, the planner searches
-tangent-marker constructions: reach the bound with a low-order catalog law
-pinning the touch conditions, then continue from the touch state.
+exactly (the proper position) and classifies the start once per order, as
+on, above or below that manifold.  On it, the lower-order plan's controls
+run unchanged on the order-n chain.  Above it, the planner plans the
+mirrored start, which lies below, and negates that plan.  Below it, the
+planner ascends toward the extreme cruise state of the highest bounded
+state, handing over to the lower-order plan the moment the running state is
+intercepted by the manifold.  That moment is found in stage-local time: the manifold gap is evaluated at
+the ascent's stage ends, and the first sign change is solved inside its
+stage, as a stage index, a time into that stage and the state there.  When
+the top-state bound still activates, the planner searches tangent-marker
+constructions: reach the bound with a low-order catalog law pinning the
+touch conditions, then continue from the touch state.
 
 Time-optimal through order 3; near-optimal above (the virtual continuation
 that encodes interception does not occur in true optima).
@@ -70,19 +73,22 @@ MAX_MARKER_DEPTH = 8
 
 @dataclass(frozen=True)
 class _Plan:
-    """Internal planning result: start state, (control, duration) stages,
-    and the realized law elements.  Stages map 1:1 onto Behavior elements;
-    groups and markers carry no stage."""
+    """Internal planning result: (control, duration) stages and the realized
+    law elements.  Stages map 1:1 onto Behavior elements; groups and markers
+    carry no stage.  A plan holds no start state: the controls are the same
+    from any start, so whoever walks the plan passes the start in."""
 
-    x0: tuple[float, ...]
     stages: tuple[tuple[float, float], ...]
     elements: tuple
-    tf: float
+
+    @property
+    def tf(self) -> float:
+        return sum(t for _, t in self.stages)
 
 
-def _integral_top(p: _Plan) -> float:
+def _integral_top(x0, p: _Plan) -> float:
     total = 0.0
-    cur = p.x0
+    cur = x0
     for u, t in p.stages:
         total += kinematics.integral_top(cur, u, t)
         cur = kinematics.propagate(cur, u, t)
@@ -91,15 +97,9 @@ def _integral_top(p: _Plan) -> float:
 
 def _negate(p: _Plan) -> _Plan:
     return _Plan(
-        tuple(-v for v in p.x0),
         tuple((-u if u != 0.0 else 0.0, t) for u, t in p.stages),
         tuple(e.negated() for e in p.elements),
-        p.tf,
     )
-
-
-def _lift(p: _Plan, xn: float) -> _Plan:
-    return _Plan(p.x0 + (xn,), p.stages, p.elements, p.tf)
 
 
 def _merge_elements(elements, stages):
@@ -124,12 +124,11 @@ def _merge_elements(elements, stages):
     return tuple(out_e), tuple(out_s)
 
 
-def _concat(a: _Plan, b: _Plan, extra_elements=(), extra_stages=()) -> _Plan:
-    elements = a.elements + tuple(extra_elements) + b.elements
-    stages = a.stages + tuple(extra_stages) + b.stages
-    elements, stages = _merge_elements(elements, stages)
-    tf = sum(t for _, t in stages)
-    return _Plan(a.x0, stages, elements, tf)
+def _concat(*parts: _Plan) -> _Plan:
+    elements, stages = _merge_elements(
+        tuple(e for p in parts for e in p.elements),
+        tuple(s for p in parts for s in p.stages))
+    return _Plan(stages, elements)
 
 
 class Planner:
@@ -207,7 +206,7 @@ class Planner:
         plan = self._plan_free(n, x0, xf, M)
         Mn = M[n] if len(M) > n else None
         if Mn is not None:
-            sides = self._violated_sides(n, plan, M)
+            sides = self._violated_sides(n, x0, plan, M)
             if sides:
                 plan = self._marker_search(n, x0, xf, M, sides, depth)
         return plan
@@ -215,10 +214,9 @@ class Planner:
     def _plan1(self, x0, xf, M0: float) -> _Plan:
         delta = xf[0] - x0[0]
         if delta == 0.0:
-            return _Plan(x0, (), (), 0.0)
+            return _Plan((), ())
         u = M0 if delta > 0 else -M0
-        t = abs(delta) / M0
-        return _Plan(x0, ((u, t),), (Behavior(0, 1 if u > 0 else -1),), t)
+        return _Plan(((u, abs(delta) / M0),), (Behavior(0, 1 if u > 0 else -1),))
 
     def _plan2(self, x0, xf, M) -> _Plan:
         stages = self._plan2_top(x0, xf, M)[0]
@@ -232,7 +230,7 @@ class Planner:
                 # plan2 cruises only between its two ramps, at the velocity
                 # bound the first ramp heads for
                 elements.append(Behavior(1, 1 if stages[0][0] > 0.0 else -1))
-        return _Plan(x0, stages, tuple(elements), sum(t for _, t in stages))
+        return _Plan(stages, tuple(elements))
 
     def _plan2_top(self, x0, xf, M):
         """``kinematics.plan2_top`` on an order-2 (sub-)problem; raises
@@ -250,7 +248,7 @@ class Planner:
         if n == 3:
             return xf[2] - self._plan2_top(sub_state, xf, M)[1]
         sub = self._plan(n - 1, sub_state, xf[: n - 1], M[:n])
-        return xf[n - 1] - _integral_top(sub)
+        return xf[n - 1] - _integral_top(sub_state, sub)
 
     def _classify(self, n: int, x0, xf, M) -> tuple[str, float]:
         """PROPER, HIGHER or LOWER for the float state x0, with its gap."""
@@ -266,19 +264,23 @@ class Planner:
         """Plan order n with the top-state bound ignored."""
         kind, gap = self._classify(n, x0, xf, M)
         if kind == PROPER:
-            return _lift(self._plan(n - 1, x0[:-1], xf[:-1], M[:n]), x0[n - 1])
+            return self._plan(n - 1, x0[:-1], xf[:-1], M[:n])
         if kind == HIGHER:
-            mirrored = self._plan_free(n, tuple(-v for v in x0),
-                                       tuple(-v for v in xf), M)
-            return _negate(mirrored)
-        # below the manifold: ascend toward the highest bounded cruise, and
-        # hand over where the manifold intercepts the ascent or its cruise
+            # the mirrored start lies below the mirrored manifold by -gap
+            return _negate(self._plan_lower(n, tuple(-v for v in x0),
+                                            tuple(-v for v in xf), M, -gap))
+        return self._plan_lower(n, x0, xf, M, gap)
+
+    def _plan_lower(self, n: int, x0, xf, M, gap: float) -> _Plan:
+        """Plan order n from x0, which lies below the manifold by the
+        classified gap (< 0): ascend toward the highest bounded cruise, and
+        hand over where the manifold intercepts the ascent or its cruise."""
         if all(M[k] is None for k in range(1, n)):
             return self._bang(n, x0, xf, M[0])
         m = max(k for k in range(1, n) if M[k] is not None)
         target = tuple(M[m] if k == m else 0.0 for k in range(1, n))
-        ascent = _lift(self._plan(n - 1, x0[:-1], target, M[:n]), x0[n - 1])
-        hit, end, g = self._intercept_scan(n, ascent, gap, xf, M)
+        ascent = self._plan(n - 1, x0[:-1], target, M[:n])
+        hit, end, g = self._intercept_scan(n, x0, ascent, gap, xf, M)
         if hit is not None:
             return self._splice_intercept(n, ascent, hit, xf, M, m)
         # no crossing on the ascent: ride the cruise from its last stage end
@@ -307,8 +309,8 @@ class Planner:
         except PlanError:
             return None
 
-    def _intercept_scan(self, n: int, prefix: _Plan, g, xf, M):
-        """Walk the prefix from its start gap g to the first manifold
+    def _intercept_scan(self, n: int, x0, prefix: _Plan, g, xf, M):
+        """Walk the prefix from x0 and its gap g to the first manifold
         crossing: (hit, end, g_end).  hit is (j, tau, state) when the
         crossing lies tau into stage j, else None; end and g_end are where
         the walk stopped and the gap there (None where the lower-order plan
@@ -320,7 +322,7 @@ class Planner:
         that stage's start state.  A stage end where the lower-order plan
         fails starts a new bracket.
         """
-        cur = prefix.x0
+        cur = x0
         if g == 0.0:
             return (0, 0.0, cur), cur, g
         for j, (u, dur) in enumerate(prefix.stages):
@@ -350,28 +352,23 @@ class Planner:
 
     # ---------------- composition ----------------
 
-    def _splice_intercept(self, n, prefix_lifted: _Plan, hit, xf, M, m) -> _Plan:
+    def _splice_intercept(self, n, prefix: _Plan, hit, xf, M, m) -> _Plan:
         j, tau, state = hit
-        stage_elem = [i for i, e in enumerate(prefix_lifted.elements)
+        stage_elem = [i for i, e in enumerate(prefix.elements)
                       if isinstance(e, Behavior)]
         cont = self._plan(n - 1, state[: n - 1], xf[:-1], M[:n])
-        cont_l = _lift(cont, state[n - 1])
-        head_stages = prefix_lifted.stages[:j] \
-            + ((prefix_lifted.stages[j][0], tau),)
-        head_elems = prefix_lifted.elements[: stage_elem[j] + 1]
-        head = _Plan(prefix_lifted.x0, head_stages, head_elems,
-                     sum(t for _, t in head_stages))
-        members = [e for e in prefix_lifted.elements[stage_elem[j] + 1:]
+        head = _Plan(prefix.stages[:j] + ((prefix.stages[j][0], tau),),
+                     prefix.elements[: stage_elem[j] + 1])
+        if not cont.elements:
+            return _concat(head, cont)
+        members = [e for e in prefix.elements[stage_elem[j] + 1:]
                    if isinstance(e, Behavior)]
         members.append(Behavior(m, 1))
         group = laws.simplify(Asl((VirtualGroup(tuple(members)),))).elements
-        if not cont_l.elements:
-            return _concat(head, cont_l)
-        return _concat(head, cont_l, extra_elements=group)
+        return _concat(head, _Plan((), group), cont)
 
     def _splice_ride(self, n, ascent: _Plan, t_ride, state, xf, M, m) -> _Plan:
         cont = self._plan(n - 1, state[: n - 1], xf[:-1], M[:n])
-        cont_l = _lift(cont, state[n - 1])
         # the ascent to x_m = M_m can end in zero-length ramps whose sign
         # breaks the law's sign chain before the ride; they move nothing
         stages, elements = list(ascent.stages), list(ascent.elements)
@@ -379,9 +376,9 @@ class Planner:
                 and isinstance(elements[-1], Behavior):
             stages.pop()
             elements.pop()
-        head = _Plan(ascent.x0, tuple(stages) + ((0.0, t_ride),),
-                     tuple(elements) + (Behavior(m, 1),), ascent.tf + t_ride)
-        return _concat(head, cont_l)
+        head = _Plan(tuple(stages) + ((0.0, t_ride),),
+                     tuple(elements) + (Behavior(m, 1),))
+        return _concat(head, cont)
 
     def _ride_root(self, n, start, g_lo, xf, M):
         """(tau, state) where the gap, g_lo at start, changes sign on the
@@ -411,8 +408,7 @@ class Planner:
             sol = solver.solve_times(system, max_restarts=SOLVER_RESTARTS)
             if sol is None:
                 continue
-            p = _Plan(tuple(x0), tuple(zip(system.controls, sol.times)),
-                      signed.elements, sum(sol.times))
+            p = _Plan(tuple(zip(system.controls, sol.times)), signed.elements)
             if best is None or p.tf < best.tf:
                 best = p
         if best is None:
@@ -421,20 +417,12 @@ class Planner:
 
     # ---------------- tangent markers ----------------
 
-    def _violated_sides(self, n: int, p: _Plan, M) -> list[int]:
+    def _violated_sides(self, n: int, x0, p: _Plan, M) -> list[int]:
         lim = M[n] + self.bound_eps
         lo_hit = hi_hit = False
-        cur = p.x0
+        cur = x0
         for u, dur in p.stages:
-            poly = kinematics.state_polynomial(cur, u, n)
-            ts = [0.0, dur]
-            if dur > 0.0 and n >= 2:
-                deriv = kinematics.state_polynomial(cur, u, n - 1)
-                if not deriv.is_zero():
-                    ts.extend(t for t in kinematics.real_roots(deriv, (0.0, dur))
-                              if 0.0 < t < dur)
-            for t in ts:
-                v = poly(t)
+            for _, v in kinematics.segment_samples(cur, u, dur, n):
                 if v > lim:
                     hi_hit = True
                 elif v < -lim:
@@ -469,15 +457,14 @@ class Planner:
                     except PlanError:
                         continue
                     marker = TangentMarker(Behavior(n, sigma), d)
-                    extra: tuple = (marker,)
-                    pad_stage: tuple = ()
                     first = cont.elements[0] if cont.elements else None
                     if first is None or not isinstance(first, Behavior) \
                             or first.value != 0:
-                        extra = (marker, Behavior(0, sigma))
-                        pad_stage = ((sigma * M[0], 0.0),)
-                    candidate = _concat(leg_plan, cont, extra_elements=extra,
-                                        extra_stages=pad_stage)
+                        join = _Plan(((sigma * M[0], 0.0),),
+                                     (marker, Behavior(0, sigma)))
+                    else:
+                        join = _Plan((), (marker,))
+                    candidate = _concat(leg_plan, join, cont)
                     key = (candidate.tf, laws.canonical(Asl(candidate.elements)))
                     if best is None or candidate.tf < best_key[0] - 1e-12 \
                             or (candidate.tf < best_key[0] + 1e-12
@@ -537,8 +524,7 @@ class Planner:
             touch[n - 1] = sigma * M[n]
             for j in range(1, d):
                 touch[n - 1 - j] = 0.0
-            p = _Plan(tuple(x0), stages, signed_law.elements, sum(times))
-            return p, tuple(touch)
+            return _Plan(stages, signed_law.elements), tuple(touch)
         return None
 
     def _touch_times(self, x0, M, controls, top):
@@ -579,7 +565,7 @@ class Planner:
 
     def _to_trajectory(self, p: _Plan, problem: Problem) -> Trajectory:
         segments = []
-        cur = p.x0
+        cur = problem.x0
         for u, dur in p.stages:
             segments.append(Segment(u, dur, cur))
             cur = kinematics.propagate(cur, u, dur)

@@ -273,24 +273,46 @@ class VerifyFailure:
 
 
 def verify(trajectory: Trajectory, M, eps: float = 1e-9) -> Optional[VerifyFailure]:
-    """Feasibility check: nonnegative durations, all bounds along every
-    segment, and the terminal state within eps of the target (scaled)."""
+    """Feasibility check of the whole path: nonnegative durations, |u| <= M0,
+    a path that starts at x0 and has no jumps between segments, all bounds
+    along every segment, the terminal state within eps of the target, and
+    t_f the sum of the durations.  State k's start and terminal errors
+    scale by max(1, Mk), or by max(1, |xf_k|) where x_k is unbounded."""
+    problem = trajectory.problem
+    xf = problem.xf
+    scales = [max(1.0, M[k]) if k < len(M) and M[k] is not None
+              else max(1.0, abs(xf[k - 1])) for k in range(1, len(xf) + 1)]
+
+    def off(x, target) -> int:
+        """The first state k where x misses target by more than eps, or 0."""
+        return next((k for k in range(1, len(xf) + 1)
+                     if abs(x[k - 1] - target[k - 1]) > eps * scales[k - 1]), 0)
+
     t_off = 0.0
+    end = problem.x0
     for seg in trajectory.segments:
         if seg.duration < -1e-12:
             return VerifyFailure("negative duration", t=seg.duration)
+        if abs(seg.u) > M[0] + eps:
+            return VerifyFailure("input bound exceeded", t=t_off, value=seg.u)
+        k = off(seg.start, end)
+        if k:
+            return VerifyFailure("segment start off the path", k=k, t=t_off,
+                                 value=seg.start[k - 1])
         dur = max(0.0, seg.duration)
         v = kinematics.segment_bound_check(seg.start, seg.u, dur, M, eps)
         if v is not None:
             return VerifyFailure("state bound exceeded", k=v.k,
                                  t=t_off + v.t, value=v.value)
         t_off += dur
-    end = trajectory.end_state
-    xf = trajectory.problem.xf
-    for k in range(1, len(xf) + 1):
-        bound = M[k] if k < len(M) else None
-        scale = max(1.0, bound) if bound is not None else max(1.0, abs(xf[k - 1]))
-        if abs(end[k - 1] - xf[k - 1]) > eps * scale:
-            return VerifyFailure("terminal state off target", k=k,
-                                 t=trajectory.t_f, value=end[k - 1])
+        end = kinematics.propagate(seg.start, seg.u, seg.duration)
+    t_f = trajectory.t_f
+    k = off(end, xf)
+    if k:
+        return VerifyFailure("terminal state off target", k=k, t=t_f,
+                             value=end[k - 1])
+    total = sum(seg.duration for seg in trajectory.segments)
+    if abs(t_f - total) > eps * max(1.0, abs(t_f)):
+        return VerifyFailure("t_f differs from the summed durations", t=t_f,
+                             value=total)
     return None

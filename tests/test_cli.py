@@ -99,6 +99,14 @@ class TestPlan:
         assert times == sorted(times)
         assert len(times) == len(set(times))
 
+    @pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
+    def test_bad_sample_dt_exit_3(self, tmp_path, dt):
+        # a period <= 0 would sample the CSV forever
+        inp = write_problem(tmp_path, FIG7A)
+        assert main(["plan", "--input", inp, "--csv", str(tmp_path / "t.csv"),
+                     "--sample-dt", dt]) == 3
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestEnumerate:
     def test_order_two(self, capsys):
@@ -131,6 +139,23 @@ class TestMetrics:
         assert 0.0 <= scores["T_v"] <= 1.0
         assert scores["t_f"] == pytest.approx(6.31076388, abs=1e-6)
 
+    @pytest.mark.parametrize("problem, trajectory", [
+        ({"order": 1, "x0": [0], "xf": [3], "M": [1, None]},
+         {"t_f": 0.5, "segments": [{"u": 6.0, "duration": 0.5,
+                                    "start": [0.0]}]}),
+        (FIG7A, {"t_f": 0.0, "segments": [{"u": 0.0, "duration": 0.0,
+                                           "start": [0.0, 0.0, 0.0]}]}),
+    ], ids=["input-above-M0", "starts-at-goal"])
+    def test_invalid_path_is_no_success(self, tmp_path, problem,
+                                           trajectory):
+        # each reaches its goal, but with |u| > M0 or by a jump from x0
+        inp = write_problem(tmp_path, problem)
+        tpath = write_problem(tmp_path, trajectory, "traj.json")
+        mout = str(tmp_path / "m.json")
+        assert main(["metrics", "--trajectory", tpath, "--problem", inp,
+                     "--output", mout]) == 0
+        assert json.loads((tmp_path / "m.json").read_text())["success"] \
+            is False
 
     @pytest.mark.parametrize("trajectory", [
         {"t_f": 1.0, "segments": [{"u": 1.0, "duration": None,

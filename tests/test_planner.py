@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -41,10 +42,11 @@ def intercept_time(prefix: Trajectory, xf, M):
     """Time into the prefix at which its state meets the lower-order
     manifold of xf, or None."""
     stages = tuple((s.u, s.duration) for s in prefix.segments)
-    p = _Plan(prefix.segments[0].start, stages, (), prefix.t_f)
+    p = _Plan(stages, ())
+    x0 = prefix.segments[0].start
     n, xf, M = len(xf), tuple(map(float, xf)), tuple(M)
     pl = Planner()
-    hit, _, _ = pl._intercept_scan(n, p, pl._gap_or_none(n, p.x0, xf, M),
+    hit, _, _ = pl._intercept_scan(n, x0, p, pl._gap_or_none(n, x0, xf, M),
                                    xf, M)
     if hit is None:
         return None
@@ -53,14 +55,14 @@ def intercept_time(prefix: Trajectory, xf, M):
 
 
 def _plan_stages(traj: Trajectory) -> _Plan:
-    return _Plan(traj.problem.x0,
-                 tuple((s.u, s.duration) for s in traj.segments),
-                 tuple(traj.asl.elements), traj.t_f)
+    return _Plan(tuple((s.u, s.duration) for s in traj.segments),
+                 tuple(traj.asl.elements))
 
 
 def violated_sides(problem: Problem, free: Trajectory):
     """Sides of the top-state bound that the free plan crosses."""
-    return Planner()._violated_sides(problem.n, _plan_stages(free), problem.M)
+    return Planner()._violated_sides(problem.n, free.problem.x0,
+                                     _plan_stages(free), problem.M)
 
 
 def tangent_marker_search(problem: Problem, free: Trajectory) -> Trajectory:
@@ -153,7 +155,7 @@ class TestProperPosition:
             s = tuple(float(rng.uniform(-b, b)) for b in M[1:3])
             xf = tuple(float(rng.uniform(-b, b)) for b in M[1:4])
             try:
-                ref = xf[2] - _integral_top(pl._plan(2, s, xf[:2], M))
+                ref = xf[2] - _integral_top(s, pl._plan(2, s, xf[:2], M))
             except PlanError:
                 raised += 1
                 with pytest.raises(PlanError, match="position bound"):
@@ -271,7 +273,7 @@ class TestPlanUnconstrained:
         def off_target(self, n, x0, xf, M0):
             p = bang(self, n, x0, xf, M0)
             (u, t), *rest = p.stages
-            return _Plan(p.x0, ((u, t + 0.1), *rest), p.elements, p.tf + 0.1)
+            return _Plan(((u, t + 0.1), *rest), p.elements)
 
         monkeypatch.setattr(Planner, "_bang", off_target)
         with pytest.raises(PlanError,
@@ -494,6 +496,10 @@ class TestRidePath:
         assert traj.t_f <= oracle.exhaustive_tf(prob).t_f + 1e-9
 
 
+# a prefix plan with the start state that the grid scan walks it from
+_Walk = namedtuple("_Walk", "x0 stages")
+
+
 class _GridScanPlanner(Planner):
     """Reference interception by grid scan in prefix time: 64 points per
     stage at order <= 3; above, a stage-end pass whose bracket is
@@ -502,9 +508,10 @@ class _GridScanPlanner(Planner):
 
     GRID = 64
 
-    def _intercept_scan(self, n, prefix, g, xf, M):
+    def _intercept_scan(self, n, x0, prefix, g, xf, M):
         # the start gap g is not used: the grid evaluates its own, and the
         # ride starts from the prefix end state and a fresh gap there
+        prefix = _Walk(x0, prefix.stages)
         if n <= 3:
             hit = self._scan_over(n, prefix, xf, M, self.GRID)
         else:
@@ -637,11 +644,12 @@ class TestInterceptBoundaryPass:
                     raise PlanError("no lower-order plan")
                 return super()._gap_at(n, state, xf, M)
 
-        prefix = _Plan((0.0, 0.0), ((1.0, 1.0),) * 3, (), 3.0)
-        (j, tau, _), _, _ = Line()._intercept_scan(2, prefix, -1.5, None, None)
+        x0, prefix = (0.0, 0.0), _Plan(((1.0, 1.0),) * 3, ())
+        (j, tau, _), _, _ = Line()._intercept_scan(2, x0, prefix, -1.5,
+                                                   None, None)
         assert (j, tau) == (1, 0.5)
         # no crossing: the walk ends at the last stage end, x1 = 3
-        hit, end, g = Gappy()._intercept_scan(2, prefix, -1.5, None, None)
+        hit, end, g = Gappy()._intercept_scan(2, x0, prefix, -1.5, None, None)
         assert hit is None
         assert (end[0], g) == (3.0, 1.5)
 
@@ -675,7 +683,7 @@ class TestGapEvaluations:
     """The lower branch walks the ascent and its cruise once: the gap that
     classifies the start opens the walk, and the ride continues from the
     walk's last stage end and gap, so no order plans the same sub-state
-    twice in a row."""
+    twice in a row; and each level classifies its start once."""
 
     @pytest.mark.parametrize("n, count", [(3, 100), (4, 4)])
     def test_no_lower_order_plan_repeats(self, n, count, monkeypatch):
@@ -697,6 +705,41 @@ class TestGapEvaluations:
             _outcome(Planner(), sampling.random_problem(n, M, rng, 0.8))
         assert calls[0] > 100 * n
         assert repeats == []
+
+    @pytest.mark.parametrize("n, count", [(3, 100), (4, 4)])
+    def test_one_classification_per_level(self, n, count, monkeypatch):
+        # a start above the manifold plans its mirror below it without
+        # classifying the mirror again
+        plan_free, classify = Planner._plan_free, Planner._classify
+        active, self_calls, per_call = [], [], []
+
+        def plan_free_spy(self, k, x0, xf, M):
+            if active and active[-1][0] == k:
+                self_calls.append(k)
+            frame = [k, 0]
+            active.append(frame)
+            try:
+                return plan_free(self, k, x0, xf, M)
+            finally:
+                active.pop()
+                per_call.append(frame[1])
+
+        def classify_spy(self, k, x0, xf, M):
+            active[-1][1] += 1
+            return classify(self, k, x0, xf, M)
+
+        monkeypatch.setattr(Planner, "_plan_free", plan_free_spy)
+        monkeypatch.setattr(Planner, "_classify", classify_spy)
+        rng = np.random.default_rng(1)
+        M = sampling.default_bounds(n)
+        for _ in range(count):
+            prob = sampling.random_problem(n, M, rng, 0.8)
+            _outcome(Planner(), prob)
+            _outcome(Planner(), Problem(n, tuple(-v for v in prob.x0),
+                                        tuple(-v for v in prob.xf), M))
+        assert len(per_call) > count
+        assert self_calls == []
+        assert set(per_call) == {1}
 
 
 class TestRootCounts:

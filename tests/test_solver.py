@@ -204,6 +204,35 @@ class TestRealizeAndVerify:
         failure = verify(traj, prob.M, 1e-9)
         assert failure is not None and "terminal" in failure.reason
 
+    def test_verify_detects_input_above_M0(self):
+        # u = 6 for 0.5 s reaches the goal, but only at six times M0
+        prob = Problem(1, (0.0,), (3.0,), (1.0, None))
+        traj = Trajectory((Segment(6.0, 0.5, (0.0,)),), 0.5, Asl(()), prob)
+        failure = verify(traj, prob.M, 1e-9)
+        assert failure is not None and "input" in failure.reason
+        assert failure.value == 6.0
+
+    def test_verify_detects_jumps(self):
+        # the first segment must start at x0, and each later one where its
+        # predecessor ends
+        prob = Problem(1, (0.0,), (1.0,), (1.0, None))
+        traj = Trajectory((Segment(1.0, 1.0, (0.5,)),), 1.0, Asl(()), prob)
+        failure = verify(traj, prob.M, 1e-9)
+        assert failure is not None and "start" in failure.reason
+        assert (failure.k, failure.t) == (1, 0.0)
+        traj = Trajectory((Segment(1.0, 0.5, (0.0,)), Segment(1.0, 0.5, (0.6,))),
+                          1.0, Asl(()), prob)
+        failure = verify(traj, prob.M, 1e-9)
+        assert failure is not None and "start" in failure.reason
+        assert (failure.k, failure.t, failure.value) == (1, 0.5, 0.6)
+
+    def test_verify_detects_t_f_mismatch(self):
+        prob = Problem(1, (0.0,), (1.0,), (1.0, None))
+        traj = Trajectory((Segment(1.0, 1.0, (0.0,)),), 2.0, Asl(()), prob)
+        failure = verify(traj, prob.M, 1e-9)
+        assert failure is not None and "t_f" in failure.reason
+        assert (failure.t, failure.value) == (2.0, 1.0)
+
     def test_verify_clamps_tiny_negative_duration(self):
         prob = Problem(1, (0.0,), (0.0,), (1.0, None))
         traj = Trajectory((Segment(1.0, -1e-15, (0.0,)),), 0.0, Asl(()), prob)
