@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from bisect import bisect_right
 from typing import Optional
 
 import numpy as np
@@ -98,17 +97,12 @@ def write_csv(traj: Trajectory, path: str, dt: float) -> None:
     """Sampled states at a fixed period plus every switching instant (each
     exactly once, carrying the incoming segment's control)."""
     n = traj.problem.n
-    boundaries = []
-    acc = 0.0
-    for seg in traj.segments:
-        acc += seg.duration
-        boundaries.append(acc)
     times = [0.0]
     k = 1
     while k * dt < traj.t_f - 1e-15:
         times.append(k * dt)
         k += 1
-    times.extend(b for b in boundaries[:-1] if b > 0.0)
+    times.extend(b for b in traj.ends[:-1] if b > 0.0)
     times.append(traj.t_f)
     times = sorted(set(times))
     dedup = [times[0]]
@@ -120,10 +114,8 @@ def write_csv(traj: Trajectory, path: str, dt: float) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,u," + ",".join(f"x{k}" for k in range(1, n + 1)) + "\n")
         for t in dedup:
-            i = min(bisect_right(boundaries, t), len(traj.segments) - 1)
-            u = traj.segments[i].u if traj.segments else 0.0
             state = traj.state_at(t)
-            fh.write(f"{t:.17g},{u:.17g},"
+            fh.write(f"{t:.17g},{traj.control_at(t):.17g},"
                      + ",".join(f"{v:.17g}" for v in state) + "\n")
 
 
@@ -187,15 +179,7 @@ def cmd_metrics(args) -> int:
         traj = trajectory_from_dict(tdata, problem)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         return _fail(EXIT_IO, f"cannot read inputs: {e}")
-    sc = metrics.sample_control(traj, args.samples) if traj.segments else None
-    result = {
-        "t_f": traj.t_f,
-        "E_s": metrics.terminal_error(traj.end_state, problem.xf, problem.M),
-        "E_m": metrics.em_mse(traj),
-        "T_v": metrics.tv_total_variation(sc) if sc else 0.0,
-        "success": metrics.is_success(traj, problem, args.eps),
-    }
-    _dump_json(result, args.output)
+    _dump_json(metrics.score(traj, args.samples, args.eps), args.output)
     return 0
 
 
@@ -233,17 +217,8 @@ def cmd_batch(args) -> int:
                              "or lower --margin")
             continue
         timings.append(time.perf_counter() - t0)
-        sc = metrics.sample_control(traj, 1000) if traj.segments else None
-        records.append({
-            "x0": list(problem.x0),
-            "xf": list(problem.xf),
-            "t_f": traj.t_f,
-            "E_s": metrics.terminal_error(traj.end_state, problem.xf,
-                                          problem.M),
-            "E_m": metrics.em_mse(traj),
-            "T_v": metrics.tv_total_variation(sc) if sc else 0.0,
-            "success": metrics.is_success(traj, problem),
-        })
+        records.append({"x0": list(problem.x0), "xf": list(problem.xf),
+                        **metrics.score(traj)})
     succ = [r["success"] for r in records]
     tfs = sorted(r["t_f"] for r in records)
     errs = sorted(r["E_s"] for r in records)

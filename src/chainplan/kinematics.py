@@ -409,34 +409,57 @@ def _touch_residual(x, ua, ub, top, a, b) -> float:
     return max(abs(z[-2]), abs(z[-1] - top))
 
 
+def _touch_step(x, ua, ub, top, a, b):
+    """One Newton step on the 2 x 2 touch system, clipped to durations
+    >= 0, or None where its Jacobian is singular."""
+    n = len(x)
+    y = propagate(x, ua, a)
+    z = propagate(y, ub, b)
+    # d z / d a is the switch state's rate under ua, (ua, y_1, ...,
+    # y_{n-1}), carried through the last stage; d z / d b is the end
+    # state's rate under ub
+    ja = propagate((ua,) + y[:-1], 0.0, b)
+    jb = (ub,) + z[:-1]
+    det = ja[n - 2] * jb[n - 1] - jb[n - 2] * ja[n - 1]
+    if det == 0.0:
+        return None
+    r1, r2 = z[n - 2], z[n - 1] - top
+    na = a - (r1 * jb[n - 1] - jb[n - 2] * r2) / det
+    nb = b - (ja[n - 2] * r2 - r1 * ja[n - 1]) / det
+    return max(0.0, na), max(0.0, nb)
+
+
 def _touch_polish(x, ua, ub, top, a, b):
     """Newton steps on the 2 x 2 touch system, each kept only where it
     lowers the residual.  At a touch on the b = 0 boundary the Jacobian is
     singular (both durations move x_n at rate x_{n-1} = 0), and such a step
-    is refused rather than taken."""
-    n = len(x)
+    is refused rather than taken.
+
+    From order 5 on, a resultant root can land where these guarded steps
+    stall far from the touch; there up to 30 unguarded steps follow, and
+    the iterate with the lowest residual is kept."""
     r = _touch_residual(x, ua, ub, top, a, b)
     for _ in range(3):
         if r == 0.0:
             break
-        y = propagate(x, ua, a)
-        z = propagate(y, ub, b)
-        # d z / d a is the switch state's rate under ua, (ua, y_1, ...,
-        # y_{n-1}), carried through the last stage; d z / d b is the end
-        # state's rate under ub
-        ja = propagate((ua,) + y[:-1], 0.0, b)
-        jb = (ub,) + z[:-1]
-        det = ja[n - 2] * jb[n - 1] - jb[n - 2] * ja[n - 1]
-        if det == 0.0:
+        step = _touch_step(x, ua, ub, top, a, b)
+        if step is None:
             break
-        r1, r2 = z[n - 2], z[n - 1] - top
-        na = a - (r1 * jb[n - 1] - jb[n - 2] * r2) / det
-        nb = b - (ja[n - 2] * r2 - r1 * ja[n - 1]) / det
-        na, nb = max(0.0, na), max(0.0, nb)
-        nr = _touch_residual(x, ua, ub, top, na, nb)
+        nr = _touch_residual(x, ua, ub, top, *step)
         if not nr < r:
             break
-        a, b, r = na, nb, nr
+        (a, b), r = step, nr
+    if len(x) >= 5 and r > 1e-8 * max(1.0, abs(top)):
+        best = (r, a, b)
+        for _ in range(30):
+            step = _touch_step(x, ua, ub, top, a, b)
+            if step is None:
+                break
+            a, b = step
+            nr = _touch_residual(x, ua, ub, top, a, b)
+            if nr < best[0]:
+                best = (nr, a, b)
+        _, a, b = best
     return a, b
 
 
@@ -532,9 +555,12 @@ def touch_roots(x, ua: float, ub: float, top: float,
     # span they are taken on, so a box wider than 2 tau, where tau is the
     # time ub takes to move x_n from rest to |top|, is cut into [0, 2 tau]
     # and pieces that double from there; each piece is centred, a = c + h s
-    # with s in [-1, 1]
+    # with s in [-1, 1].  From order 5 on the first piece is [0, tau / 2]:
+    # on [0, 2 tau] the resultant, of degree 20 and up, can be flat to 1e-13
+    # across a touch and lose it
     tau = (_FACT[n] * top / abs(ub)) ** (1.0 / n)
-    cuts = [0.0, min(a_hi, 2.0 * tau) if tau > 0.0 else a_hi]
+    first = (2.0 if n < 5 else 0.5) * tau
+    cuts = [0.0, min(a_hi, first) if tau > 0.0 else a_hi]
     while cuts[-1] < a_hi:
         cuts.append(min(a_hi, 2.0 * cuts[-1]))
     out = set()

@@ -23,8 +23,8 @@ group-sign          the last member's sign opposes the stage after the
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .model import (
@@ -226,9 +226,6 @@ def canonical(asl: Asl) -> str:
     return asl.unsigned().text()
 
 
-_af_memo: dict[int, tuple[Asl, ...]] = {}
-_af_lock = threading.Lock()
-
 DEFAULT_ENUMERATION_CAP = 10 ** 6
 
 
@@ -247,6 +244,7 @@ def _accept(asl: Asl, order: int) -> bool:
     return dimension(asl) == order and not validate(asl)
 
 
+@cache
 def enumerate_af(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Asl, ...]:
     """The order-n catalog of augmented switching laws, unsigned and canonical.
 
@@ -255,18 +253,13 @@ def enumerate_af(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Asl, ...]:
     wraps a split suffix plus the riding behavior into a virtual group, or
     prefixes a tangent-marker construction with a low-order reach law.  For
     order >= 4 the construction is a superset claim only; nothing beyond it
-    is generated.  Results are deduplicated after simplification and sorted.
+    is generated.  Results are deduplicated after simplification, sorted,
+    and cached by argument.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    with _af_lock:
-        if n in _af_memo:
-            return _af_memo[n]
     if n == 1:
-        result = (Asl((Behavior(0),)),)
-        with _af_lock:
-            _af_memo[1] = result
-        return result
+        return (Asl((Behavior(0),)),)
     lower = enumerate_af(n - 1, cap)
     k = n - 1
     count = 0
@@ -313,7 +306,4 @@ def enumerate_af(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Asl, ...]:
                 marker = TangentMarker(Behavior(n), d)
                 push(s1.elements + (marker,) + s2.elements, marker_pool)
     pool.update(marker_pool)
-    result = tuple(pool[key] for key in sorted(pool))
-    with _af_lock:
-        _af_memo[n] = result
-    return result
+    return tuple(pool[key] for key in sorted(pool))

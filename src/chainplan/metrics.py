@@ -1,48 +1,22 @@
 """Trajectory quality metrics: terminal error, saturation-law deviation,
-control total variation, success classification."""
+control total variation, success classification, and ``score``, which
+reports them together."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
 from math import sqrt
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from . import solver
 from .model import Problem, Trajectory
 
 
-@dataclass(frozen=True)
-class SampledControl:
-    """Control samples u_k on the uniform grid t_k = (k/n) t_f, k = 0..n."""
-
-    t_f: float
-    samples: tuple[float, ...]
-    M0: float
-
-    def __post_init__(self):
-        if len(self.samples) < 2:
-            raise ValueError("need at least two control samples")
-
-
-def sample_control(trajectory: Trajectory, intervals: int) -> SampledControl:
-    """Sample a trajectory's control on a uniform grid (right-continuous at
-    switching instants)."""
-    M0 = trajectory.problem.M[0]
-    if not trajectory.segments:
-        return SampledControl(0.0, (0.0,) * (intervals + 1), M0)
-    bounds = []
-    acc = 0.0
-    for seg in trajectory.segments:
-        acc += seg.duration
-        bounds.append(acc)
+def sample_control(trajectory: Trajectory, intervals: int) -> tuple[float, ...]:
+    """The control on the uniform grid t_k = (k / intervals) t_f for
+    k = 0..intervals (right-continuous at switching instants)."""
     t_f = trajectory.t_f
-    out = []
-    for k in range(intervals + 1):
-        t = t_f * k / intervals
-        i = min(bisect_right(bounds, t), len(trajectory.segments) - 1)
-        out.append(trajectory.segments[i].u)
-    return SampledControl(t_f, tuple(out), M0)
+    return tuple(trajectory.control_at(t_f * k / intervals)
+                 for k in range(intervals + 1))
 
 
 def terminal_error(x_solved_f, xf, M) -> float:
@@ -58,52 +32,31 @@ def terminal_error(x_solved_f, xf, M) -> float:
     return sqrt(total)
 
 
-def _em_integrand(u: float, M0: float) -> float:
-    return min(u * u, (abs(u) - M0) ** 2)
-
-
-def em_mse(u: Union[Trajectory, Sequence[tuple[float, float]], SampledControl],
-           M0: Optional[float] = None) -> float:
-    """Normalized RMS distance of the control from the saturation law.
+def em_mse(trajectory: Trajectory) -> float:
+    """Normalized RMS distance of the control from the saturation law,
+    exact on the piecewise-constant control.
 
     0 exactly when u(t) stays in {-M0, 0, +M0}; 1 exactly when
-    |u(t)| = M0/2 throughout.  Exact for piecewise-constant input
-    (a trajectory or a list of (control, duration) pieces); trapezoidal
-    on sampled controls.
+    |u(t)| = M0/2 throughout.
     """
-    if isinstance(u, Trajectory):
-        pieces = [(s.u, s.duration) for s in u.segments]
-        M0 = u.problem.M[0]
-        return _em_pieces(pieces, M0)
-    if isinstance(u, SampledControl):
-        return _em_samples(u)
-    if M0 is None:
-        raise ValueError("M0 is required for a raw piece list")
-    return _em_pieces(list(u), M0)
-
-
-def _em_pieces(pieces, M0: float) -> float:
-    t_f = sum(t for _, t in pieces)
+    M0 = trajectory.problem.M[0]
+    segments = trajectory.segments
+    t_f = sum(s.duration for s in segments)
     if t_f <= 0.0:
         return 0.0
-    acc = sum(_em_integrand(u, M0) * t for u, t in pieces)
+    acc = sum(min(s.u * s.u, (abs(s.u) - M0) ** 2) * s.duration
+              for s in segments)
     return sqrt(4.0 * acc / (M0 * M0 * t_f))
 
 
-def _em_samples(sc: SampledControl) -> float:
-    if sc.t_f <= 0.0:
-        return 0.0
-    vals = [_em_integrand(u, sc.M0) for u in sc.samples]
-    n = len(vals) - 1
-    acc = sum((vals[i] + vals[i + 1]) * 0.5 for i in range(n)) * (sc.t_f / n)
-    return sqrt(4.0 * acc / (sc.M0 * sc.M0 * sc.t_f))
-
-
-def tv_total_variation(u: SampledControl) -> float:
-    """Normalized total variation of the sampled control, in [0, 1]."""
-    n = len(u.samples) - 1
-    acc = sum(abs(u.samples[k] - u.samples[k - 1]) for k in range(1, n + 1))
-    return acc / (2.0 * n * u.M0)
+def tv_total_variation(samples: Sequence[float], M0: float) -> float:
+    """Normalized total variation of control samples on a uniform grid,
+    in [0, 1] while |u| <= M0."""
+    if len(samples) < 2:
+        raise ValueError("need at least two control samples")
+    n = len(samples) - 1
+    acc = sum(abs(samples[k] - samples[k - 1]) for k in range(1, n + 1))
+    return acc / (2.0 * n * M0)
 
 
 def is_success(trajectory: Trajectory, problem: Problem,
@@ -112,3 +65,19 @@ def is_success(trajectory: Trajectory, problem: Problem,
     if solver.verify(trajectory, problem.M, eps_feas) is not None:
         return False
     return terminal_error(trajectory.end_state, problem.xf, problem.M) <= 0.1
+
+
+def score(trajectory: Trajectory, samples: int = 1000,
+          eps_feas: float = 1e-9) -> dict:
+    """The trajectory scored against its own problem: t_f, terminal error
+    E_s, saturation-law deviation E_m, total variation T_v of the control
+    on ``samples`` grid intervals, and success."""
+    problem = trajectory.problem
+    return {
+        "t_f": trajectory.t_f,
+        "E_s": terminal_error(trajectory.end_state, problem.xf, problem.M),
+        "E_m": em_mse(trajectory),
+        "T_v": tv_total_variation(sample_control(trajectory, samples),
+                                  problem.M[0]),
+        "success": is_success(trajectory, problem, eps_feas),
+    }

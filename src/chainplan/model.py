@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Optional, Union
 
 
@@ -374,20 +377,34 @@ class Trajectory:
     asl: Asl
     problem: Problem
 
+    @cached_property
+    def ends(self) -> tuple[float, ...]:
+        """Running sums of the durations: segment i ends at ends[i]."""
+        return tuple(accumulate((s.duration for s in self.segments),
+                                initial=0.0))[1:]
+
+    def control_at(self, t: float) -> float:
+        """Control at absolute time t: right-continuous at switching
+        instants, the last segment's from its end on, 0.0 with no segments."""
+        if not self.segments:
+            return 0.0
+        i = min(bisect_right(self.ends, t), len(self.segments) - 1)
+        return self.segments[i].u
+
     def state_at(self, t: float) -> tuple[float, ...]:
-        """State at absolute time t (clamped to [0, t_f])."""
+        """State at absolute time t (clamped to [0, t_f]); at a switching
+        instant, the end of the segment that reaches it."""
         from . import kinematics
         if not self.segments:
             return self.problem.x0
         if t <= 0.0:
             return self.segments[0].start
-        elapsed = 0.0
-        for seg in self.segments:
-            if t <= elapsed + seg.duration:
-                return kinematics.propagate(seg.start, seg.u, t - elapsed)
-            elapsed += seg.duration
-        last = self.segments[-1]
-        return kinematics.propagate(last.start, last.u, last.duration)
+        i = bisect_left(self.ends, t)
+        if i == len(self.segments):
+            return self.end_state
+        seg = self.segments[i]
+        return kinematics.propagate(seg.start, seg.u,
+                                    t - self.ends[i - 1] if i else t)
 
     @property
     def end_state(self) -> tuple[float, ...]:

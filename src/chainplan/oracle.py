@@ -79,7 +79,6 @@ def double_integrator_tf(x0, xf, M0: float, M1: Optional[float] = None) -> float
 class OracleResult:
     t_f: float
     law: str
-    bracket: tuple[float, float]
 
 
 def _law_residuals(elements, x0, xf, M, n):
@@ -254,7 +253,7 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
                         best = (tf, laws.canonical(law))
     if best is None:
         raise OracleError("no catalog law admits a feasible solution")
-    return OracleResult(best[0], best[1], (best[0] - RESIDUAL_TOL, best[0] + RESIDUAL_TOL))
+    return OracleResult(best[0], best[1])
 
 
 def _feasible(elements, x0, M, times) -> Optional[tuple[float, ...]]:

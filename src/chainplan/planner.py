@@ -408,7 +408,7 @@ class Planner:
             sol = solver.solve_times(system, max_restarts=SOLVER_RESTARTS)
             if sol is None:
                 continue
-            p = _Plan(tuple(zip(system.controls, sol.times)), signed.elements)
+            p = _Plan(system.stages(sol.times), signed.elements)
             if best is None or p.tf < best.tf:
                 best = p
         if best is None:
@@ -510,7 +510,7 @@ class Planner:
             if not all(abs(r) < solver.RESIDUAL_TOL
                        for r in system.residuals(times)):
                 continue
-            stages = tuple(zip(system.controls, times))
+            stages = system.stages(times)
             starts = [tuple(x0)]
             for u, dur in stages:
                 starts.append(kinematics.propagate(starts[-1], u, dur))

@@ -81,6 +81,12 @@ class StageSystem:
                 out.append((x[k] - target) / scale)
         return out
 
+    def stages(self, times: Sequence[float]) -> tuple[tuple[float, float], ...]:
+        """The real chain's (control, duration) stages at the given
+        durations, one per behavior: virtual-group durations are dropped."""
+        return tuple((u, times[i]) for code, u, i, _ in self.program
+                     if code == _ADV)
+
 
 def _ride_bound(M, k: int, where: str) -> float:
     if M[k] is None:
@@ -257,10 +263,9 @@ def _accepted(system: StageSystem, t: list[float]) -> Optional[Solved]:
         return None
     cur = system.x0
     states = []
-    for code, u, i, _ in system.program:
-        if code == _ADV:
-            cur = kinematics.propagate(cur, u, times[i])
-            states.append(cur)
+    for u, dur in system.stages(times):
+        cur = kinematics.propagate(cur, u, dur)
+        states.append(cur)
     return Solved(tuple(times), tuple(states))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from chainplan import kinematics, planner, sampling
-from chainplan.model import Behavior, Problem, Segment, Trajectory, VirtualGroup
+from chainplan.model import Asl, Problem, Segment, Trajectory
 
 
 def draw_feasible(n, M, rng, margin=0.8):
@@ -46,15 +46,20 @@ def stage_trajectory(system, solved):
     behavior; virtual-group durations are solved but never traversed."""
     segments = []
     cur = system.x0
-    ti = 0
-    for e in system.asl.elements:
-        if isinstance(e, Behavior):
-            u, dur = system.controls[ti], solved.times[ti]
-            segments.append(Segment(u, dur, cur))
-            cur = kinematics.propagate(cur, u, dur)
-            ti += 1
-        elif isinstance(e, VirtualGroup):
-            ti += len(e.members)
+    for u, dur in system.stages(solved.times):
+        segments.append(Segment(u, dur, cur))
+        cur = kinematics.propagate(cur, u, dur)
     problem = Problem(system.n, system.x0, system.xf, system.M)
     return Trajectory(tuple(segments), sum(s.duration for s in segments),
                       system.asl, problem)
+
+
+def piecewise(pieces, n=1):
+    """An order-n trajectory from rest through (control, duration) pieces,
+    under M0 = 1 with no state bound."""
+    segments, x = [], (0.0,) * n
+    for u, dur in pieces:
+        segments.append(Segment(u, dur, x))
+        x = kinematics.propagate(x, u, dur)
+    return Trajectory(tuple(segments), sum(d for _, d in pieces), Asl(()),
+                      Problem(n, (0.0,) * n, x, (1.0,) + (None,) * n))

@@ -60,7 +60,7 @@ def test_criterion_2_second_order_oracle_equivalence():
 
 
 def test_criterion_3_catalog_enumeration():
-    laws._af_memo.clear()
+    laws.enumerate_af.cache_clear()
     t0 = time.monotonic()
     af2 = {laws.canonical(a) for a in laws.enumerate_af(2)}
     af3 = {laws.canonical(a) for a in laws.enumerate_af(3)}

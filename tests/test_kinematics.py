@@ -601,6 +601,25 @@ class TestTouchRoots:
         assert any(abs(p - a) <= 1e-9 and abs(q - b) <= 1e-9
                    for p, q in got), (a, b, got)
 
+    @pytest.mark.parametrize("x, ua, top, a, b, box", [
+        # resultant roots where guarded Newton steps stall near 5e-7 off the
+        # touch
+        ((2.375, -0.3046875, -0.7333984375, 0.427581787109375,
+          0.8740954081217448), -1.0, 1.0, 0.5, 0.125, None),
+        # resultants on [0, 2 tau] that are flat to 1e-13 across the touch,
+        # with roots 0.1 to 0.25 s from it
+        ((1.0, -0.203125, -0.13671875, 0.07462565104166667,
+          0.9815877278645833), -0.75, 1.0, 0.25, 0.25, None),
+        ((0.375, -0.4296875, 0.1103515625, 0.006032307942708329,
+          0.9905708312988281), -1.0, 1.0, 0.5, 0.125, None),
+        ((0.25, -0.484375, 0.055338541666666664, 0.012715657552083332,
+          0.995514424641927), -2.0, 1.0, 0.25, 0.125, 2.5),
+    ], ids=["polish-stall", "flat-open", "flat-open-short", "flat-box"])
+    def test_ill_conditioned_fifth_order_legs(self, x, ua, top, a, b, box):
+        got = touch_roots(x, ua, -ua, top, box, box)
+        assert any(abs(p - a) <= 1e-9 and abs(q - b) <= 1e-9
+                   for p, q in got), got
+
     def test_boundary_root(self):
         # the order-3 leg of the fourth-order touch-and-cruise profile: x3
         # reaches 4 as x2 reaches 0 at the end of the first ramp, so b = 0,

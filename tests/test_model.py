@@ -1,7 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chainplan import laws
+from chainplan import laws, sampling
+from chainplan.kinematics import propagate
 from chainplan.model import (
     Asl,
     AslError,
@@ -14,6 +18,8 @@ from chainplan.model import (
     asl_parse,
     asl_to_string,
 )
+
+from helpers import draw_feasible, piecewise
 
 
 class TestSerialization:
@@ -170,3 +176,70 @@ class TestProblem:
     def test_infinity_normalizes_to_unbounded(self):
         p = Problem(1, (0.0,), (0.5,), (1.0, float("inf")))
         assert p.M[1] is None
+
+
+def scan_state_at(traj, t):
+    """State at t by a linear scan over the segments, summing durations as
+    it goes: the reference that ``Trajectory.state_at`` matches bit for
+    bit."""
+    if not traj.segments:
+        return traj.problem.x0
+    if t <= 0.0:
+        return traj.segments[0].start
+    elapsed = 0.0
+    for seg in traj.segments:
+        if t <= elapsed + seg.duration:
+            return propagate(seg.start, seg.u, t - elapsed)
+        elapsed += seg.duration
+    last = traj.segments[-1]
+    return propagate(last.start, last.u, last.duration)
+
+
+def _planned():
+    out = []
+    for n, count in ((1, 3), (2, 6), (3, 8), (4, 3)):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(count):
+            out.append(draw_feasible(n, sampling.default_bounds(n), rng)[1])
+    return out
+
+
+class TestTrajectoryTime:
+    def test_ends_are_running_sums(self):
+        traj = piecewise([(1.0, 0.1), (-1.0, 0.2), (0.0, 0.3)])
+        assert traj.ends == (0.1, 0.1 + 0.2, (0.1 + 0.2) + 0.3)
+        assert piecewise([]).ends == ()
+
+    def test_control_is_right_continuous(self):
+        traj = piecewise([(1.0, 0.5), (0.0, 0.0), (-1.0, 0.25)])
+        assert traj.control_at(-1.0) == 1.0
+        assert traj.control_at(0.0) == 1.0
+        # the switching instant belongs to the segment that starts there;
+        # a zero-length segment never acts
+        assert traj.control_at(0.5) == -1.0
+        assert traj.control_at(math.nextafter(0.5, 0.0)) == 1.0
+
+    def test_control_past_the_end_is_the_last(self):
+        traj = piecewise([(1.0, 0.5), (-0.5, 0.25)])
+        assert traj.control_at(0.75) == -0.5
+        assert traj.control_at(10.0) == -0.5
+
+    def test_control_without_segments_is_zero(self):
+        assert piecewise([]).control_at(0.0) == 0.0
+        assert piecewise([]).control_at(1.0) == 0.0
+
+    def test_state_at_matches_a_linear_scan(self):
+        for traj in _planned() + [
+                piecewise([(1.0, 0.5), (0.0, 0.0), (-1.0, 0.25)], 3),
+                piecewise([])]:
+            times = [-1.0, 0.0, traj.t_f, traj.t_f + 1.0]
+            for end in traj.ends:
+                times += [end, math.nextafter(end, -math.inf),
+                          math.nextafter(end, math.inf)]
+            for a, b in zip((0.0,) + traj.ends, traj.ends):
+                times += [0.5 * (a + b), a + 0.3 * (b - a)]
+            for t in times:
+                got = traj.state_at(t)
+                want = scan_state_at(traj, t)
+                assert [v.hex() for v in got] == [v.hex() for v in want], \
+                    (traj.asl.text(), t)

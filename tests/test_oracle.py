@@ -51,7 +51,6 @@ class TestExhaustive:
         traj = planner.plan(prob)
         assert abs(res.t_f - traj.t_f) <= 1e-6
         assert res.law == "0102010"
-        assert res.bracket[0] <= res.t_f <= res.bracket[1]
 
     def test_cross_oracle_second_order(self):
         rng = np.random.default_rng(4)

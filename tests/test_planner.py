@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chainplan import kinematics, oracle, sampling, solver
-from chainplan.model import InfeasibleError, Problem, Trajectory
+from chainplan.model import Behavior, InfeasibleError, Problem, Trajectory, asl_parse
 from chainplan.planner import (
     HIGHER,
     LOWER,
@@ -377,6 +377,24 @@ class TestMarkerLegSolves:
                 pass
         assert degrees and set(degrees) == {2}
         assert not any(from_leg)
+
+    def test_group_leg_has_one_stage_per_behavior(self, monkeypatch):
+        # an order-4 group law as a degree-4 leg of order 5, with its solve
+        # stubbed to zero durations that meet every condition: the leg
+        # walks the real chain, not the virtual group's duration
+        law = asl_parse("-0 +0 (+3,2) +0 -0 +0 ( +3 ) -0 +0 (+3,2) +0 -0 +0")
+        M = sampling.default_bounds(5)
+        monkeypatch.setattr(
+            solver, "solve_times",
+            lambda system, **kw: solver.Solved((0.0,) * system.num_unknowns,
+                                               ()))
+        monkeypatch.setattr(solver.StageSystem, "residuals",
+                            lambda self, times: [0.0] * self.num_equations)
+        leg = Planner()._marker_leg(5, (-0.5, 0.0, 0.0, 0.0, 0.0), M, law, 1,
+                                    4)
+        assert leg is not None
+        behaviors = [e for e in law.elements if isinstance(e, Behavior)]
+        assert leg[0].stages == tuple((b.sign * M[0], 0.0) for b in behaviors)
 
 
 def _seed5_draws(n, M, count):

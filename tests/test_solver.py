@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chainplan import kinematics, laws, oracle, solver
-from chainplan.model import Asl, Problem, Segment, Trajectory, asl_parse
+from chainplan.model import Asl, Behavior, Problem, Segment, Trajectory, asl_parse
 from chainplan.solver import AssembleError, assemble, solve_times, verify
 
 from helpers import stage_trajectory
@@ -27,6 +27,20 @@ class TestAssemble:
         sys = assemble(asl_parse("+0 -0 (-3,2) -0 +0 -0"),
                        (0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (1.0, 1.0, 1.5, 4.0))
         assert sys.num_unknowns == sys.num_equations == 5
+
+    def test_stages_walk_only_the_real_chain(self):
+        # an order-4 group law as a degree-4 marker leg of order 5: the
+        # group's duration is solved but never traversed
+        law = asl_parse("-0 +0 (+3,2) +0 -0 +0 ( +3 ) -0 +0 (+3,2) +0 -0 +0")
+        M = (1.0, 1.0, 1.5, 4.0, 20.0, 100.0)
+        sys = assemble(law, (0.0,) * 5, (0.0,) * 5, M,
+                       terminal=((5, 100.0), (4, 0.0), (3, 0.0), (2, 0.0)))
+        times = tuple(float(i) for i in range(1, sys.num_unknowns + 1))
+        behaviors = [e for e in law.elements if isinstance(e, Behavior)]
+        assert sys.num_unknowns == len(behaviors) + 1
+        assert sys.stages(times) == tuple(
+            (float(b.sign), t)
+            for b, t in zip(behaviors, times[:5] + times[6:]))
 
     def test_riding_unbounded_state_rejected(self):
         with pytest.raises(AssembleError):
