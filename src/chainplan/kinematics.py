@@ -74,7 +74,8 @@ def integral_top(x, u, t):
 
 
 def plan2(v0, p0, vf, pf, M0, M1, eps):
-    """Plan the two-state problem (velocity bound M1, M1 <= 0 for unbounded).
+    """Plan the two-state problem under |u| <= M0 and velocity bound M1
+    (None: unbounded).
 
     Returns a tuple of (control, duration) stages; empty for start == goal.
     The position is unconstrained here; callers layer position handling.
@@ -102,7 +103,7 @@ def plan2(v0, p0, vf, pf, M0, M1, eps):
     if w2 < 0.0:
         w2 = 0.0
     w = sqrt(w2)
-    if M1 <= 0.0 or w <= M1:
+    if M1 is None or w <= M1:
         return ((mirror * M0, (w - v0) / M0), (-mirror * M0, (w - vf) / M0))
     t1 = (M1 - v0) / M0
     t3 = (M1 - vf) / M0

@@ -226,7 +226,9 @@ def canonical(asl: Asl) -> str:
     return asl.unsigned().text()
 
 
-DEFAULT_ENUMERATION_CAP = 10 ** 6
+# the most splice candidates a catalog may be built from: order 4 splices
+# 24^2 order-3 pairs, order 5 would splice 4,320^2
+ENUMERATION_CAP = 10 ** 6
 
 
 def _seam_ok(left: tuple[AslElement, ...], right: tuple[AslElement, ...]) -> bool:
@@ -245,7 +247,7 @@ def _accept(asl: Asl, order: int) -> bool:
 
 
 @cache
-def enumerate_af(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Asl, ...]:
+def enumerate_af(n: int) -> tuple[Asl, ...]:
     """The order-n catalog of augmented switching laws, unsigned and canonical.
 
     Built recursively: the order-1 catalog is the single saturation stage;
@@ -254,22 +256,20 @@ def enumerate_af(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Asl, ...]:
     prefixes a tangent-marker construction with a low-order reach law.  For
     order >= 4 the construction is a superset claim only; nothing beyond it
     is generated.  Results are deduplicated after simplification, sorted,
-    and cached by argument.
+    and cached by order.  Raises LawEnumerationError at once when the
+    splice candidates, len(lower)^2, exceed ENUMERATION_CAP.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n == 1:
         return (Asl((Behavior(0),)),)
-    lower = enumerate_af(n - 1, cap)
+    lower = enumerate_af(n - 1)
+    if len(lower) ** 2 > ENUMERATION_CAP:
+        raise LawEnumerationError(n, ENUMERATION_CAP)
     k = n - 1
-    count = 0
     pool: dict[str, Asl] = {}
 
     def push(elements: tuple[AslElement, ...], into: dict[str, Asl]) -> None:
-        nonlocal count
-        count += 1
-        if count > cap:
-            raise LawEnumerationError(n, cap)
         try:
             law = simplify(Asl(elements))
         except AslError:
@@ -299,7 +299,7 @@ def enumerate_af(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Asl, ...]:
                 push(elems[:i] + (group,) + s3.elements, pool)
     marker_pool: dict[str, Asl] = {}
     for d in range(2, n, 2):
-        reach = enumerate_af(d, cap)
+        reach = enumerate_af(d)
         for s1 in reach:
             for key in sorted(pool):
                 s2 = pool[key]

@@ -26,8 +26,7 @@ def terminal_error(x_solved_f, xf, M) -> float:
     normalize by max(1, |target|)."""
     total = 0.0
     for k in range(1, len(xf) + 1):
-        bound = M[k] if k < len(M) else None
-        scale = bound if bound is not None else max(1.0, abs(xf[k - 1]))
+        scale = M[k] if M[k] is not None else max(1.0, abs(xf[k - 1]))
         total += ((xf[k - 1] - x_solved_f[k - 1]) / scale) ** 2
     return sqrt(total)
 

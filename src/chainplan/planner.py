@@ -13,7 +13,9 @@ the ascent's stage ends, and the first sign change is solved inside its
 stage, as a stage index, a time into that stage and the state there.  When
 the top-state bound still activates, the planner searches tangent-marker
 constructions: reach the bound with a low-order catalog law pinning the
-touch conditions, then continue from the touch state.
+touch conditions, then continue from the touch state.  With no bounded state
+below the top there is no cruise to ascend toward: from order 3 on, such a
+problem is solved as one bang-bang stage system, unclassified.
 
 Time-optimal through order 3; near-optimal above (the virtual continuation
 that encodes interception does not occur in true optima).
@@ -180,18 +182,6 @@ class Planner:
                 f"no tangent-marker law exists: the {where} |x3| <= M3 "
                 f"(hardest brake peaks at {peak:.6g})")
 
-    def plan_unconstrained(self, n: int, x0, xf, M0: float) -> Trajectory:
-        """Pure saturation plan with every interior bound removed."""
-        M = (float(M0),) + (None,) * n
-        problem = Problem(n, tuple(x0), tuple(xf), M)
-        if problem.x0 == problem.xf:
-            return Trajectory((), 0.0, Asl(()), problem)
-        if n == 1:
-            p = self._plan1(problem.x0, problem.xf, float(M0))
-        else:
-            p = self._bang(n, problem.x0, problem.xf, float(M0))
-        return self._realize(p, problem)
-
     # ------------------------------------------------------------------
     # recursion
     # ------------------------------------------------------------------
@@ -203,9 +193,12 @@ class Planner:
             return self._plan1(x0, xf, M[0])
         if n == 2:
             return self._plan2(x0, xf, M)
-        plan = self._plan_free(n, x0, xf, M)
-        Mn = M[n] if len(M) > n else None
-        if Mn is not None:
+        if all(M[k] is None for k in range(1, n)):
+            # saturation only: no bounded interior state to ascend toward
+            plan = self._bang(n, x0, xf, M[0])
+        else:
+            plan = self._plan_free(n, x0, xf, M)
+        if M[n] is not None:
             sides = self._violated_sides(n, x0, plan, M)
             if sides:
                 plan = self._marker_search(n, x0, xf, M, sides, depth)
@@ -237,8 +230,7 @@ class Planner:
         PlanError where the plan leaves the position bound M[2]."""
         top = kinematics.plan2_top(
             x0[0], x0[1], xf[0], xf[1], M[0],
-            M[1] if M[1] is not None else -1.0,
-            M[2] if len(M) > 2 else None, EPS_PROPER, self.bound_eps)
+            M[1], M[2], EPS_PROPER, self.bound_eps)
         if top is None:
             raise PlanError("position bound exceeded at order 2; no marker "
                             "structure exists below order 3")
@@ -254,8 +246,7 @@ class Planner:
         """PROPER, HIGHER or LOWER for the float state x0, with its gap."""
         p_star = self._pstar(n, x0[:-1], xf, M)
         gap = x0[n - 1] - p_star
-        Mn = M[n] if len(M) > n else None
-        scale = max(1.0, abs(Mn)) if Mn is not None else max(1.0, abs(p_star))
+        scale = max(1.0, abs(M[n] if M[n] is not None else p_star))
         if abs(gap) <= EPS_PROPER * scale:
             return PROPER, gap
         return (HIGHER if gap > 0.0 else LOWER), gap
@@ -275,8 +266,6 @@ class Planner:
         """Plan order n from x0, which lies below the manifold by the
         classified gap (< 0): ascend toward the highest bounded cruise, and
         hand over where the manifold intercepts the ascent or its cruise."""
-        if all(M[k] is None for k in range(1, n)):
-            return self._bang(n, x0, xf, M[0])
         m = max(k for k in range(1, n) if M[k] is not None)
         target = tuple(M[m] if k == m else 0.0 for k in range(1, n))
         ascent = self._plan(n - 1, x0[:-1], target, M[:n])
@@ -582,5 +571,6 @@ def plan(problem: Problem) -> Trajectory:
 
 
 def plan_unconstrained(n: int, x0, xf, M0: float) -> Trajectory:
-    return Planner().plan_unconstrained(n, x0, xf, M0)
+    """Pure saturation plan: ``plan`` with every state bound removed."""
+    return plan(Problem(n, x0, xf, (M0,) + (None,) * n))
 

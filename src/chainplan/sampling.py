@@ -32,8 +32,7 @@ def random_problem(n: int, M, rng: np.random.Generator,
     def draw() -> tuple[float, ...]:
         out = []
         for k in range(1, n + 1):
-            bound = M[k] if k < len(M) else None
-            r = margin * bound if bound is not None else UNBOUNDED_RANGE
+            r = margin * M[k] if M[k] is not None else UNBOUNDED_RANGE
             out.append(float(rng.uniform(-r, r)))
         return tuple(out)
 

@@ -18,6 +18,7 @@ the realized trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -278,24 +279,27 @@ class VerifyFailure:
 
 
 def verify(trajectory: Trajectory, M, eps: float = 1e-9) -> Optional[VerifyFailure]:
-    """Feasibility check of the whole path: nonnegative durations, |u| <= M0,
-    a path that starts at x0 and has no jumps between segments, all bounds
-    along every segment, the terminal state within eps of the target, and
-    t_f the sum of the durations.  State k's start and terminal errors
-    scale by max(1, Mk), or by max(1, |xf_k|) where x_k is unbounded."""
+    """Feasibility check of the whole path: finite controls and durations,
+    nonnegative durations, |u| <= M0, a path that starts at x0 and has no
+    jumps between segments, all bounds along every segment, the terminal
+    state within eps of the target, and t_f the sum of the durations; a NaN
+    anywhere fails.  State k's start and terminal errors scale by
+    max(1, Mk), or by max(1, |xf_k|) where x_k is unbounded."""
     problem = trajectory.problem
     xf = problem.xf
-    scales = [max(1.0, M[k]) if k < len(M) and M[k] is not None
+    scales = [max(1.0, M[k]) if M[k] is not None
               else max(1.0, abs(xf[k - 1])) for k in range(1, len(xf) + 1)]
 
     def off(x, target) -> int:
         """The first state k where x misses target by more than eps, or 0."""
-        return next((k for k in range(1, len(xf) + 1)
-                     if abs(x[k - 1] - target[k - 1]) > eps * scales[k - 1]), 0)
+        return next((k for k, (a, b, s) in enumerate(zip(x, target, scales), 1)
+                     if not abs(a - b) <= eps * s), 0)
 
     t_off = 0.0
     end = problem.x0
     for seg in trajectory.segments:
+        if not (math.isfinite(seg.u) and math.isfinite(seg.duration)):
+            return VerifyFailure("non-finite control or duration", t=t_off)
         if seg.duration < -1e-12:
             return VerifyFailure("negative duration", t=seg.duration)
         if abs(seg.u) > M[0] + eps:
@@ -317,7 +321,7 @@ def verify(trajectory: Trajectory, M, eps: float = 1e-9) -> Optional[VerifyFailu
         return VerifyFailure("terminal state off target", k=k, t=t_f,
                              value=end[k - 1])
     total = sum(seg.duration for seg in trajectory.segments)
-    if abs(t_f - total) > eps * max(1.0, abs(t_f)):
+    if not abs(t_f - total) <= eps * max(1.0, abs(t_f)):
         return VerifyFailure("t_f differs from the summed durations", t=t_f,
                              value=total)
     return None

@@ -15,6 +15,20 @@ FIG7A = {
 }
 
 
+UNIT1 = {"order": 1, "x0": [0], "xf": [1], "M": [1, None]}
+NAN = float("nan")
+
+
+def _two_ramps(u=1.0, duration=0.5, extra=None, t_f=1.0):
+    """UNIT1's path in two u = 1 ramps, with the first one's u or duration
+    replaced, an extra segment between the two, or another t_f."""
+    segments = [{"u": u, "duration": duration, "start": [0.0]},
+                {"u": 1.0, "duration": 0.5, "start": [0.5]}]
+    if extra is not None:
+        segments.insert(1, extra)
+    return {"t_f": t_f, "segments": segments}
+
+
 def write_problem(tmp_path, data, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -123,6 +137,12 @@ class TestEnumerate:
         assert len(lines) == 24
         assert lines == sorted(lines)
 
+    def test_order_five_exceeds_the_cap_exit_2(self, capsys):
+        assert main(["enumerate", "--order", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "exceeded cap" in err
+
 
 class TestMetrics:
     def test_scores_planned_trajectory(self, tmp_path):
@@ -145,10 +165,17 @@ class TestMetrics:
                                     "start": [0.0]}]}),
         (FIG7A, {"t_f": 0.0, "segments": [{"u": 0.0, "duration": 0.0,
                                            "start": [0.0, 0.0, 0.0]}]}),
-    ], ids=["input-above-M0", "starts-at-goal"])
+        (UNIT1, _two_ramps(duration=NAN)),
+        (UNIT1, _two_ramps(u=NAN)),
+        (UNIT1, _two_ramps(extra={"u": 0.0, "duration": NAN,
+                                  "start": [0.5]})),
+        (UNIT1, _two_ramps(t_f=NAN)),
+    ], ids=["input-above-M0", "starts-at-goal", "nan-duration", "nan-control",
+            "extra-nan-segment", "nan-t_f"])
     def test_invalid_path_is_no_success(self, tmp_path, problem,
                                            trajectory):
-        # each reaches its goal, but with |u| > M0 or by a jump from x0
+        # each reaches its goal, but with |u| > M0, by a jump from x0, or
+        # through a NaN (JSON accepts one), which fails every comparison
         inp = write_problem(tmp_path, problem)
         tpath = write_problem(tmp_path, trajectory, "traj.json")
         mout = str(tmp_path / "m.json")

@@ -156,13 +156,13 @@ class TestPlan2Top:
         vel = st.floats(min_value=-vcap, max_value=vcap)
         pos = st.floats(min_value=-pcap, max_value=pcap)
         self._check(data.draw(vel), data.draw(pos), data.draw(vel),
-                    data.draw(pos), M0, -1.0 if M1 is None else M1, M2)
+                    data.draw(pos), M0, M1, M2)
 
     def test_start_equals_goal(self):
         assert self._check(0.3, -0.2, 0.3, -0.2, 1.0, 1.0, 1.5) == ((), 0.0)
 
     def test_unbounded_velocity_and_position(self):
-        assert len(self._check(0.0, 5.0, 0.0, 0.0, 1.0, -1.0, None)[0]) == 2
+        assert len(self._check(0.0, 5.0, 0.0, 0.0, 1.0, None, None)[0]) == 2
 
     def test_cruise_stage(self):
         stages, _ = self._check(0.0, 2.0, 0.0, 0.0, 1.0, 1.0, 2.5)

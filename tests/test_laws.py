@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,8 +153,13 @@ class TestEnumerate:
                 assert laws.validate(law) == []
 
     def test_cap_exceeded(self):
+        # order 5 would splice 4,320^2 pairs of order-4 laws; it must fail
+        # before building any of them
+        laws.enumerate_af(4)
+        start = time.perf_counter()
         with pytest.raises(laws.LawEnumerationError):
-            laws.enumerate_af(5, cap=100)
+            laws.enumerate_af(5)
+        assert time.perf_counter() - start < 1.0
 
     def test_memoized(self):
         assert laws.enumerate_af(3) is laws.enumerate_af(3)

@@ -59,6 +59,12 @@ def _plan_stages(traj: Trajectory) -> _Plan:
                  tuple(traj.asl.elements))
 
 
+def _bits(traj: Trajectory):
+    return (traj.asl.text(), traj.t_f.hex(),
+            [(s.u.hex(), s.duration.hex()) + tuple(v.hex() for v in s.start)
+             for s in traj.segments])
+
+
 def violated_sides(problem: Problem, free: Trajectory):
     """Sides of the top-state bound that the free plan crosses."""
     return Planner()._violated_sides(problem.n, free.problem.x0,
@@ -266,6 +272,56 @@ class TestPlanUnconstrained:
             switches = sum(1 for a, b in zip(traj.segments, traj.segments[1:])
                            if a.u != b.u and a.duration > 0 and b.duration > 0)
             assert switches <= 3, i
+
+    def test_second_order_is_the_closed_form(self, monkeypatch):
+        # order 2 takes plan2, as plan does, not a stage solve
+        calls, solve = [], solver.solve_times
+
+        def solve_spy(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_times", solve_spy)
+        rng = np.random.default_rng(7)
+        for i in range(200):
+            x0 = rng.uniform(-3, 3, 2).tolist()
+            xf = rng.uniform(-3, 3, 2).tolist()
+            traj = plan_unconstrained(2, x0, xf, 1.0)
+            assert traj.t_f == pytest.approx(
+                oracle.double_integrator_tf(x0, xf, 1.0), abs=1e-12), i
+        assert calls == []
+
+    @pytest.mark.parametrize("seed, M, w", [
+        (21, (1.0, None, None, 4.0), (1, 1, 3)),
+        (22, (1.0, None, None, None), (1, 1, 3)),
+        (23, (1.0, None, None, None, 20.0), (1, 1, 2, 10)),
+        (24, (1.0, None, None, None, None), (1, 1, 2, 5)),
+    ])
+    def test_saturation_only_plan_is_not_classified(self, seed, M, w,
+                                                    monkeypatch):
+        # with no bounded interior state there is no manifold to classify
+        # against: plan goes straight to the stage solve, and with no top
+        # bound either it is plan_unconstrained
+        calls, classify = [], Planner._classify
+
+        def classify_spy(self, *args):
+            calls.append(1)
+            return classify(self, *args)
+
+        monkeypatch.setattr(Planner, "_classify", classify_spy)
+        rng = np.random.default_rng(seed)
+        n = len(w)
+        for i in range(20):
+            x0 = tuple(float(rng.uniform(-wk, wk)) for wk in w)
+            xf = tuple(float(rng.uniform(-wk, wk)) for wk in w)
+            try:
+                traj = plan(Problem(n, x0, xf, M))
+            except PlanError:
+                continue
+            if M[n] is None:
+                free = plan_unconstrained(n, x0, xf, M[0])
+                assert _bits(free) == _bits(traj), i
+        assert calls == []
 
     def test_off_target_plan_fails_verification(self, monkeypatch):
         bang = Planner._bang

@@ -247,6 +247,22 @@ class TestRealizeAndVerify:
         assert failure is not None and "t_f" in failure.reason
         assert (failure.t, failure.value) == (2.0, 1.0)
 
+    @pytest.mark.parametrize("segments, t_f, reason", [
+        (((1.0, math.nan, 0.0),), 1.0, "non-finite"),
+        (((math.nan, 1.0, 0.0),), 1.0, "non-finite"),
+        (((1.0, 1.0, 0.0), (0.0, math.nan, 1.0)), 1.0, "non-finite"),
+        (((0.0, math.inf, 0.0),), math.inf, "non-finite"),
+        (((1.0, 1.0, 0.0),), math.nan, "t_f"),
+    ], ids=["nan-duration", "nan-control", "extra-nan-segment",
+            "inf-duration", "nan-t_f"])
+    def test_verify_rejects_non_finite_values(self, segments, t_f, reason):
+        # a NaN makes every comparison false, so no check may pass on one
+        prob = Problem(1, (0.0,), (1.0,), (1.0, None))
+        traj = Trajectory(tuple(Segment(u, d, (x,)) for u, d, x in segments),
+                          t_f, Asl(()), prob)
+        failure = verify(traj, prob.M, 1e-9)
+        assert failure is not None and reason in failure.reason
+
     def test_verify_clamps_tiny_negative_duration(self):
         prob = Problem(1, (0.0,), (0.0,), (1.0, None))
         traj = Trajectory((Segment(1.0, -1e-15, (0.0,)),), 0.0, Asl(()), prob)
