@@ -73,6 +73,10 @@ def trajectory_from_dict(data: dict, problem: Problem) -> Trajectory:
             for s in data["segments"]
         )
         t_f = float(data["t_f"])
+        # JSON's NaN and +/-Infinity are as malformed as a string
+        if not all(map(math.isfinite, [t_f] + [v for s in segs
+                                               for v in (s.u, s.duration)])):
+            raise ValueError("u, duration and t_f must be finite")
         asl = asl_parse(data.get("asl", ""))
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"trajectory JSON missing or malformed field: {e}") from e

@@ -309,8 +309,11 @@ def real_roots(p: Polynomial, interval: tuple[float, float]) -> list[float]:
     """All real roots of p on [a, b], sorted, deduplicated within ROOT_DEDUP.
 
     Roots are isolated by subdividing at derivative roots (recursively down
-    to the linear case), then polished by ``bracket_root`` to ROOT_TOL.  Raises
-    ValueError for the identically zero polynomial.
+    to the linear case): each subdivision point where |p| is within the
+    zero tolerance, and each strict sign change between neighbouring
+    points, polished by ``bracket_root`` to ROOT_TOL.  A sign change beside
+    a point taken for a zero is solved too: p can be that flat near a
+    distinct root.  Raises ValueError for the identically zero polynomial.
     """
     a, b = interval
     if a > b:
@@ -327,16 +330,12 @@ def real_roots(p: Polynomial, interval: tuple[float, float]) -> list[float]:
     breakpoints = [a, b]
     if deg >= 2:
         breakpoints = sorted(set([a, b]) | set(real_roots(p.derivative(), interval)))
-    roots = []
-    for t in breakpoints:
-        if abs(p(t)) <= feps:
-            roots.append(t)
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        flo, fhi = p(lo), p(hi)
-        if abs(flo) <= feps or abs(fhi) <= feps:
-            continue
-        if (flo < 0.0) != (fhi < 0.0):
-            roots.append(bracket_root(p, lo, flo, hi, fhi, ROOT_TOL))
+    values = [p(t) for t in breakpoints]
+    roots = [t for t, v in zip(breakpoints, values) if abs(v) <= feps]
+    for lo, f_lo, hi, f_hi in zip(breakpoints, values,
+                                  breakpoints[1:], values[1:]):
+        if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
+            roots.append(bracket_root(p, lo, f_lo, hi, f_hi, ROOT_TOL))
     roots.sort()
     out: list[float] = []
     for r in roots:
@@ -500,27 +499,6 @@ def _touch_resultant(x, ua, ub, top, c, h) -> Polynomial:
     return Polynomial(tuple(ldexp(v, shift) for v in res))
 
 
-def _flat_roots(p: Polynomial) -> list[float]:
-    """Candidate roots of p on [-1, 1]: each strict sign change between
-    consecutive stationary points (or ends), solved by ``bracket_root``,
-    and each such point where |p| is within real_roots' zero tolerance.
-
-    real_roots skips a sign change next to a point it takes for a zero.  A
-    touch resultant can be that flat over a whole region (at a touch its
-    slope scales as b^(n-1)), so here both are kept.
-    """
-    points = [-1.0, 1.0]
-    if p.degree >= 2:
-        points = sorted(set(points) | set(real_roots(p.derivative(), (-1.0, 1.0))))
-    feps = 1e-12 * max(1.0, sum(map(abs, p.coeffs)))
-    values = [p(t) for t in points]
-    out = [t for t, v in zip(points, values) if abs(v) <= feps]
-    for lo, f_lo, hi, f_hi in zip(points, values, points[1:], values[1:]):
-        if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
-            out.append(bracket_root(p, lo, f_lo, hi, f_hi, ROOT_TOL))
-    return out
-
-
 def touch_roots(x, ua: float, ub: float, top: float,
                 a_hi: Optional[float] = None,
                 b_hi: Optional[float] = None) -> list[tuple[float, float]]:
@@ -532,13 +510,15 @@ def touch_roots(x, ua: float, ub: float, top: float,
     Both end states are polynomials in b whose coefficients are polynomials
     in a, and x_{n-1} is the b-derivative of x_n.  Their resultant in b (the
     determinant of their Bezout matrix, degree <= n(n-1) in a) vanishes at
-    every a of a common root, so its real roots on [0, a_hi]
-    (``_flat_roots``) are all the candidate a.  Each is back-substituted
-    through the real roots of x_{n-1} in b on [0, b_hi] and polished by
-    guarded Newton steps.  A bound given as None is replaced by the last
-    time at which that stage alone keeps |x_n| <= |top|, which a leg that
-    keeps the bound it touches cannot outlast.  No real root proves that no
-    such leg exists in the box.
+    every a of a common root, so its real roots on [0, a_hi] are all the
+    candidate a (at a touch its slope scales as b^(n-1), flat enough that a
+    point taken for a zero can sit beside a distinct root; ``real_roots``
+    keeps both).
+    Each is back-substituted through the real roots of x_{n-1} in b on
+    [0, b_hi] and polished by guarded Newton steps.  A bound given as None
+    is replaced by the last time at which that stage alone keeps
+    |x_n| <= |top|, which a leg that keeps the bound it touches cannot
+    outlast.  No real root proves that no such leg exists in the box.
 
     Every common root in the box appears, to float accuracy.  A candidate
     can also come from a resultant root whose common root is complex, so
@@ -570,7 +550,7 @@ def touch_roots(x, ua: float, ub: float, top: float,
         res = _touch_resultant(x, ua, ub, top, c, h)
         if res.is_zero():
             continue
-        for sa in _flat_roots(res):
+        for sa in real_roots(res, (-1.0, 1.0)):
             a = c + h * sa
             y = propagate(x, ua, a)
             fb = state_polynomial(y, ub, n - 1)

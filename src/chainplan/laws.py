@@ -1,5 +1,6 @@
 """Switching-law algebra: dimension, signs, validation, simplification,
 and full enumeration of the order-n catalog of augmented switching laws.
+``validate`` is the one filter on catalog candidates.
 
 Rule identifiers used in validation messages:
 
@@ -95,9 +96,7 @@ def assign_signs(asl: Asl, last_sign: int) -> Asl:
             succ = signed
             bridge_marker = False
         elif isinstance(e, TangentMarker):
-            if succ is None:
-                raise AslError("tangent marker has no following stage",
-                               "marker-flanks")
+            # Asl construction puts a saturation stage after every marker
             marker_indices.append(i)
             bridge_marker = True
         else:
@@ -231,21 +230,6 @@ def canonical(asl: Asl) -> str:
 ENUMERATION_CAP = 10 ** 6
 
 
-def _seam_ok(left: tuple[AslElement, ...], right: tuple[AslElement, ...]) -> bool:
-    if not left or not right:
-        return True
-    a, b = left[-1], right[0]
-    av = a.value if isinstance(a, Behavior) else None
-    bv = b.value if isinstance(b, Behavior) else None
-    if av is not None and bv is not None:
-        return av == 0 or bv == 0
-    return True
-
-
-def _accept(asl: Asl, order: int) -> bool:
-    return dimension(asl) == order and not validate(asl)
-
-
 @cache
 def enumerate_af(n: int) -> tuple[Asl, ...]:
     """The order-n catalog of augmented switching laws, unsigned and canonical.
@@ -255,9 +239,12 @@ def enumerate_af(n: int) -> tuple[Asl, ...]:
     wraps a split suffix plus the riding behavior into a virtual group, or
     prefixes a tangent-marker construction with a low-order reach law.  For
     order >= 4 the construction is a superset claim only; nothing beyond it
-    is generated.  Results are deduplicated after simplification, sorted,
-    and cached by order.  Raises LawEnumerationError at once when the
-    splice candidates, len(lower)^2, exceed ENUMERATION_CAP.
+    is generated.  Each candidate is simplified and kept when ``validate``
+    finds no violation, the catalog's only filter (a candidate that breaks
+    a rule ``Asl`` construction enforces never forms).  Results are
+    deduplicated, sorted, and cached by order.  Raises LawEnumerationError
+    at once when the splice candidates, len(lower)^2, exceed
+    ENUMERATION_CAP.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -274,27 +261,20 @@ def enumerate_af(n: int) -> tuple[Asl, ...]:
             law = simplify(Asl(elements))
         except AslError:
             return
-        if _accept(law, n):
+        if not validate(law):
             into.setdefault(canonical(law), law)
 
     ride = Behavior(k)
     for s1 in lower:
         for s2 in lower:
-            if _seam_ok(s1.elements, (ride,)) and _seam_ok((ride,), s2.elements):
-                push(s1.elements + (ride,) + s2.elements, pool)
+            push(s1.elements + (ride,) + s2.elements, pool)
     for law in lower:
         elems = law.elements
         for i in range(len(elems) + 1):
             suffix = elems[i:]
             if not all(isinstance(e, Behavior) for e in suffix):
                 continue
-            members = tuple(suffix) + (ride,)
-            if sum(1 for m in members if m.value % 2 == 0) % 2 != 0:
-                continue
-            if any(a.value != 0 and b.value != 0
-                   for a, b in zip(members, members[1:])):
-                continue
-            group = VirtualGroup(members)
+            group = VirtualGroup(tuple(suffix) + (ride,))
             for s3 in lower:
                 push(elems[:i] + (group,) + s3.elements, pool)
     marker_pool: dict[str, Asl] = {}

@@ -469,11 +469,13 @@ class Planner:
         """Reach the touch state through a catalog law: the top state on its
         bound with d-1 vanishing lower states.
 
-        d = 2 legs are solved exactly (``_touch_times``); deeper legs by
-        ``solver.solve_times``.  A root must meet the stage system to the
-        solver's tolerance, and a genuine touch must curve back inward, so
+        d = 2 legs take their candidate durations from the exact solve
+        (``_touch_times``), shortest first, each passed through
+        ``solver.accepted``; deeper legs are solved by
+        ``solver.solve_times``.  A genuine touch must curve back inward, so
         the first state below the pinned ones has to oppose the touched
-        side; the shortest root that also keeps every bound is the leg.
+        side; the first accepted leg that is tangent and keeps every bound
+        is the leg.
         """
         conditions = [(n, sigma * M[n])]
         conditions.extend((n - j, 0.0) for j in range(1, d))
@@ -483,33 +485,28 @@ class Planner:
         except solver.AssembleError:
             return None
 
-        def tangent(end) -> bool:
-            return sigma * end[n - 1 - d] < 0.0
+        def tangent(xs) -> bool:
+            return sigma * xs[-1][n - 1 - d] < 0.0
 
         if d == 2:
-            candidates = self._touch_times(x0, M, system.controls,
-                                           sigma * M[n])
+            sols = (solver.accepted(system, times) for times in sorted(
+                self._touch_times(x0, M, system.controls, sigma * M[n]),
+                key=sum))
         else:
-            sol = solver.solve_times(
+            sols = [solver.solve_times(
                 system, max_restarts=2 * SOLVER_RESTARTS,
-                accept=lambda sol: tangent(sol.states[-1] if sol.states
-                                           else x0))
-            candidates = [] if sol is None else [sol.times]
-        for times in sorted(candidates, key=sum):
-            if not all(abs(r) < solver.RESIDUAL_TOL
-                       for r in system.residuals(times)):
+                accept=lambda sol: tangent((system.x0,) + sol.states))]
+        for sol in sols:
+            if sol is None:
                 continue
-            stages = system.stages(times)
-            starts = [tuple(x0)]
-            for u, dur in stages:
-                starts.append(kinematics.propagate(starts[-1], u, dur))
-            end = starts.pop()
+            xs = (system.x0,) + sol.states
+            stages = system.stages(sol.times)
             # the leg must respect every bound, including the one it touches
-            if not tangent(end) or any(
+            if not tangent(xs) or any(
                     kinematics.segment_bound_check(x, u, dur, M, self.bound_eps)
-                    for x, (u, dur) in zip(starts, stages)):
+                    for x, (u, dur) in zip(xs, stages)):
                 continue
-            touch = list(end)
+            touch = list(xs[-1])
             touch[n - 1] = sigma * M[n]
             for j in range(1, d):
                 touch[n - 1 - j] = 0.0

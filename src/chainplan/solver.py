@@ -42,10 +42,9 @@ def _control_of(b: Behavior, M0: float) -> float:
 #   _VSTART  virtual branch leaves the state entering the last real stage:
 #            virt = propagate(prev, u, times[i]); x = virt
 #   _VADV    virtual chain: virt = propagate(virt, u, times[i]); x = virt
-#   _HOLD    no motion; x = cur
 # Each pin (state index, target, scale) yields the residual
 # (x[index] - target) / scale.
-_ADV, _VSTART, _VADV, _HOLD = range(4)
+_ADV, _VSTART, _VADV = range(3)
 
 
 @dataclass(frozen=True)
@@ -74,10 +73,8 @@ class StageSystem:
                 x = cur = propagate(cur, u, times[i])
             elif code == _VSTART:
                 x = virt = propagate(prev, u, times[i])
-            elif code == _VADV:
-                x = virt = propagate(virt, u, times[i])
             else:
-                x = cur
+                x = virt = propagate(virt, u, times[i])
             for k, target, scale in pins:
                 out.append((x[k] - target) / scale)
         return out
@@ -104,8 +101,10 @@ def assemble(asl: Asl, x0, xf, M,
     used by tangent-marker reach legs.
 
     Raises AssembleError for structural mismatches: unsigned laws, riding
-    conditions on unbounded states, or a law whose freedom does not match
-    the number of end conditions.
+    conditions on unbounded states, a real-chain condition with no real
+    stage right before it (an empty law, or one that ends in a virtual
+    group), or a law whose freedom does not match the number of end
+    conditions.
     """
     n = len(x0)
     if len(xf) != n:
@@ -128,10 +127,10 @@ def assemble(asl: Asl, x0, xf, M,
         controls.append(u)
 
     def pin(k: int, target: float, virtual: bool = False) -> None:
-        # a pin reads the state its step reached; a real-chain pin after a
-        # virtual step gets a hold step of its own
-        if not virtual and (not steps or steps[-1][0] in (_VSTART, _VADV)):
-            steps.append((_HOLD, 0.0, 0, []))
+        # a pin reads the state its step reached
+        if not virtual and (not steps or steps[-1][0] != _ADV):
+            raise AssembleError("a real-chain condition needs a real stage "
+                                "before it")
         steps[-1][3].append((k - 1, target, scales[k - 1]))
 
     def ride(k: int, sign: int, virtual: bool = False) -> None:
@@ -216,16 +215,12 @@ def solve_times(system: StageSystem, max_restarts: int = 8,
     """Solve the stage system by MINPACK's hybrid Powell method
     (``scipy.optimize.root``, method "hybr") from seeded randomized starts.
 
-    A root is accepted when no duration is below -1e-12 and every scaled
-    residual is below RESIDUAL_TOL at the durations clipped to >= 0; the
-    optional ``accept`` filters these further (systems can have several
-    roots).  Returns the shortest in total time of the first three hits, or
-    None when no start yields one.
+    A root must pass ``accepted``; the optional ``accept`` filters these
+    further (systems can have several roots).  Returns the shortest in
+    total time of the first three hits, or None when no start yields one.
     """
     from scipy.optimize import root  # slow to import; few plans get here
     T = system.num_unknowns
-    if T == 0:
-        return _accepted(system, [])
     tau = _seed_scale(system)
     starts = [[tau] * T]
     rng = np.random.default_rng(RESTART_SEED)
@@ -242,7 +237,7 @@ def solve_times(system: StageSystem, max_restarts: int = 8,
         # far above RESIDUAL_TOL; iterate to near machine precision instead
         x = root(lambda t: system.residuals(t.tolist()), start,
                  method="hybr", tol=1e-14).x
-        sol = _accepted(system, x.tolist())
+        sol = accepted(system, x.tolist())
         if sol is None:
             continue
         if accept is not None and not accept(sol):
@@ -255,8 +250,10 @@ def solve_times(system: StageSystem, max_restarts: int = 8,
     return best
 
 
-def _accepted(system: StageSystem, t: list[float]) -> Optional[Solved]:
-    """Solved at durations t, or None if they fail the acceptance rule."""
+def accepted(system: StageSystem, t: Sequence[float]) -> Optional[Solved]:
+    """Solved at durations t, or None if they fail the acceptance rule: no
+    duration below -1e-12 and every scaled residual below RESIDUAL_TOL at
+    the durations clipped to >= 0."""
     if not all(v >= -1e-12 for v in t):
         return None
     times = [max(0.0, v) for v in t]

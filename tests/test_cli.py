@@ -165,17 +165,10 @@ class TestMetrics:
                                     "start": [0.0]}]}),
         (FIG7A, {"t_f": 0.0, "segments": [{"u": 0.0, "duration": 0.0,
                                            "start": [0.0, 0.0, 0.0]}]}),
-        (UNIT1, _two_ramps(duration=NAN)),
-        (UNIT1, _two_ramps(u=NAN)),
-        (UNIT1, _two_ramps(extra={"u": 0.0, "duration": NAN,
-                                  "start": [0.5]})),
-        (UNIT1, _two_ramps(t_f=NAN)),
-    ], ids=["input-above-M0", "starts-at-goal", "nan-duration", "nan-control",
-            "extra-nan-segment", "nan-t_f"])
+    ], ids=["input-above-M0", "starts-at-goal"])
     def test_invalid_path_is_no_success(self, tmp_path, problem,
                                            trajectory):
-        # each reaches its goal, but with |u| > M0, by a jump from x0, or
-        # through a NaN (JSON accepts one), which fails every comparison
+        # each reaches its goal, but with |u| > M0 or by a jump from x0
         inp = write_problem(tmp_path, problem)
         tpath = write_problem(tmp_path, trajectory, "traj.json")
         mout = str(tmp_path / "m.json")
@@ -184,15 +177,24 @@ class TestMetrics:
         assert json.loads((tmp_path / "m.json").read_text())["success"] \
             is False
 
-    @pytest.mark.parametrize("trajectory", [
-        {"t_f": 1.0, "segments": [{"u": 1.0, "duration": None,
-                                   "start": [0.0, 0.0, 0.0]}]},
-        {"t_f": 1.0, "segments": 5},
-        {"t_f": 1.0, "segments": [{"u": 1.0, "duration": 1.0,
-                                   "start": [0.0]}]},
-    ], ids=["null-duration", "segments-not-a-list", "short-start"])
-    def test_malformed_trajectory_exit_3(self, tmp_path, trajectory):
-        inp = write_problem(tmp_path, FIG7A)
+    @pytest.mark.parametrize("problem, trajectory", [
+        (FIG7A, {"t_f": 1.0, "segments": [{"u": 1.0, "duration": None,
+                                           "start": [0.0, 0.0, 0.0]}]}),
+        (FIG7A, {"t_f": 1.0, "segments": 5}),
+        (FIG7A, {"t_f": 1.0, "segments": [{"u": 1.0, "duration": 1.0,
+                                           "start": [0.0]}]}),
+        # JSON writes NaN and Infinity, and json.load reads them back
+        (UNIT1, _two_ramps(duration=NAN)),
+        (UNIT1, _two_ramps(duration=float("inf"))),
+        (UNIT1, _two_ramps(u=NAN)),
+        (UNIT1, _two_ramps(extra={"u": 0.0, "duration": NAN,
+                                  "start": [0.5]})),
+        (UNIT1, _two_ramps(t_f=NAN)),
+    ], ids=["null-duration", "segments-not-a-list", "short-start",
+            "nan-duration", "infinite-duration", "nan-control",
+            "extra-nan-segment", "nan-t_f"])
+    def test_malformed_trajectory_exit_3(self, tmp_path, problem, trajectory):
+        inp = write_problem(tmp_path, problem)
         tpath = write_problem(tmp_path, trajectory, "traj.json")
         assert main(["metrics", "--trajectory", tpath, "--problem", inp]) == 3
 

@@ -312,6 +312,17 @@ class TestRealRoots:
         roots = real_roots(Polynomial((0.0, 1.0)), (0.0, 1.0))
         assert roots == [0.0]
 
+    @pytest.mark.parametrize("degree, interval", [(3, (-1.0, 1.0)),
+                                                  (5, (0.0, 1.0))],
+                             ids=["cubic", "quintic"])
+    def test_sign_change_beside_a_near_zero_point(self, degree, interval):
+        # t^k - 1e-14 is within the zero tolerance at its stationary point
+        # t = 0, and changes sign just beyond it, at 1e-14^(1/k)
+        p = Polynomial((-1e-14,) + (0.0,) * (degree - 1) + (1.0,))
+        root = 1e-14 ** (1.0 / degree)
+        assert real_roots(p, interval) == [0.0,
+                                           pytest.approx(root, rel=1e-9)]
+
 
 EPS = 2.0 ** -52
 

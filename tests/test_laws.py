@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -140,6 +141,13 @@ class TestEnumerate:
 
     def test_order_3_count(self):
         assert len(laws.enumerate_af(3)) == 24
+
+    def test_order_4_catalog_pinned(self):
+        catalog = laws.enumerate_af(4)
+        text = "\n".join(laws.canonical(law) for law in catalog) + "\n"
+        assert len(catalog) == 4320
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "6d33e84295358183cd234f96cb02ef1de0a267eed859ee7de7c803b3016093c2"
 
     def test_order_4_contains_known_catalog_entries(self):
         got = {laws.canonical(a) for a in laws.enumerate_af(4)}

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -434,6 +435,52 @@ class TestMarkerLegSolves:
         assert degrees and set(degrees) == {2}
         assert not any(from_leg)
 
+    def test_degree_two_candidates_pass_the_solver_rule(self, monkeypatch):
+        # each leg checks its exact candidates with solver.accepted,
+        # shortest first, up to the one it keeps; the states it reads are
+        # accepted's, so no propagate call comes from _marker_leg itself
+        legs, own = [], []
+        leg, touch_times = Planner._marker_leg, Planner._touch_times
+        accepted, propagate = solver.accepted, kinematics.propagate
+
+        def leg_spy(self, *args):
+            legs.append({"candidates": [], "checked": []})
+            legs[-1]["result"] = leg(self, *args)
+            return legs[-1]["result"]
+
+        def touch_spy(self, *args):
+            out = touch_times(self, *args)
+            legs[-1]["candidates"].extend(out)
+            return out
+
+        def accepted_spy(system, t):
+            legs[-1]["checked"].append(t)
+            return accepted(system, t)
+
+        def propagate_spy(*args):
+            caller = sys._getframe(1).f_code.co_qualname
+            if caller.startswith("Planner._marker_leg"):
+                own.append(caller)
+            return propagate(*args)
+
+        monkeypatch.setattr(Planner, "_marker_leg", leg_spy)
+        monkeypatch.setattr(Planner, "_touch_times", touch_spy)
+        monkeypatch.setattr(solver, "accepted", accepted_spy)
+        monkeypatch.setattr(kinematics, "propagate", propagate_spy)
+        for prob in near_touch_draws(40):
+            try:
+                plan(prob)
+            except PlanError:
+                pass
+        assert any(rec["result"] is not None for rec in legs)
+        assert any(len(rec["checked"]) > 1 for rec in legs)
+        for rec in legs:
+            ordered = sorted(rec["candidates"], key=sum)
+            assert rec["checked"] == ordered[:len(rec["checked"])]
+            if rec["result"] is None:
+                assert len(rec["checked"]) == len(ordered)
+        assert own == []
+
     def test_group_leg_has_one_stage_per_behavior(self, monkeypatch):
         # an order-4 group law as a degree-4 leg of order 5, with its solve
         # stubbed to zero durations that meet every condition: the leg
@@ -442,8 +489,8 @@ class TestMarkerLegSolves:
         M = sampling.default_bounds(5)
         monkeypatch.setattr(
             solver, "solve_times",
-            lambda system, **kw: solver.Solved((0.0,) * system.num_unknowns,
-                                               ()))
+            lambda system, **kw: solver.accepted(
+                system, [0.0] * system.num_unknowns))
         monkeypatch.setattr(solver.StageSystem, "residuals",
                             lambda self, times: [0.0] * self.num_equations)
         leg = Planner()._marker_leg(5, (-0.5, 0.0, 0.0, 0.0, 0.0), M, law, 1,

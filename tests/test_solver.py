@@ -51,6 +51,12 @@ class TestAssemble:
         with pytest.raises(AssembleError):
             assemble(asl_parse("010"), (0.0, 2.0), (0.0, 0.0), (1.0, 1.0, None))
 
+    def test_end_conditions_after_a_virtual_group_rejected(self):
+        # the real chain's end conditions need a real stage to read
+        with pytest.raises(AssembleError, match="real stage"):
+            assemble(asl_parse("+0 -0 ( -1 )"), (0.0, 0.0), (0.0, 1.0),
+                     (1.0, 1.0, None))
+
     def test_freedom_mismatch_rejected(self):
         with pytest.raises(AssembleError):
             assemble(asl_parse("-0"), (0.0, 2.0), (0.0, 0.0), (1.0, 1.0, None))
