@@ -2,18 +2,21 @@
 
 The hot kernels of manifold interception (``propagate``, ``integral_top``,
 the order-2 closed form ``plan2`` and its bound-checked, integrated form
-``plan2_top``), the per-segment machinery (state polynomials, a state's
-samples at a segment's ends and stationary points, bound violation checks),
-``bracket_root``, the one root solver (it polishes polynomial roots and
-solves the manifold interception), and ``touch_roots``, the exact
-two-duration solve of degree-2 tangent-marker legs.  Callers reach the
-kernels as ``kinematics.<name>`` so that a profiler can wrap them here.
+``plan2_top``), the per-segment machinery (state polynomials, each a plain
+coefficient sequence whose item i multiplies t**i and which ``horner``
+evaluates; a state's samples at a segment's ends and stationary points;
+bound violation checks), ``bracket_root``, the one root solver (it polishes
+polynomial roots and solves the manifold interception), and
+``touch_roots``, the exact two-duration solve of degree-2 tangent-marker
+legs.  Callers reach the kernels as ``kinematics.<name>`` so that a
+profiler can wrap them here.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 from math import fabs, frexp, ldexp, sqrt
 from typing import Optional
 
@@ -187,38 +190,26 @@ for _i in range(1, 32):
     _FACT.append(_FACT[-1] * _i)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Real univariate polynomial; ``coeffs[i]`` multiplies ``t**i``."""
-
-    coeffs: tuple[float, ...]
-
-    def __call__(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    @property
-    def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i] != 0.0:
-                return i
-        return 0
-
-    def derivative(self) -> "Polynomial":
-        if len(self.coeffs) <= 1:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coeffs)
+def horner(coeffs, t: float) -> float:
+    """The polynomial with coefficient sequence coeffs at t."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
-def state_polynomial(x, u: float, k: int) -> Polynomial:
-    """Polynomial giving state k along a constant-control segment.
+def _degree(coeffs) -> int:
+    """Index of the last nonzero coefficient; 0 when there is none."""
+    d = len(coeffs) - 1
+    while d > 0 and coeffs[d] == 0.0:
+        d -= 1
+    return d
 
-    Evaluating it at t equals propagate(x, u, t)[k-1]; degree k.
+
+def state_polynomial(x, u: float, k: int) -> tuple[float, ...]:
+    """Coefficient sequence of state k along a constant-control segment.
+
+    ``horner`` of it at t equals propagate(x, u, t)[k-1]; degree k.
     """
     n = len(x)
     if not 1 <= k <= n:
@@ -228,7 +219,7 @@ def state_polynomial(x, u: float, k: int) -> Polynomial:
     for i in range(1, k):
         coeffs[i] = x[k - 1 - i] / _FACT[i]
     coeffs[k] = u / _FACT[k]
-    return Polynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
 # Brent steps of bracket_root before it only bisects, well above the few
@@ -305,37 +296,40 @@ ROOT_TOL = 1e-12
 ROOT_DEDUP = 1e-10
 
 
-def real_roots(p: Polynomial, interval: tuple[float, float]) -> list[float]:
-    """All real roots of p on [a, b], sorted, deduplicated within ROOT_DEDUP.
+def real_roots(p, interval: tuple[float, float]) -> list[float]:
+    """All real roots on [a, b] of the polynomial with coefficient sequence
+    p, sorted, deduplicated within ROOT_DEDUP.
 
     Roots are isolated by subdividing at derivative roots (recursively down
     to the linear case): each subdivision point where |p| is within the
     zero tolerance, and each strict sign change between neighbouring
     points, polished by ``bracket_root`` to ROOT_TOL.  A sign change beside
     a point taken for a zero is solved too: p can be that flat near a
-    distinct root.  Raises ValueError for the identically zero polynomial.
+    distinct root.  Raises ValueError when every coefficient is zero.
     """
     a, b = interval
     if a > b:
         raise ValueError(f"empty interval [{a}, {b}]")
-    if p.is_zero():
+    if not any(p):
         raise ValueError("identically zero on interval")
-    deg = p.degree
+    deg = _degree(p)
     # function-value tolerance for flagging a grazing (even-multiplicity) root
     span = max(1.0, abs(a), abs(b))
-    fscale = sum(abs(c) * span ** i for i, c in enumerate(p.coeffs))
+    fscale = sum(abs(c) * span ** i for i, c in enumerate(p))
     feps = 1e-12 * max(1.0, fscale)
     if deg == 0:
         return []
     breakpoints = [a, b]
     if deg >= 2:
-        breakpoints = sorted(set([a, b]) | set(real_roots(p.derivative(), interval)))
-    values = [p(t) for t in breakpoints]
+        deriv = tuple(i * c for i, c in enumerate(p) if i > 0)
+        breakpoints = sorted(set([a, b]) | set(real_roots(deriv, interval)))
+    values = [horner(p, t) for t in breakpoints]
     roots = [t for t, v in zip(breakpoints, values) if abs(v) <= feps]
     for lo, f_lo, hi, f_hi in zip(breakpoints, values,
                                   breakpoints[1:], values[1:]):
         if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
-            roots.append(bracket_root(p, lo, f_lo, hi, f_hi, ROOT_TOL))
+            roots.append(bracket_root(partial(horner, p), lo, f_lo, hi, f_hi,
+                                      ROOT_TOL))
     roots.sort()
     out: list[float] = []
     for r in roots:
@@ -393,11 +387,11 @@ def _stay_time(x, u: float, lim: float) -> float:
     p = state_polynomial(x, u, len(x))
     end = 0.0
     for side in (lim, -lim):
-        q = Polynomial((p.coeffs[0] - side,) + p.coeffs[1:])
-        d = q.degree
+        q = (p[0] - side,) + p[1:]
+        d = _degree(q)
         if d > 0:
             # every root lies within Fujiwara's bound of 0
-            c = [abs(v / q.coeffs[d]) for v in q.coeffs]
+            c = [abs(v / q[d]) for v in q]
             bound = 2.0 * max([c[d - i] ** (1.0 / i) for i in range(1, d)]
                               + [(0.5 * c[0]) ** (1.0 / d)])
             end = max([end] + real_roots(q, (0.0, bound)))
@@ -463,13 +457,14 @@ def _touch_polish(x, ua, ub, top, a, b):
     return a, b
 
 
-def _touch_resultant(x, ua, ub, top, c, h) -> Polynomial:
+def _touch_resultant(x, ua, ub, top, c, h) -> tuple[float, ...]:
     """Resultant in b of x_{n-1} and x_n - top after stages (ua, a) and
-    (ub, b), as a polynomial in s where a = c + h s."""
+    (ub, b), as the coefficient sequence of a polynomial in s where
+    a = c + h s."""
     n = len(x)
     xc = propagate(x, ua, c)
     # y_k(s), the states after the first stage
-    y = [[v * h ** i for i, v in enumerate(state_polynomial(xc, ua, k).coeffs)]
+    y = [[v * h ** i for i, v in enumerate(state_polynomial(xc, ua, k))]
          for k in range(1, n + 1)]
     # f = x_{n-1} and g = x_n - top after the second stage, as coefficient
     # lists in b of coefficient lists in s (padded to degree n)
@@ -494,9 +489,9 @@ def _touch_resultant(x, ua, ub, top, c, h) -> Polynomial:
     # [0.5, 1): real_roots takes values below 1e-12 of that for zeros
     big = max(map(abs, res))
     if big == 0.0:
-        return Polynomial(tuple(res))
+        return tuple(res)
     shift = -frexp(big)[1]
-    return Polynomial(tuple(ldexp(v, shift) for v in res))
+    return tuple(ldexp(v, shift) for v in res)
 
 
 def touch_roots(x, ua: float, ub: float, top: float,
@@ -548,13 +543,13 @@ def touch_roots(x, ua: float, ub: float, top: float,
     for lo, hi in zip(cuts, cuts[1:]):
         c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
         res = _touch_resultant(x, ua, ub, top, c, h)
-        if res.is_zero():
+        if not any(res):
             continue
         for sa in real_roots(res, (-1.0, 1.0)):
             a = c + h * sa
             y = propagate(x, ua, a)
             fb = state_polynomial(y, ub, n - 1)
-            if fb.is_zero():
+            if not any(fb):
                 continue
             b_end = b_hi if b_hi is not None else _stay_time(y, ub, top)
             for b in real_roots(fb, (0.0, b_end)):
@@ -580,10 +575,10 @@ def segment_samples(x, u: float, T: float, k: int) -> list[tuple[float, float]]:
     if T > 0.0 and k >= 2:
         # stationary points of state k are the roots of state k-1
         deriv = state_polynomial(x, u, k - 1)
-        if not deriv.is_zero():
+        if any(deriv):
             times.extend(t for t in real_roots(deriv, (0.0, T)) if 0.0 < t < T)
     times.sort()
-    return [(t, poly(t)) for t in times]
+    return [(t, horner(poly, t)) for t in times]
 
 
 def segment_bound_check(x, u: float, T: float, M, eps: float = 1e-9) -> Optional[Violation]:

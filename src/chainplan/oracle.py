@@ -229,12 +229,6 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
             raise OracleError("virtual groups do not occur at orders 1..3")
         for last in (1, -1):
             elements = laws.assign_signs(law, last).elements
-            stage_count = sum(1 for e in elements if isinstance(e, Behavior))
-            riding = sum(e.value for e in elements if isinstance(e, Behavior))
-            marker = sum(e.degree for e in elements
-                         if isinstance(e, TangentMarker))
-            if stage_count != riding + marker + n:
-                continue
             # the states that stages ride and markers touch must be bounded
             pinned = [e.behavior.value if isinstance(e, TangentMarker)
                       else e.value for e in elements]

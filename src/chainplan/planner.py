@@ -187,8 +187,6 @@ class Planner:
     # ------------------------------------------------------------------
 
     def _plan(self, n: int, x0, xf, M, depth: int = 0) -> _Plan:
-        x0 = tuple(map(float, x0))
-        xf = tuple(map(float, xf))
         if n == 1:
             return self._plan1(x0, xf, M[0])
         if n == 2:

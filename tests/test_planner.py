@@ -866,15 +866,24 @@ class TestGapEvaluations:
 class TestRootCounts:
     """Evaluations per root of kinematics.bracket_root on the first 100
     seed-1 order-3 draws: a bisection to the same tolerances takes about 37
-    for both kinds."""
+    for both kinds.  A root solved inside kinematics.real_roots is a
+    polynomial root, any other a manifold-gap root."""
 
     def test_evaluations_per_root(self, monkeypatch):
         solve = kinematics.bracket_root
+        isolate = kinematics.real_roots
         counts = {"gap": [0, 0], "poly": [0, 0]}
+        depth = [0]
+
+        def isolating(*args):
+            depth[0] += 1
+            try:
+                return isolate(*args)
+            finally:
+                depth[0] -= 1
 
         def counted(f, *args):
-            tally = counts["poly" if isinstance(f, kinematics.Polynomial)
-                           else "gap"]
+            tally = counts["poly" if depth[0] else "gap"]
             tally[0] += 1
 
             def g(t):
@@ -884,6 +893,7 @@ class TestRootCounts:
             return solve(g, *args)
 
         monkeypatch.setattr(kinematics, "bracket_root", counted)
+        monkeypatch.setattr(kinematics, "real_roots", isolating)
         rng = np.random.default_rng(1)
         M = sampling.default_bounds(3)
         for _ in range(100):
