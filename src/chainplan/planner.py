@@ -6,16 +6,20 @@ exactly (the proper position) and classifies the start once per order, as
 on, above or below that manifold.  On it, the lower-order plan's controls
 run unchanged on the order-n chain.  Above it, the planner plans the
 mirrored start, which lies below, and negates that plan.  Below it, the
-planner ascends toward the extreme cruise state of the highest bounded
-state, handing over to the lower-order plan the moment the running state is
-intercepted by the manifold.  That moment is found in stage-local time: the manifold gap is evaluated at
-the ascent's stage ends, and the first sign change is solved inside its
-stage, as a stage index, a time into that stage and the state there.  When
-the top-state bound still activates, the planner searches tangent-marker
-constructions: reach the bound with a low-order catalog law pinning the
-touch conditions, then continue from the touch state.  With no bounded state
-below the top there is no cruise to ascend toward: from order 3 on, such a
-problem is solved as one bang-bang stage system, unclassified.
+planner follows one path, the ascent and its ride: the order-m plan that
+brings x_m, the highest bounded state below the top, to its cruise
+x_m = M_m, then the ride along that cruise as the path's last stage.  It
+hands over to the lower-order plan the moment the manifold intercepts the
+path.  That moment is found in stage-local time, as a stage index, a time
+into that stage and the state there: the manifold gap is evaluated at the
+ascent's stage ends and the first sign change is solved inside its stage;
+on the ride the gap closes linearly when x_m is x_{n-1}, and otherwise
+doubling the ride time brackets the crossing.  When the top-state bound
+still activates, the planner searches tangent-marker constructions: reach
+the bound with a low-order catalog law pinning the touch conditions, then
+continue from the touch state.  With no bounded state below the top there
+is no cruise to ascend toward: from order 3 on, such a problem is solved as
+one bang-bang stage system, unclassified.
 
 Time-optimal through order 3; near-optimal above (the virtual continuation
 that encodes interception does not occur in true optima).
@@ -262,27 +266,37 @@ class Planner:
 
     def _plan_lower(self, n: int, x0, xf, M, gap: float) -> _Plan:
         """Plan order n from x0, which lies below the manifold by the
-        classified gap (< 0): ascend toward the highest bounded cruise, and
-        hand over where the manifold intercepts the ascent or its cruise."""
+        classified gap (< 0): ascend toward x_m's cruise, for the highest
+        bounded state x_m below the top, ride it, and hand over to the
+        lower-order plan where the manifold intercepts that path.
+
+        The path is the order-m plan to the cruise state, whose controls run
+        unchanged on the order-n chain, less the zero-length ramps it ends
+        in (their sign can break the law's sign chain before the ride, and
+        they move nothing); its last stage is the ride, unbounded until the
+        hand-over cuts it.  The behaviors that the cut skips join the
+        lower-order plan's virtual group."""
         m = max(k for k in range(1, n) if M[k] is not None)
-        target = tuple(M[m] if k == m else 0.0 for k in range(1, n))
-        ascent = self._plan(n - 1, x0[:-1], target, M[:n])
-        hit, end, g = self._intercept_scan(n, x0, ascent, gap, xf, M)
-        if hit is not None:
-            return self._splice_intercept(n, ascent, hit, xf, M, m)
-        # no crossing on the ascent: ride the cruise from its last stage end
-        if g is None:
-            # no lower-order plan there; fail with its error
-            g = self._gap_at(n, end, xf, M)
-        if g > 0.0:
-            raise PlanError("ascent prefix overshot the manifold")
-        if m == n - 1:
-            # the sub-state is frozen on the cruise; the gap closes linearly
-            t_ride = -g / M[m]
-            ride_end = kinematics.propagate(end, 0.0, t_ride)
-        else:
-            t_ride, ride_end = self._ride_root(n, end, g, xf, M)
-        return self._splice_ride(n, ascent, t_ride, ride_end, xf, M, m)
+        ascent = self._plan(m, x0[:m], (0.0,) * (m - 1) + (M[m],),
+                            M[:m + 1])
+        stages, elements = list(ascent.stages), list(ascent.elements)
+        while stages and stages[-1][1] == 0.0 \
+                and isinstance(elements[-1], Behavior):
+            stages.pop()
+            elements.pop()
+        stages.append((0.0, math.inf))
+        elements.append(Behavior(m, 1))
+        j, tau, state = self._hand_over(n, x0, stages, gap, xf, M)
+        cut = [i for i, e in enumerate(elements)
+               if isinstance(e, Behavior)][j] + 1
+        head = _Plan(tuple(stages[:j]) + ((stages[j][0], tau),),
+                     tuple(elements[:cut]))
+        cont = self._plan(n - 1, state[: n - 1], xf[:-1], M[:n])
+        members = tuple(e for e in elements[cut:] if isinstance(e, Behavior))
+        if not (members and cont.elements):
+            return _concat(head, cont)
+        group = laws.simplify(Asl((VirtualGroup(members),))).elements
+        return _concat(head, _Plan((), group), cont)
 
     # ---------------- interception ----------------
 
@@ -296,36 +310,51 @@ class Planner:
         except PlanError:
             return None
 
-    def _intercept_scan(self, n: int, x0, prefix: _Plan, g, xf, M):
-        """Walk the prefix from x0 and its gap g to the first manifold
-        crossing: (hit, end, g_end).  hit is (j, tau, state) when the
-        crossing lies tau into stage j, else None; end and g_end are where
-        the walk stopped and the gap there (None where the lower-order plan
-        fails), from which the cruise ride goes on.
+    def _hand_over(self, n: int, x0, stages, g, xf, M):
+        """Where the manifold intercepts the path from x0, whose gap is
+        g < 0: (j, tau, state), the crossing tau into stage j.  The path's
+        last stage is the cruise ride.
 
-        Evaluates the gap at each stage end (a zero-length stage ends where
-        it starts and is skipped).  An exact zero is returned as it is; the
-        first sign change is solved inside the stage that produced it, from
-        that stage's start state.  A stage end where the lower-order plan
-        fails starts a new bracket.
+        Evaluates the gap at each stage end before the ride (a zero-length
+        stage ends where it starts and is skipped); the first sign change is
+        solved inside the stage that produced it, from that stage's start
+        state.  A stage end where the lower-order plan fails starts a new
+        bracket.  On the ride the gap closes linearly when the cruise state
+        is x_{n-1}; otherwise the ride time doubles until the gap changes sign.
         """
         cur = x0
-        if g == 0.0:
-            return (0, 0.0, cur), cur, g
-        for j, (u, dur) in enumerate(prefix.stages):
+        for j, (u, dur) in enumerate(stages[:-1]):
             if dur <= 0.0:
                 continue
             end = kinematics.propagate(cur, u, dur)
             g_end = self._gap_or_none(n, end, xf, M)
             if g_end == 0.0:
-                return (j, dur, end), end, g_end
+                return j, dur, end
             if g is not None and g_end is not None \
                     and (g < 0.0) != (g_end < 0.0):
-                hit = (j,) + self._stage_root(n, cur, u, 0.0, g, dur, g_end,
-                                              xf, M)
-                return hit, end, g_end
+                return (j,) + self._stage_root(n, cur, u, 0.0, g, dur, g_end,
+                                               xf, M)
             cur, g = end, g_end
-        return None, cur, g
+        j = len(stages) - 1
+        if g is None:
+            # no lower-order plan there; fail with its error
+            g = self._gap_at(n, cur, xf, M)
+        if g > 0.0:
+            raise PlanError("ascent prefix overshot the manifold")
+        if M[n - 1] is not None:
+            # the sub-state is frozen on the cruise; the gap closes linearly
+            tau = -g / M[n - 1]
+            return j, tau, kinematics.propagate(cur, 0.0, tau)
+        lo, hi = 0.0, 1.0
+        for _ in range(120):
+            g_hi = self._gap_at(n, kinematics.propagate(cur, 0.0, hi), xf, M)
+            if g_hi == 0.0 or (g < 0.0) != (g_hi < 0.0):
+                break
+            lo, g = hi, g_hi
+            hi *= 2.0
+        else:
+            raise PlanError("cruise ride never reaches the manifold")
+        return (j,) + self._stage_root(n, cur, 0.0, lo, g, hi, g_hi, xf, M)
 
     def _stage_root(self, n, start, u, lo, g_lo, hi, g_hi, xf, M):
         """(tau, state) where the gap of propagate(start, u, tau) changes
@@ -336,50 +365,6 @@ class Planner:
                                         xf, M),
             lo, g_lo, hi, g_hi, INTERCEPT_TOL)
         return tau, kinematics.propagate(start, u, tau)
-
-    # ---------------- composition ----------------
-
-    def _splice_intercept(self, n, prefix: _Plan, hit, xf, M, m) -> _Plan:
-        j, tau, state = hit
-        stage_elem = [i for i, e in enumerate(prefix.elements)
-                      if isinstance(e, Behavior)]
-        cont = self._plan(n - 1, state[: n - 1], xf[:-1], M[:n])
-        head = _Plan(prefix.stages[:j] + ((prefix.stages[j][0], tau),),
-                     prefix.elements[: stage_elem[j] + 1])
-        if not cont.elements:
-            return _concat(head, cont)
-        members = [e for e in prefix.elements[stage_elem[j] + 1:]
-                   if isinstance(e, Behavior)]
-        members.append(Behavior(m, 1))
-        group = laws.simplify(Asl((VirtualGroup(tuple(members)),))).elements
-        return _concat(head, _Plan((), group), cont)
-
-    def _splice_ride(self, n, ascent: _Plan, t_ride, state, xf, M, m) -> _Plan:
-        cont = self._plan(n - 1, state[: n - 1], xf[:-1], M[:n])
-        # the ascent to x_m = M_m can end in zero-length ramps whose sign
-        # breaks the law's sign chain before the ride; they move nothing
-        stages, elements = list(ascent.stages), list(ascent.elements)
-        while stages and stages[-1][1] == 0.0 \
-                and isinstance(elements[-1], Behavior):
-            stages.pop()
-            elements.pop()
-        head = _Plan(tuple(stages) + ((0.0, t_ride),),
-                     tuple(elements) + (Behavior(m, 1),))
-        return _concat(head, cont)
-
-    def _ride_root(self, n, start, g_lo, xf, M):
-        """(tau, state) where the gap, g_lo at start, changes sign on the
-        cruise ride from start."""
-        lo, hi = 0.0, 1.0
-        for _ in range(120):
-            g_hi = self._gap_at(n, kinematics.propagate(start, 0.0, hi), xf, M)
-            if g_hi == 0.0 or (g_lo < 0.0) != (g_hi < 0.0):
-                break
-            lo, g_lo = hi, g_hi
-            hi *= 2.0
-        else:
-            raise PlanError("cruise ride never reaches the manifold")
-        return self._stage_root(n, start, 0.0, lo, g_lo, hi, g_hi, xf, M)
 
     # ---------------- saturation-only systems ----------------
 

@@ -1,11 +1,11 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
-from chainplan import sampling
 from chainplan.cli import main
+from chainplan.model import Behavior
+from chainplan.planner import Planner, _Plan
 
 FIG7A = {
     "order": 3,
@@ -76,16 +76,17 @@ class TestPlan:
         assert "infeasible input: no tangent-marker law exists" in \
             capsys.readouterr().err
 
-    def test_invalid_planned_law_exit_2(self, tmp_path):
-        # order-4 draw 18 at seed 5 with x3 unbounded: the ride splice yields
-        # a law that breaks the sign chain
-        M = [1.0, 1.0, 1.5, None, 20.0]
-        rng = np.random.default_rng(5)
-        for _ in range(19):
-            prob = sampling.random_problem(4, M, rng, 0.8)
-        inp = write_problem(tmp_path, {"order": 4, "x0": list(prob.x0),
-                                       "xf": list(prob.xf), "M": M})
+    def test_invalid_planned_law_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a plan whose law breaks the sign chain (+0 +2 +0) is a planner
+        # failure, not malformed input
+        def broken(self, n, x0, xf, M, depth=0):
+            return _Plan(((1.0, 0.5), (0.0, 1.0), (1.0, 0.5)),
+                         (Behavior(0, 1), Behavior(2, 1), Behavior(0, 1)))
+
+        monkeypatch.setattr(Planner, "_plan", broken)
+        inp = write_problem(tmp_path, FIG7A)
         assert main(["plan", "--input", inp]) == 2
+        assert "planned law is invalid" in capsys.readouterr().err
 
     def test_cross_check_runs(self, tmp_path, capsys):
         inp = write_problem(tmp_path, FIG7A)

@@ -41,17 +41,20 @@ def classify(x0, xf, M):
 
 def intercept_time(prefix: Trajectory, xf, M):
     """Time into the prefix at which its state meets the lower-order
-    manifold of xf, or None."""
-    stages = tuple((s.u, s.duration) for s in prefix.segments)
-    p = _Plan(stages, ())
+    manifold of xf, or None where the path that the planner follows, the
+    prefix and then a cruise ride, meets it only on the ride.  A start above
+    the manifold is mirrored below it, as the planner does."""
+    stages = [(s.u, s.duration) for s in prefix.segments] + [(0.0, math.inf)]
     x0 = prefix.segments[0].start
     n, xf, M = len(xf), tuple(map(float, xf)), tuple(M)
     pl = Planner()
-    hit, _, _ = pl._intercept_scan(n, x0, p, pl._gap_or_none(n, x0, xf, M),
-                                   xf, M)
-    if hit is None:
+    g = pl._gap_at(n, x0, xf, M)
+    if g > 0.0:
+        x0, xf, g = tuple(-v for v in x0), tuple(-v for v in xf), -g
+        stages = [(-u, dur) for u, dur in stages]
+    j, tau, _ = pl._hand_over(n, x0, stages, g, xf, M)
+    if j == len(stages) - 1:
         return None
-    j, tau, _ = hit
     return sum(t for _, t in stages[:j]) + tau
 
 
@@ -576,19 +579,23 @@ class TestInfeasibilityCertificate:
 
 
 class TestRidePath:
-    """With x_{n-1} unbounded and x_{n-2} bounded, the lower branch rides the
-    x_{n-2} cruise and finds the crossing with _ride_root."""
+    """With x_{n-1} unbounded and x_m, m < n - 1, the highest bounded state
+    below the top, the lower branch ascends with the order-m plan to x_m's
+    cruise, rides it as its path's last stage, and brackets the crossing on
+    the ride by doubling the ride time."""
 
     def test_order4_rides_and_verifies(self, monkeypatch):
-        ride = Planner._ride_root
+        hand_over = Planner._hand_over
         reached = set()
         draw = [None]
 
-        def spy(self, *args):
-            reached.add(draw[0])
-            return ride(self, *args)
+        def spy(self, n, x0, stages, g, xf, M):
+            hit = hand_over(self, n, x0, stages, g, xf, M)
+            if hit[0] == len(stages) - 1 and M[n - 1] is None:
+                reached.add(draw[0])
+            return hit
 
-        monkeypatch.setattr(Planner, "_ride_root", spy)
+        monkeypatch.setattr(Planner, "_hand_over", spy)
         M = (1.0, 1.0, 1.5, None, 20.0)
         planned, invalid = 0, []
         for i, prob in enumerate(_seed5_draws(4, M, 60)):
@@ -601,20 +608,39 @@ class TestRidePath:
                 continue
             planned += 1
             assert solver.verify(traj, prob.M, 1e-9) is None
-        assert len(reached) == 58
-        assert planned > 0
-        # draw 18's ascent ends in a ramp of 1.1e-16 s, not 0 s, so the ride
-        # splice still breaks its sign chain (a known planner defect); it
-        # must surface as a PlanError, not as an AslError
-        assert invalid == [18]
+        assert len(reached) == 45
+        assert planned == 20
+        # draw 18's order-2 ascent reaches x2's cruise through a ramp of
+        # 1 s, so its ride splice keeps the law's sign chain
+        assert invalid == []
 
     @pytest.mark.parametrize("index", [17, 20])
     def test_order3_ride_splice_plans_optimally(self, index):
-        # the ascent ends in a zero-length ramp, which the splice drops
+        # the ascent is the order-1 ramp to x1 = M1, and the manifold
+        # intercepts its ride
         prob = _seed5_draws(3, (1.0, 1.0, None, 4.0), index + 1)[index]
         traj = plan(prob)
         assert solver.verify(traj, prob.M, 1e-9) is None
         assert traj.t_f <= oracle.exhaustive_tf(prob).t_f + 1e-9
+
+    def test_order3_unbounded_x2_plans_at_the_oracle_t_f(self):
+        # the ascent to x1's cruise is the order-1 plan and leaves x2 free;
+        # an ascent that pins x2 to 0 detours (seed 5 draw 286 then takes
+        # 11.219 s against the oracle's 6.515 s)
+        M = (1.0, 1.0, None, 4.0)
+        planned = 0
+        for seed in (5, 7):
+            rng = np.random.default_rng(seed)
+            for _ in range(300):
+                prob = sampling.random_problem(3, M, rng, 0.8)
+                try:
+                    traj = plan(prob)
+                except PlanError:
+                    continue
+                planned += 1
+                assert traj.t_f == pytest.approx(
+                    oracle.exhaustive_tf(prob).t_f, abs=1e-9)
+        assert planned == 29
 
 
 # a prefix plan with the start state that the grid scan walks it from
@@ -622,28 +648,35 @@ _Walk = namedtuple("_Walk", "x0 stages")
 
 
 class _GridScanPlanner(Planner):
-    """Reference interception by grid scan in prefix time: 64 points per
+    """Reference interception by grid scan in ascent time: 64 points per
     stage at order <= 3; above, a stage-end pass whose bracket is
     grid-refined, falling back to the full grid.  The stage-end pass must
-    find what it finds."""
+    find what it finds.  Past the ascent, the planner's own ride takes over
+    from the ascent end state and a fresh gap there."""
 
     GRID = 64
 
-    def _intercept_scan(self, n, x0, prefix, g, xf, M):
-        # the start gap g is not used: the grid evaluates its own, and the
-        # ride starts from the prefix end state and a fresh gap there
-        prefix = _Walk(x0, prefix.stages)
+    def __init__(self):
+        super().__init__()
+        self.hand_overs = 0
+
+    def _hand_over(self, n, x0, stages, g, xf, M):
+        # the start gap g is not used: the grid evaluates its own
+        self.hand_overs += 1
+        ascent = _Walk(x0, stages[:-1])
         if n <= 3:
-            hit = self._scan_over(n, prefix, xf, M, self.GRID)
+            hit = self._scan_over(n, ascent, xf, M, self.GRID)
         else:
-            hit = self._scan_over(n, prefix, xf, M, 1, refine=self.GRID) \
-                or self._scan_over(n, prefix, xf, M, self.GRID)
+            hit = self._scan_over(n, ascent, xf, M, 1, refine=self.GRID) \
+                or self._scan_over(n, ascent, xf, M, self.GRID)
         if hit is not None:
-            return hit, None, None
-        end = prefix.x0
-        for u, dur in prefix.stages:
+            return hit
+        end = x0
+        for u, dur in ascent.stages:
             end = kinematics.propagate(end, u, dur)
-        return None, end, self._gap_or_none(n, end, xf, M)
+        _, tau, state = super()._hand_over(
+            n, end, stages[-1:], self._gap_or_none(n, end, xf, M), xf, M)
+        return len(stages) - 1, tau, state
 
     def _scan_over(self, n, prefix, xf, M, grid, refine=0):
         g_prev = None
@@ -740,16 +773,21 @@ class TestInterceptBoundaryPass:
     def test_matches_grid_scan(self, n, count):
         rng = np.random.default_rng(1)
         M = sampling.default_bounds(n)
-        planned = 0
+        planned = hand_overs = 0
         for _ in range(count):
             prob = sampling.random_problem(n, M, rng, 0.8)
+            grid = _GridScanPlanner()
             kind, law, t_f = _outcome(Planner(), prob)
-            ref_kind, ref_law, ref_t_f = _outcome(_GridScanPlanner(), prob)
+            ref_kind, ref_law, ref_t_f = _outcome(grid, prob)
+            hand_overs += grid.hand_overs
             assert (kind, law) == (ref_kind, ref_law)
             if kind == "ok":
                 planned += 1
                 assert abs(t_f - ref_t_f) <= 1e-12
         assert planned > count // 2
+        # the reference's own search ran, so the planner was not compared
+        # with itself
+        assert hand_overs > count // 2
 
     def test_failed_gap_evaluation_splits_the_bracket(self):
         # x1 climbs 0 -> 1 -> 2 -> 3 over three stages and the gap is
@@ -765,27 +803,28 @@ class TestInterceptBoundaryPass:
                     raise PlanError("no lower-order plan")
                 return super()._gap_at(n, state, xf, M)
 
-        x0, prefix = (0.0, 0.0), _Plan(((1.0, 1.0),) * 3, ())
-        (j, tau, _), _, _ = Line()._intercept_scan(2, x0, prefix, -1.5,
-                                                   None, None)
+        x0, stages = (0.0, 0.0), [(1.0, 1.0)] * 3 + [(0.0, math.inf)]
+        j, tau, _ = Line()._hand_over(2, x0, stages, -1.5, None, None)
         assert (j, tau) == (1, 0.5)
-        # no crossing: the walk ends at the last stage end, x1 = 3
-        hit, end, g = Gappy()._intercept_scan(2, x0, prefix, -1.5, None, None)
-        assert hit is None
-        assert (end[0], g) == (3.0, 1.5)
+        # no crossing: the walk reaches the ride at the last stage end,
+        # x1 = 3, where the gap 1.5 is already past the manifold
+        with pytest.raises(PlanError, match="^ascent prefix overshot"):
+            Gappy()._hand_over(2, x0, stages, -1.5, None, None)
 
     def test_failed_gap_evaluation_ends_the_ride_solve(self):
-        # x2 = tau on the ride from (1, 0) and the gap is x2 - 3: doubling
-        # brackets the crossing in [2, 4], and the solve's first evaluation,
-        # at 3, finds no lower-order plan, so it stops at the best iterate
+        # x2 = tau on the ride from (1, 0) and the gap is x2 - 3; with x1
+        # unbounded the ride has no closed form, so doubling brackets the
+        # crossing in [2, 4], and the solve's first evaluation, at 3, finds
+        # no lower-order plan, so it stops at the best iterate
         class Gappy(Planner):
             def _gap_at(self, n, state, xf, M):
                 if 2.5 < state[1] < 3.5:
                     raise PlanError("no lower-order plan")
                 return state[1] - 3.0
 
-        tau, state = Gappy()._ride_root(2, (1.0, 0.0), -3.0, None, None)
-        assert (tau, state) == (4.0, (1.0, 4.0))
+        hit = Gappy()._hand_over(2, (1.0, 0.0), [(0.0, math.inf)], -3.0,
+                                 None, (1.0, None, None))
+        assert hit == (0, 4.0, (1.0, 4.0))
 
     def test_failed_end_gap_fails_the_ride_with_its_error(self):
         # below the manifold, the ascent to x2 = M2 meets no lower-order plan
