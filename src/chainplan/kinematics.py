@@ -487,10 +487,7 @@ def _touch_resultant(x, ua, ub, top, c, h) -> tuple[float, ...]:
     res = _poly_det(bez)
     # scale by a power of two (exactly) to a largest coefficient in
     # [0.5, 1): real_roots takes values below 1e-12 of that for zeros
-    big = max(map(abs, res))
-    if big == 0.0:
-        return tuple(res)
-    shift = -frexp(big)[1]
+    shift = -frexp(max(map(abs, res)))[1]
     return tuple(ldexp(v, shift) for v in res)
 
 

@@ -1,30 +1,23 @@
-"""Switching-law algebra: dimension, signs, validation, simplification,
-and full enumeration of the order-n catalog of augmented switching laws.
-``validate`` is the one filter on catalog candidates.
+"""Switching-law algebra: dimension, signs, simplification, and full
+enumeration of the order-n catalog of augmented switching laws.
 
-Rule identifiers used in validation messages:
+The catalog has one filter beyond ``Asl`` construction (which rejects
+adjacent bound-riding behaviors, markers not flanked by saturation stages
+and broken sign chains): every virtual group holds an even number of
+even-valued members.  The paper's other structural rules cannot remove a
+candidate that ``enumerate_af`` builds:
 
-==================  =========================================================
-adjacent-nonzero    two adjacent behaviors both ride bounds
-sign-chain          predecessor sign must copy across an odd value, flip
-                    across an even one
-marker-flanks       a tangent marker sits between two saturation stages
-marker-flank-sign   both marker flanks carry the marker's own sign
-marker-degree       marker degree is even, positive, and at most the state
-                    index; planner-made markers are strictly below it
-group-context       a virtual group needs a behavior before it and a
-                    saturation stage after it
-group-tail-max      the last group member rides the unique highest bound
-                    among the members
-group-even-evens    a group holds an even number of even-valued members
-group-sign          the last member's sign opposes the stage after the
-                    group; members chain by the usual sign rule
-==================  =========================================================
+- candidates are unsigned, so the sign rules (marker flanks share the
+  marker's sign, a group's last member opposes the stage after it, the
+  chain crosses a group) constrain only ``assign_signs``, which keeps them;
+- a marker is built at state index n with degree d < n;
+- a candidate whose group lacks its context (a stage before it, a
+  saturation stage after it) or whose last member is not the unique
+  highest ride also breaks the parity rule, through order 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -124,80 +117,10 @@ def assign_signs(asl: Asl, last_sign: int) -> Asl:
     return Asl(tuple(out))
 
 
-@dataclass(frozen=True)
-class RuleViolation:
-    rule: str
-    index: int
-    message: str
-
-
-def _check_group(i: int, g: VirtualGroup, after: Optional[Behavior],
-                 out: list[RuleViolation]) -> None:
-    tail = g.members[-1]
-    if tail.value == 0:
-        out.append(RuleViolation("group-tail-max", i,
-                                 "last group member does not ride a bound"))
-    elif any(m.value >= tail.value for m in g.members[:-1]):
-        out.append(RuleViolation("group-tail-max", i,
-                                 "last group member is not the unique maximum"))
-    evens = sum(1 for m in g.members if m.value % 2 == 0)
-    if evens % 2 != 0:
-        out.append(RuleViolation("group-even-evens", i,
-                                 f"group has {evens} even-valued members"))
-    if after is not None and after.sign is not None:
-        if tail.sign is not None and tail.sign != -after.sign:
-            out.append(RuleViolation("group-sign", i,
-                                     "last member must oppose the following stage"))
-    for a, b in zip(g.members, g.members[1:]):
-        if a.value != 0 and b.value != 0:
-            out.append(RuleViolation("adjacent-nonzero", i,
-                                     f"group members {a.text()} {b.text()} adjacent"))
-        want = expected_prev_sign(b)
-        if want is not None and a.sign is not None and a.sign != want:
-            out.append(RuleViolation("group-sign", i,
-                                     f"member {a.text()} inconsistent before {b.text()}"))
-
-
-def validate(asl: Asl) -> list[RuleViolation]:
-    """Check every structural and sign rule; empty list means valid.
-
-    ``Asl`` construction already rejects marker-flanks, and adjacent-nonzero
-    and sign-chain between two plain behaviors; the rules left are checked
-    here.
-    """
-    out: list[RuleViolation] = []
-    elems = asl.elements
-    for i, e in enumerate(elems):
-        before = elems[i - 1] if i > 0 else None
-        after = elems[i + 1] if i + 1 < len(elems) else None
-        if isinstance(e, TangentMarker):
-            if e.degree >= e.behavior.value:
-                out.append(RuleViolation("marker-degree", i,
-                                         f"marker degree {e.degree} not below "
-                                         f"state index {e.behavior.value}"))
-            if e.behavior.sign is not None:
-                for side in (before, after):
-                    if isinstance(side, Behavior) and side.sign is not None \
-                            and side.sign != e.behavior.sign:
-                        out.append(RuleViolation("marker-flank-sign", i,
-                                                 "marker flank sign differs from marker"))
-        elif isinstance(e, VirtualGroup):
-            if before is None or not isinstance(before, Behavior):
-                out.append(RuleViolation("group-context", i,
-                                         "virtual group needs a stage before it"))
-            if not (isinstance(after, Behavior) and after.value == 0):
-                out.append(RuleViolation("group-context", i,
-                                         "virtual group must precede a saturation stage"))
-            _check_group(i, e, after if isinstance(after, Behavior) else None, out)
-        elif isinstance(after, VirtualGroup):
-            # the group is transparent to the main chain
-            nxt = elems[i + 2] if i + 2 < len(elems) else None
-            if isinstance(nxt, Behavior):
-                want = expected_prev_sign(nxt)
-                if want is not None and e.sign is not None and e.sign != want:
-                    out.append(RuleViolation("sign-chain", i,
-                                             f"{e.text()} inconsistent across group"))
-    return out
+def _even_evens(law: Asl) -> bool:
+    """Every virtual group holds an even number of even-valued members."""
+    return all(sum(m.value % 2 == 0 for m in e.members) % 2 == 0
+               for e in law.elements if isinstance(e, VirtualGroup))
 
 
 def simplify(asl: Asl) -> Asl:
@@ -239,12 +162,12 @@ def enumerate_af(n: int) -> tuple[Asl, ...]:
     wraps a split suffix plus the riding behavior into a virtual group, or
     prefixes a tangent-marker construction with a low-order reach law.  For
     order >= 4 the construction is a superset claim only; nothing beyond it
-    is generated.  Each candidate is simplified and kept when ``validate``
-    finds no violation, the catalog's only filter (a candidate that breaks
-    a rule ``Asl`` construction enforces never forms).  Results are
-    deduplicated, sorted, and cached by order.  Raises LawEnumerationError
-    at once when the splice candidates, len(lower)^2, exceed
-    ENUMERATION_CAP.
+    is generated.  Each candidate is simplified and kept when every virtual
+    group holds an even number of even-valued members, the catalog's only
+    filter (a candidate that breaks a rule ``Asl`` construction enforces
+    never forms).  Results are deduplicated, sorted, and cached by order.
+    Raises LawEnumerationError at once when the splice candidates,
+    len(lower)^2, exceed ENUMERATION_CAP.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -261,7 +184,7 @@ def enumerate_af(n: int) -> tuple[Asl, ...]:
             law = simplify(Asl(elements))
         except AslError:
             return
-        if not validate(law):
+        if _even_evens(law):
             into.setdefault(canonical(law), law)
 
     ride = Behavior(k)

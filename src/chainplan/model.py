@@ -34,8 +34,9 @@ from typing import Iterator, Optional, Union
 class AslError(ValueError):
     """A switching-law sequence violates a structural rule.
 
-    ``rule`` carries a stable identifier for the violated rule (see
-    chainplan.laws.validate, which checks every rule).
+    ``rule`` carries a stable identifier for the violated rule: one that
+    element or ``Asl`` construction enforces, or "group-context" from
+    chainplan.laws.assign_signs.
     """
 
     def __init__(self, message: str, rule: str):
@@ -172,8 +173,8 @@ class Asl:
 
     Construction enforces the local structural rules: no two adjacent
     nonzero-valued behaviors, markers flanked by saturation stages, and the
-    sign-alternation chain on adjacent plain behaviors.  The full rule set
-    (group tails, group parity, marker signs) lives in chainplan.laws.
+    sign-alternation chain on adjacent plain behaviors.  The catalog's
+    group-parity filter and the sign assignment live in chainplan.laws.
     """
 
     elements: tuple[AslElement, ...] = ()
@@ -212,9 +213,6 @@ class Asl:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def negated(self) -> "Asl":
         return Asl(tuple(e.negated() for e in self.elements))

@@ -412,7 +412,6 @@ class Planner:
             raise PlanError("tangent-marker recursion exceeded depth "
                             f"{MAX_MARKER_DEPTH}")
         best: Optional[_Plan] = None
-        best_key = None
         attempted: list[str] = []
         for d in range(2, 2 * ((n - 1) // 2) + 1, 2):
             for law in laws.enumerate_af(d):
@@ -437,11 +436,8 @@ class Planner:
                     else:
                         join = _Plan((), (marker,))
                     candidate = _concat(leg_plan, join, cont)
-                    key = (candidate.tf, laws.canonical(Asl(candidate.elements)))
-                    if best is None or candidate.tf < best_key[0] - 1e-12 \
-                            or (candidate.tf < best_key[0] + 1e-12
-                                and key[1] < best_key[1]):
-                        best, best_key = candidate, key
+                    if best is None or candidate.tf < best.tf:
+                        best = candidate
         if best is None:
             raise PlanError(
                 f"no tangent-marker law reaches x{n} = +/-M{n} feasibly",

@@ -1,11 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from chainplan.cli import main
+import chainplan
+from chainplan.cli import main, write_csv
 from chainplan.model import Behavior
 from chainplan.planner import Planner, _Plan
+
+from helpers import piecewise
 
 FIG7A = {
     "order": 3,
@@ -114,6 +120,16 @@ class TestPlan:
         assert times == sorted(times)
         assert len(times) == len(set(times))
 
+    def test_csv_last_row_is_t_f(self, tmp_path):
+        # the 0.1 s grid puts a sample 1e-14 s before t_f; the two merge
+        # into one row at t_f itself
+        traj = piecewise([(1.0, 0.3 + 1e-14)])
+        write_csv(traj, str(tmp_path / "t.csv"), 0.1)
+        with open(tmp_path / "t.csv") as fh:
+            times = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+        assert times[-1] == traj.t_f
+        assert times[-2] < 0.25
+
     @pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
     def test_bad_sample_dt_exit_3(self, tmp_path, dt):
         # a period <= 0 would sample the CSV forever
@@ -143,6 +159,21 @@ class TestEnumerate:
         out, err = capsys.readouterr()
         assert out == ""
         assert "exceeded cap" in err
+
+    def test_closed_pipe_exit_3(self):
+        # the order-4 catalog (117 kB) outgrows a pipe's buffer, so the CLI
+        # is still writing when its reader leaves after one line
+        src = os.path.dirname(os.path.dirname(chainplan.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chainplan.cli", "enumerate", "--order", "4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline() == b"00(3,2)000(3)00(3,2)000\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 3
+        assert err == b""
 
 
 class TestMetrics:

@@ -364,6 +364,30 @@ class TestTangentMarkerSearch:
         with pytest.raises(InfeasibleProblem):
             plan(prob)
 
+    def test_leg_law_that_cannot_assemble_is_skipped(self):
+        # x1 is unbounded, so the leg law -0 -1 +0, which rides x1, has no
+        # stage system; the search passes over it and fails as a search
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            prob = sampling.random_problem(3, (1.0, None, 1.5, 4.0), rng, 0.8)
+        with pytest.raises(PlanError,
+                           match="^no tangent-marker law reaches") as e:
+            plan(prob)
+        assert e.value.attempted == ("-0 +0 -> (+3,2)", "-0 -1 +0 -> (+3,2)")
+
+    def test_empty_continuation_joins_a_zero_length_ramp(self):
+        # the goal is the touch state itself, so the continuation from the
+        # touch is empty, and the marker, which sits between saturation
+        # stages, needs a zero-length +0 ramp after it
+        prob = Problem(3, (1.0, -0.375, 3.999),
+                       (-0.19800476624176985, 0.0, 4.0), M3)
+        pl = Planner()
+        p = pl._marker_search(3, prob.x0, prob.xf, prob.M, [1], 0)
+        traj = pl._to_trajectory(p, prob)
+        assert traj.asl.text() == "-0 +0 (+3,2) +0"
+        assert p.stages[-1] == (1.0, 0.0)
+        assert solver.verify(traj, M3, 1e-9) is None
+
 
 class TestNearTouchMarkers:
     """Perturbed copies of the order-3 touch profile, where the free plan
@@ -579,10 +603,10 @@ class TestInfeasibilityCertificate:
 
 
 class TestRidePath:
-    """With x_{n-1} unbounded and x_m, m < n - 1, the highest bounded state
-    below the top, the lower branch ascends with the order-m plan to x_m's
-    cruise, rides it as its path's last stage, and brackets the crossing on
-    the ride by doubling the ride time."""
+    """The lower branch ascends with the order-m plan to x_m's cruise, for
+    x_m the highest bounded state below the top, and rides it as its path's
+    last stage.  With x_{n-1} unbounded (m < n - 1) it brackets the crossing
+    on the ride by doubling the ride time."""
 
     def test_order4_rides_and_verifies(self, monkeypatch):
         hand_over = Planner._hand_over
@@ -622,6 +646,18 @@ class TestRidePath:
         traj = plan(prob)
         assert solver.verify(traj, prob.M, 1e-9) is None
         assert traj.t_f <= oracle.exhaustive_tf(prob).t_f + 1e-9
+
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_ascent_ending_in_zero_length_ramps_keeps_the_sign_chain(self, s):
+        # x2 starts 1e-12 below its cruise, so the ascent to it is a lone
+        # zero-length +0 ramp; kept, that ramp would break the sign chain
+        # before the ride +2
+        prob = Problem(3, (0.0, s * (1.5 - 1e-12), s * -3.0),
+                       (0.0, 0.0, s * 3.0), M3)
+        traj = plan(prob)
+        assert traj.asl.text() == ("+2 -0 -1 +0" if s > 0 else "-2 +0 +1 -0")
+        assert traj.t_f == pytest.approx(5.25, abs=1e-9)
+        assert solver.verify(traj, M3, 1e-9) is None
 
     def test_order3_unbounded_x2_plans_at_the_oracle_t_f(self):
         # the ascent to x1's cruise is the order-1 plan and leaves x2 free;
@@ -810,6 +846,21 @@ class TestInterceptBoundaryPass:
         # x1 = 3, where the gap 1.5 is already past the manifold
         with pytest.raises(PlanError, match="^ascent prefix overshot"):
             Gappy()._hand_over(2, x0, stages, -1.5, None, None)
+
+    def test_zero_gap_after_a_failed_evaluation_ends_the_walk(self):
+        # x1 climbs 0 -> 1 -> 2 -> 3 and the gap is x1 - 2, with no
+        # lower-order plan at x1 = 1: the end at x1 = 2 lies on the manifold
+        # although no bracket leads to it
+        class Gappy(Planner):
+            def _gap_at(self, n, state, xf, M):
+                if state[0] == 1.0:
+                    raise PlanError("no lower-order plan")
+                return state[0] - 2.0
+
+        x0, stages = (0.0, 0.0), [(1.0, 1.0)] * 3 + [(0.0, math.inf)]
+        end = kinematics.propagate(kinematics.propagate(x0, 1.0, 1.0), 1.0, 1.0)
+        assert Gappy()._hand_over(2, x0, stages, -2.0, None, None) == \
+            (1, 1.0, end)
 
     def test_failed_gap_evaluation_ends_the_ride_solve(self):
         # x2 = tau on the ride from (1, 0) and the gap is x2 - 3; with x1
