@@ -4,7 +4,8 @@ The hot kernels of manifold interception (``propagate``, ``integral_top``,
 the order-2 closed form ``plan2`` and its bound-checked, integrated form
 ``plan2_top``), the per-segment machinery (state polynomials, each a plain
 coefficient sequence whose item i multiplies t**i and which ``horner``
-evaluates; a state's samples at a segment's ends and stationary points;
+evaluates; a state's samples at a segment's ends and stationary points,
+which are found in closed form while the derivative is at most cubic;
 bound violation checks), ``bracket_root``, the one root solver (it polishes
 polynomial roots and solves the manifold interception), and
 ``touch_roots``, the exact two-duration solve of degree-2 tangent-marker
@@ -17,7 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import partial
-from math import fabs, frexp, ldexp, sqrt
+from math import copysign, fabs, frexp, ldexp, sqrt
 from typing import Optional
 
 # recorded by perfbench in its environment block; the kernels are pure Python
@@ -563,6 +564,54 @@ class Violation:
     value: float
 
 
+def _quadratic_roots(c: float, b: float, a: float) -> list[float]:
+    """Real roots of c + b t + a t^2, a != 0, unsorted; none when the
+    discriminant is negative.  q = -(b + sign(b) sqrt(disc)) / 2 adds terms
+    of one sign, so neither root c / q nor q / a suffers the cancellation of
+    the textbook (-b +/- sqrt(disc)) / 2a; q = 0 only at the double root 0."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + copysign(sqrt(disc), b))
+    if q == 0.0:
+        return [0.0]
+    return [c / q, q / a]
+
+
+def _stationary_points(d, T: float) -> list[float]:
+    """Times that include every sign change inside (0, T) of the polynomial
+    d, the derivative of the state being scanned: unsorted, possibly with
+    roots outside (0, T), which callers drop.
+
+    Only a sign change of d is an extremum of the state: at a root of even
+    multiplicity the state has an inflection and stays between its values
+    on either side, so a scan that misses that root misses no extreme.  A
+    linear or quadratic d is solved in closed form.  A cubic is cut at the
+    closed-form roots of its derivative into monotone pieces, and each piece
+    that changes sign is solved by ``bracket_root``; a cut where d is
+    exactly 0 is a root (of multiplicity 3 when it is a sign change).  From
+    degree 4 on, ``real_roots`` isolates the roots."""
+    deg = _degree(d)
+    if deg == 0:
+        return []
+    if deg == 1:
+        return [-d[0] / d[1]]
+    if deg == 2:
+        return _quadratic_roots(d[0], d[1], d[2])
+    if deg > 3:
+        return real_roots(d, (0.0, T))
+    cuts = sorted({t for t in _quadratic_roots(d[1], 2.0 * d[2], 3.0 * d[3])
+                   if 0.0 < t < T})
+    cuts = [0.0] + cuts + [T]
+    values = [horner(d, t) for t in cuts]
+    roots = [t for t, v in zip(cuts[1:-1], values[1:-1]) if v == 0.0]
+    for lo, f_lo, hi, f_hi in zip(cuts, values, cuts[1:], values[1:]):
+        if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
+            roots.append(bracket_root(partial(horner, d), lo, f_lo, hi, f_hi,
+                                      ROOT_TOL))
+    return roots
+
+
 def segment_samples(x, u: float, T: float, k: int) -> list[tuple[float, float]]:
     """(t, x_k(t)) at the ends of a constant-control segment of duration T
     and at its interior stationary points, in time order: where state k
@@ -570,10 +619,9 @@ def segment_samples(x, u: float, T: float, k: int) -> list[tuple[float, float]]:
     poly = state_polynomial(x, u, k)
     times = [0.0, T]
     if T > 0.0 and k >= 2:
-        # stationary points of state k are the roots of state k-1
+        # stationary points of state k are the sign changes of state k-1
         deriv = state_polynomial(x, u, k - 1)
-        if any(deriv):
-            times.extend(t for t in real_roots(deriv, (0.0, T)) if 0.0 < t < T)
+        times.extend(t for t in _stationary_points(deriv, T) if 0.0 < t < T)
     times.sort()
     return [(t, horner(poly, t)) for t in times]
 

@@ -18,6 +18,7 @@ from chainplan.kinematics import (
     propagate,
     real_roots,
     segment_bound_check,
+    segment_samples,
     state_polynomial,
     touch_roots,
 )
@@ -647,6 +648,116 @@ class TestTouchRoots:
         # singular; the root must survive the polish
         got = touch_roots((1.0, -0.375, 4.0), -1.0, 1.0, 4.0, 2.0, 2.0)
         assert any(b == 0.0 and abs(a - 1.5) <= 1e-12 for a, b in got), got
+
+
+def _from_roots(lead, roots, pair):
+    """Coefficients of lead * prod(t - r) over roots, times the factor
+    (t - re)^2 + im^2 where pair = (re, im) is given."""
+    p = [lead]
+    factors = [(-r, 1.0) for r in roots]
+    if pair is not None:
+        re, im = pair
+        factors.append((re * re + im * im, -2.0 * re, 1.0))
+    for f in factors:
+        out = [0.0] * (len(p) + len(f) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        p = out
+    return tuple(p)
+
+
+@st.composite
+def _derivatives(draw):
+    """A derivative polynomial of degree 1 to 3, a duration T and its real
+    roots: simple, at least 0.25 apart and 1e-3 from 0 and T."""
+    degree = draw(st.integers(1, 3))
+    pair = None
+    if degree >= 2 and draw(st.booleans()):
+        pair = (draw(st.floats(-1.0, 4.0)), draw(st.floats(0.25, 2.0)))
+    roots = sorted(draw(st.lists(st.floats(-1.0, 4.0),
+                                 min_size=degree - 2 * (pair is not None),
+                                 max_size=degree - 2 * (pair is not None))))
+    T = draw(st.floats(0.5, 3.0))
+    assume(all(b - a >= 0.25 for a, b in zip(roots, roots[1:])))
+    assume(all(abs(r) >= 1e-3 and abs(r - T) >= 1e-3 for r in roots))
+    lead = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 2.0))
+    return _from_roots(lead, roots, pair), T, roots
+
+
+class TestStationaryPoints:
+    """kinematics._stationary_points: the sign changes of a scanned state's
+    derivative, which segment_samples keeps inside (0, T)."""
+
+    @staticmethod
+    def inside(d, T):
+        return sorted(t for t in kinematics._stationary_points(d, T)
+                      if 0.0 < t < T)
+
+    @given(_derivatives())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_real_roots(self, case):
+        d, T, roots = case
+        # every root is simple, so every root real_roots finds is a sign change
+        expected = [t for t in real_roots(d, (0.0, T)) if 0.0 < t < T]
+        got = self.inside(d, T)
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert got == pytest.approx([r for r in roots if 0.0 < r < T],
+                                    abs=1e-9)
+
+    def test_small_root_without_cancellation(self):
+        # t = 1e-10 is a root of -1e-10 + t + 1e-8 t^2; the textbook
+        # (-b + sqrt(disc)) / 2a takes sqrt(1 + 4e-18) = 1 and gives 0
+        assert self.inside((-1e-10, 1.0, 1e-8), 1.0) == \
+            [pytest.approx(1e-10, rel=1e-12)]
+        # x3's derivative x2 is that polynomial
+        times = [t for t, _ in segment_samples((1.0, -1e-10, 0.0), 2e-8,
+                                               1.0, 3)]
+        assert times == [0.0, pytest.approx(1e-10, rel=1e-12), 1.0]
+
+    def test_negative_discriminant(self):
+        assert kinematics._stationary_points((1.0, 0.0, 1.0), 2.0) == []
+        times = [t for t, _ in segment_samples((0.0, 1.0, 0.0), 2.0, 2.0, 3)]
+        assert times == [0.0, 2.0]
+
+    def test_double_root_adds_no_extreme(self):
+        # (t - 0.5)^2: x3 = 0.25 t - t^2 / 2 + t^3 / 3 only pauses at 0.5
+        assert kinematics._stationary_points((0.25, -1.0, 1.0), 1.0) == \
+            [0.5, 0.5]
+        values = [v for _, v in segment_samples((-1.0, 0.25, 0.0), 2.0,
+                                                1.0, 3)]
+        assert values == sorted(values)
+
+    def test_triple_root_at_a_cut(self):
+        # (t - 1)^3 changes sign at 1, where its derivative's double root
+        # cuts [0, 2]: neither piece changes sign strictly
+        assert self.inside((-1.0, 3.0, -3.0, 1.0), 2.0) == [1.0]
+
+    def test_cubic_pieces(self):
+        # t (t - 1)(t - 2) - 0.1 changes sign three times on [0, 3]
+        d = (-0.1, 2.0, -3.0, 1.0)
+        assert self.inside(d, 3.0) == pytest.approx(real_roots(d, (0.0, 3.0)),
+                                                    abs=1e-12)
+        assert len(self.inside(d, 3.0)) == 3
+
+    @pytest.mark.parametrize("x, k, root", [((2.0, -1.0, 0.0), 3, 0.5),
+                                            ((2.0, -2.0, 0.0, 0.0), 4, 2.0)],
+                             ids=["linear", "quadratic"])
+    def test_zero_control_drops_the_degree(self, x, k, root):
+        # with u = 0 the derivative's top coefficient is 0
+        times = [t for t, _ in segment_samples(x, 0.0, 3.0, k)]
+        assert times == [0.0, pytest.approx(root, abs=1e-12), 3.0]
+
+    def test_roots_outside_the_segment(self):
+        # (t + 1)(t - 3), and t (t + 1) with a root at the start
+        assert self.inside((-3.0, -2.0, 1.0), 2.0) == []
+        assert self.inside((0.0, 1.0, 1.0), 2.0) == []
+        times = [t for t, _ in segment_samples((-2.0, -3.0, 0.0), 2.0, 2.0, 3)]
+        assert times == [0.0, 2.0]
+
+    def test_quartic_takes_real_roots(self):
+        d = _from_roots(1.0, (0.5, 1.0, 1.5, 2.5), None)
+        assert self.inside(d, 2.0) == real_roots(d, (0.0, 2.0))
 
 
 class TestSegmentBoundCheck:

@@ -1,6 +1,7 @@
 import math
 import sys
 from collections import namedtuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -956,24 +957,21 @@ class TestGapEvaluations:
 class TestRootCounts:
     """Evaluations per root of kinematics.bracket_root on the first 100
     seed-1 order-3 draws: a bisection to the same tolerances takes about 37
-    for both kinds.  A root solved inside kinematics.real_roots is a
-    polynomial root, any other a manifold-gap root."""
+    for both kinds.  A root of a ``partial`` of ``kinematics.horner`` is a
+    polynomial root, any other a manifold-gap root.  Planning them brackets
+    no polynomial root, since their bound scans solve derivatives of degree
+    <= 2 in closed form; so the polynomial roots counted are those of
+    ``kinematics.real_roots`` on every derivative that the scans took."""
 
     def test_evaluations_per_root(self, monkeypatch):
         solve = kinematics.bracket_root
-        isolate = kinematics.real_roots
+        sample = kinematics.segment_samples
         counts = {"gap": [0, 0], "poly": [0, 0]}
-        depth = [0]
-
-        def isolating(*args):
-            depth[0] += 1
-            try:
-                return isolate(*args)
-            finally:
-                depth[0] -= 1
+        scans = []
 
         def counted(f, *args):
-            tally = counts["poly" if depth[0] else "gap"]
+            poly = isinstance(f, partial) and f.func is kinematics.horner
+            tally = counts["poly" if poly else "gap"]
             tally[0] += 1
 
             def g(t):
@@ -982,12 +980,21 @@ class TestRootCounts:
 
             return solve(g, *args)
 
+        def scanned(x, u, T, k):
+            if T > 0.0 and k >= 2:
+                scans.append((kinematics.state_polynomial(x, u, k - 1), T))
+            return sample(x, u, T, k)
+
         monkeypatch.setattr(kinematics, "bracket_root", counted)
-        monkeypatch.setattr(kinematics, "real_roots", isolating)
+        monkeypatch.setattr(kinematics, "segment_samples", scanned)
         rng = np.random.default_rng(1)
         M = sampling.default_bounds(3)
         for _ in range(100):
             _outcome(Planner(), sampling.random_problem(3, M, rng, 0.8))
+        assert counts["poly"] == [0, 0]
+        for deriv, T in scans:
+            if any(deriv):
+                kinematics.real_roots(deriv, (0.0, T))
         (gap_roots, gap_evals), (poly_roots, poly_evals) = \
             counts["gap"], counts["poly"]
         assert gap_roots > 50 and poly_roots > 500
