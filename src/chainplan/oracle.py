@@ -1,29 +1,35 @@
-"""Slow, independent ground-truth solvers used by tests and cross-checks.
+"""Independent ground-truth solvers used by tests and cross-checks.
 
 Deliberately shares only the kinematics primitives (and the law catalog,
 which the exhaustive search enumerates over) with the planning path: the
 closed forms are derived separately and the stage systems are re-assembled
-here from scratch and solved with a library root finder, MINPACK's hybrid
-Powell method (``scipy.optimize.root``, method "hybr").
+here from scratch.
+
+``exhaustive_tf`` takes every real solution of every signed catalog law of
+order up to 3.  Each signed system is solved by elimination, in closed form
+or through the real roots (``np.roots``) of one univariate polynomial of
+degree at most 6, and each root's stage times are polished once by a library
+root finder, MINPACK's hybrid Powell method (``scipy.optimize.root``, method
+"hybr"), on the system's own residual.  So "no catalog law admits a feasible
+solution" is a statement about the catalog, not about a search's starts.
 
 A law with a tangent marker is solved in two parts, split at the touch: the
 leg (the stages up to the marker, pinned by its conditions) and the rest
 (the stages after it, from the touch state to the goal).  Every law that
 starts with the same signed leg shares its solutions, so each leg is solved
-once per search.  The oracle finds its legs by multi-start root finding; it
-does not call the planner's exact leg solver (``kinematics.touch_roots``),
-whose errors it must be able to catch.
+once per search.  The oracle builds its own polynomials and calls none of
+the planner's root solvers (``kinematics.real_roots``,
+``kinematics.touch_roots``), whose errors it must be able to catch.
 
 The planner's ``solver.solve_times`` calls the same MINPACK routine, but on
-residuals it assembles itself; the oracle keeps its own residual closures,
-starts and tolerances.  At orders up to 3, only problems with no bounded
-interior state reach the planner's solver.
+residuals it assembles itself, from seeded starts.  At orders up to 3, only
+problems with no bounded interior state reach the planner's solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import product
 from math import sqrt
 from typing import Optional
 
@@ -137,42 +143,266 @@ def _law_residuals(elements, x0, xf, M, n):
     return fun
 
 
-# root searches per signed system, and the largest residual a solution may keep
-SEEDS_PER_LAW = 32
+# the largest residual a solution may keep
 RESIDUAL_TOL = 1e-10
 # two solutions of one marker leg whose stage times all agree this closely
 # are the same touch
 SAME_LEG_TOL = 1e-9
 
 
-def _solutions(elements, x0, xf, M, n, tau, rng):
-    """Accepted solutions of one signed system, in the order the starts find
-    them: (stage times, end state) pairs.
+# Polynomials in the one unknown z are coefficient lists, item i multiplying
+# z^i.  A system with two free junctions adjoins the second as w, with
+# w^2 = R(z) from its x2 equation; its quantities are pairs (P, Q), meaning
+# P(z) + w Q(z), and a product is reduced by w^2 = R.
 
-    The starts climb the seed ladder: one even split of ``tau``, then random
-    times on scales tau, 2 tau, 4 tau, 8 tau, and again.  A solution is
-    accepted when its residual is at most RESIDUAL_TOL, its times are
-    >= -1e-9 (then clipped to zero) and every stage keeps the bounds.  After
-    8 starts without an accepted solution the system is given up.
+def _padd(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return [a + b for a, b in zip(p, q)] + p[len(q):]
+
+
+def _pmul(p, q):
+    if not p or not q:
+        return []
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _horner(p, z):
+    acc = 0.0
+    for c in reversed(p):
+        acc = acc * z + c
+    return acc
+
+
+def _radd(x, y):
+    return _padd(x[0], y[0]), _padd(x[1], y[1]) if x[1] or y[1] else []
+
+
+def _rscale(x, c):
+    return [c * a for a in x[0]], [c * a for a in x[1]] if x[1] else []
+
+
+def _rmul(x, y, R):
+    (p, q), (r, s) = x, y
+    if not q and not s:
+        return _pmul(p, r), []
+    return (_padd(_pmul(p, r), _pmul(_pmul(q, s), R)),
+            _padd(_pmul(p, s), _pmul(q, r)))
+
+
+def _const(c):
+    return [c], []
+
+
+_Z = ([0.0, 1.0], [])
+_W = ([], [1.0])
+
+
+def _real_zeros(p):
+    """The real roots of ``p``, from ``np.roots``: the real part of every
+    root where ``p`` nearly vanishes, so that a double root split into a
+    complex pair by rounding is kept, also at zero.  "Nearly" is a backward
+    error |p(x)| / (|p| |(1, x, ..., x^d)|) of at most 1e-10.  Leading
+    coefficients lost to cancellation are dropped first; they only stand
+    for roots far beyond any stage."""
+    p = list(p)
+    big = max((abs(c) for c in p), default=0.0)
+    while p and abs(p[-1]) <= 1e-12 * big:
+        p.pop()
+    if len(p) < 2:
+        return []
+    if len(p) == 2:
+        return [-p[0] / p[1]]
+    norm = sqrt(sum(c * c for c in p))
+    out = []
+    for z in np.roots(p[::-1]):
+        x = float(z.real)
+        powers = sqrt(sum(x ** (2 * k) for k in range(len(p))))
+        if abs(_horner(p, x)) <= 1e-10 * norm * powers:
+            out.append(x)
+    return out
+
+
+def _candidates(elements, x0, xf, M, n):
+    """Stage times of every real solution of one signed system of order 1 to
+    3, by elimination: the starts that ``_roots_of`` polishes.
+
+    The unknowns are the x1 values where two bang stages meet (and at a
+    marker leg's touch) and the cruise durations.  A bang's duration is its
+    x1 change over its control, so every x1 equation holds by construction.
+    A +-2 cruise pins (x1, x2) = (0, +-M2) and cuts the law into pieces; each
+    piece has one x2 equation, quadratic in its junctions and linear in its
+    +-1 cruise durations.  A piece with one unknown is solved for it in
+    closed form.  A piece with two (a law with no +-2 cruise, or a leg)
+    keeps the first as z and gives the second from the x2 equation: a
+    cruise duration as a polynomial in z, a junction as w with w^2 = R(z).
+    What is left, z or the +-2 cruise's duration, is pinned by x3 = F + w G:
+    its real roots are those of F, or of F^2 - R G^2 with w = +-sqrt(R) of
+    the sign that cancels.
+    """
+    M0 = M[0]
+    stages = [e for e in elements if isinstance(e, Behavior)]
+    start = tuple(x0) + (0.0,) * (3 - n)
+    if xf is None:  # a marker leg: x2 = 0 and x3 = sigma M3 at the touch
+        goal = (None, 0.0, elements[-1].behavior.sign * M[3])
+    else:
+        goal = tuple(xf) + (None,) * (3 - n)
+    # x1 at each stage boundary; None where it is an unknown
+    X = [start[0]] + [None] * len(stages)
+    for i, e in enumerate(stages):
+        if e.value:
+            X[i] = X[i + 1] = e.sign * M[1] if e.value == 1 else 0.0
+    X[-1] = goal[0]
+    cuts = [i for i, e in enumerate(stages) if e.value == 2]
+    # the +-2 cruises' durations are the x3 unknown z
+    fixed = {("t", i): _Z for i in cuts}
+    R = []
+    choices = []
+    edges = [-1] + cuts + [len(stages)]
+    for a, b in zip(edges, edges[1:]):
+        if goal[1] is None:  # order 1: no x2 equation
+            continue
+        x2a = start[1] if a < 0 else stages[a].sign * M[2]
+        x2b = goal[1] if b == len(stages) else stages[b].sign * M[2]
+        # const + sum alpha_j X_j^2 + sum X_i tau_i = 0
+        const, alpha, unknowns = x2a - x2b, {}, []
+        scale = abs(x2a) + abs(x2b)  # of the terms summed into const
+        for i in range(a + 1, b):
+            e = stages[i]
+            if e.value:
+                unknowns.append(("t", i))
+                continue
+            u = e.sign * M0
+            for j, s in ((i + 1, 0.5 / u), (i, -0.5 / u)):
+                if X[j] is None:
+                    if j not in alpha:
+                        unknowns.insert(len(alpha), ("x", j))
+                    alpha[j] = alpha.get(j, 0.0) + s
+                else:
+                    const += s * X[j] * X[j]
+                    scale += abs(s) * X[j] * X[j]
+        coef = {k: alpha[k[1]] if k[0] == "x" else X[k[1]] for k in unknowns}
+        if len(unknowns) == 1:
+            (key,) = unknowns
+            if key[0] == "t":
+                choices.append([{key: _const(-const / coef[key])}])
+                continue
+            # a junction at x1 = 0 is a double root; keep it through rounding
+            sq = -const / coef[key]
+            if sq < 0.0 and abs(const) > 1e-12 * scale:
+                return []
+            r = sqrt(max(sq, 0.0))
+            choices.append([{key: _const(r)}, {key: _const(-r)}] if r
+                           else [{key: _const(0.0)}])
+        else:
+            first, second = unknowns
+            lin = [const, 0.0, coef[first]] if first[0] == "x" \
+                else [const, coef[first]]
+            rest = [-c / coef[second] for c in lin]
+            if second[0] == "x":
+                R, value = rest, _W
+            else:
+                value = (rest, [])
+            choices.append([{first: _Z, second: value}])
+    out = []
+    for combo in product(*choices):
+        val = dict(fixed)
+        for opt in combo:
+            val.update(opt)
+        xs = [val[("x", j)] if x is None else _const(x)
+              for j, x in enumerate(X)]
+        durations = []
+        for i, e in enumerate(stages):
+            if e.value:
+                durations.append(val[("t", i)])
+            else:
+                dx = _radd(xs[i + 1], _rscale(xs[i], -1.0))
+                durations.append(_rscale(dx, 1.0 / (e.sign * M0)))
+        if goal[2] is None:  # order <= 2: every duration is a number
+            out.append([_horner(t[0], 0.0) for t in durations])
+            continue
+        # x3 += t (x2 + t (x1 / 2 + u t / 6)) and x2 += t (x1 + u t / 2),
+        # with x1 the junction where the stage starts
+        x2, x3 = _const(start[1]), _const(start[2] - goal[2])
+        for e, x1, t in zip(stages, xs, durations):
+            u = e.sign * M0 if e.value == 0 else 0.0
+            inner = _radd(_rscale(x1, 0.5), _rscale(t, u / 6.0))
+            x3 = _radd(x3, _rmul(t, _radd(x2, _rmul(t, inner, R)), R))
+            x2 = _radd(x2, _rmul(t, _radd(x1, _rscale(t, 0.5 * u)), R))
+        F, G = x3
+        if any(G):
+            zeros = _real_zeros(_padd(_pmul(F, F),
+                                      [-c for c in _pmul(R, _pmul(G, G))]))
+        else:
+            zeros = _real_zeros(F)
+        for z in zeros:
+            f, g = _horner(F, z), _horner(G, z)
+            w = sqrt(max(_horner(R, z), 0.0)) if R else 0.0
+            # the sign of w that cancels F, or both where F and w G are lost
+            # in rounding (two touches close to x1 = 0, say)
+            size = (_horner([abs(c) for c in F], abs(z))
+                    + w * _horner([abs(c) for c in G], abs(z)))
+            signs = [s for s in (1.0, -1.0) if w
+                     and abs(f + s * w * g) <= 1e-6 * size]
+            if not signs:
+                signs = [1.0 if abs(f + w * g) <= abs(f - w * g) else -1.0]
+            for s in signs:
+                out.append([_horner(p, z) + s * w * _horner(q, z)
+                            for p, q in durations])
+    return out
+
+
+def _roots_of(elements, x0, xf, M, n):
+    """The residual closure of one signed system, and the stage times of its
+    real solutions, not yet checked for sign or bounds.
+
+    Every elimination candidate is polished once by ``root`` (MINPACK hybr)
+    on the residual, also one whose residual is already small, and the
+    polish replaces it when it converged or its residual is at most
+    RESIDUAL_TOL, and its times are >= -1e-9.  Otherwise the candidate is
+    kept when it meets the system itself: where stages of zero length make
+    the Jacobian singular, the polish can drift along the system's
+    near-solutions to negative times.  A time that is zero but for rounding
+    (within 1e-7 of the largest) starts the polish at zero: MINPACK's
+    forward differences step each time in proportion to it, which near zero
+    is lost in rounding, and by a fixed step at zero.
+
+    The zero-time run is a start too when it meets the system (zero
+    motion).  It is where the elimination fails: the 000 law's solutions
+    then form a curve through it (no middle stage, the last stage undoing
+    the first), and its polynomial vanishes.
     """
     fun = _law_residuals(elements, x0, xf, M, n)
     stage_count = sum(1 for e in elements if isinstance(e, Behavior))
-    hits = 0
-    for trial in range(SEEDS_PER_LAW):
-        if trial == 0:
-            guess = np.full(stage_count, tau / stage_count)
-        else:
-            # swing solutions sit well above the boundary-difference
-            # scale; climb a geometric ladder while restarting
-            scale = tau * (2.0 ** ((trial - 1) % 4))
-            guess = scale * rng.random(stage_count)
-        sol = root(fun, guess, method="hybr", tol=1e-12,
+    starts = _candidates(elements, x0, xf, M, n)
+    zero = [0.0] * stage_count
+    if float(np.max(np.abs(fun(zero)))) <= RESIDUAL_TOL:
+        starts.append(zero)
+    found = []
+    for guess in starts:
+        tiny = 1e-7 * max(abs(t) for t in guess)
+        sol = root(fun, [0.0 if abs(t) <= tiny else t for t in guess],
+                   method="hybr", tol=1e-12,
                    options={"maxfev": 40 * (stage_count + 1)})
-        if not sol.success and float(np.max(np.abs(sol.fun))) > RESIDUAL_TOL:
-            if trial + 1 >= 8 and hits == 0:
-                return  # system looks unsolvable for this data
-            continue
-        times = sol.x
+        if ((sol.success or float(np.max(np.abs(sol.fun))) <= RESIDUAL_TOL)
+                and not np.any(sol.x < -1e-9)):
+            found.append(sol.x)
+        elif float(np.max(np.abs(fun(guess)))) <= RESIDUAL_TOL:
+            found.append(np.array(guess))
+    return fun, found
+
+
+def _solutions(elements, x0, xf, M, n):
+    """Accepted solutions of one signed system: (stage times, end state)
+    pairs.  A solution is accepted when its times are >= -1e-9 (then
+    clipped to zero), its residual is at most RESIDUAL_TOL and every stage
+    keeps the bounds."""
+    fun, found = _roots_of(elements, x0, xf, M, n)
+    for times in found:
         if np.any(times < -1e-9):
             continue
         times = np.clip(times, 0.0, None)
@@ -181,14 +411,13 @@ def _solutions(elements, x0, xf, M, n, tau, rng):
         end = _feasible(elements, x0, M, times)
         if end is None:
             continue
-        hits += 1
         yield times, end
 
 
-def _leg_touches(leg, x0, M, n, tau, rng):
+def _leg_touches(leg, x0, M, n):
     """Every distinct solution of a marker leg: (leg time, touch state)."""
     found = []
-    for times, end in _solutions(leg, x0, None, M, n, tau, rng):
+    for times, end in _solutions(leg, x0, None, M, n):
         if all(float(np.max(np.abs(times - other))) > SAME_LEG_TOL
                for other, _ in found):
             found.append((times, end))
@@ -196,30 +425,21 @@ def _leg_touches(leg, x0, M, n, tau, rng):
 
 
 def exhaustive_tf(problem: Problem) -> OracleResult:
-    """Minimum time over every catalog law by multi-start root finding.
+    """Minimum time over every real solution of every catalog law.
 
     Each unsigned law is tried with both terminal signs.  A plain law is one
-    system, searched from up to SEEDS_PER_LAW starts until three solutions
-    are accepted.  A law with a tangent marker is split at the marker: its
-    leg is solved once per call for all laws that share it, keeping every
-    distinct touch, and the rest of the law is searched like a plain law
-    from each touch state; its time is the leg's plus the rest's.  Accepted
-    solutions compete on total time.  Only orders up to 3 are supported (the
-    catalog is exact there).
+    system.  A law with a tangent marker is split at the marker: its leg is
+    solved once per call for all laws that share it, keeping every distinct
+    touch, and the rest of the law is solved like a plain law from each
+    touch state; its time is the leg's plus the rest's.  Every accepted
+    solution competes on total time.  Only orders up to 3 are supported (the
+    catalog is exact there); ``OracleError`` means that no catalog law has
+    a feasible real solution.
     """
     n = problem.n
     if n > 3:
         raise OracleError("exhaustive search supports orders 1..3")
     x0, xf, M = problem.x0, problem.xf, problem.M
-    rng = np.random.default_rng(12345)
-    tau = 1.0
-    for k in range(1, n + 1):
-        Mk = M[k - 1]
-        if Mk is None:
-            continue
-        delta = abs(xf[k - 1] - x0[k - 1])
-        if delta > 0.0:
-            tau = max(tau, (2.0 * delta / Mk) ** (1.0 / k))
     # signed leg -> its (leg time, touch state) solutions; a plain law's
     # empty leg ends where it starts
     touches = {(): [(0.0, x0)]}
@@ -238,10 +458,9 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
                         if isinstance(e, TangentMarker)), 0)
             leg, rest = elements[:cut], elements[cut:]
             if leg not in touches:
-                touches[leg] = _leg_touches(leg, x0, M, n, tau, rng)
+                touches[leg] = _leg_touches(leg, x0, M, n)
             for t_leg, start in touches[leg]:
-                for times, _ in islice(
-                        _solutions(rest, start, xf, M, n, tau, rng), 3):
+                for times, _ in _solutions(rest, start, xf, M, n):
                     tf = t_leg + float(np.sum(times))
                     if best is None or tf < best[0] - 1e-15:
                         best = (tf, laws.canonical(law))

@@ -1,11 +1,16 @@
 import math
 from collections import Counter
+from itertools import islice
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from scipy.optimize import root
 
 from chainplan import kinematics, laws, oracle, planner, sampling
-from chainplan.model import Behavior, Problem
+from chainplan.model import (Behavior, InfeasibleError, Problem, TangentMarker,
+                             VirtualGroup)
 from chainplan.oracle import (
     OracleError,
     _law_residuals,
@@ -76,6 +81,35 @@ class TestExhaustive:
         assert res.law == "000"
         assert res.t_f == pytest.approx(planner.plan(prob).t_f, abs=1e-9)
 
+    @pytest.mark.parametrize("x, M", [
+        ((0.3, -0.2, 1.0), (1.0, 1.0, 1.5, 4.0)),
+        ((1.0, 0.5, 1.0), (1.0, 1.0, 1.5, 4.0)),
+        ((0.0, 1.5, 2.0), (1.0, 1.0, 1.5, 4.0)),
+        ((0.0, 0.0, 0.0), (1.0, 1.0, 1.5, 4.0)),
+        ((0.3, -0.2), (1.0, 1.0, 1.5)),
+        ((0.0, 0.0), (1.0, 1.0, None)),
+        ((0.3,), (1.0, 1.0)),
+    ])
+    def test_zero_motion_takes_no_time(self, x, M):
+        # the all-zero solution is where elimination leaves a curve of
+        # solutions; a multistart search missed it (t_f 2.8, 6.0 and 8.0 s
+        # for the first three states)
+        assert exhaustive_tf(Problem(len(x), x, x, M)).t_f <= 1e-12
+
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    @pytest.mark.parametrize("v, T", [(1.0, 1.051108218076469),
+                                      (1.0685520269158781, 0.5),
+                                      (0.5, 1.051108218076469)])
+    def test_cruise_along_the_x1_bound(self, s, v, T):
+        # the goal is a cruise at x1 = -s M1 away: every law that holds it
+        # has stages of zero length, where the Jacobian is singular and a
+        # polish of the elimination's exact candidate drifts to negative
+        # times
+        x0 = (-s, s * v, s * 2.0)
+        prob = Problem(3, x0, kinematics.propagate(x0, 0.0, T),
+                       (1.0, 1.0, 1.5, 4.0))
+        assert exhaustive_tf(prob).t_f == pytest.approx(T, abs=1e-9)
+
     def test_dynamically_infeasible_raises(self):
         prob = Problem(3, (0.52, -0.17, 2.73), (0.37, -1.16, 3.61),
                        (1.0, 1.0, 1.5, 4.0))
@@ -103,15 +137,20 @@ class TestMarkerSplit:
             res.t_f, abs=1e-9)
 
     def test_each_signed_leg_is_solved_once(self, monkeypatch):
+        # each leg is eliminated once and its residual built once
         legs = Counter()
-        residuals = oracle._law_residuals
 
-        def spy(elements, x0, xf, M, n):
-            if xf is None:
-                legs[tuple(e.text() for e in elements)] += 1
-            return residuals(elements, x0, xf, M, n)
+        def spy(name):
+            wrapped = getattr(oracle, name)
 
-        monkeypatch.setattr(oracle, "_law_residuals", spy)
+            def call(elements, x0, xf, M, n):
+                if xf is None:
+                    legs[name, tuple(e.text() for e in elements)] += 1
+                return wrapped(elements, x0, xf, M, n)
+            monkeypatch.setattr(oracle, name, call)
+
+        spy("_law_residuals")
+        spy("_candidates")
         rng = np.random.default_rng(107)
         probs = near_touch_draws(4) + [
             sampling.random_problem(3, sampling.default_bounds(3), rng, 0.8)
@@ -122,10 +161,11 @@ class TestMarkerSplit:
                 exhaustive_tf(prob)
             except OracleError:
                 pass
-            assert legs == Counter({("-0", "+0", "(+3,2)"): 1,
-                                    ("+0", "-0", "(-3,2)"): 1,
-                                    ("-0", "-1", "+0", "(+3,2)"): 1,
-                                    ("+0", "+1", "-0", "(-3,2)"): 1})
+            assert legs == Counter({
+                (name, leg): 1 for name in ("_law_residuals", "_candidates")
+                for leg in (("-0", "+0", "(+3,2)"), ("+0", "-0", "(-3,2)"),
+                            ("-0", "-1", "+0", "(+3,2)"),
+                            ("+0", "+1", "-0", "(-3,2)"))})
 
     def test_leg_has_no_terminal_rows(self):
         # a leg's residual ends with its marker's pins x3 = sigma M3, x2 = 0
@@ -196,3 +236,271 @@ class TestLawResiduals:
                 for _ in range(20):
                     times = rng.uniform(0.0, 3.0, stages)
                     assert fun(times).tobytes() == ref(times).tobytes()
+
+
+_BOUNDS = {1: (1.0, 1.0), 2: (1.0, 1.0, 1.5), 3: (1.0, 1.0, 1.5, 4.0)}
+
+
+def _signed_systems():
+    """(order, elements) of every signed plain law of orders 1 to 3 and of
+    every signed marker leg: the systems the oracle eliminates."""
+    out = []
+    for n in (1, 2, 3):
+        for law in laws.enumerate_af(n):
+            for last in (1, -1):
+                elements = laws.assign_signs(law, last).elements
+                cut = next((i + 1 for i, e in enumerate(elements)
+                            if isinstance(e, TangentMarker)), len(elements))
+                if (n, elements[:cut]) not in out:
+                    out.append((n, elements[:cut]))
+    return out
+
+
+_SYSTEMS = _signed_systems()
+
+
+def _params(systems):
+    return [pytest.param(n, el, id=f"{n}:{''.join(e.text() for e in el)}")
+            for n, el in systems]
+
+
+def _plant(n, elements, M, draw):
+    """A solution of a signed system built from drawn durations: x0, xf (None
+    for a leg) and the stage times.
+
+    The walk starts at the state a pin fixes: a +-2 cruise's (0, +-M2, x3),
+    a leg's touch (x1, 0, sigma M3), the start of the first +-1 cruise, or
+    else x0.  It runs backward to x0 and forward to xf.  A bang whose far
+    end is pinned (a cruise's x1) takes the duration that reaches it; every
+    other duration is drawn, a quarter of them zero."""
+    stages = [e for e in elements if isinstance(e, Behavior)]
+    level = [None] * (len(stages) + 1)
+    for i, e in enumerate(stages):
+        if e.value:
+            level[i] = level[i + 1] = e.sign * M[1] if e.value == 1 else 0.0
+
+    def free(k):
+        return draw(st.floats(-0.8 * M[k], 0.8 * M[k]))
+
+    def duration():
+        return max(0.0, draw(st.floats(-0.5, 1.5)))
+
+    values = [e.value for e in stages]
+    marker = elements[-1] if isinstance(elements[-1], TangentMarker) else None
+    if 2 in values:
+        a = values.index(2)
+        x = (0.0, stages[a].sign * M[2], free(3))
+    elif marker is not None:
+        a = len(stages)
+        u = stages[-1].sign * M[0]
+        q = free(1) if level[a - 1] is None else level[a - 1] + u * duration()
+        x = (q, 0.0, marker.behavior.sign * M[3])
+    elif 1 in values:
+        a = values.index(1)
+        x = (level[a],) + tuple(free(k) for k in range(2, n + 1))
+    else:
+        a = 0
+        x = tuple(free(k) for k in range(1, n + 1))
+    times = [0.0] * len(stages)
+
+    def step(i, cur, back):
+        e = stages[i]
+        u = e.sign * M[0] if e.value == 0 else 0.0
+        far = level[i] if back else level[i + 1]
+        if e.value or far is None:
+            times[i] = duration()
+        else:
+            times[i] = (cur[0] - far) / u if back else (far - cur[0]) / u
+        return kinematics.propagate(cur, u, -times[i] if back else times[i])
+
+    x0 = x
+    for i in reversed(range(a)):
+        x0 = step(i, x0, True)
+    xf = x
+    for i in range(a, len(stages)):
+        xf = step(i, xf, False)
+    return x0, None if marker else xf, times
+
+
+class TestElimination:
+    """Every real solution of a signed system, by elimination, is found: a
+    solution planted from drawn durations is among the system's polished
+    roots."""
+
+    @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
+    @given(st.data())
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_recovers_planted_times(self, n, elements, data):
+        M = _BOUNDS[n]
+        x0, xf, times = _plant(n, elements, M, data.draw)
+        times = np.array(times)
+        fun, found = oracle._roots_of(elements, x0, xf, M, n)
+        assert float(np.max(np.abs(fun(times)))) <= 1e-12
+        # the residual pins a plant's times to the rounding error over the
+        # smallest singular value of the system's Jacobian, and a singular
+        # one (a junction at a double root, a touch at x1 = 0, two zero
+        # stages in a row) only to about its cube root; the zero durations
+        # drawn make such plants common
+        h = 1e-6
+        jac = np.array([(fun(times + h * e) - fun(times - h * e)) / (2 * h)
+                        for e in np.eye(len(times))]).T
+        assume(np.linalg.svd(jac, compute_uv=False).min() > 1e-5)
+        assert min((float(np.max(np.abs(t - times))) for t in found),
+                   default=np.inf) <= 1e-9
+
+    @pytest.mark.parametrize("n, text, x0, times", [
+        # the order-2 junction at x1 = 0 (the x2 equation's double root)
+        (2, "-0 +0", (0.3, 0.2), [0.3, 0.5]),
+        # a junction at x1 = 0 ahead of the +2 cruise
+        (3, "+0 -0 +2 -0 +0", (0.0, 1.5, 0.0), [0.0, 0.0, 0.0, 0.0, 1.25]),
+        # the cruises' x3 polynomial has a double root at zero
+        (3, "+0 +1 -0 -1 +0", (1.0, -1.0, 0.0), [0.0, 0.0, 2.0, 0.0, 1.08]),
+        # touches at x1 = +-0.00195 give one double root for the first
+        # junction, and a start of the second stage 5e-6 off
+        (3, "-0 +0 (+3,2)", (-0.498046875, 0.1240234375, 3.9794108072916665),
+         [0.0, 0.5]),
+    ])
+    def test_recovers_double_roots(self, n, text, x0, times):
+        # a double root is pinned to about the square root of the rounding
+        # error
+        elements = next(el for m, el in _SYSTEMS if m == n
+                        and " ".join(e.text() for e in el) == text)
+        M = _BOUNDS[n]
+        xf = None
+        if not isinstance(elements[-1], TangentMarker):
+            xf = x0
+            for e, t in zip(elements, times):
+                xf = kinematics.propagate(
+                    xf, e.sign * M[0] if e.value == 0 else 0.0, t)
+        fun, found = oracle._roots_of(elements, x0, xf, M, n)
+        assert float(np.max(np.abs(fun(times)))) <= 1e-12
+        assert min((float(np.max(np.abs(t - times))) for t in found),
+                   default=np.inf) <= 1e-7
+
+    @pytest.mark.parametrize("n, elements", _params(
+        [s for s in _SYSTEMS if not isinstance(s[1][-1], TangentMarker)]))
+    @given(st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_mirror_symmetric(self, n, elements, data):
+        M = _BOUNDS[n]
+        x0, xf, _ = _plant(n, elements, M, data.draw)
+        try:
+            prob = Problem(n, x0, xf, M)
+        except InfeasibleError:
+            assume(False)
+        try:
+            tf = exhaustive_tf(prob).t_f
+        except OracleError:
+            with pytest.raises(OracleError):
+                exhaustive_tf(_mirrored(prob))
+            return
+        mirrored = exhaustive_tf(_mirrored(prob)).t_f
+        assert mirrored == pytest.approx(tf, abs=1e-9)
+
+
+# the multistart search that the elimination replaced, kept as a reference:
+# root searches per signed system from a seeded ladder of starts
+_SEEDS_PER_LAW = 32
+
+
+def _multistart_solutions(elements, x0, xf, M, n, tau, rng):
+    fun = _law_residuals(elements, x0, xf, M, n)
+    stage_count = sum(1 for e in elements if isinstance(e, Behavior))
+    hits = 0
+    for trial in range(_SEEDS_PER_LAW):
+        if trial == 0:
+            guess = np.full(stage_count, tau / stage_count)
+        else:
+            guess = tau * (2.0 ** ((trial - 1) % 4)) * rng.random(stage_count)
+        sol = root(fun, guess, method="hybr", tol=1e-12,
+                   options={"maxfev": 40 * (stage_count + 1)})
+        residual = float(np.max(np.abs(sol.fun)))
+        if not sol.success and residual > oracle.RESIDUAL_TOL:
+            if trial + 1 >= 8 and hits == 0:
+                return
+            continue
+        times = sol.x
+        if np.any(times < -1e-9):
+            continue
+        times = np.clip(times, 0.0, None)
+        if float(np.max(np.abs(fun(times)))) > oracle.RESIDUAL_TOL:
+            continue
+        end = oracle._feasible(elements, x0, M, times)
+        if end is None:
+            continue
+        hits += 1
+        yield times, end
+
+
+def _multistart_tf(problem):
+    n, x0, xf, M = problem.n, problem.x0, problem.xf, problem.M
+    rng = np.random.default_rng(12345)
+    tau = 1.0
+    for k in range(1, n + 1):
+        delta = abs(xf[k - 1] - x0[k - 1])
+        if M[k - 1] is not None and delta > 0.0:
+            tau = max(tau, (2.0 * delta / M[k - 1]) ** (1.0 / k))
+    touches = {(): [(0.0, x0)]}
+    best: Optional[tuple[float, str]] = None
+    for law in laws.enumerate_af(n):
+        assert not any(isinstance(e, VirtualGroup) for e in law.elements)
+        for last in (1, -1):
+            elements = laws.assign_signs(law, last).elements
+            pinned = [e.behavior.value if isinstance(e, TangentMarker)
+                      else e.value for e in elements]
+            if any(k > 0 and M[k] is None for k in pinned):
+                continue
+            cut = next((i + 1 for i, e in enumerate(elements)
+                        if isinstance(e, TangentMarker)), 0)
+            leg, rest = elements[:cut], elements[cut:]
+            if leg not in touches:
+                found = []
+                for times, end in _multistart_solutions(leg, x0, None, M, n,
+                                                        tau, rng):
+                    if all(float(np.max(np.abs(times - other)))
+                           > oracle.SAME_LEG_TOL for other, _ in found):
+                        found.append((times, end))
+                touches[leg] = [(float(np.sum(t)), end) for t, end in found]
+            for t_leg, start in touches[leg]:
+                for times, _ in islice(_multistart_solutions(
+                        rest, start, xf, M, n, tau, rng), 3):
+                    tf = t_leg + float(np.sum(times))
+                    if best is None or tf < best[0] - 1e-15:
+                        best = (tf, laws.canonical(law))
+    if best is None:
+        raise OracleError("no catalog law admits a feasible solution")
+    return oracle.OracleResult(best[0], best[1])
+
+
+def _xcheck3_draws():
+    rng = np.random.default_rng(107)
+    return [sampling.random_problem(3, sampling.default_bounds(3), rng, 0.8)
+            for _ in range(8)]
+
+
+def _unbounded_x2_draws():
+    rng = np.random.default_rng(7)
+    return [sampling.random_problem(3, (1.0, 1.0, None, 4.0), rng, 0.8)
+            for _ in range(20)]
+
+
+class TestAgainstMultistart:
+    """The elimination agrees with the multistart search it replaced: the
+    same law and t_f within 1e-9, or OracleError from both."""
+
+    @pytest.mark.parametrize("draws", [_xcheck3_draws,
+                                       lambda: near_touch_draws(20),
+                                       _unbounded_x2_draws],
+                             ids=["xcheck3", "near-touch", "unbounded-x2"])
+    def test_same_law_and_time(self, draws):
+        for i, prob in enumerate(draws()):
+            try:
+                ref = _multistart_tf(prob)
+            except OracleError:
+                with pytest.raises(OracleError):
+                    exhaustive_tf(prob)
+                continue
+            res = exhaustive_tf(prob)
+            assert res.law == ref.law, i
+            assert res.t_f == pytest.approx(ref.t_f, abs=1e-9), i

@@ -561,17 +561,24 @@ class TestInfeasibilityCertificate:
 
     def test_flags_the_search_failures_of_seed_1(self):
         # every "no tangent-marker law" failure of the search but 333, which
-        # the oracle solves (law 000)
+        # the oracle solves (law 000); the oracle, which takes every real
+        # solution of every catalog law, finds none for any certified draw
+        # of seeds 1 and 1003
         draws = self._draws(1)
-        assert [i for i, p in enumerate(draws) if _certified_infeasible(p)] == [
+        flagged = [i for i, p in enumerate(draws) if _certified_infeasible(p)]
+        assert flagged == [
             53, 79, 89, 93, 102, 108, 148, 155, 160, 171, 175, 185, 196, 205,
             223, 225, 236, 251, 270, 275, 299, 324, 341]
         for i in (53, 79, 89):
-            with pytest.raises(oracle.OracleError):
-                oracle.exhaustive_tf(draws[i])
             with pytest.raises(InfeasibleProblem,
                                match="^no tangent-marker law exists"):
                 plan(draws[i])
+        certified = [draws[i] for i in flagged] + [
+            p for p in self._draws(1003) if _certified_infeasible(p)]
+        assert len(certified) == 33
+        for prob in certified:
+            with pytest.raises(oracle.OracleError):
+                oracle.exhaustive_tf(prob)
 
     def test_mirror_gives_the_same_flag(self):
         for prob in self._draws(1):
