@@ -3,14 +3,14 @@
 The hot kernels of manifold interception (``propagate``, ``integral_top``,
 the order-2 closed form ``plan2`` and its bound-checked, integrated form
 ``plan2_top``), the per-segment machinery (state polynomials, each a plain
-coefficient sequence whose item i multiplies t**i and which ``horner``
-evaluates; a state's samples at a segment's ends and stationary points,
-which are found in closed form while the derivative is at most cubic;
-bound violation checks), ``bracket_root``, the one root solver (it polishes
-polynomial roots and solves the manifold interception), and
-``touch_roots``, the exact two-duration solve of degree-2 tangent-marker
-legs.  Callers reach the kernels as ``kinematics.<name>`` so that a
-profiler can wrap them here.
+coefficient sequence whose item i multiplies t**i, which ``horner``
+evaluates and ``poly_add`` and ``poly_mul`` combine; a state's samples at a
+segment's ends and stationary points, which are found in closed form while
+the derivative is at most cubic; bound violation checks), ``bracket_root``,
+the one root solver (it polishes polynomial roots and solves the manifold
+interception), and ``touch_roots``, the exact two-duration solve of
+degree-2 tangent-marker legs.  Callers reach the kernels as
+``kinematics.<name>`` so that a profiler can wrap them here.
 """
 
 from __future__ import annotations
@@ -339,7 +339,10 @@ def real_roots(p, interval: tuple[float, float]) -> list[float]:
     return out
 
 
-def _poly_mul(p: list, q: list) -> list:
+def poly_mul(p: list, q: list) -> list:
+    """The product of two coefficient lists; empty when either is."""
+    if not p or not q:
+        return []
     out = [0.0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a != 0.0:
@@ -348,7 +351,7 @@ def _poly_mul(p: list, q: list) -> list:
     return out
 
 
-def _poly_add(p: list, q: list, sign: float = 1.0) -> list:
+def poly_add(p: list, q: list, sign: float = 1.0) -> list:
     """p + sign * q on coefficient lists."""
     out = list(p) + [0.0] * (len(q) - len(p))
     for i, c in enumerate(q):
@@ -375,8 +378,8 @@ def _poly_det(m) -> list:
                 # of the minor to the right of c
                 sign = -1.0 if bin(mask >> (c + 1)).count("1") % 2 else 1.0
                 key = mask | bit
-                nxt[key] = _poly_add(nxt.get(key, [0.0]),
-                                     _poly_mul(entry, minor), sign)
+                nxt[key] = poly_add(nxt.get(key, [0.0]),
+                                    poly_mul(entry, minor), sign)
         minors = nxt
     return minors.get((1 << len(m)) - 1, [0.0])
 
@@ -471,7 +474,7 @@ def _touch_resultant(x, ua, ub, top, c, h) -> tuple[float, ...]:
     # lists in b of coefficient lists in s (padded to degree n)
     f = [[v / _FACT[i] for v in y[n - 2 - i]] for i in range(n - 1)]
     f += [[ub / _FACT[n - 1]], [0.0]]
-    g = [_poly_add(y[n - 1], [top], -1.0)]
+    g = [poly_add(y[n - 1], [top], -1.0)]
     g += [[v / _FACT[i] for v in y[n - 1 - i]] for i in range(1, n)]
     g += [[ub / _FACT[n]]]
     # Bezout matrix of (f, g): (f(p) g(q) - f(q) g(p)) / (p - q) in b = p, q
@@ -481,8 +484,8 @@ def _touch_resultant(x, ua, ub, top, c, h) -> tuple[float, ...]:
         for j in range(n):
             entry = [0.0]
             for k in range(min(i, n - 1 - j) + 1):
-                entry = _poly_add(entry, _poly_mul(f[j + k + 1], g[i - k]))
-                entry = _poly_add(entry, _poly_mul(f[i - k], g[j + k + 1]), -1.0)
+                entry = poly_add(entry, poly_mul(f[j + k + 1], g[i - k]))
+                entry = poly_add(entry, poly_mul(f[i - k], g[j + k + 1]), -1.0)
             row.append(entry)
         bez.append(row)
     res = _poly_det(bez)

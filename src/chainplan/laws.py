@@ -58,6 +58,7 @@ def dimension(asl: Asl) -> int:
     return total
 
 
+@cache
 def assign_signs(asl: Asl, last_sign: int) -> Asl:
     """Attach the unique sign assignment fixed by the final element's sign.
 
@@ -65,7 +66,8 @@ def assign_signs(asl: Asl, last_sign: int) -> Asl:
     odd-valued successor and flips across an even-valued one; both flanks of
     a tangent marker share the marker's sign; a virtual group is transparent
     to the main chain, its last member opposes the stage after the group and
-    its interior chains by the same rule.
+    its interior chains by the same rule.  Laws are frozen, so each
+    (law, sign) is signed once and its result cached.
     """
     if last_sign not in (1, -1):
         raise ValueError(f"last_sign must be +1 or -1, got {last_sign}")

@@ -1,9 +1,15 @@
 """Independent ground-truth solvers used by tests and cross-checks.
 
-Deliberately shares only the kinematics primitives (and the law catalog,
-which the exhaustive search enumerates over) with the planning path: the
-closed forms are derived separately and the stage systems are re-assembled
-here from scratch.
+Shares with the planning path only the law catalog, which the exhaustive
+search enumerates, and kinematics' exact primitives: ``propagate``, the
+stage step of its residuals and of its bound walk; ``horner``, ``poly_add``
+and ``poly_mul``, its polynomial arithmetic; and ``segment_bound_check``,
+which at orders up to 3 takes a state's extremes in closed form.  It calls
+no root solver of the planner (``kinematics.real_roots``, ``touch_roots``,
+``bracket_root``), no stage solver (``solver.assemble``,
+``solver.solve_times``) and not the planner, whose errors it must be able
+to catch: its closed forms are derived separately and its stage systems are
+built here from scratch.
 
 ``exhaustive_tf`` takes every real solution of every signed catalog law of
 order up to 3.  Each signed system is solved by elimination, in closed form
@@ -17,9 +23,7 @@ A law with a tangent marker is solved in two parts, split at the touch: the
 leg (the stages up to the marker, pinned by its conditions) and the rest
 (the stages after it, from the touch state to the goal).  Every law that
 starts with the same signed leg shares its solutions, so each leg is solved
-once per search.  The oracle builds its own polynomials and calls none of
-the planner's root solvers (``kinematics.real_roots``,
-``kinematics.touch_roots``), whose errors it must be able to catch.
+once per search.
 
 The planner's ``solver.solve_times`` calls the same MINPACK routine, but on
 residuals it assembles itself, from seeded starts.  At orders up to 3, only
@@ -37,7 +41,7 @@ import numpy as np
 from scipy.optimize import root
 
 from . import kinematics, laws
-from .model import Behavior, Problem, TangentMarker, VirtualGroup
+from .model import Behavior, Problem, TangentMarker
 
 
 class OracleError(RuntimeError):
@@ -87,9 +91,14 @@ class OracleResult:
     law: str
 
 
+def _control(e: Behavior, M0: float) -> float:
+    """A stage's control: +-M0 on a bang, 0 on a ride."""
+    return e.sign * M0 if e.value == 0 else 0.0
+
+
 def _law_residuals(elements, x0, xf, M, n):
     """Residual closure for a signed plain/marker law of order 1 to 3, built
-    directly on the chain's constant-control step.
+    directly on the chain's constant-control step, ``kinematics.propagate``.
 
     The law is walked once, here, into steps of (control, pin).  A step
     advances one stage under its control (None for a marker, which has no
@@ -99,45 +108,38 @@ def _law_residuals(elements, x0, xf, M, n):
     there are none, and the pins of the law's last marker end the system (a
     marker leg).  The closure takes any sequence of stage times and runs
     them as Python floats: numpy scalars would give the same bits, only
-    slower.  The stage step is ``kinematics.propagate``'s order-3 step
-    written out, on states padded with zeros to three: its first n
-    components carry the bits of the order-n step.
+    slower.
     """
     M0 = M[0]
     steps = []
     for e in elements:
         if isinstance(e, Behavior):
             k = e.value
-            u = e.sign * M0 if k == 0 else 0.0
             pin = (k - 1, e.sign * M[k], tuple(range(k - 1))) if k else None
-            steps.append((u, pin))
+            steps.append((_control(e, M0), pin))
         else:  # TangentMarker
             k = e.behavior.value
             zeros = tuple(k - 1 - j for j in range(1, e.degree))
             steps.append((None, (k - 1, e.behavior.sign * M[k], zeros)))
-    start = tuple(x0) + (0.0,) * (3 - n)
-    goal = () if xf is None else tuple(xf[k] for k in range(n))
+    start = tuple(x0)
+    goal = () if xf is None else tuple(xf)
 
     def fun(times):
         times = np.asarray(times, dtype=float).tolist()
+        propagate = kinematics.propagate
         res = []
-        x1, x2, x3 = start
+        x = start
         ti = 0
         for u, pin in steps:
             if u is not None:
-                t = times[ti]
+                x = propagate(x, u, times[ti])
                 ti += 1
-                t2 = t * (t / 2)
-                x1, x2, x3 = (0.0 + x1 + u * t,
-                              0.0 + x2 + x1 * t + u * t2,
-                              0.0 + x3 + x2 * t + x1 * t2 + u * (t2 * (t / 3)))
             if pin is not None:
-                cur = (x1, x2, x3)
                 k, target, zeros = pin
-                res.append(cur[k] - target)
+                res.append(x[k] - target)
                 for j in zeros:
-                    res.append(cur[j])
-        res += [a - b for a, b in zip((x1, x2, x3), goal)]
+                    res.append(x[j])
+        res += [a - b for a, b in zip(x, goal)]
         return np.array(res)
 
     return fun
@@ -151,35 +153,14 @@ SAME_LEG_TOL = 1e-9
 
 
 # Polynomials in the one unknown z are coefficient lists, item i multiplying
-# z^i.  A system with two free junctions adjoins the second as w, with
-# w^2 = R(z) from its x2 equation; its quantities are pairs (P, Q), meaning
+# z^i, summed and multiplied by kinematics' ``poly_add`` and ``poly_mul``.
+# A system with two free junctions adjoins the second as w, with w^2 = R(z)
+# from its x2 equation; its quantities are pairs (P, Q), meaning
 # P(z) + w Q(z), and a product is reduced by w^2 = R.
 
-def _padd(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    return [a + b for a, b in zip(p, q)] + p[len(q):]
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return []
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _horner(p, z):
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * z + c
-    return acc
-
-
 def _radd(x, y):
-    return _padd(x[0], y[0]), _padd(x[1], y[1]) if x[1] or y[1] else []
+    add = kinematics.poly_add
+    return add(x[0], y[0]), add(x[1], y[1]) if x[1] or y[1] else []
 
 
 def _rscale(x, c):
@@ -187,11 +168,11 @@ def _rscale(x, c):
 
 
 def _rmul(x, y, R):
+    add, mul = kinematics.poly_add, kinematics.poly_mul
     (p, q), (r, s) = x, y
     if not q and not s:
-        return _pmul(p, r), []
-    return (_padd(_pmul(p, r), _pmul(_pmul(q, s), R)),
-            _padd(_pmul(p, s), _pmul(q, r)))
+        return mul(p, r), []
+    return add(mul(p, r), mul(mul(q, s), R)), add(mul(p, s), mul(q, r))
 
 
 def _const(c):
@@ -222,7 +203,7 @@ def _real_zeros(p):
     for z in np.roots(p[::-1]):
         x = float(z.real)
         powers = sqrt(sum(x ** (2 * k) for k in range(len(p))))
-        if abs(_horner(p, x)) <= 1e-10 * norm * powers:
+        if abs(kinematics.horner(p, x)) <= 1e-10 * norm * powers:
             out.append(x)
     return out
 
@@ -245,6 +226,7 @@ def _candidates(elements, x0, xf, M, n):
     the sign that cancels.
     """
     M0 = M[0]
+    horner = kinematics.horner
     stages = [e for e in elements if isinstance(e, Behavior)]
     start = tuple(x0) + (0.0,) * (3 - n)
     if xf is None:  # a marker leg: x2 = 0 and x3 = sigma M3 at the touch
@@ -276,7 +258,7 @@ def _candidates(elements, x0, xf, M, n):
             if e.value:
                 unknowns.append(("t", i))
                 continue
-            u = e.sign * M0
+            u = _control(e, M0)
             for j, s in ((i + 1, 0.5 / u), (i, -0.5 / u)):
                 if X[j] is None:
                     if j not in alpha:
@@ -321,37 +303,38 @@ def _candidates(elements, x0, xf, M, n):
                 durations.append(val[("t", i)])
             else:
                 dx = _radd(xs[i + 1], _rscale(xs[i], -1.0))
-                durations.append(_rscale(dx, 1.0 / (e.sign * M0)))
+                durations.append(_rscale(dx, 1.0 / _control(e, M0)))
         if goal[2] is None:  # order <= 2: every duration is a number
-            out.append([_horner(t[0], 0.0) for t in durations])
+            out.append([horner(t[0], 0.0) for t in durations])
             continue
         # x3 += t (x2 + t (x1 / 2 + u t / 6)) and x2 += t (x1 + u t / 2),
         # with x1 the junction where the stage starts
         x2, x3 = _const(start[1]), _const(start[2] - goal[2])
         for e, x1, t in zip(stages, xs, durations):
-            u = e.sign * M0 if e.value == 0 else 0.0
+            u = _control(e, M0)
             inner = _radd(_rscale(x1, 0.5), _rscale(t, u / 6.0))
             x3 = _radd(x3, _rmul(t, _radd(x2, _rmul(t, inner, R)), R))
             x2 = _radd(x2, _rmul(t, _radd(x1, _rscale(t, 0.5 * u)), R))
         F, G = x3
         if any(G):
-            zeros = _real_zeros(_padd(_pmul(F, F),
-                                      [-c for c in _pmul(R, _pmul(G, G))]))
+            mul = kinematics.poly_mul
+            zeros = _real_zeros(kinematics.poly_add(
+                mul(F, F), mul(R, mul(G, G)), -1.0))
         else:
             zeros = _real_zeros(F)
         for z in zeros:
-            f, g = _horner(F, z), _horner(G, z)
-            w = sqrt(max(_horner(R, z), 0.0)) if R else 0.0
+            f, g = horner(F, z), horner(G, z)
+            w = sqrt(max(horner(R, z), 0.0)) if R else 0.0
             # the sign of w that cancels F, or both where F and w G are lost
             # in rounding (two touches close to x1 = 0, say)
-            size = (_horner([abs(c) for c in F], abs(z))
-                    + w * _horner([abs(c) for c in G], abs(z)))
+            size = (horner([abs(c) for c in F], abs(z))
+                    + w * horner([abs(c) for c in G], abs(z)))
             signs = [s for s in (1.0, -1.0) if w
                      and abs(f + s * w * g) <= 1e-6 * size]
             if not signs:
                 signs = [1.0 if abs(f + w * g) <= abs(f - w * g) else -1.0]
             for s in signs:
-                out.append([_horner(p, z) + s * w * _horner(q, z)
+                out.append([horner(p, z) + s * w * horner(q, z)
                             for p, q in durations])
     return out
 
@@ -445,8 +428,6 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
     touches = {(): [(0.0, x0)]}
     best: Optional[tuple[float, str]] = None
     for law in laws.enumerate_af(n):
-        if any(isinstance(e, VirtualGroup) for e in law.elements):
-            raise OracleError("virtual groups do not occur at orders 1..3")
         for last in (1, -1):
             elements = laws.assign_signs(law, last).elements
             # the states that stages ride and markers touch must be bounded
@@ -478,7 +459,7 @@ def _feasible(elements, x0, M, times) -> Optional[tuple[float, ...]]:
     for e in elements:
         if not isinstance(e, Behavior):
             continue
-        u = e.sign * M0 if e.value == 0 else 0.0
+        u = _control(e, M0)
         if kinematics.segment_bound_check(cur, u, float(times[ti]), M, 1e-9):
             return None
         cur = kinematics.propagate(cur, u, float(times[ti]))

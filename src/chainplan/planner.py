@@ -414,7 +414,11 @@ class Planner:
         best: Optional[_Plan] = None
         attempted: list[str] = []
         for d in range(2, 2 * ((n - 1) // 2) + 1, 2):
-            for law in laws.enumerate_af(d):
+            try:
+                catalog = laws.enumerate_af(d)
+            except laws.LawEnumerationError:
+                break  # no catalog of this order or above can be built
+            for law in catalog:
                 for sigma in sides:
                     signed = laws.assign_signs(law, sigma)
                     attempted.append(
@@ -486,9 +490,8 @@ class Planner:
                     for x, (u, dur) in zip(xs, stages)):
                 continue
             touch = list(xs[-1])
-            touch[n - 1] = sigma * M[n]
-            for j in range(1, d):
-                touch[n - 1 - j] = 0.0
+            for k, value in conditions:
+                touch[k - 1] = value
             return _Plan(stages, signed_law.elements), tuple(touch)
         return None
 
@@ -534,8 +537,8 @@ class Planner:
         for u, dur in p.stages:
             segments.append(Segment(u, dur, cur))
             cur = kinematics.propagate(cur, u, dur)
-        return Trajectory(tuple(segments), sum(s.duration for s in segments),
-                          Asl(tuple(p.elements)), problem)
+        return Trajectory(tuple(segments), p.tf, Asl(tuple(p.elements)),
+                          problem)
 
 
 # ----------------------------------------------------------------------

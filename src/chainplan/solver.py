@@ -8,12 +8,13 @@ durations only.  ``solve_times`` finds its roots with MINPACK's hybrid
 Powell method (``scipy.optimize.root``, method "hybr"), the routine the
 oracle uses, from a seeded ladder of starts.
 
-Virtual groups solve as a side branch: the branch re-runs the stage
+A virtual group solves as a side branch: the branch re-runs the stage
 preceding the group from that stage's entry state for its own (longer)
-duration, then chains through the members; each member's riding conditions
-pin its entry state.  The real chain continues from the point where the
-preceding stage actually stopped, so group durations never contribute to
-the realized trajectory.
+duration, and the group's one member's riding conditions pin the state it
+reaches.  The real chain continues from the point where the preceding stage
+actually stopped, so group durations never contribute to the realized
+trajectory.  The only group in a catalog that can be built is the single
+ride ``(3)``, so a group of more than one member is not assembled.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ def _control_of(b: Behavior, M0: float) -> float:
 
 
 # A residual program is a tuple of steps (advance, u, time index, pins).
-# The advance moves one chain and names the state x that the pins read:
+# The advance names the state x that the pins read:
 #   _ADV     real chain: cur = propagate(cur, u, times[i]); x = cur
-#   _VSTART  virtual branch leaves the state entering the last real stage:
-#            virt = propagate(prev, u, times[i]); x = virt
-#   _VADV    virtual chain: virt = propagate(virt, u, times[i]); x = virt
+#   _VSTART  virtual branch from the state entering the last real stage:
+#            x = propagate(prev, u, times[i])
 # Each pin (state index, target, scale) yields the residual
 # (x[index] - target) / scale.
-_ADV, _VSTART, _VADV = range(3)
+_ADV, _VSTART = range(2)
 
 
 @dataclass(frozen=True)
@@ -61,29 +61,38 @@ class StageSystem:
     num_unknowns: int                    # durations: behaviors + group members
     num_equations: int                   # scaled residuals
 
-    def residuals(self, times: Sequence[float]) -> list[float]:
-        """Scaled residuals at the given durations.  Pass Python floats:
-        numpy scalars would make every propagate step run in numpy."""
+    def walk(self, times: Sequence[float]) -> tuple[list[float], list]:
+        """Scaled residuals at the given durations, and the real chain's
+        state after each of its stages.  Pass Python floats: numpy scalars
+        would make every propagate step run in numpy."""
         propagate = kinematics.propagate
         out = []
-        cur = prev = virt = self.x0
+        states = []
+        cur = prev = self.x0
         for code, u, i, pins in self.program:
             if code == _ADV:
                 prev = cur
                 x = cur = propagate(cur, u, times[i])
-            elif code == _VSTART:
-                x = virt = propagate(prev, u, times[i])
+                states.append(cur)
             else:
-                x = virt = propagate(virt, u, times[i])
+                x = propagate(prev, u, times[i])
             for k, target, scale in pins:
                 out.append((x[k] - target) / scale)
-        return out
+        return out, states
 
     def stages(self, times: Sequence[float]) -> tuple[tuple[float, float], ...]:
         """The real chain's (control, duration) stages at the given
         durations, one per behavior: virtual-group durations are dropped."""
         return tuple((u, times[i]) for code, u, i, _ in self.program
                      if code == _ADV)
+
+
+def _scales(M, states) -> tuple[float, ...]:
+    """The scale of state k's errors: max(1, Mk), or the largest of 1 and
+    |x_k| over the given states where x_k is unbounded."""
+    return tuple(max(1.0, M[k]) if M[k] is not None
+                 else max([1.0] + [abs(x[k - 1]) for x in states])
+                 for k in range(1, len(states[0]) + 1))
 
 
 def _ride_bound(M, k: int, where: str) -> float:
@@ -103,8 +112,8 @@ def assemble(asl: Asl, x0, xf, M,
     Raises AssembleError for structural mismatches: unsigned laws, riding
     conditions on unbounded states, a real-chain condition with no real
     stage right before it (an empty law, or one that ends in a virtual
-    group), or a law whose freedom does not match the number of end
-    conditions.
+    group), a virtual group of more than one member, or a law whose freedom
+    does not match the number of end conditions.
     """
     n = len(x0)
     if len(xf) != n:
@@ -114,11 +123,7 @@ def assemble(asl: Asl, x0, xf, M,
     if terminal is None:
         terminal = tuple((k, float(xf[k - 1])) for k in range(1, n + 1))
     M0 = M[0]
-    scales = tuple(
-        max(1.0, M[k]) if M[k] is not None
-        else max(1.0, abs(x0[k - 1]), abs(xf[k - 1]))
-        for k in range(1, n + 1)
-    )
+    scales = _scales(M, (x0, xf))
     steps: list[tuple[int, float, int, list]] = []
     controls: list[float] = []
 
@@ -158,16 +163,17 @@ def assemble(asl: Asl, x0, xf, M,
         else:
             if i == 0 or not isinstance(elems[i - 1], Behavior):
                 raise AssembleError("virtual group lacks a preceding stage")
+            if len(e.members) > 1:
+                raise AssembleError("a virtual group of more than one member "
+                                    "cannot be assembled")
             advance(_VSTART, _control_of(elems[i - 1], M0))
-            for j, m in enumerate(e.members):
-                if m.value != 0:
-                    if m.value > n:
-                        raise AssembleError(
-                            f"group member value {m.value} above order {n}")
-                    _ride_bound(M, m.value, "virtual riding stage")
-                    ride(m.value, m.sign, virtual=True)
-                if j + 1 < len(e.members):
-                    advance(_VADV, _control_of(m, M0))
+            (m,) = e.members
+            if m.value != 0:
+                if m.value > n:
+                    raise AssembleError(
+                        f"group member value {m.value} above order {n}")
+                _ride_bound(M, m.value, "virtual riding stage")
+                ride(m.value, m.sign, virtual=True)
     for k, value in terminal:
         pin(k, value)
     program = tuple((code, u, i, tuple(pins)) for code, u, i, pins in steps)
@@ -235,7 +241,7 @@ def solve_times(system: StageSystem, max_restarts: int = 8,
     for start in starts:
         # hybr's default tol (a relative step of 1.5e-8) stops with residuals
         # far above RESIDUAL_TOL; iterate to near machine precision instead
-        x = root(lambda t: system.residuals(t.tolist()), start,
+        x = root(lambda t: system.walk(t.tolist())[0], start,
                  method="hybr", tol=1e-14).x
         sol = accepted(system, x.tolist())
         if sol is None:
@@ -257,13 +263,9 @@ def accepted(system: StageSystem, t: Sequence[float]) -> Optional[Solved]:
     if not all(v >= -1e-12 for v in t):
         return None
     times = [max(0.0, v) for v in t]
-    if not all(abs(r) < RESIDUAL_TOL for r in system.residuals(times)):
+    residuals, states = system.walk(times)
+    if not all(abs(r) < RESIDUAL_TOL for r in residuals):
         return None
-    cur = system.x0
-    states = []
-    for u, dur in system.stages(times):
-        cur = kinematics.propagate(cur, u, dur)
-        states.append(cur)
     return Solved(tuple(times), tuple(states))
 
 
@@ -284,8 +286,7 @@ def verify(trajectory: Trajectory, M, eps: float = 1e-9) -> Optional[VerifyFailu
     max(1, Mk), or by max(1, |xf_k|) where x_k is unbounded."""
     problem = trajectory.problem
     xf = problem.xf
-    scales = [max(1.0, M[k]) if M[k] is not None
-              else max(1.0, abs(xf[k - 1])) for k in range(1, len(xf) + 1)]
+    scales = _scales(M, (xf,))
 
     def off(x, target) -> int:
         """The first state k where x misses target by more than eps, or 0."""

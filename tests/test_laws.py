@@ -74,6 +74,18 @@ class TestAssignSigns:
         assert asl_to_string(out) == \
             "-0 -1 +0 -2 ( +0 +1 -0 -3 ) +0 +1 -0 +2 -0 -1 +0"
 
+    def test_each_law_and_sign_is_signed_once(self):
+        # the result is cached: the same (law, sign), or an equal law built
+        # anew, gives the identical object
+        for order in (1, 2, 3):
+            for law in laws.enumerate_af(order):
+                for sign in (1, -1):
+                    first = laws.assign_signs(law, sign)
+                    assert laws.assign_signs(law, sign) is first
+                    assert laws.assign_signs(asl_parse(law.text()),
+                                             sign) is first
+                    assert laws.assign_signs(law, -sign) is not first
+
     @given(st.integers(min_value=1, max_value=3), st.data())
     def test_mirror(self, order, data):
         catalog = laws.enumerate_af(order)

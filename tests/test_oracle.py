@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scipy.optimize import root
 
-from chainplan import kinematics, laws, oracle, planner, sampling
+from chainplan import kinematics, laws, oracle, planner, sampling, solver
 from chainplan.model import (Behavior, InfeasibleError, Problem, TangentMarker,
                              VirtualGroup)
 from chainplan.oracle import (
@@ -224,7 +224,7 @@ class TestLawResiduals:
 
     @pytest.mark.parametrize("n, M", [(1, (1.0, None)), (2, (1.0, 1.0, 1.5))])
     def test_low_orders_match_reference_bits(self, n, M):
-        # the residual pads lower-order states to three components
+        # orders 1 and 2 step through propagate's generic loop
         rng = np.random.default_rng(7)
         x0, xf = tuple(rng.uniform(-0.8, 0.8, n)), tuple(rng.uniform(-0.8, 0.8, n))
         for law in laws.enumerate_af(n):
@@ -504,3 +504,33 @@ class TestAgainstMultistart:
             res = exhaustive_tf(prob)
             assert res.law == ref.law, i
             assert res.t_f == pytest.approx(ref.t_f, abs=1e-9), i
+
+
+def _outcome(prob):
+    try:
+        res = exhaustive_tf(prob)
+    except OracleError as e:
+        return "OracleError", str(e)
+    return res.law, res.t_f.hex()
+
+
+class TestBoundary:
+    """The oracle calls no root solver of the planner, no stage solver and
+    not the planner: with each of them patched to raise, it gives the same
+    results, bit for bit."""
+
+    def test_same_results_without_the_planning_path(self, monkeypatch):
+        probs = _xcheck3_draws() + near_touch_draws(5)
+        free = [_outcome(prob) for prob in probs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the planning path")
+
+        for mod, name in ((kinematics, "real_roots"),
+                          (kinematics, "touch_roots"),
+                          (kinematics, "bracket_root"),
+                          (solver, "assemble"), (solver, "solve_times"),
+                          (planner, "plan"), (planner.Planner, "plan")):
+            monkeypatch.setattr(mod, name, forbidden)
+        assert [_outcome(prob) for prob in probs] == free
+        assert any(law != "OracleError" for law, _ in free)

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from chainplan import kinematics, oracle, sampling, solver
+from chainplan import kinematics, laws, oracle, sampling, solver
 from chainplan.model import Behavior, InfeasibleError, Problem, Trajectory, asl_parse
 from chainplan.planner import (
     HIGHER,
@@ -389,6 +389,20 @@ class TestTangentMarkerSearch:
         assert p.stages[-1] == (1.0, 0.0)
         assert solver.verify(traj, M3, 1e-9) is None
 
+    def test_degree_loop_ends_at_the_first_catalog_that_cannot_be_built(
+            self, monkeypatch):
+        # from order 7 on the search reaches d = 6, whose catalog exceeds
+        # the enumeration cap; with no leg found at d = 2 or 4 it fails as
+        # a search, not with the catalog's LawEnumerationError
+        monkeypatch.setattr(Planner, "_marker_leg", lambda self, *args: None)
+        M = sampling.default_bounds(7)
+        x0 = (0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(PlanError,
+                           match="^no tangent-marker law reaches") as e:
+            Planner()._marker_search(7, x0, (0.0,) * 7, M, [1], 0)
+        assert len(e.value.attempted) == (len(laws.enumerate_af(2))
+                                          + len(laws.enumerate_af(4)))
+
 
 class TestNearTouchMarkers:
     """Perturbed copies of the order-3 touch profile, where the free plan
@@ -519,8 +533,11 @@ class TestMarkerLegSolves:
             solver, "solve_times",
             lambda system, **kw: solver.accepted(
                 system, [0.0] * system.num_unknowns))
-        monkeypatch.setattr(solver.StageSystem, "residuals",
-                            lambda self, times: [0.0] * self.num_equations)
+        walk = solver.StageSystem.walk
+        monkeypatch.setattr(
+            solver.StageSystem, "walk",
+            lambda self, times: ([0.0] * self.num_equations,
+                                 walk(self, times)[1]))
         leg = Planner()._marker_leg(5, (-0.5, 0.0, 0.0, 0.0, 0.0), M, law, 1,
                                     4)
         assert leg is not None

@@ -57,6 +57,14 @@ class TestAssemble:
             assemble(asl_parse("+0 -0 ( -1 )"), (0.0, 0.0), (0.0, 1.0),
                      (1.0, 1.0, None))
 
+    def test_group_of_several_members_rejected(self):
+        # its freedom matches order 4, but no catalog that can be built
+        # holds a group of more than one member, and none is assembled
+        law = asl_parse("-0 -1 +0 -2 ( +0 +1 -0 -3 ) +0 +1 -0 +2 -0 -1 +0")
+        with pytest.raises(AssembleError, match="more than one member"):
+            assemble(law, (0.1, 0.2, 0.3, 0.4), (0.0,) * 4,
+                     (1.0, 1.0, 1.5, 4.0, 20.0))
+
     def test_freedom_mismatch_rejected(self):
         with pytest.raises(AssembleError):
             assemble(asl_parse("-0"), (0.0, 2.0), (0.0, 0.0), (1.0, 1.0, None))
@@ -178,9 +186,9 @@ class TestResidualScalars:
             for _ in range(5):
                 times = rng.uniform(0.0, 3.0, sys.num_unknowns).tolist()
                 monkeypatch.setattr(kinematics, "propagate", spy)
-                got = [v.hex() for v in sys.residuals(times)]
+                got = [v.hex() for v in sys.walk(times)[0]]
                 monkeypatch.setattr(kinematics, "propagate", on_numpy_scalars)
-                assert got == [float(v).hex() for v in sys.residuals(times)]
+                assert got == [float(v).hex() for v in sys.walk(times)[0]]
 
 
 class TestRealizeAndVerify:
