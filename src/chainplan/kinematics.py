@@ -6,11 +6,12 @@ the order-2 closed form ``plan2`` and its bound-checked, integrated form
 coefficient sequence whose item i multiplies t**i, which ``horner``
 evaluates and ``poly_add`` and ``poly_mul`` combine; a state's samples at a
 segment's ends and stationary points, which are found in closed form while
-the derivative is at most cubic; bound violation checks), ``bracket_root``,
-the one root solver (it polishes polynomial roots and solves the manifold
-interception), and ``touch_roots``, the exact two-duration solve of
-degree-2 tangent-marker legs.  Callers reach the kernels as
-``kinematics.<name>`` so that a profiler can wrap them here.
+the derivative is at most cubic, and whose scan of states 1-3 is unrolled
+into closed forms; bound violation checks), ``bracket_root``, the one root
+solver (it polishes polynomial roots and solves the manifold interception),
+and ``touch_roots``, the exact two-duration solve of degree-2
+tangent-marker legs.  Callers reach the kernels as ``kinematics.<name>``
+so that a profiler can wrap them here.
 """
 
 from __future__ import annotations
@@ -618,7 +619,57 @@ def _stationary_points(d, T: float) -> list[float]:
 def segment_samples(x, u: float, T: float, k: int) -> list[tuple[float, float]]:
     """(t, x_k(t)) at the ends of a constant-control segment of duration T
     and at its interior stationary points, in time order: where state k
-    takes its extremes on the segment."""
+    takes its extremes on the segment.
+
+    States 1-3 are unrolled, the hot state 3 tested first.  x1 is sampled
+    at the ends only, x2 also at -x1/u, and x3 also at the closed-form
+    roots of x2; each value is ``horner``'s expression written out on
+    ``state_polynomial``'s coefficients (x_k, ..., x1/(k-1)!, u/k!), so
+    they give the generic path's bits, signed zeros included.  They append
+    in plain loops: on Python 3.11 a comprehension costs a function call."""
+    n = len(x)
+    if k == 3 and n >= 3:
+        x1, x2, x3 = x[0], x[1], x[2]
+        if T > 0.0:
+            # x2's coefficients are (x2, x1, u/2): its true degree decides
+            a = u / 2.0
+            if a != 0.0:
+                roots = _quadratic_roots(x2, x1, a)
+                roots.sort()
+            elif x1 != 0.0:
+                roots = (-x2 / x1,)
+            else:
+                roots = ()
+            times = [0.0]
+            for t in roots:
+                if 0.0 < t < T:
+                    times.append(t)
+            times.append(T)
+        else:
+            times = (T, 0.0) if T < 0.0 else (0.0, T)
+        c2, c3 = x1 / 2.0, u / 6.0
+        out = []
+        for t in times:
+            out.append((t, (((0.0 * t + c3) * t + c2) * t + x2) * t + x3))
+        return out
+    if k == 2 and n >= 2:
+        x1, x2 = x[0], x[1]
+        if T > 0.0 and u != 0.0:
+            ts = -x1 / u
+            times = (0.0, ts, T) if 0.0 < ts < T else (0.0, T)
+        else:
+            times = (T, 0.0) if T < 0.0 else (0.0, T)
+        c2 = u / 2.0
+        out = []
+        for t in times:
+            out.append((t, ((0.0 * t + c2) * t + x1) * t + x2))
+        return out
+    if k == 1 and n >= 1:
+        x1 = x[0]
+        out = []
+        for t in ((T, 0.0) if T < 0.0 else (0.0, T)):
+            out.append((t, (0.0 * t + u) * t + x1))
+        return out
     poly = state_polynomial(x, u, k)
     times = [0.0, T]
     if T > 0.0 and k >= 2:

@@ -286,12 +286,17 @@ def verify(trajectory: Trajectory, M, eps: float = 1e-9) -> Optional[VerifyFailu
     max(1, Mk), or by max(1, |xf_k|) where x_k is unbounded."""
     problem = trajectory.problem
     xf = problem.xf
-    scales = _scales(M, (xf,))
+    tols = [eps * s for s in _scales(M, (xf,))]
 
     def off(x, target) -> int:
-        """The first state k where x misses target by more than eps, or 0."""
-        return next((k for k, (a, b, s) in enumerate(zip(x, target, scales), 1)
-                     if not abs(a - b) <= eps * s), 0)
+        """The first state k where x misses target by more than eps, or 0;
+        a NaN misses."""
+        k = 0
+        for a, b, tol in zip(x, target, tols):
+            k += 1
+            if not abs(a - b) <= tol:
+                return k
+        return 0
 
     t_off = 0.0
     end = problem.x0

@@ -796,3 +796,104 @@ class TestSegmentBoundCheck:
             if dense_bad:
                 break
         assert (verdict is None) == (dense_bad is None)
+
+
+def _generic_samples(x, u, T, k):
+    """``segment_samples``' generic path, which states 1-3 skip: the
+    state's coefficients, the stationary points of state k - 1 inside
+    (0, T), and ``horner`` at each sorted time."""
+    poly = state_polynomial(x, u, k)
+    times = [0.0, T]
+    if T > 0.0 and k >= 2:
+        deriv = state_polynomial(x, u, k - 1)
+        times.extend(t for t in kinematics._stationary_points(deriv, T)
+                     if 0.0 < t < T)
+    times.sort()
+    return [(t, horner(poly, t)) for t in times]
+
+
+def _hex(samples):
+    return [(t.hex(), v.hex()) for t, v in samples]
+
+
+class TestScanBits:
+    """The unrolled scans of states 1-3 must give the generic path's exact
+    bits: times and values, signed zeros included."""
+
+    M0 = 1.5
+    CONTROLS = (-M0, -0.0, 0.0, M0)
+
+    @staticmethod
+    def _check(x, u, T):
+        for k in (1, 2, 3):
+            assert _hex(segment_samples(x, u, T, k)) == \
+                _hex(_generic_samples(x, u, T, k)), (x, u, T, k)
+
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_random_chains(self, n):
+        rng = np.random.default_rng(90 + n)
+        interior = {2: 0, 3: 0}
+        for _ in range(400):
+            x = tuple(float(v) for v in rng.uniform(-3.0, 3.0, n))
+            T = float(rng.uniform(0.0, 4.0))
+            for u in self.CONTROLS:
+                self._check(x, u, T)
+                for k in (2, 3):
+                    interior[k] += len(segment_samples(x, u, T, k)) > 2
+        # the closed-form stationary points are reached, not only the ends
+        assert interior[2] > 100 and interior[3] > 100
+
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_signed_zeros_and_zero_time(self, n):
+        rng = np.random.default_rng(95 + n)
+        for _ in range(200):
+            x = tuple(float(rng.choice((0.0, -0.0, rng.uniform(-2.0, 2.0))))
+                      for _ in range(n))
+            for T in (0.0, -0.0, float(rng.uniform(0.0, 2.0))):
+                for u in self.CONTROLS + (5e-324, -5e-324):
+                    self._check(x, u, T)
+
+    @pytest.mark.parametrize("x, u, times", [
+        # x1 = 0 and u = 0: x2 is constant, x3 linear; no interior point
+        ((0.0, 0.5, -1.0), 0.0, {1: 2, 2: 2, 3: 2}),
+        ((-0.0, -0.5, 1.0), -0.0, {1: 2, 2: 2, 3: 2}),
+        # u / 2 underflows to 0: x2's degree drops to 1, and x3 peaks at
+        # -x2 / x1 = 1; x2 has no interior point, -x1 / u is far past T
+        ((-1.0, 1.0, 0.0), 5e-324, {1: 2, 2: 2, 3: 3}),
+        ((1.0, -1.0, 0.0), -5e-324, {1: 2, 2: 2, 3: 3}),
+    ], ids=["x1-zero-u-zero", "signed-zeros", "u-underflows",
+            "u-underflows-mirrored"])
+    def test_degree_drops(self, x, u, times):
+        self._check(x, u, 2.0)
+        for k, count in times.items():
+            assert len(segment_samples(x, u, 2.0, k)) == count
+
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_violation_matches_reference(self, n):
+        # segment_bound_check reports the first (k, t, value) that the
+        # generic samples put past the bound, to the bit
+        rng = np.random.default_rng(100 + n)
+        hits = 0
+        for _ in range(300):
+            x = tuple(float(rng.choice((-0.0, rng.uniform(-2.0, 2.0))))
+                      for _ in range(n))
+            M = (self.M0,) + tuple(
+                None if rng.random() < 0.2 else float(rng.uniform(0.5, 3.0))
+                for _ in range(n))
+            T = float(rng.choice((0.0, rng.uniform(0.0, 3.0))))
+            for u in self.CONTROLS:
+                expected = None
+                for k in range(1, n + 1):
+                    if M[k] is None:
+                        continue
+                    expected = next(((k, t.hex(), v.hex())
+                                     for t, v in _generic_samples(x, u, T, k)
+                                     if abs(v) > M[k] + 1e-9), None)
+                    if expected:
+                        break
+                got = segment_bound_check(x, u, T, M, 1e-9)
+                if got is not None:
+                    got = (got.k, got.t.hex(), got.value.hex())
+                    hits += 1
+                assert got == expected
+        assert hits > 100

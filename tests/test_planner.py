@@ -1082,3 +1082,22 @@ class TestErrors:
         a = pl.plan(Problem(2, (0.0, 1.0), (0.0, 0.0), (1.0, 1.0, None)))
         b = pl.plan(Problem(2, (0.0, -1.0), (0.0, 0.0), (1.0, 1.0, None)))
         assert a.t_f == pytest.approx(b.t_f, abs=1e-12)
+
+
+class TestKnownDefects:
+    """Feasible problems that the planner fails today, pinned until fixed:
+    each test requires the oracle's t_f and is a strict xfail, so a fix
+    turns it into an unexpected pass."""
+
+    @pytest.mark.xfail(strict=True, raises=PlanError,
+                       reason="a start on the x1 bound plans (+M0, 0), "
+                              "(0, 1e-9), (+M0, 0): 'planned law is invalid' "
+                              "(sign-chain)")
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_start_on_the_x1_bound(self, s):
+        # the oracle solves it with 01010 at t_f 5.99993
+        prob = Problem(3, (s * 1.0, s * 0.5, s * 1.0),
+                       (s * 1.0, s * 0.5, s * 1.0001), M3)
+        traj = plan(prob)
+        assert traj.t_f == pytest.approx(oracle.exhaustive_tf(prob).t_f,
+                                         abs=1e-9)
