@@ -14,10 +14,14 @@ built here from scratch.
 ``exhaustive_tf`` takes every real solution of every signed catalog law of
 order up to 3.  Each signed system is solved by elimination, in closed form
 or through the real roots (``np.roots``) of one univariate polynomial of
-degree at most 6, and each root's stage times are polished once by a library
-root finder, MINPACK's hybrid Powell method (``scipy.optimize.root``, method
-"hybr"), on the system's own residual.  So "no catalog law admits a feasible
-solution" is a statement about the catalog, not about a search's starts.
+degree at most 6.  Each root with no stage time below -BACKWARD_TOL
+max(1, max|t|) is polished once by a library root finder, MINPACK's hybrid
+Powell method (``scipy.optimize.root``, method "hybr"), on the system's own
+residual.  A root with such a time runs a stage backward and is dropped
+unpolished, and so is every root of a closed-form choice whose fixed
+durations already do, before its polynomial is built.  So "no catalog law
+admits a feasible solution" is a statement about the catalog, not about a
+search's starts.
 
 A law with a tangent marker is solved in two parts, split at the touch: the
 leg (the stages up to the marker, pinned by its conditions) and the rest
@@ -150,6 +154,9 @@ RESIDUAL_TOL = 1e-10
 # two solutions of one marker leg whose stage times all agree this closely
 # are the same touch
 SAME_LEG_TOL = 1e-9
+# a start with a stage time below -BACKWARD_TOL max(1, max|t|) runs that
+# stage backward and is not polished (``_backward``)
+BACKWARD_TOL = 1e-3
 
 
 # Polynomials in the one unknown z are coefficient lists, item i multiplying
@@ -208,6 +215,28 @@ def _real_zeros(p):
     return out
 
 
+def _backward(times) -> bool:
+    """Whether stage times run a stage backward: one lies below
+    -BACKWARD_TOL max(1, max|t|).
+
+    An elimination candidate lies within rounding of its solution, except
+    where the system's Jacobian is singular: a double root is pinned only
+    to about the square or cube root of the rounding error, 5e-6 of the
+    times' scale at most in ``TestElimination``'s double roots.  So a
+    candidate of a solution with times >= -1e-9 has no time below -5e-6 of
+    that scale, and BACKWARD_TOL lies 200 times beyond.  A start below it
+    is dropped unpolished: ``_solutions`` rejects times below -1e-9.
+
+    Where a stage has zero length, the three-bang law's solutions form a
+    curve (its outer stages trade duration), and a backward start on it can
+    polish to an accepted point of the curve.  Dropping such a start drops
+    that point, so on such a problem ``exhaustive_tf`` can name another
+    law.  On the order-3 corpora of CHANGES.md no dropped start would have
+    been accepted."""
+    return bool(times) and min(times) < -BACKWARD_TOL * max(
+        1.0, max(abs(t) for t in times))
+
+
 def _candidates(elements, x0, xf, M, n):
     """Stage times of every real solution of one signed system of order 1 to
     3, by elimination: the starts that ``_roots_of`` polishes.
@@ -224,6 +253,11 @@ def _candidates(elements, x0, xf, M, n):
     What is left, z or the +-2 cruise's duration, is pinned by x3 = F + w G:
     its real roots are those of F, or of F^2 - R G^2 with w = +-sqrt(R) of
     the sign that cancels.
+
+    A combination of closed-form choices whose fixed durations (those with
+    no z and no w) run a stage backward (``_backward``) gives no candidate:
+    it is dropped before its x3 polynomial is built.  The -r branch of a
+    +-2 cruise law's one-unknown piece is such a choice.
     """
     M0 = M[0]
     horner = kinematics.horner
@@ -304,6 +338,8 @@ def _candidates(elements, x0, xf, M, n):
             else:
                 dx = _radd(xs[i + 1], _rscale(xs[i], -1.0))
                 durations.append(_rscale(dx, 1.0 / _control(e, M0)))
+        if _backward([p[0] for p, q in durations if len(p) == 1 and not q]):
+            continue
         if goal[2] is None:  # order <= 2: every duration is a number
             out.append([horner(t[0], 0.0) for t in durations])
             continue
@@ -343,8 +379,9 @@ def _roots_of(elements, x0, xf, M, n):
     """The residual closure of one signed system, and the stage times of its
     real solutions, not yet checked for sign or bounds.
 
-    Every elimination candidate is polished once by ``root`` (MINPACK hybr)
-    on the residual, also one whose residual is already small, and the
+    Every elimination candidate with no time below -BACKWARD_TOL
+    max(1, max|t|) (``_backward``) is polished once by ``root`` (MINPACK
+    hybr) on the residual, also one whose residual is already small, and the
     polish replaces it when it converged or its residual is at most
     RESIDUAL_TOL, and its times are >= -1e-9.  Otherwise the candidate is
     kept when it meets the system itself: where stages of zero length make
@@ -367,6 +404,8 @@ def _roots_of(elements, x0, xf, M, n):
         starts.append(zero)
     found = []
     for guess in starts:
+        if _backward(guess):
+            continue
         tiny = 1e-7 * max(abs(t) for t in guess)
         sol = root(fun, [0.0 if abs(t) <= tiny else t for t in guess],
                    method="hybr", tol=1e-12,

@@ -534,3 +534,104 @@ class TestBoundary:
             monkeypatch.setattr(mod, name, forbidden)
         assert [_outcome(prob) for prob in probs] == free
         assert any(law != "OracleError" for law, _ in free)
+
+
+def _accepted(found):
+    """The bytes of each found solution with times >= -1e-9, the ones that
+    ``_solutions`` goes on to check."""
+    return [t.tobytes() for t in found if not np.any(t < -1e-9)]
+
+
+class TestBackwardPrune:
+    """Starts that run a stage backward are dropped unpolished: the oracle
+    gives the same results as with the prune off, from fewer polishes."""
+
+    def test_same_outcomes_from_fewer_polishes(self, monkeypatch):
+        M = sampling.default_bounds(3)
+        # states on the bounds: a start on the x1 bound, |x3| = M3 at both
+        # ends, x2 = +-M2 at both ends
+        probs = _xcheck3_draws() + near_touch_draws(20) + [
+            Problem(3, (1.0, 0.5, 1.0), (1.0, 0.5, 1.0001), M),
+            Problem(3, (-1.0, -0.91623, 4.0), (0.79105, 1.5, 4.0), M),
+            Problem(3, (0.3, 1.5, -1.0), (-0.2, 1.5, 2.0), M),
+            Problem(3, (0.0, -1.5, 4.0), (1.0, 1.5, -4.0), M),
+        ]
+        calls = [0]
+        polish = oracle.root
+
+        def spy(*args, **kwargs):
+            calls[0] += 1
+            return polish(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "root", spy)
+        pruned = [_outcome(prob) for prob in probs]
+        polished, calls[0] = calls[0], 0
+        monkeypatch.setattr(oracle, "BACKWARD_TOL", math.inf)
+        assert [_outcome(prob) for prob in probs] == pruned
+        assert any(law == "OracleError" for law, _ in pruned)
+        # a prune that never fires fails here
+        assert 2 * polished < calls[0]
+
+    @pytest.mark.parametrize("durations", [(0.2, 0.6, 0.5, 0.4, 0.3),
+                                           (0.0, 0.9, 0.1, 0.9, 0.0),
+                                           (1.0, 0.3, 0.0, 0.2, 0.7)])
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_backward_cruise_branch_is_dropped(self, s, durations):
+        # the +-2 cruise pins x1 = 0 on both sides; each piece's junction
+        # is +-r in closed form, and the -r branch runs the bang between
+        # the junction and the cruise backward
+        text = "+0 -0 +2 -0 +0" if s > 0 else "-0 +0 -2 +0 -0"
+        elements = next(el for m, el in _SYSTEMS if m == 3
+                        and " ".join(e.text() for e in el) == text)
+        M = _BOUNDS[3]
+        b, a, T, c, d = durations
+        cruise = (0.0, s * M[2], 0.3 * s)
+        x0 = kinematics.propagate(
+            kinematics.propagate(cruise, -s, -a), s, -b)
+        xf = cruise
+        for u, t in ((0.0, T), (-s, c), (s, d)):
+            xf = kinematics.propagate(xf, u, t)
+        fixed = (0, 1, 3, 4)  # every stage but the cruise
+
+        def backward(times):
+            scale = max(1.0, max(abs(times[i]) for i in fixed))
+            return min(times[i] for i in fixed) < -oracle.BACKWARD_TOL * scale
+
+        pruned = oracle._candidates(elements, x0, xf, M, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "BACKWARD_TOL", math.inf)
+            full = oracle._candidates(elements, x0, xf, M, 3)
+        assert any(backward(t) for t in full)
+        assert not any(backward(t) for t in pruned)
+        assert pruned == [t for t in full if not backward(t)]
+        assert min(max(abs(x - y) for x, y in zip(t, (b, a, T, c, d)))
+                   for t in pruned) <= 1e-9
+
+    @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_roots_match_unpruned(self, n, elements, data):
+        # the starts kept are polished as before, so their solutions are the
+        # unpruned ones in the same order, bit for bit.  A backward start
+        # polishes to an accepted solution only where the plant's zero
+        # durations make the system singular: to a solution that a kept
+        # start also gives, or to a point on the curve of solutions that the
+        # three-bang law has where a stage has zero length (its outer
+        # stages trade duration).  A singular system pins a zero stage, and
+        # two polishes of one solution, only to about the cube root of the
+        # rounding error
+        M = _BOUNDS[n]
+        x0, xf, _ = _plant(n, elements, M, data.draw)
+        pruned = _accepted(oracle._roots_of(elements, x0, xf, M, n)[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "BACKWARD_TOL", math.inf)
+            full = _accepted(oracle._roots_of(elements, x0, xf, M, n)[1])
+        rest = iter(full)
+        assert all(any(t == u for u in rest) for t in pruned)
+        kept = [np.frombuffer(t) for t in pruned]
+        for t in full:
+            if t not in pruned:
+                times = np.frombuffer(t)
+                assert (times.min() <= 1e-5 * max(1.0, times.max())
+                        or min((np.max(np.abs(times - u)) for u in kept),
+                               default=np.inf) <= 1e-5)
