@@ -12,22 +12,29 @@ to catch: its closed forms are derived separately and its stage systems are
 built here from scratch.
 
 ``exhaustive_tf`` takes every real solution of every signed catalog law of
-order up to 3.  Each signed system is solved by elimination, in closed form
-or through the real roots (``np.roots``) of one univariate polynomial of
-degree at most 6.  Each root with no stage time below -BACKWARD_TOL
-max(1, max|t|) is polished once by a library root finder, MINPACK's hybrid
-Powell method (``scipy.optimize.root``, method "hybr"), on the system's own
-residual.  A root with such a time runs a stage backward and is dropped
-unpolished, and so is every root of a closed-form choice whose fixed
-durations already do, before its polynomial is built.  So "no catalog law
-admits a feasible solution" is a statement about the catalog, not about a
-search's starts.
+order up to 3.  The signed systems are compiled once per order and set of
+unbounded states (``_catalog``, ``_System``): what a system takes from its
+law is derived once, and each search applies the bounds and the boundary
+states with the float operations of a system built from scratch.  Each
+system is solved by elimination, in closed form or through the real roots
+of one univariate polynomial of degree at most 6.  The polynomials of every
+system of a batch are rooted together: their companion matrices, built as
+``np.roots`` builds them, are stacked into one ``np.linalg.eigvals`` call
+per size, which gives each root ``np.roots``' bits.  Each root with no
+stage time below -BACKWARD_TOL max(1, max|t|) is polished once by a library
+root finder, MINPACK's hybrid Powell method (``scipy.optimize.root``,
+method "hybr"), on the system's own residual.  A root with such a time runs
+a stage backward and is dropped unpolished, and so is every root of a
+closed-form choice whose fixed durations already do, before its polynomial
+is built.  So "no catalog law admits a feasible solution" is a statement
+about the catalog, not about a search's starts.
 
 A law with a tangent marker is solved in two parts, split at the touch: the
 leg (the stages up to the marker, pinned by its conditions) and the rest
 (the stages after it, from the touch state to the goal).  Every law that
 starts with the same signed leg shares its solutions, so each leg is solved
-once per search.
+once per search.  The legs and the plain laws are solved in one batch, the
+rests from the legs' touches in a second.
 
 The planner's ``solver.solve_times`` calls the same MINPACK routine, but on
 residuals it assembles itself, from seeded starts.  At orders up to 3, only
@@ -37,6 +44,7 @@ problems with no bounded interior state reach the planner's solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import sqrt
 from typing import Optional
@@ -100,31 +108,133 @@ def _control(e: Behavior, M0: float) -> float:
     return e.sign * M0 if e.value == 0 else 0.0
 
 
-def _law_residuals(elements, x0, xf, M, n):
-    """Residual closure for a signed plain/marker law of order 1 to 3, built
-    directly on the chain's constant-control step, ``kinematics.propagate``.
+class _System:
+    """One signed system of order 1 to 3, compiled: a plain law, a marker
+    leg (its stages up to the marker, pinned by its conditions) or a rest
+    (the stages after it).  It holds what the residual and the elimination
+    take from the law, and nothing from the bounds' values or the boundary
+    states: each call applies those with the same float operations.
 
-    The law is walked once, here, into steps of (control, pin).  A step
-    advances one stage under its control (None for a marker, which has no
-    stage of its own), then, if its pin ``(k, target, zeros)`` is not None,
-    pins the state at index ``k`` to ``target`` and those at ``zeros`` to
-    zero.  The terminal rows pin the end state to ``xf``; with ``xf`` None
-    there are none, and the pins of the law's last marker end the system (a
-    marker leg).  The closure takes any sequence of stage times and runs
-    them as Python floats: numpy scalars would give the same bits, only
-    slower.
+    - ``signs``: each stage's control sign, 0 on a ride;
+    - ``steps``: the residual's steps (sign, pin), see ``_law_residuals``;
+      a marker's sign is None, as it has no stage of its own;
+    - ``touch``: the sign of a leg's marker, None for a plain law or rest;
+    - ``x1``: x1 at each stage boundary: "start", "goal", the sign of a
+      +-M1 ride, 0 at a +-2 cruise, or None where it is an unknown;
+    - ``cuts``: the +-2 cruises, whose duration is the x3 unknown z;
+    - ``pieces``: the x2 equation of each piece between the cuts, as
+      (a, b, terms, alphas, unknowns): the signs of the +-M2 rides that
+      bound it (None at the start or the goal), the known junctions' terms
+      (stage i, +-0.5, junction j) of its constant and each unknown
+      junction's terms (j, ((i, +-0.5), ...)), in ``_eliminate``'s order,
+      and its unknowns, ("x", j) for a junction and ("t", i) for a cruise.
+    """
+
+    def __init__(self, elements, n):
+        self.elements = elements
+        stages = [e for e in elements if isinstance(e, Behavior)]
+        self.signs = tuple(0 if e.value else e.sign for e in stages)
+        steps = []
+        for e in elements:
+            if isinstance(e, Behavior):
+                k = e.value
+                pin = (k, e.sign, tuple(range(k - 1))) if k else None
+                steps.append((0 if k else e.sign, pin))
+            else:  # TangentMarker
+                k = e.behavior.value
+                zeros = tuple(k - 1 - j for j in range(1, e.degree))
+                steps.append((None, (k, e.behavior.sign, zeros)))
+        self.steps = tuple(steps)
+        leg = isinstance(elements[-1], TangentMarker)
+        self.touch = elements[-1].behavior.sign if leg else None
+        X = ["start"] + [None] * len(stages)
+        for i, e in enumerate(stages):
+            if e.value:
+                X[i] = X[i + 1] = e.sign if e.value == 1 else 0
+        X[-1] = None if leg else "goal"
+        self.x1 = tuple(X)
+        self.cuts = tuple(i for i, e in enumerate(stages) if e.value == 2)
+        pieces = []
+        edges = [-1, *self.cuts, len(stages)]
+        for a, b in zip(edges, edges[1:]):
+            if n == 1 and not leg:  # no x2 equation
+                continue
+            terms, alphas, unknowns = [], {}, []
+            for i in range(a + 1, b):
+                if stages[i].value:
+                    unknowns.append(("t", i))
+                    continue
+                for j, half in ((i + 1, 0.5), (i, -0.5)):
+                    if X[j] is None:
+                        if j not in alphas:
+                            unknowns.insert(len(alphas), ("x", j))
+                        alphas.setdefault(j, []).append((i, half))
+                    else:
+                        terms.append((i, half, j))
+            pieces.append((None if a < 0 else stages[a].sign,
+                           None if b == len(stages) else stages[b].sign,
+                           tuple(terms),
+                           tuple((j, tuple(p)) for j, p in alphas.items()),
+                           tuple(unknowns)))
+        self.pieces = tuple(pieces)
+
+
+@cache
+def _catalog(n, free):
+    """The signed systems of the order-n catalog, for bounds that are None
+    at the indices in ``free``: the signed legs, and each signed law as its
+    canonical text, its leg (an index into the legs; None for a plain law)
+    and its rest (the whole law when plain), in catalog order.
+
+    Each unsigned law is taken with both terminal signs.  A law that rides
+    or touches a state whose bound is None is left out.  Each signed system
+    is compiled once: a marker law's rest is also a plain law."""
+    legs, plans, systems = [], [], {}
+
+    def compiled(elements):
+        if elements not in systems:
+            systems[elements] = _System(elements, n)
+        return systems[elements]
+
+    for law in laws.enumerate_af(n):
+        for last in (1, -1):
+            elements = laws.assign_signs(law, last).elements
+            # the states that stages ride and markers touch must be bounded
+            pinned = [e.behavior.value if isinstance(e, TangentMarker)
+                      else e.value for e in elements]
+            if any(k > 0 and k in free for k in pinned):
+                continue
+            cut = next((i + 1 for i, e in enumerate(elements)
+                        if isinstance(e, TangentMarker)), 0)
+            leg = None
+            if cut:
+                system = compiled(elements[:cut])
+                if system not in legs:
+                    legs.append(system)
+                leg = legs.index(system)
+            plans.append((laws.canonical(law), leg,
+                          compiled(elements[cut:])))
+    return tuple(legs), tuple(plans)
+
+
+def _law_residuals(system, x0, xf, M):
+    """Residual closure of a compiled system, built directly on the chain's
+    constant-control step, ``kinematics.propagate``.
+
+    A step (sign, pin) advances one stage under the control sign M0 (None
+    for a marker, which has no stage of its own), then, if its pin
+    ``(k, sign, zeros)`` is not None, pins the state at index k - 1 to
+    sign M_k and those at ``zeros`` to zero.  The terminal rows pin the end
+    state to ``xf``; with ``xf`` None there are none, and the pins of the
+    law's last marker end the system (a marker leg).  The closure takes any
+    sequence of stage times and runs them as Python floats: numpy scalars
+    would give the same bits, only slower.
     """
     M0 = M[0]
-    steps = []
-    for e in elements:
-        if isinstance(e, Behavior):
-            k = e.value
-            pin = (k - 1, e.sign * M[k], tuple(range(k - 1))) if k else None
-            steps.append((_control(e, M0), pin))
-        else:  # TangentMarker
-            k = e.behavior.value
-            zeros = tuple(k - 1 - j for j in range(1, e.degree))
-            steps.append((None, (k - 1, e.behavior.sign * M[k], zeros)))
+    steps = [(None if s is None else s * M0 if s else 0.0,
+              None if pin is None else (pin[0] - 1, pin[1] * M[pin[0]],
+                                        pin[2]))
+             for s, pin in system.steps]
     start = tuple(x0)
     goal = () if xf is None else tuple(xf)
 
@@ -149,6 +259,19 @@ def _law_residuals(elements, x0, xf, M, n):
     return fun
 
 
+def _zero_motion(system, x0, xf, M) -> bool:
+    """Whether the zero-time run meets the system: with every stage time
+    zero the chain stays at x0, so its residual is each pin taken at x0 and
+    x0 - xf, and each must be at most RESIDUAL_TOL."""
+    res = [a - b for a, b in zip(x0, () if xf is None else xf)]
+    for _, pin in system.steps:
+        if pin is not None:
+            k, sign, zeros = pin
+            res.append(x0[k - 1] - sign * M[k])
+            res += [x0[j] for j in zeros]
+    return all(abs(r) <= RESIDUAL_TOL for r in res)
+
+
 # the largest residual a solution may keep
 RESIDUAL_TOL = 1e-10
 # two solutions of one marker leg whose stage times all agree this closely
@@ -163,18 +286,40 @@ BACKWARD_TOL = 1e-3
 # z^i, summed and multiplied by kinematics' ``poly_add`` and ``poly_mul``.
 # A system with two free junctions adjoins the second as w, with w^2 = R(z)
 # from its x2 equation; its quantities are pairs (P, Q), meaning
-# P(z) + w Q(z), and a product is reduced by w^2 = R.
+# P(z) + w Q(z), and a product is reduced by w^2 = R.  A quantity that holds
+# neither z nor w is a number c, and computes as ([c], []) would, bit for
+# bit, without the lists.
 
 def _radd(x, y):
+    if not isinstance(x, tuple):
+        if not isinstance(y, tuple):
+            return x + y
+        p, q = y  # poly_add([x], p) and poly_add([], q)
+        return ([x + p[0]] + [0.0 + c for c in p[1:]] if p else [x],
+                [0.0 + c for c in q])
+    if not isinstance(y, tuple):
+        p, q = x  # poly_add(p, [y]) and poly_add(q, [])
+        return [p[0] + y] + p[1:] if p else [0.0 + y], list(q)
     add = kinematics.poly_add
     return add(x[0], y[0]), add(x[1], y[1]) if x[1] or y[1] else []
 
 
 def _rscale(x, c):
+    if not isinstance(x, tuple):
+        return c * x
     return [c * a for a in x[0]], [c * a for a in x[1]] if x[1] else []
 
 
 def _rmul(x, y, R):
+    if not isinstance(x, tuple):
+        if not isinstance(y, tuple):
+            return 0.0 + x * y if x != 0.0 else 0.0
+        p, q = y  # poly_mul([x], p) and poly_mul([x], q)
+        if x == 0.0:
+            return [0.0] * len(p), [0.0] * len(q)
+        return [0.0 + x * c for c in p], [0.0 + x * c for c in q]
+    if not isinstance(y, tuple):
+        y = ([y], [])
     add, mul = kinematics.poly_add, kinematics.poly_mul
     (p, q), (r, s) = x, y
     if not q and not s:
@@ -182,36 +327,76 @@ def _rmul(x, y, R):
     return add(mul(p, r), mul(mul(q, s), R)), add(mul(p, s), mul(q, r))
 
 
-def _const(c):
-    return [c], []
+def _at(x, z):
+    """(P(z), Q(z)) of a quantity."""
+    if not isinstance(x, tuple):
+        return 0.0 * z + x, 0.0
+    return kinematics.horner(x[0], z), kinematics.horner(x[1], z)
 
 
 _Z = ([0.0, 1.0], [])
 _W = ([], [1.0])
 
 
-def _real_zeros(p):
-    """The real roots of ``p``, from ``np.roots``: the real part of every
-    root where ``p`` nearly vanishes, so that a double root split into a
+def _companion_roots(polys):
+    """``np.roots`` of each coefficient list in ``polys`` (item i multiplying
+    z^i, the last one nonzero), bit for bit: the eigenvalues of companion
+    matrices built as ``np.roots`` builds them, then a root at zero for each
+    zero low coefficient.  The matrices of one size are stacked into one
+    ``np.linalg.eigvals`` call, which runs LAPACK on each as on one alone."""
+    roots, sizes = [], {}
+    for p in polys:
+        low = next(k for k, c in enumerate(p) if c != 0.0)
+        roots.append([0.0] * low)
+        if len(p) - 1 - low:
+            sizes.setdefault(len(p) - 1 - low, []).append(len(roots) - 1)
+    for d, members in sizes.items():
+        # each matrix's first row: the coefficients below the leading one,
+        # highest first, negated and over the leading one
+        first = np.array([polys[i][-2:-2 - d:-1] for i in members])
+        lead = np.array([[polys[i][-1]] for i in members])
+        A = np.zeros((len(members), d, d))
+        A[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        A[:, 0, :] = -first / lead
+        for i, z in zip(members, np.linalg.eigvals(A).tolist()):
+            roots[i][:0] = z
+    return roots
+
+
+def _real_zeros(polys):
+    """The real roots of each polynomial in ``polys``: the real part of
+    every root where it nearly vanishes, so that a double root split into a
     complex pair by rounding is kept, also at zero.  "Nearly" is a backward
     error |p(x)| / (|p| |(1, x, ..., x^d)|) of at most 1e-10.  Leading
     coefficients lost to cancellation are dropped first; they only stand
-    for roots far beyond any stage."""
-    p = list(p)
-    big = max((abs(c) for c in p), default=0.0)
-    while p and abs(p[-1]) <= 1e-12 * big:
-        p.pop()
-    if len(p) < 2:
-        return []
-    if len(p) == 2:
-        return [-p[0] / p[1]]
-    norm = sqrt(sum(c * c for c in p))
+    for roots far beyond any stage.  A linear polynomial is solved in closed
+    form; the others, those of every system of a batch, are rooted in one
+    ``_companion_roots`` call, one eigenvalue call per size."""
+    trimmed = []
+    for p in polys:
+        p = list(p)
+        big = max((abs(c) for c in p), default=0.0)
+        while p and abs(p[-1]) <= 1e-12 * big:
+            p.pop()
+        trimmed.append(p)
+    higher = [p for p in trimmed if len(p) > 2]
+    roots = iter(_companion_roots(higher))
     out = []
-    for z in np.roots(p[::-1]):
-        x = float(z.real)
-        powers = sqrt(sum(x ** (2 * k) for k in range(len(p))))
-        if abs(kinematics.horner(p, x)) <= 1e-10 * norm * powers:
-            out.append(x)
+    for p in trimmed:
+        if len(p) < 2:
+            out.append([])
+            continue
+        if len(p) == 2:
+            out.append([-p[0] / p[1]])
+            continue
+        norm = sqrt(sum(c * c for c in p))
+        keep = []
+        for z in next(roots):
+            x = z.real
+            powers = sqrt(sum(x ** (2 * k) for k in range(len(p))))
+            if abs(kinematics.horner(p, x)) <= 1e-10 * norm * powers:
+                keep.append(x)
+        out.append(keep)
     return out
 
 
@@ -237,9 +422,12 @@ def _backward(times) -> bool:
         1.0, max(abs(t) for t in times))
 
 
-def _candidates(elements, x0, xf, M, n):
-    """Stage times of every real solution of one signed system of order 1 to
-    3, by elimination: the starts that ``_roots_of`` polishes.
+def _eliminate(system, x0, xf, M, n):
+    """One system's elimination up to its x3 polynomial: for each
+    combination of closed-form choices that is kept, (durations, R, F, G,
+    p), the stage durations in z and w, R, x3 = F + w G and the polynomial
+    whose real roots pin z.  At order 1 and 2 every duration is a number
+    and F, G and p are None.
 
     The unknowns are the x1 values where two bang stages meet (and at a
     marker leg's touch) and the cruise durations.  A bang's duration is its
@@ -254,130 +442,134 @@ def _candidates(elements, x0, xf, M, n):
     its real roots are those of F, or of F^2 - R G^2 with w = +-sqrt(R) of
     the sign that cancels.
 
-    A combination of closed-form choices whose fixed durations (those with
-    no z and no w) run a stage backward (``_backward``) gives no candidate:
-    it is dropped before its x3 polynomial is built.  The -r branch of a
-    +-2 cruise law's one-unknown piece is such a choice.
+    A combination whose fixed durations (those with no z and no w) run a
+    stage backward (``_backward``) is dropped before its x3 polynomial is
+    built.  The -r branch of a +-2 cruise law's one-unknown piece is such a
+    choice.
     """
     M0 = M[0]
-    horner = kinematics.horner
-    stages = [e for e in elements if isinstance(e, Behavior)]
+    us = [s * M0 if s else 0.0 for s in system.signs]
     start = tuple(x0) + (0.0,) * (3 - n)
     if xf is None:  # a marker leg: x2 = 0 and x3 = sigma M3 at the touch
-        goal = (None, 0.0, elements[-1].behavior.sign * M[3])
+        goal = (None, 0.0, system.touch * M[3])
     else:
         goal = tuple(xf) + (None,) * (3 - n)
-    # x1 at each stage boundary; None where it is an unknown
-    X = [start[0]] + [None] * len(stages)
-    for i, e in enumerate(stages):
-        if e.value:
-            X[i] = X[i + 1] = e.sign * M[1] if e.value == 1 else 0.0
-    X[-1] = goal[0]
-    cuts = [i for i, e in enumerate(stages) if e.value == 2]
-    # the +-2 cruises' durations are the x3 unknown z
-    fixed = {("t", i): _Z for i in cuts}
+    X = [None if k is None else start[0] if k == "start"
+         else goal[0] if k == "goal" else k * M[1] if k else 0.0
+         for k in system.x1]
     R = []
     choices = []
-    edges = [-1] + cuts + [len(stages)]
-    for a, b in zip(edges, edges[1:]):
-        if goal[1] is None:  # order 1: no x2 equation
-            continue
-        x2a = start[1] if a < 0 else stages[a].sign * M[2]
-        x2b = goal[1] if b == len(stages) else stages[b].sign * M[2]
+    for a, b, terms, alphas, unknowns in system.pieces:
+        x2a = start[1] if a is None else a * M[2]
+        x2b = goal[1] if b is None else b * M[2]
         # const + sum alpha_j X_j^2 + sum X_i tau_i = 0
-        const, alpha, unknowns = x2a - x2b, {}, []
+        const = x2a - x2b
         scale = abs(x2a) + abs(x2b)  # of the terms summed into const
-        for i in range(a + 1, b):
-            e = stages[i]
-            if e.value:
-                unknowns.append(("t", i))
-                continue
-            u = _control(e, M0)
-            for j, s in ((i + 1, 0.5 / u), (i, -0.5 / u)):
-                if X[j] is None:
-                    if j not in alpha:
-                        unknowns.insert(len(alpha), ("x", j))
-                    alpha[j] = alpha.get(j, 0.0) + s
-                else:
-                    const += s * X[j] * X[j]
-                    scale += abs(s) * X[j] * X[j]
-        coef = {k: alpha[k[1]] if k[0] == "x" else X[k[1]] for k in unknowns}
+        for i, half, j in terms:
+            s = half / us[i]
+            const += s * X[j] * X[j]
+            scale += abs(s) * X[j] * X[j]
+        alpha = {}
+        for j, parts in alphas:
+            alpha[j] = 0.0
+            for i, half in parts:
+                alpha[j] += half / us[i]
+        coef = [alpha[k] if kind == "x" else X[k] for kind, k in unknowns]
         if len(unknowns) == 1:
-            (key,) = unknowns
-            if key[0] == "t":
-                choices.append([{key: _const(-const / coef[key])}])
+            if unknowns[0][0] == "t":
+                choices.append([(-const / coef[0],)])
                 continue
             # a junction at x1 = 0 is a double root; keep it through rounding
-            sq = -const / coef[key]
+            sq = -const / coef[0]
             if sq < 0.0 and abs(const) > 1e-12 * scale:
                 return []
             r = sqrt(max(sq, 0.0))
-            choices.append([{key: _const(r)}, {key: _const(-r)}] if r
-                           else [{key: _const(0.0)}])
+            choices.append([(r,), (-r,)] if r else [(0.0,)])
         else:
-            first, second = unknowns
-            lin = [const, 0.0, coef[first]] if first[0] == "x" \
-                else [const, coef[first]]
-            rest = [-c / coef[second] for c in lin]
-            if second[0] == "x":
+            lin = ([const, 0.0, coef[0]] if unknowns[0][0] == "x"
+                   else [const, coef[0]])
+            rest = [-c / coef[1] for c in lin]
+            if unknowns[1][0] == "x":
                 R, value = rest, _W
             else:
                 value = (rest, [])
-            choices.append([{first: _Z, second: value}])
+            choices.append([(_Z, value)])
+    cruises = [None] * len(us)
+    for i in system.cuts:
+        cruises[i] = _Z
     out = []
     for combo in product(*choices):
-        val = dict(fixed)
-        for opt in combo:
-            val.update(opt)
-        xs = [val[("x", j)] if x is None else _const(x)
-              for j, x in enumerate(X)]
-        durations = []
-        for i, e in enumerate(stages):
-            if e.value:
-                durations.append(val[("t", i)])
-            else:
-                dx = _radd(xs[i + 1], _rscale(xs[i], -1.0))
-                durations.append(_rscale(dx, 1.0 / _control(e, M0)))
-        if _backward([p[0] for p, q in durations if len(p) == 1 and not q]):
+        xs, ts = list(X), list(cruises)
+        for piece, values in zip(system.pieces, combo):
+            for (kind, k), v in zip(piece[4], values):
+                if kind == "x":
+                    xs[k] = v
+                else:
+                    ts[k] = v
+        durations = [
+            _rscale(_radd(xs[i + 1], _rscale(xs[i], -1.0)), 1.0 / u) if s
+            else ts[i] for i, (s, u) in enumerate(zip(system.signs, us))]
+        if _backward([t for t in durations if not isinstance(t, tuple)]):
             continue
         if goal[2] is None:  # order <= 2: every duration is a number
-            out.append([horner(t[0], 0.0) for t in durations])
+            out.append((durations, R, None, None, None))
             continue
         # x3 += t (x2 + t (x1 / 2 + u t / 6)) and x2 += t (x1 + u t / 2),
         # with x1 the junction where the stage starts
-        x2, x3 = _const(start[1]), _const(start[2] - goal[2])
-        for e, x1, t in zip(stages, xs, durations):
-            u = _control(e, M0)
+        x2, x3 = start[1], start[2] - goal[2]
+        for u, x1, t in zip(us, xs, durations):
             inner = _radd(_rscale(x1, 0.5), _rscale(t, u / 6.0))
             x3 = _radd(x3, _rmul(t, _radd(x2, _rmul(t, inner, R)), R))
             x2 = _radd(x2, _rmul(t, _radd(x1, _rscale(t, 0.5 * u)), R))
-        F, G = x3
+        F, G = x3 if isinstance(x3, tuple) else ([x3], [])
         if any(G):
             mul = kinematics.poly_mul
-            zeros = _real_zeros(kinematics.poly_add(
-                mul(F, F), mul(R, mul(G, G)), -1.0))
+            p = kinematics.poly_add(mul(F, F), mul(R, mul(G, G)), -1.0)
         else:
-            zeros = _real_zeros(F)
-        for z in zeros:
-            f, g = horner(F, z), horner(G, z)
-            w = sqrt(max(horner(R, z), 0.0)) if R else 0.0
-            # the sign of w that cancels F, or both where F and w G are lost
-            # in rounding (two touches close to x1 = 0, say)
-            size = (horner([abs(c) for c in F], abs(z))
-                    + w * horner([abs(c) for c in G], abs(z)))
-            signs = [s for s in (1.0, -1.0) if w
-                     and abs(f + s * w * g) <= 1e-6 * size]
-            if not signs:
-                signs = [1.0 if abs(f + w * g) <= abs(f - w * g) else -1.0]
-            for s in signs:
-                out.append([horner(p, z) + s * w * horner(q, z)
-                            for p, q in durations])
+            p = F
+        out.append((durations, R, F, G, p))
     return out
 
 
-def _roots_of(elements, x0, xf, M, n):
-    """The residual closure of one signed system, and the stage times of its
-    real solutions, not yet checked for sign or bounds.
+def _candidates(jobs, M, n):
+    """For each job (system, x0, xf), with ``xf`` None for a marker leg, the
+    stage times of every real solution of the system, by elimination
+    (``_eliminate``): the starts that ``_roots`` polishes.  Every job's
+    polynomials are rooted together (``_real_zeros``)."""
+    eliminated = [_eliminate(system, x0, xf, M, n)
+                  for system, x0, xf in jobs]
+    zeros = iter(_real_zeros([c[4] for combos in eliminated for c in combos
+                              if c[4] is not None]))
+    horner = kinematics.horner
+    out = []
+    for combos in eliminated:
+        found = []
+        for durations, R, F, G, p in combos:
+            if p is None:
+                found.append([_at(t, 0.0)[0] for t in durations])
+                continue
+            for z in next(zeros):
+                f, g = horner(F, z), horner(G, z)
+                w = sqrt(max(horner(R, z), 0.0)) if R else 0.0
+                # the sign of w that cancels F, or both where F and w G are
+                # lost in rounding (two touches close to x1 = 0, say)
+                size = (horner([abs(c) for c in F], abs(z))
+                        + w * horner([abs(c) for c in G], abs(z)))
+                signs = [s for s in (1.0, -1.0) if w
+                         and abs(f + s * w * g) <= 1e-6 * size]
+                if not signs:
+                    signs = [1.0 if abs(f + w * g) <= abs(f - w * g)
+                             else -1.0]
+                values = [_at(t, z) for t in durations]
+                for s in signs:
+                    found.append([a + s * w * b for a, b in values])
+        out.append(found)
+    return out
+
+
+def _roots(jobs, M, n):
+    """For each job (system, x0, xf), the system's residual closure and the
+    stage times of its real solutions, not yet checked for sign or bounds.
 
     Every elimination candidate with no time below -BACKWARD_TOL
     max(1, max|t|) (``_backward``) is polished once by ``root`` (MINPACK
@@ -392,38 +584,39 @@ def _roots_of(elements, x0, xf, M, n):
     is lost in rounding, and by a fixed step at zero.
 
     The zero-time run is a start too when it meets the system (zero
-    motion).  It is where the elimination fails: the 000 law's solutions
-    then form a curve through it (no middle stage, the last stage undoing
-    the first), and its polynomial vanishes.
+    motion, ``_zero_motion``).  It is where the elimination fails: the 000
+    law's solutions then form a curve through it (no middle stage, the last
+    stage undoing the first), and its polynomial vanishes.
     """
-    fun = _law_residuals(elements, x0, xf, M, n)
-    stage_count = sum(1 for e in elements if isinstance(e, Behavior))
-    starts = _candidates(elements, x0, xf, M, n)
-    zero = [0.0] * stage_count
-    if float(np.max(np.abs(fun(zero)))) <= RESIDUAL_TOL:
-        starts.append(zero)
-    found = []
-    for guess in starts:
-        if _backward(guess):
-            continue
-        tiny = 1e-7 * max(abs(t) for t in guess)
-        sol = root(fun, [0.0 if abs(t) <= tiny else t for t in guess],
-                   method="hybr", tol=1e-12,
-                   options={"maxfev": 40 * (stage_count + 1)})
-        if ((sol.success or float(np.max(np.abs(sol.fun))) <= RESIDUAL_TOL)
-                and not np.any(sol.x < -1e-9)):
-            found.append(sol.x)
-        elif float(np.max(np.abs(fun(guess)))) <= RESIDUAL_TOL:
-            found.append(np.array(guess))
-    return fun, found
+    out = []
+    for (system, x0, xf), starts in zip(jobs, _candidates(jobs, M, n)):
+        fun = _law_residuals(system, x0, xf, M)
+        stage_count = len(system.signs)
+        if _zero_motion(system, x0, xf, M):
+            starts.append([0.0] * stage_count)
+        found = []
+        for guess in starts:
+            if _backward(guess):
+                continue
+            tiny = 1e-7 * max(abs(t) for t in guess)
+            sol = root(fun, [0.0 if abs(t) <= tiny else t for t in guess],
+                       method="hybr", tol=1e-12,
+                       options={"maxfev": 40 * (stage_count + 1)})
+            if ((sol.success or float(np.max(np.abs(sol.fun))) <= RESIDUAL_TOL)
+                    and not np.any(sol.x < -1e-9)):
+                found.append(sol.x)
+            elif float(np.max(np.abs(fun(guess)))) <= RESIDUAL_TOL:
+                found.append(np.array(guess))
+        out.append((fun, found))
+    return out
 
 
-def _solutions(elements, x0, xf, M, n):
-    """Accepted solutions of one signed system: (stage times, end state)
-    pairs.  A solution is accepted when its times are >= -1e-9 (then
-    clipped to zero), its residual is at most RESIDUAL_TOL and every stage
-    keeps the bounds."""
-    fun, found = _roots_of(elements, x0, xf, M, n)
+def _solutions(elements, x0, M, fun, found):
+    """Accepted solutions of one signed system, from its residual ``fun``
+    and its roots ``found`` (``_roots``): (stage times, end state) pairs.  A
+    solution is accepted when its times are >= -1e-9 (then clipped to
+    zero), its residual is at most RESIDUAL_TOL and every stage keeps the
+    bounds."""
     for times in found:
         if np.any(times < -1e-9):
             continue
@@ -436,10 +629,16 @@ def _solutions(elements, x0, xf, M, n):
         yield times, end
 
 
-def _leg_touches(leg, x0, M, n):
+def _solve(jobs, M, n):
+    """The accepted solutions of each job (system, x0, xf)."""
+    return [list(_solutions(system.elements, x0, M, fun, found))
+            for (system, x0, _), (fun, found) in zip(jobs, _roots(jobs, M, n))]
+
+
+def _leg_touches(solutions):
     """Every distinct solution of a marker leg: (leg time, touch state)."""
     found = []
-    for times, end in _solutions(leg, x0, None, M, n):
+    for times, end in solutions:
         if all(float(np.max(np.abs(times - other))) > SAME_LEG_TOL
                for other, _ in found):
             found.append((times, end))
@@ -453,37 +652,35 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
     system.  A law with a tangent marker is split at the marker: its leg is
     solved once per call for all laws that share it, keeping every distinct
     touch, and the rest of the law is solved like a plain law from each
-    touch state; its time is the leg's plus the rest's.  Every accepted
-    solution competes on total time.  Only orders up to 3 are supported (the
-    catalog is exact there); ``OracleError`` means that no catalog law has
-    a feasible real solution.
+    touch state; its time is the leg's plus the rest's.  The legs and the
+    plain laws are solved in one batch, the rests from the touches in a
+    second.  Every accepted solution competes on total time, in catalog
+    order.  Only orders up to 3 are supported (the catalog is exact there);
+    ``OracleError`` means that no catalog law has a feasible real solution.
     """
     n = problem.n
     if n > 3:
         raise OracleError("exhaustive search supports orders 1..3")
     x0, xf, M = problem.x0, problem.xf, problem.M
-    # signed leg -> its (leg time, touch state) solutions; a plain law's
-    # empty leg ends where it starts
-    touches = {(): [(0.0, x0)]}
+    legs, plans = _catalog(n, tuple(k for k, m in enumerate(M) if m is None))
+    first = _solve([(leg, x0, None) for leg in legs]
+                   + [(rest, x0, xf) for _, leg, rest in plans if leg is None],
+                   M, n)
+    touches = [_leg_touches(solutions) for solutions in first[:len(legs)]]
+    plain = iter(first[len(legs):])
+    rests = iter(_solve([(rest, start, xf) for _, leg, rest in plans
+                         if leg is not None for _, start in touches[leg]],
+                        M, n))
     best: Optional[tuple[float, str]] = None
-    for law in laws.enumerate_af(n):
-        for last in (1, -1):
-            elements = laws.assign_signs(law, last).elements
-            # the states that stages ride and markers touch must be bounded
-            pinned = [e.behavior.value if isinstance(e, TangentMarker)
-                      else e.value for e in elements]
-            if any(k > 0 and M[k] is None for k in pinned):
-                continue
-            cut = next((i + 1 for i, e in enumerate(elements)
-                        if isinstance(e, TangentMarker)), 0)
-            leg, rest = elements[:cut], elements[cut:]
-            if leg not in touches:
-                touches[leg] = _leg_touches(leg, x0, M, n)
-            for t_leg, start in touches[leg]:
-                for times, _ in _solutions(rest, start, xf, M, n):
-                    tf = t_leg + float(np.sum(times))
-                    if best is None or tf < best[0] - 1e-15:
-                        best = (tf, laws.canonical(law))
+    for law, leg, _ in plans:
+        # a plain law's empty leg ends where it starts
+        runs = ([(0.0, next(plain))] if leg is None
+                else [(t_leg, next(rests)) for t_leg, _ in touches[leg]])
+        for t_leg, solutions in runs:
+            for times, _ in solutions:
+                tf = t_leg + float(np.sum(times))
+                if best is None or tf < best[0] - 1e-15:
+                    best = (tf, law)
     if best is None:
         raise OracleError("no catalog law admits a feasible solution")
     return OracleResult(best[0], best[1])

@@ -131,8 +131,9 @@ def test_criterion_7_third_order_optimality():
     elapsed = time.monotonic() - t0
     report(7, "third-order optimality vs exhaustive search",
            worst <= 1e-6 and elapsed < 60.0,
-           f"worst t_f excess {worst:+.2e}, {elapsed:.1f}s: "
-           f"planner {elapsed - oracle_s:.1f}s, oracle {oracle_s:.1f}s")
+           f"worst t_f excess {worst:+.2e}, {1e3 * elapsed:.0f} ms: "
+           f"planner {1e3 * (elapsed - oracle_s):.0f} ms, "
+           f"oracle {1e3 * oracle_s:.0f} ms")
 
 
 def test_criterion_8_batch_quality():

@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 from typing import Optional
 
 import numpy as np
@@ -143,14 +143,14 @@ class TestMarkerSplit:
         def spy(name):
             wrapped = getattr(oracle, name)
 
-            def call(elements, x0, xf, M, n):
+            def call(system, x0, xf, *args):
                 if xf is None:
-                    legs[name, tuple(e.text() for e in elements)] += 1
-                return wrapped(elements, x0, xf, M, n)
+                    legs[name, tuple(e.text() for e in system.elements)] += 1
+                return wrapped(system, x0, xf, *args)
             monkeypatch.setattr(oracle, name, call)
 
         spy("_law_residuals")
-        spy("_candidates")
+        spy("_eliminate")
         rng = np.random.default_rng(107)
         probs = near_touch_draws(4) + [
             sampling.random_problem(3, sampling.default_bounds(3), rng, 0.8)
@@ -162,7 +162,7 @@ class TestMarkerSplit:
             except OracleError:
                 pass
             assert legs == Counter({
-                (name, leg): 1 for name in ("_law_residuals", "_candidates")
+                (name, leg): 1 for name in ("_law_residuals", "_eliminate")
                 for leg in (("-0", "+0", "(+3,2)"), ("+0", "-0", "(-3,2)"),
                             ("-0", "-1", "+0", "(+3,2)"),
                             ("+0", "+1", "-0", "(-3,2)"))})
@@ -174,7 +174,7 @@ class TestMarkerSplit:
         x0 = (0.3, -0.2, 1.1)
         times = [0.7, 0.4]
         x = kinematics.propagate(kinematics.propagate(x0, -1.0, 0.7), 1.0, 0.4)
-        got = _law_residuals(leg, x0, None, M, 3)(times)
+        got = _law_residuals(oracle._System(leg, 3), x0, None, M)(times)
         assert got.tolist() == [x[2] - 4.0, x[1]]
 
 
@@ -214,7 +214,7 @@ class TestLawResiduals:
             for last in (1, -1):
                 elements = laws.assign_signs(law, last).elements
                 stages = sum(isinstance(e, Behavior) for e in elements)
-                fun = _law_residuals(elements, x0, xf, M, 3)
+                fun = _law_residuals(oracle._System(elements, 3), x0, xf, M)
                 ref = _reference_residuals(elements, x0, xf, M, 3)
                 for _ in range(20):
                     times = rng.uniform(0.0, 3.0, stages)
@@ -231,7 +231,7 @@ class TestLawResiduals:
             for last in (1, -1):
                 elements = laws.assign_signs(law, last).elements
                 stages = sum(isinstance(e, Behavior) for e in elements)
-                fun = _law_residuals(elements, x0, xf, M, n)
+                fun = _law_residuals(oracle._System(elements, n), x0, xf, M)
                 ref = _reference_residuals(elements, x0, xf, M, n)
                 for _ in range(20):
                     times = rng.uniform(0.0, 3.0, stages)
@@ -322,6 +322,16 @@ def _plant(n, elements, M, draw):
     return x0, None if marker else xf, times
 
 
+def _candidates_of(elements, x0, xf, M, n):
+    """One system's elimination candidates: a batch of one."""
+    return oracle._candidates([(oracle._System(elements, n), x0, xf)], M, n)[0]
+
+
+def _roots_of(elements, x0, xf, M, n):
+    """One system's residual and polished roots: a batch of one."""
+    return oracle._roots([(oracle._System(elements, n), x0, xf)], M, n)[0]
+
+
 class TestElimination:
     """Every real solution of a signed system, by elimination, is found: a
     solution planted from drawn durations is among the system's polished
@@ -335,7 +345,7 @@ class TestElimination:
         M = _BOUNDS[n]
         x0, xf, times = _plant(n, elements, M, data.draw)
         times = np.array(times)
-        fun, found = oracle._roots_of(elements, x0, xf, M, n)
+        fun, found = _roots_of(elements, x0, xf, M, n)
         assert float(np.max(np.abs(fun(times)))) <= 1e-12
         # the residual pins a plant's times to the rounding error over the
         # smallest singular value of the system's Jacobian, and a singular
@@ -373,7 +383,7 @@ class TestElimination:
             for e, t in zip(elements, times):
                 xf = kinematics.propagate(
                     xf, e.sign * M[0] if e.value == 0 else 0.0, t)
-        fun, found = oracle._roots_of(elements, x0, xf, M, n)
+        fun, found = _roots_of(elements, x0, xf, M, n)
         assert float(np.max(np.abs(fun(times)))) <= 1e-12
         assert min((float(np.max(np.abs(t - times))) for t in found),
                    default=np.inf) <= 1e-7
@@ -405,7 +415,7 @@ _SEEDS_PER_LAW = 32
 
 
 def _multistart_solutions(elements, x0, xf, M, n, tau, rng):
-    fun = _law_residuals(elements, x0, xf, M, n)
+    fun = _law_residuals(oracle._System(elements, n), x0, xf, M)
     stage_count = sum(1 for e in elements if isinstance(e, Behavior))
     hits = 0
     for trial in range(_SEEDS_PER_LAW):
@@ -597,10 +607,10 @@ class TestBackwardPrune:
             scale = max(1.0, max(abs(times[i]) for i in fixed))
             return min(times[i] for i in fixed) < -oracle.BACKWARD_TOL * scale
 
-        pruned = oracle._candidates(elements, x0, xf, M, 3)
+        pruned = _candidates_of(elements, x0, xf, M, 3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "BACKWARD_TOL", math.inf)
-            full = oracle._candidates(elements, x0, xf, M, 3)
+            full = _candidates_of(elements, x0, xf, M, 3)
         assert any(backward(t) for t in full)
         assert not any(backward(t) for t in pruned)
         assert pruned == [t for t in full if not backward(t)]
@@ -622,10 +632,10 @@ class TestBackwardPrune:
         # rounding error
         M = _BOUNDS[n]
         x0, xf, _ = _plant(n, elements, M, data.draw)
-        pruned = _accepted(oracle._roots_of(elements, x0, xf, M, n)[1])
+        pruned = _accepted(_roots_of(elements, x0, xf, M, n)[1])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "BACKWARD_TOL", math.inf)
-            full = _accepted(oracle._roots_of(elements, x0, xf, M, n)[1])
+            full = _accepted(_roots_of(elements, x0, xf, M, n)[1])
         rest = iter(full)
         assert all(any(t == u for u in rest) for t in pruned)
         kept = [np.frombuffer(t) for t in pruned]
@@ -635,3 +645,302 @@ class TestBackwardPrune:
                 assert (times.min() <= 1e-5 * max(1.0, times.max())
                         or min((np.max(np.abs(times - u)) for u in kept),
                                default=np.inf) <= 1e-5)
+
+
+# the elimination as it was before systems were compiled and rooted in
+# batches, kept as a reference: one signed system per call, its structure
+# rebuilt and every quantity a (P, Q) pair of lists, its polynomial rooted
+# by np.roots on its own
+
+def _ref_radd(x, y):
+    add = kinematics.poly_add
+    return add(x[0], y[0]), add(x[1], y[1]) if x[1] or y[1] else []
+
+
+def _ref_rscale(x, c):
+    return [c * a for a in x[0]], [c * a for a in x[1]] if x[1] else []
+
+
+def _ref_rmul(x, y, R):
+    add, mul = kinematics.poly_add, kinematics.poly_mul
+    (p, q), (r, s) = x, y
+    if not q and not s:
+        return mul(p, r), []
+    return add(mul(p, r), mul(mul(q, s), R)), add(mul(p, s), mul(q, r))
+
+
+def _ref_const(c):
+    return [c], []
+
+
+_REF_Z = ([0.0, 1.0], [])
+_REF_W = ([], [1.0])
+
+
+def _ref_real_zeros(p):
+    p = list(p)
+    big = max((abs(c) for c in p), default=0.0)
+    while p and abs(p[-1]) <= 1e-12 * big:
+        p.pop()
+    if len(p) < 2:
+        return []
+    if len(p) == 2:
+        return [-p[0] / p[1]]
+    norm = math.sqrt(sum(c * c for c in p))
+    out = []
+    for z in np.roots(p[::-1]):
+        x = float(z.real)
+        powers = math.sqrt(sum(x ** (2 * k) for k in range(len(p))))
+        if abs(kinematics.horner(p, x)) <= 1e-10 * norm * powers:
+            out.append(x)
+    return out
+
+
+def _reference_candidates(elements, x0, xf, M, n):
+    M0 = M[0]
+    horner = kinematics.horner
+    stages = [e for e in elements if isinstance(e, Behavior)]
+    start = tuple(x0) + (0.0,) * (3 - n)
+    if xf is None:
+        goal = (None, 0.0, elements[-1].behavior.sign * M[3])
+    else:
+        goal = tuple(xf) + (None,) * (3 - n)
+    X = [start[0]] + [None] * len(stages)
+    for i, e in enumerate(stages):
+        if e.value:
+            X[i] = X[i + 1] = e.sign * M[1] if e.value == 1 else 0.0
+    X[-1] = goal[0]
+    cuts = [i for i, e in enumerate(stages) if e.value == 2]
+    fixed = {("t", i): _REF_Z for i in cuts}
+    R = []
+    choices = []
+    edges = [-1] + cuts + [len(stages)]
+    for a, b in zip(edges, edges[1:]):
+        if goal[1] is None:
+            continue
+        x2a = start[1] if a < 0 else stages[a].sign * M[2]
+        x2b = goal[1] if b == len(stages) else stages[b].sign * M[2]
+        const, alpha, unknowns = x2a - x2b, {}, []
+        scale = abs(x2a) + abs(x2b)
+        for i in range(a + 1, b):
+            e = stages[i]
+            if e.value:
+                unknowns.append(("t", i))
+                continue
+            u = oracle._control(e, M0)
+            for j, s in ((i + 1, 0.5 / u), (i, -0.5 / u)):
+                if X[j] is None:
+                    if j not in alpha:
+                        unknowns.insert(len(alpha), ("x", j))
+                    alpha[j] = alpha.get(j, 0.0) + s
+                else:
+                    const += s * X[j] * X[j]
+                    scale += abs(s) * X[j] * X[j]
+        coef = {k: alpha[k[1]] if k[0] == "x" else X[k[1]] for k in unknowns}
+        if len(unknowns) == 1:
+            (key,) = unknowns
+            if key[0] == "t":
+                choices.append([{key: _ref_const(-const / coef[key])}])
+                continue
+            sq = -const / coef[key]
+            if sq < 0.0 and abs(const) > 1e-12 * scale:
+                return []
+            r = math.sqrt(max(sq, 0.0))
+            choices.append([{key: _ref_const(r)}, {key: _ref_const(-r)}] if r
+                           else [{key: _ref_const(0.0)}])
+        else:
+            first, second = unknowns
+            lin = [const, 0.0, coef[first]] if first[0] == "x" \
+                else [const, coef[first]]
+            rest = [-c / coef[second] for c in lin]
+            if second[0] == "x":
+                R, value = rest, _REF_W
+            else:
+                value = (rest, [])
+            choices.append([{first: _REF_Z, second: value}])
+    out = []
+    for combo in product(*choices):
+        val = dict(fixed)
+        for opt in combo:
+            val.update(opt)
+        xs = [val[("x", j)] if x is None else _ref_const(x)
+              for j, x in enumerate(X)]
+        durations = []
+        for i, e in enumerate(stages):
+            if e.value:
+                durations.append(val[("t", i)])
+            else:
+                dx = _ref_radd(xs[i + 1], _ref_rscale(xs[i], -1.0))
+                durations.append(_ref_rscale(dx, 1.0 / oracle._control(e, M0)))
+        if oracle._backward([p[0] for p, q in durations
+                             if len(p) == 1 and not q]):
+            continue
+        if goal[2] is None:
+            out.append([horner(t[0], 0.0) for t in durations])
+            continue
+        x2, x3 = _ref_const(start[1]), _ref_const(start[2] - goal[2])
+        for e, x1, t in zip(stages, xs, durations):
+            u = oracle._control(e, M0)
+            inner = _ref_radd(_ref_rscale(x1, 0.5), _ref_rscale(t, u / 6.0))
+            x3 = _ref_radd(x3, _ref_rmul(
+                t, _ref_radd(x2, _ref_rmul(t, inner, R)), R))
+            x2 = _ref_radd(x2, _ref_rmul(
+                t, _ref_radd(x1, _ref_rscale(t, 0.5 * u)), R))
+        F, G = x3
+        if any(G):
+            mul = kinematics.poly_mul
+            zeros = _ref_real_zeros(kinematics.poly_add(
+                mul(F, F), mul(R, mul(G, G)), -1.0))
+        else:
+            zeros = _ref_real_zeros(F)
+        for z in zeros:
+            f, g = horner(F, z), horner(G, z)
+            w = math.sqrt(max(horner(R, z), 0.0)) if R else 0.0
+            size = (horner([abs(c) for c in F], abs(z))
+                    + w * horner([abs(c) for c in G], abs(z)))
+            signs = [s for s in (1.0, -1.0) if w
+                     and abs(f + s * w * g) <= 1e-6 * size]
+            if not signs:
+                signs = [1.0 if abs(f + w * g) <= abs(f - w * g) else -1.0]
+            for s in signs:
+                out.append([horner(p, z) + s * w * horner(q, z)
+                            for p, q in durations])
+    return out
+
+
+def _hex(candidates):
+    return [[float(t).hex() for t in times] for times in candidates]
+
+
+_NONZERO = st.floats(0.1, 10.0).flatmap(
+    lambda c: st.sampled_from([c, -c]))
+
+
+class TestCompiledElimination:
+    """The compiled systems, their polynomials rooted together, give the
+    candidates of the reference elimination bit for bit and in order, and
+    the compiled catalog is kept once per order and set of free bounds."""
+
+    @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_candidates_match_reference(self, n, elements, data):
+        # the plant's system is batched with every system of its order from
+        # the same states (a leg's touch for a leg's plant), so that their
+        # polynomials share the eigenvalue calls
+        M = _BOUNDS[n]
+        x0, xf, times = _plant(n, elements, M, data.draw)
+        if xf is None:
+            xf = x0
+            for e, t in zip([e for e in elements if isinstance(e, Behavior)],
+                            times):
+                xf = kinematics.propagate(xf, oracle._control(e, M[0]), t)
+        jobs = [(oracle._System(el, n), x0,
+                 None if isinstance(el[-1], TangentMarker) else xf)
+                for m, el in _SYSTEMS if m == n]
+        for (system, a, b), got in zip(jobs, oracle._candidates(jobs, M, n)):
+            ref = _reference_candidates(system.elements, a, b, M, n)
+            assert _hex(got) == _hex(ref)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_companion_roots_match_np_roots(self, data):
+        # one batch of polynomials of degree 2 to 6: drawn coefficients,
+        # zero low coefficients (roots at zero), repeated roots, and a
+        # leading coefficient nearly cancelled
+        coef = st.floats(-10.0, 10.0)
+        polys = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            d = data.draw(st.integers(2, 6))
+            kind = data.draw(st.sampled_from(
+                ["drawn", "zeros", "repeated", "cancelled"]))
+            if kind == "repeated":
+                r = data.draw(coef)
+                k = data.draw(st.integers(2, d))
+                p = [data.draw(_NONZERO)]
+                for x in [r] * k + [data.draw(coef) for _ in range(d - k)]:
+                    p = kinematics.poly_mul(p, [-x, 1.0])
+            else:
+                p = [data.draw(coef) for _ in range(d)] + [data.draw(_NONZERO)]
+                if kind == "zeros":
+                    low = data.draw(st.integers(1, d))
+                    p[:low] = [0.0] * low
+                elif kind == "cancelled":
+                    p[-1] = (p[-1] + 1e-9 * data.draw(_NONZERO)) - p[-1]
+            polys.append(p)
+        for p, got in zip(polys, oracle._companion_roots(polys)):
+            ref = np.roots(p[::-1]).astype(complex)
+            got = np.array(got, dtype=complex)
+            assert got.real.tobytes() == ref.real.tobytes()
+            # np.roots drops the imaginary parts, and their zero signs,
+            # where all of one polynomial's are zero
+            assert np.array_equal(got.imag, ref.imag)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_numbers_compute_as_pairs(self, data):
+        # a number c adds, scales, multiplies and evaluates as ([c], [])
+        # would, signed zeros included
+        value = st.sampled_from([0.0, -0.0, 1.5, -0.5]) | st.floats(-4.0, 4.0)
+
+        def quantity():
+            if data.draw(st.booleans()):
+                return data.draw(value)
+            return (data.draw(st.lists(value, max_size=4)),
+                    data.draw(st.lists(value, max_size=2)))
+
+        def pair(x):
+            return x if isinstance(x, tuple) else ([x], [])
+
+        def bits(x):
+            return [[float(c).hex() for c in part] for part in pair(x)]
+
+        x, y, c, z = quantity(), quantity(), data.draw(value), data.draw(value)
+        R = data.draw(st.lists(value, max_size=3))
+        assert bits(oracle._radd(x, y)) == bits(_ref_radd(pair(x), pair(y)))
+        assert bits(oracle._rscale(x, c)) == bits(_ref_rscale(pair(x), c))
+        assert bits(oracle._rmul(x, y, R)) == bits(
+            _ref_rmul(pair(x), pair(y), R))
+        p, q = pair(x)
+        assert [v.hex() for v in map(float, oracle._at(x, z))] == [
+            kinematics.horner(p, z).hex(), kinematics.horner(q, z).hex()]
+
+    def test_zero_motion_matches_zero_time_residual(self):
+        # states on the pins, and off them by half RESIDUAL_TOL and by twice
+        # it: the pins at x0 and x0 - xf decide as the residual of the
+        # zero-time run did
+        met = Counter()
+        for n, elements in _SYSTEMS:
+            M = _BOUNDS[n]
+            system = oracle._System(elements, n)
+            zero = [0.0] * len(system.signs)
+            leg = isinstance(elements[-1], TangentMarker)
+            for x0 in product(*[(0.0, M[k], -M[k], 0.3 * M[k], 5e-11 - M[k],
+                                 M[k] + 2e-10) for k in range(1, n + 1)]):
+                for dx in ((None,) if leg else (0.0, 5e-11, -2e-10)):
+                    xf = None if leg else tuple(v + dx for v in x0)
+                    fun = _law_residuals(system, x0, xf, M)
+                    expected = float(np.max(np.abs(fun(zero)))) <= \
+                        oracle.RESIDUAL_TOL
+                    assert oracle._zero_motion(system, x0, xf, M) == expected
+                    met[expected] += 1
+        assert met[True] > 100 and met[False] > 100
+
+    def test_catalog_is_kept_per_order_and_free_bounds(self):
+        # a catalog keyed by the bound values or the boundary states would
+        # hold more entries than the sets of free bounds
+        sets = [(3, (1.0, 1.0, 1.5, 4.0)), (3, (1.0, 0.5, 3.0, 2.0)),
+                (3, (1.0, None, 1.5, 4.0)), (3, (1.0, 1.0, None, 4.0)),
+                (2, (1.0, 1.0, 1.5)), (2, (1.0, 2.0, 3.0))]
+        oracle._catalog.cache_clear()
+        rng = np.random.default_rng(5)
+        for n, M in sets:
+            for _ in range(4):
+                try:
+                    exhaustive_tf(sampling.random_problem(n, M, rng, 0.8))
+                except OracleError:
+                    pass
+        keys = {(n, tuple(k for k, m in enumerate(M) if m is None))
+                for n, M in sets}
+        assert oracle._catalog.cache_info().currsize == len(keys)
+        assert len(keys) <= len(_SYSTEMS)
