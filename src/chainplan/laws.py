@@ -62,23 +62,20 @@ def dimension(asl: Asl) -> int:
 def assign_signs(asl: Asl, last_sign: int) -> Asl:
     """Attach the unique sign assignment fixed by the final element's sign.
 
-    Signs propagate right to left: a predecessor copies the sign across an
-    odd-valued successor and flips across an even-valued one; both flanks of
-    a tangent marker share the marker's sign; a virtual group is transparent
-    to the main chain, its last member opposes the stage after the group and
-    its interior chains by the same rule.  Laws are frozen, so each
-    (law, sign) is signed once and its result cached.
+    Signs propagate right to left, in one pass: a predecessor copies the
+    sign across an odd-valued successor and flips across an even-valued
+    one; a tangent marker takes the sign of the stage after it, and so does
+    the stage before it; a virtual group is transparent to the main chain,
+    its last member opposes the stage after the group and its interior
+    chains by the same rule.  Laws are frozen, so each (law, sign) is
+    signed once and its result cached.
     """
     if last_sign not in (1, -1):
         raise ValueError(f"last_sign must be +1 or -1, got {last_sign}")
-    elems = list(asl.unsigned().elements)
-    out: list[Optional[AslElement]] = [None] * len(elems)
+    out: list[AslElement] = []
     succ: Optional[Behavior] = None              # next plain behavior rightward
-    marker_indices: list[int] = []
-    group_succ: dict[int, Behavior] = {}
-    bridge_marker = False                        # a marker sits between i and succ
-    for i in range(len(elems) - 1, -1, -1):
-        e = elems[i]
+    bridge_marker = False                        # a marker sits between e and succ
+    for e in reversed(asl.unsigned().elements):
         if isinstance(e, Behavior):
             if succ is None:
                 s = last_sign
@@ -86,37 +83,27 @@ def assign_signs(asl: Asl, last_sign: int) -> Asl:
                 s = succ.sign
             else:
                 s = expected_prev_sign(succ)
-            signed = Behavior(e.value, s)
-            out[i] = signed
-            succ = signed
+            succ = Behavior(e.value, s)
+            out.append(succ)
             bridge_marker = False
         elif isinstance(e, TangentMarker):
-            # Asl construction puts a saturation stage after every marker
-            marker_indices.append(i)
+            # Asl construction puts a saturation stage after every marker,
+            # so succ is that stage
+            out.append(TangentMarker(Behavior(e.behavior.value, succ.sign),
+                                     e.degree))
             bridge_marker = True
         else:
             if succ is None:
                 raise AslError("virtual group has no following stage",
                                "group-context")
-            group_succ[i] = succ
+            members: list[Behavior] = []
+            s = -succ.sign
+            for m in reversed(e.members):
+                members.append(Behavior(m.value, s))
+                s = expected_prev_sign(members[-1])
+            out.append(VirtualGroup(tuple(reversed(members))))
             bridge_marker = False
-    for i in marker_indices:
-        e = elems[i]
-        after = out[i + 1]
-        out[i] = TangentMarker(Behavior(e.behavior.value, after.sign), e.degree)
-    for i, after in group_succ.items():
-        members = list(elems[i].members)
-        signed_members: list[Optional[Behavior]] = [None] * len(members)
-        nxt: Optional[Behavior] = None
-        for j in range(len(members) - 1, -1, -1):
-            if nxt is None:
-                s = -after.sign
-            else:
-                s = expected_prev_sign(nxt)
-            signed_members[j] = Behavior(members[j].value, s)
-            nxt = signed_members[j]
-        out[i] = VirtualGroup(tuple(signed_members))
-    return Asl(tuple(out))
+    return Asl(tuple(reversed(out)))
 
 
 def _even_evens(law: Asl) -> bool:

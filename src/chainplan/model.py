@@ -30,6 +30,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Optional, Union
 
+from . import kinematics
+
 
 class AslError(ValueError):
     """A switching-law sequence violates a structural rule.
@@ -392,7 +394,6 @@ class Trajectory:
     def state_at(self, t: float) -> tuple[float, ...]:
         """State at absolute time t (clamped to [0, t_f]); at a switching
         instant, the end of the segment that reaches it."""
-        from . import kinematics
         if not self.segments:
             return self.problem.x0
         if t <= 0.0:
@@ -409,5 +410,4 @@ class Trajectory:
         if not self.segments:
             return self.problem.x0
         last = self.segments[-1]
-        from . import kinematics
         return kinematics.propagate(last.start, last.u, last.duration)

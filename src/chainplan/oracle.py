@@ -27,7 +27,11 @@ method "hybr"), on the system's own residual.  A root with such a time runs
 a stage backward and is dropped unpolished, and so is every root of a
 closed-form choice whose fixed durations already do, before its polynomial
 is built.  So "no catalog law admits a feasible solution" is a statement
-about the catalog, not about a search's starts.
+about the catalog, not about a search's starts.  The residual is one view
+of the system's walk (``_law_walk``), which also gives each stage's start
+and the end state: a root is accepted on one walk, its residual, the bound
+check of its stages and its end state, and past ``_catalog`` no code reads
+a law's elements.
 
 A law with a tangent marker is solved in two parts, split at the touch: the
 leg (the stages up to the marker, pinned by its conditions) and the rest
@@ -103,20 +107,17 @@ class OracleResult:
     law: str
 
 
-def _control(e: Behavior, M0: float) -> float:
-    """A stage's control: +-M0 on a bang, 0 on a ride."""
-    return e.sign * M0 if e.value == 0 else 0.0
-
-
 class _System:
     """One signed system of order 1 to 3, compiled: a plain law, a marker
     leg (its stages up to the marker, pinned by its conditions) or a rest
-    (the stages after it).  It holds what the residual and the elimination
+    (the stages after it).  It holds what the walk and the elimination
     take from the law, and nothing from the bounds' values or the boundary
     states: each call applies those with the same float operations.
 
+    - ``elements``: the signed law elements it was compiled from, which
+      name it; no walk or elimination reads them;
     - ``signs``: each stage's control sign, 0 on a ride;
-    - ``steps``: the residual's steps (sign, pin), see ``_law_residuals``;
+    - ``steps``: the walk's steps (sign, pin), see ``_law_walk``;
       a marker's sign is None, as it has no stage of its own;
     - ``touch``: the sign of a leg's marker, None for a plain law or rest;
     - ``x1``: x1 at each stage boundary: "start", "goal", the sign of a
@@ -217,18 +218,20 @@ def _catalog(n, free):
     return tuple(legs), tuple(plans)
 
 
-def _law_residuals(system, x0, xf, M):
-    """Residual closure of a compiled system, built directly on the chain's
-    constant-control step, ``kinematics.propagate``.
+def _law_walk(system, x0, xf, M):
+    """One walk of a compiled system, built directly on the chain's
+    constant-control step, ``kinematics.propagate``: a closure that takes
+    any sequence of stage times and returns the residuals (an array), each
+    stage's (start state, control, time) and the end state.  MINPACK takes
+    the residuals alone; ``_solutions`` checks a solution on all three.
 
     A step (sign, pin) advances one stage under the control sign M0 (None
     for a marker, which has no stage of its own), then, if its pin
     ``(k, sign, zeros)`` is not None, pins the state at index k - 1 to
     sign M_k and those at ``zeros`` to zero.  The terminal rows pin the end
     state to ``xf``; with ``xf`` None there are none, and the pins of the
-    law's last marker end the system (a marker leg).  The closure takes any
-    sequence of stage times and runs them as Python floats: numpy scalars
-    would give the same bits, only slower.
+    law's last marker end the system (a marker leg).  The times run as
+    Python floats: numpy scalars would give the same bits, only slower.
     """
     M0 = M[0]
     steps = [(None if s is None else s * M0 if s else 0.0,
@@ -238,14 +241,15 @@ def _law_residuals(system, x0, xf, M):
     start = tuple(x0)
     goal = () if xf is None else tuple(xf)
 
-    def fun(times):
+    def walk(times):
         times = np.asarray(times, dtype=float).tolist()
         propagate = kinematics.propagate
-        res = []
+        res, stages = [], []
         x = start
         ti = 0
         for u, pin in steps:
             if u is not None:
+                stages.append((x, u, times[ti]))
                 x = propagate(x, u, times[ti])
                 ti += 1
             if pin is not None:
@@ -254,9 +258,9 @@ def _law_residuals(system, x0, xf, M):
                 for j in zeros:
                     res.append(x[j])
         res += [a - b for a, b in zip(x, goal)]
-        return np.array(res)
+        return np.array(res), stages, x
 
-    return fun
+    return walk
 
 
 def _zero_motion(system, x0, xf, M) -> bool:
@@ -568,8 +572,9 @@ def _candidates(jobs, M, n):
 
 
 def _roots(jobs, M, n):
-    """For each job (system, x0, xf), the system's residual closure and the
-    stage times of its real solutions, not yet checked for sign or bounds.
+    """For each job (system, x0, xf), the system's walk (``_law_walk``) and
+    the stage times of its real solutions, not yet checked for sign or
+    bounds.
 
     Every elimination candidate with no time below -BACKWARD_TOL
     max(1, max|t|) (``_backward``) is polished once by ``root`` (MINPACK
@@ -579,9 +584,10 @@ def _roots(jobs, M, n):
     kept when it meets the system itself: where stages of zero length make
     the Jacobian singular, the polish can drift along the system's
     near-solutions to negative times.  A time that is zero but for rounding
-    (within 1e-7 of the largest) starts the polish at zero: MINPACK's
-    forward differences step each time in proportion to it, which near zero
-    is lost in rounding, and by a fixed step at zero.
+    (at most 1e-7 max(1, max|t|), ``_backward``'s scale, where a double root
+    leaves its zero-length stages about 1e-8 long) starts the polish at
+    zero: MINPACK's forward differences step each time in proportion to it,
+    which near zero is lost in rounding, and by a fixed step at zero.
 
     The zero-time run is a start too when it meets the system (zero
     motion, ``_zero_motion``).  It is where the elimination fails: the 000
@@ -590,7 +596,11 @@ def _roots(jobs, M, n):
     """
     out = []
     for (system, x0, xf), starts in zip(jobs, _candidates(jobs, M, n)):
-        fun = _law_residuals(system, x0, xf, M)
+        walk = _law_walk(system, x0, xf, M)
+
+        def fun(times):  # the residuals, MINPACK's view of the walk
+            return walk(times)[0]
+
         stage_count = len(system.signs)
         if _zero_motion(system, x0, xf, M):
             starts.append([0.0] * stage_count)
@@ -598,7 +608,7 @@ def _roots(jobs, M, n):
         for guess in starts:
             if _backward(guess):
                 continue
-            tiny = 1e-7 * max(abs(t) for t in guess)
+            tiny = 1e-7 * max(1.0, max(abs(t) for t in guess))
             sol = root(fun, [0.0 if abs(t) <= tiny else t for t in guess],
                        method="hybr", tol=1e-12,
                        options={"maxfev": 40 * (stage_count + 1)})
@@ -607,32 +617,33 @@ def _roots(jobs, M, n):
                 found.append(sol.x)
             elif float(np.max(np.abs(fun(guess)))) <= RESIDUAL_TOL:
                 found.append(np.array(guess))
-        out.append((fun, found))
+        out.append((walk, found))
     return out
 
 
-def _solutions(elements, x0, M, fun, found):
-    """Accepted solutions of one signed system, from its residual ``fun``
+def _solutions(walk, M, found):
+    """Accepted solutions of one signed system, from its walk (``_law_walk``)
     and its roots ``found`` (``_roots``): (stage times, end state) pairs.  A
     solution is accepted when its times are >= -1e-9 (then clipped to
     zero), its residual is at most RESIDUAL_TOL and every stage keeps the
-    bounds."""
+    bounds; each is walked once."""
     for times in found:
         if np.any(times < -1e-9):
             continue
         times = np.clip(times, 0.0, None)
-        if float(np.max(np.abs(fun(times)))) > RESIDUAL_TOL:
+        res, stages, end = walk(times)
+        if float(np.max(np.abs(res))) > RESIDUAL_TOL:
             continue
-        end = _feasible(elements, x0, M, times)
-        if end is None:
+        if any(kinematics.segment_bound_check(x, u, t, M, 1e-9)
+               for x, u, t in stages):
             continue
         yield times, end
 
 
 def _solve(jobs, M, n):
     """The accepted solutions of each job (system, x0, xf)."""
-    return [list(_solutions(system.elements, x0, M, fun, found))
-            for (system, x0, _), (fun, found) in zip(jobs, _roots(jobs, M, n))]
+    return [list(_solutions(walk, M, found))
+            for walk, found in _roots(jobs, M, n)]
 
 
 def _leg_touches(solutions):
@@ -684,20 +695,3 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
     if best is None:
         raise OracleError("no catalog law admits a feasible solution")
     return OracleResult(best[0], best[1])
-
-
-def _feasible(elements, x0, M, times) -> Optional[tuple[float, ...]]:
-    """The end state of the law's stages run from ``x0``, or None when a
-    stage leaves the bounds."""
-    cur = tuple(x0)
-    ti = 0
-    M0 = M[0]
-    for e in elements:
-        if not isinstance(e, Behavior):
-            continue
-        u = _control(e, M0)
-        if kinematics.segment_bound_check(cur, u, float(times[ti]), M, 1e-9):
-            return None
-        cur = kinematics.propagate(cur, u, float(times[ti]))
-        ti += 1
-    return cur

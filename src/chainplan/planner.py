@@ -151,15 +151,18 @@ class Planner:
         """Feasible trajectory from x0 to xf; raises PlanError on failure."""
         if problem.x0 == problem.xf:
             return Trajectory((), 0.0, Asl(()), problem)
-        if problem.n == 3 and problem.M[3] is not None:
+        if problem.n >= 3 and problem.M[3] is not None:
             self._raise_if_infeasible(problem)
         p = self._plan(problem.n, problem.x0, problem.xf, problem.M)
         return self._realize(p, problem)
 
     def _raise_if_infeasible(self, problem: Problem) -> None:
-        """Raise InfeasibleProblem when a boundary state of an order-3
-        problem cannot keep |x3| <= M3.
+        """Raise InfeasibleProblem when a boundary state of the problem's
+        order-3 projection, (x0[:3], xf[:3], M[:4]), cannot keep |x3| <= M3.
 
+        The first three states of a chain of any order run as an order-3
+        chain under the same control and bounds, so a projection that no
+        trajectory solves proves the problem infeasible.
         ``kinematics.brake_peak`` bounds the x3 peak of every trajectory
         leaving x0 and, on the reversed chain (state (x1, -x2, x3)), of every
         trajectory arriving at xf.  A trajectory may end before that brake
@@ -173,8 +176,9 @@ class Planner:
         x0, xf = problem.x0, problem.xf
         back0 = (x0[0], -x0[1], x0[2])
         backf = (xf[0], -xf[1], xf[2])
-        for where, state, other in (("start cannot keep", x0, xf),
-                                    ("goal cannot be reached keeping", backf, back0)):
+        for end, where, state, other in (
+                ("start", "cannot keep", x0[:3], xf[:3]),
+                ("goal", "cannot be reached keeping", backf, back0)):
             peak = kinematics.brake_peak(state, M[0], M[1])
             if abs(peak) <= lim:
                 continue
@@ -182,9 +186,11 @@ class Planner:
             peer = kinematics.brake_peak(other, M[0], M[1])
             if side * peer >= side * peak - self.bound_eps:
                 continue
+            if problem.n > 3:
+                end += " of the order-3 projection (x1, x2, x3)"
             raise InfeasibleProblem(
-                f"no tangent-marker law exists: the {where} |x3| <= M3 "
-                f"(hardest brake peaks at {peak:.6g})")
+                f"no tangent-marker law exists: the {end} {where} "
+                f"|x3| <= M3 (hardest brake peaks at {peak:.6g})")
 
     # ------------------------------------------------------------------
     # recursion

@@ -82,6 +82,20 @@ class TestPlan:
         assert "infeasible input: no tangent-marker law exists" in \
             capsys.readouterr().err
 
+    def test_certified_order_4_projection_exit_1(self, tmp_path, capsys):
+        # seed-1 order-4 draw 27: its order-3 projection's goal arrives at
+        # the x3 wall too fast for any brake
+        data = {"order": 4,
+                "x0": [-0.7457723991735901, -0.7516951695508596,
+                       1.118012130782576, 2.258067134479944],
+                "xf": [-0.5463119456212597, 1.0848702449428438,
+                       -2.2121367516966126, 0.3297039916379312],
+                "M": [1.0, 1.0, 1.5, 4.0, 20.0]}
+        inp = write_problem(tmp_path, data)
+        assert main(["plan", "--input", inp]) == 1
+        assert capsys.readouterr().err.startswith(
+            "chainplan: infeasible input: no tangent-marker law exists")
+
     def test_invalid_planned_law_exit_2(self, tmp_path, capsys, monkeypatch):
         # a plan whose law breaks the sign chain (+0 +2 +0) is a planner
         # failure, not malformed input

@@ -13,7 +13,7 @@ from chainplan.model import (Behavior, InfeasibleError, Problem, TangentMarker,
                              VirtualGroup)
 from chainplan.oracle import (
     OracleError,
-    _law_residuals,
+    _law_walk,
     double_integrator_tf,
     exhaustive_tf,
 )
@@ -110,6 +110,18 @@ class TestExhaustive:
                        (1.0, 1.0, 1.5, 4.0))
         assert exhaustive_tf(prob).t_f == pytest.approx(T, abs=1e-9)
 
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_short_bang_from_the_x1_bound(self, s):
+        # one 1.2e-7 s bang from x1 = M1: the elimination leaves the outer
+        # stages of 000 about 1.5e-8 s long, one of them negative, and a
+        # polish that started there kept the negative time on one side of
+        # the mirror (t_f 4.03 s by 01010)
+        x0 = (s * 1.0, s * -0.0078125, 0.0)
+        xf = (s * 0.9999998807907104, s * -0.007812380790717505,
+              s * -9.313154695729189e-10)
+        prob = Problem(3, x0, xf, (1.0, 1.0, 1.5, 4.0))
+        assert exhaustive_tf(prob).t_f == pytest.approx(1.192093e-7, abs=1e-12)
+
     def test_dynamically_infeasible_raises(self):
         prob = Problem(3, (0.52, -0.17, 2.73), (0.37, -1.16, 3.61),
                        (1.0, 1.0, 1.5, 4.0))
@@ -137,7 +149,7 @@ class TestMarkerSplit:
             res.t_f, abs=1e-9)
 
     def test_each_signed_leg_is_solved_once(self, monkeypatch):
-        # each leg is eliminated once and its residual built once
+        # each leg is eliminated once and its walk built once
         legs = Counter()
 
         def spy(name):
@@ -149,7 +161,7 @@ class TestMarkerSplit:
                 return wrapped(system, x0, xf, *args)
             monkeypatch.setattr(oracle, name, call)
 
-        spy("_law_residuals")
+        spy("_law_walk")
         spy("_eliminate")
         rng = np.random.default_rng(107)
         probs = near_touch_draws(4) + [
@@ -162,7 +174,7 @@ class TestMarkerSplit:
             except OracleError:
                 pass
             assert legs == Counter({
-                (name, leg): 1 for name in ("_law_residuals", "_eliminate")
+                (name, leg): 1 for name in ("_law_walk", "_eliminate")
                 for leg in (("-0", "+0", "(+3,2)"), ("+0", "-0", "(-3,2)"),
                             ("-0", "-1", "+0", "(+3,2)"),
                             ("+0", "+1", "-0", "(-3,2)"))})
@@ -174,7 +186,7 @@ class TestMarkerSplit:
         x0 = (0.3, -0.2, 1.1)
         times = [0.7, 0.4]
         x = kinematics.propagate(kinematics.propagate(x0, -1.0, 0.7), 1.0, 0.4)
-        got = _law_residuals(oracle._System(leg, 3), x0, None, M)(times)
+        got = _law_walk(oracle._System(leg, 3), x0, None, M)(times)[0]
         assert got.tolist() == [x[2] - 4.0, x[1]]
 
 
@@ -214,13 +226,34 @@ class TestLawResiduals:
             for last in (1, -1):
                 elements = laws.assign_signs(law, last).elements
                 stages = sum(isinstance(e, Behavior) for e in elements)
-                fun = _law_residuals(oracle._System(elements, 3), x0, xf, M)
+                walk = _law_walk(oracle._System(elements, 3), x0, xf, M)
                 ref = _reference_residuals(elements, x0, xf, M, 3)
                 for _ in range(20):
                     times = rng.uniform(0.0, 3.0, stages)
-                    got = fun(times)
-                    assert got.tobytes() == fun(times.tolist()).tobytes()
+                    got = walk(times)[0]
+                    assert got.tobytes() == walk(times.tolist())[0].tobytes()
                     assert got.tobytes() == ref(times).tobytes()
+
+    def test_walk_gives_each_stage_and_the_end_state(self):
+        # the stages' (start, control, time) and the end state are those of
+        # the law's stages run one after another from x0
+        M = (1.0, 1.0, 1.5, 4.0)
+        x0, xf = (0.3, -0.2, 1.1), (-0.4, 0.5, -2.0)
+        rng = np.random.default_rng(8)
+        for law in laws.enumerate_af(3):
+            for last in (1, -1):
+                elements = laws.assign_signs(law, last).elements
+                stages = [e for e in elements if isinstance(e, Behavior)]
+                walk = _law_walk(oracle._System(elements, 3), x0, xf, M)
+                times = rng.uniform(0.0, 3.0, len(stages))
+                ref, x = [], x0
+                for e, t in zip(stages, times.tolist()):
+                    u = e.sign * M[0] if e.value == 0 else 0.0
+                    ref.append((x, u, t))
+                    x = kinematics.propagate(x, u, t)
+                _, got, end = walk(times)
+                assert got == ref
+                assert end == x
 
     @pytest.mark.parametrize("n, M", [(1, (1.0, None)), (2, (1.0, 1.0, 1.5))])
     def test_low_orders_match_reference_bits(self, n, M):
@@ -231,11 +264,11 @@ class TestLawResiduals:
             for last in (1, -1):
                 elements = laws.assign_signs(law, last).elements
                 stages = sum(isinstance(e, Behavior) for e in elements)
-                fun = _law_residuals(oracle._System(elements, n), x0, xf, M)
+                walk = _law_walk(oracle._System(elements, n), x0, xf, M)
                 ref = _reference_residuals(elements, x0, xf, M, n)
                 for _ in range(20):
                     times = rng.uniform(0.0, 3.0, stages)
-                    assert fun(times).tobytes() == ref(times).tobytes()
+                    assert walk(times)[0].tobytes() == ref(times).tobytes()
 
 
 _BOUNDS = {1: (1.0, 1.0), 2: (1.0, 1.0, 1.5), 3: (1.0, 1.0, 1.5, 4.0)}
@@ -329,7 +362,13 @@ def _candidates_of(elements, x0, xf, M, n):
 
 def _roots_of(elements, x0, xf, M, n):
     """One system's residual and polished roots: a batch of one."""
-    return oracle._roots([(oracle._System(elements, n), x0, xf)], M, n)[0]
+    walk, found = oracle._roots([(oracle._System(elements, n), x0, xf)],
+                                M, n)[0]
+
+    def fun(times):
+        return walk(times)[0]
+
+    return fun, found
 
 
 class TestElimination:
@@ -415,7 +454,11 @@ _SEEDS_PER_LAW = 32
 
 
 def _multistart_solutions(elements, x0, xf, M, n, tau, rng):
-    fun = _law_residuals(oracle._System(elements, n), x0, xf, M)
+    walk = _law_walk(oracle._System(elements, n), x0, xf, M)
+
+    def fun(times):
+        return walk(times)[0]
+
     stage_count = sum(1 for e in elements if isinstance(e, Behavior))
     hits = 0
     for trial in range(_SEEDS_PER_LAW):
@@ -430,17 +473,9 @@ def _multistart_solutions(elements, x0, xf, M, n, tau, rng):
             if trial + 1 >= 8 and hits == 0:
                 return
             continue
-        times = sol.x
-        if np.any(times < -1e-9):
-            continue
-        times = np.clip(times, 0.0, None)
-        if float(np.max(np.abs(fun(times)))) > oracle.RESIDUAL_TOL:
-            continue
-        end = oracle._feasible(elements, x0, M, times)
-        if end is None:
-            continue
-        hits += 1
-        yield times, end
+        for times, end in oracle._solutions(walk, M, [sol.x]):
+            hits += 1
+            yield times, end
 
 
 def _multistart_tf(problem):
@@ -727,7 +762,7 @@ def _reference_candidates(elements, x0, xf, M, n):
             if e.value:
                 unknowns.append(("t", i))
                 continue
-            u = oracle._control(e, M0)
+            u = e.sign * M0
             for j, s in ((i + 1, 0.5 / u), (i, -0.5 / u)):
                 if X[j] is None:
                     if j not in alpha:
@@ -771,7 +806,7 @@ def _reference_candidates(elements, x0, xf, M, n):
                 durations.append(val[("t", i)])
             else:
                 dx = _ref_radd(xs[i + 1], _ref_rscale(xs[i], -1.0))
-                durations.append(_ref_rscale(dx, 1.0 / oracle._control(e, M0)))
+                durations.append(_ref_rscale(dx, 1.0 / (e.sign * M0)))
         if oracle._backward([p[0] for p, q in durations
                              if len(p) == 1 and not q]):
             continue
@@ -780,7 +815,7 @@ def _reference_candidates(elements, x0, xf, M, n):
             continue
         x2, x3 = _ref_const(start[1]), _ref_const(start[2] - goal[2])
         for e, x1, t in zip(stages, xs, durations):
-            u = oracle._control(e, M0)
+            u = e.sign * M0 if e.value == 0 else 0.0
             inner = _ref_radd(_ref_rscale(x1, 0.5), _ref_rscale(t, u / 6.0))
             x3 = _ref_radd(x3, _ref_rmul(
                 t, _ref_radd(x2, _ref_rmul(t, inner, R)), R))
@@ -834,7 +869,8 @@ class TestCompiledElimination:
             xf = x0
             for e, t in zip([e for e in elements if isinstance(e, Behavior)],
                             times):
-                xf = kinematics.propagate(xf, oracle._control(e, M[0]), t)
+                u = e.sign * M[0] if e.value == 0 else 0.0
+                xf = kinematics.propagate(xf, u, t)
         jobs = [(oracle._System(el, n), x0,
                  None if isinstance(el[-1], TangentMarker) else xf)
                 for m, el in _SYSTEMS if m == n]
@@ -919,8 +955,8 @@ class TestCompiledElimination:
                                  M[k] + 2e-10) for k in range(1, n + 1)]):
                 for dx in ((None,) if leg else (0.0, 5e-11, -2e-10)):
                     xf = None if leg else tuple(v + dx for v in x0)
-                    fun = _law_residuals(system, x0, xf, M)
-                    expected = float(np.max(np.abs(fun(zero)))) <= \
+                    res = _law_walk(system, x0, xf, M)(zero)[0]
+                    expected = float(np.max(np.abs(res))) <= \
                         oracle.RESIDUAL_TOL
                     assert oracle._zero_motion(system, x0, xf, M) == expected
                     met[expected] += 1

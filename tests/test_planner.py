@@ -559,8 +559,9 @@ def _certified_infeasible(prob):
 
 
 class TestInfeasibilityCertificate:
-    """``Planner.plan`` proves an order-3 problem infeasible when a boundary
-    state's hardest brake leaves |x3| <= M3."""
+    """``Planner.plan`` proves a problem of order 3 or more infeasible when
+    a boundary state of its order-3 projection, (x0[:3], xf[:3], M[:4]),
+    has a hardest brake that leaves |x3| <= M3."""
 
     @staticmethod
     def _draws(seed):
@@ -596,6 +597,23 @@ class TestInfeasibilityCertificate:
         for prob in certified:
             with pytest.raises(oracle.OracleError):
                 oracle.exhaustive_tf(prob)
+
+    def test_order_4_projections(self):
+        # the 16 certified draws of the first 300 at seed 1 failed the
+        # search with "no tangent-marker law reaches x3" before the
+        # certificate covered every order; no draw that plans is flagged
+        rng = np.random.default_rng(1)
+        draws = [sampling.random_problem(4, sampling.default_bounds(4), rng,
+                                         0.8) for _ in range(300)]
+        flagged = [i for i, p in enumerate(draws) if _certified_infeasible(p)]
+        assert flagged == [27, 32, 70, 73, 81, 88, 111, 124, 127, 147, 206,
+                           230, 232, 250, 270, 275]
+        for i in (27, 32, 70):
+            with pytest.raises(InfeasibleProblem,
+                               match="^no tangent-marker law exists: the "
+                                     r"(start|goal) of the order-3 projection "
+                                     r"\(x1, x2, x3\)"):
+                plan(draws[i])
 
     def test_mirror_gives_the_same_flag(self):
         for prob in self._draws(1):
@@ -1088,6 +1106,19 @@ class TestKnownDefects:
     """Feasible problems that the planner fails today, pinned until fixed:
     each test requires the oracle's t_f and is a strict xfail, so a fix
     turns it into an unexpected pass."""
+
+    @pytest.mark.xfail(strict=True, raises=PlanError,
+                       reason="states on the x3 bound: 'no tangent-marker "
+                              "law reaches x3 = +/-M3'")
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_states_on_the_x3_bound(self, s):
+        # |x3| = M3 at both ends; the oracle solves it with the plain law
+        # 0100 at t_f 5.901304210351967
+        prob = Problem(3, (s * -1.0, s * -0.91623, s * 4.0),
+                       (s * 0.79105, s * 1.5, s * 4.0), M3)
+        traj = plan(prob)
+        assert traj.t_f == pytest.approx(oracle.exhaustive_tf(prob).t_f,
+                                         abs=1e-9)
 
     @pytest.mark.xfail(strict=True, raises=PlanError,
                        reason="a start on the x1 bound plans (+M0, 0), "
