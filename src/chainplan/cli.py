@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import laws, metrics, oracle, sampling
+from . import laws, metrics, sampling
 from .laws import LawEnumerationError
 from .model import (
     InfeasibleError,
@@ -146,6 +146,9 @@ def cmd_plan(args) -> int:
     except PlanError as e:
         return _fail(EXIT_PLANNER, f"planning failed: {e}")
     if args.cross_check and problem.n <= 3:
+        # imported here: the oracle loads scipy.optimize and compiles its
+        # catalog, which no other command needs
+        from . import oracle
         try:
             ref = oracle.exhaustive_tf(problem)
             print(f"cross-check: t_f={traj.t_f:.9f} exhaustive={ref.t_f:.9f} "
@@ -205,25 +208,30 @@ def cmd_batch(args) -> int:
     rng = np.random.default_rng(args.seed)
     records = []
     timings = []
-    rejected = 0
+    rejected = failed = 0
     while len(records) < args.count:
         problem = sampling.random_problem(args.order, M, rng, args.margin)
         planner = Planner()
         t0 = time.perf_counter()
         try:
             traj = planner.plan(problem)
-        except PlanError:
+        except InfeasibleProblem:
             # the drawn boundary states admit no trajectory (for example,
-            # arriving at a position wall too fast to brake); redraw
+            # arriving at a position wall too fast to brake)
             rejected += 1
-            if rejected > 50 * max(1, args.count):
-                return _fail(EXIT_PLANNER,
-                             "too many infeasible draws; widen the bounds "
-                             "or lower --margin")
+        except PlanError:
+            # the planner failed on a draw that it did not prove infeasible
+            failed += 1
+        else:
+            timings.append(time.perf_counter() - t0)
+            records.append({"x0": list(problem.x0), "xf": list(problem.xf),
+                            **metrics.score(traj)})
             continue
-        timings.append(time.perf_counter() - t0)
-        records.append({"x0": list(problem.x0), "xf": list(problem.xf),
-                        **metrics.score(traj)})
+        # either way, redraw
+        if rejected + failed > 50 * max(1, args.count):
+            return _fail(EXIT_PLANNER,
+                         "too many infeasible or failed draws; widen the "
+                         "bounds or lower --margin")
     succ = [r["success"] for r in records]
     tfs = sorted(r["t_f"] for r in records)
     errs = sorted(r["E_s"] for r in records)
@@ -233,6 +241,7 @@ def cmd_batch(args) -> int:
         "seed": args.seed,
         "M": list(M),
         "rejected": rejected,
+        "failed": failed,
         "problems": records,
         "aggregate": {
             "R_s": (sum(succ) / len(succ)) if succ else None,

@@ -2,9 +2,11 @@
 
 Shares with the planning path only the law catalog, which the exhaustive
 search enumerates, and kinematics' exact primitives: ``propagate``, the
-stage step of its residuals and of its bound walk; ``horner``, ``poly_add``
-and ``poly_mul``, its polynomial arithmetic; and ``segment_bound_check``,
-which at orders up to 3 takes a state's extremes in closed form.  It calls
+stage step of its residuals and of its bound walk; ``horner`` and
+``poly_add``, its polynomial arithmetic, whose float operations its
+generated x3 build makes too, with ``poly_mul``'s; and
+``segment_bound_check``, which at orders up to 3 takes a state's extremes
+in closed form.  It calls
 no root solver of the planner (``kinematics.real_roots``, ``touch_roots``,
 ``bracket_root``), no stage solver (``solver.assemble``,
 ``solver.solve_times``) and not the planner, whose errors it must be able
@@ -20,7 +22,13 @@ system is solved by elimination, in closed form or through the real roots
 of one univariate polynomial of degree at most 6.  The polynomials of every
 system of a batch are rooted together: their companion matrices, built as
 ``np.roots`` builds them, are stacked into one ``np.linalg.eigvals`` call
-per size, which gives each root ``np.roots``' bits.  Each root with no
+per size, which gives each root ``np.roots``' bits.  Each system's x3
+polynomial is built by a straight-line function generated for its kind,
+the forms of its stages' start x1 and durations and of R (``_kind``,
+``_kernel``): it makes the float operations of the general polynomial
+arithmetic, in its order, so it gives that arithmetic's bits.  The kernels
+of every kind of the order-3 catalog are compiled when the module is
+imported, and no search compiles one.  Each root with no
 stage time below -BACKWARD_TOL max(1, max|t|) is polished once by a library
 root finder, MINPACK's hybrid Powell method (``scipy.optimize.root``,
 method "hybr"), on the system's own residual.  A root with such a time runs
@@ -48,7 +56,7 @@ problems with no bounded interior state reach the planner's solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 from math import sqrt
 from typing import Optional
@@ -128,7 +136,9 @@ class _System:
       bound it (None at the start or the goal), the known junctions' terms
       (stage i, +-0.5, junction j) of its constant and each unknown
       junction's terms (j, ((i, +-0.5), ...)), in ``_eliminate``'s order,
-      and its unknowns, ("x", j) for a junction and ("t", i) for a cruise.
+      and its unknowns, ("x", j) for a junction and ("t", i) for a cruise;
+    - ``kernel``: at order 3, the compiled x3 build of its kind, which
+      every system of that kind shares.
     """
 
     def __init__(self, elements, n):
@@ -178,6 +188,11 @@ class _System:
                            tuple((j, tuple(p)) for j, p in alphas.items()),
                            tuple(unknowns)))
         self.pieces = tuple(pieces)
+
+    @cached_property
+    def kernel(self):
+        """The compiled x3 build of the system's kind (``_kernel``)."""
+        return _kernel(_kind(self))
 
 
 @cache
@@ -287,12 +302,13 @@ BACKWARD_TOL = 1e-3
 
 
 # Polynomials in the one unknown z are coefficient lists, item i multiplying
-# z^i, summed and multiplied by kinematics' ``poly_add`` and ``poly_mul``.
-# A system with two free junctions adjoins the second as w, with w^2 = R(z)
-# from its x2 equation; its quantities are pairs (P, Q), meaning
-# P(z) + w Q(z), and a product is reduced by w^2 = R.  A quantity that holds
+# z^i, summed by kinematics' ``poly_add``.  A system with two free junctions
+# adjoins the second as w, with w^2 = R(z) from its x2 equation; its
+# quantities are pairs (P, Q), meaning P(z) + w Q(z).  A quantity that holds
 # neither z nor w is a number c, and computes as ([c], []) would, bit for
-# bit, without the lists.
+# bit, without the lists.  The durations are summed and scaled here; the x3
+# build, which also multiplies (by ``poly_mul``, a product reduced by
+# w^2 = R), runs as generated code (``_kernel``).
 
 def _radd(x, y):
     if not isinstance(x, tuple):
@@ -314,23 +330,6 @@ def _rscale(x, c):
     return [c * a for a in x[0]], [c * a for a in x[1]] if x[1] else []
 
 
-def _rmul(x, y, R):
-    if not isinstance(x, tuple):
-        if not isinstance(y, tuple):
-            return 0.0 + x * y if x != 0.0 else 0.0
-        p, q = y  # poly_mul([x], p) and poly_mul([x], q)
-        if x == 0.0:
-            return [0.0] * len(p), [0.0] * len(q)
-        return [0.0 + x * c for c in p], [0.0 + x * c for c in q]
-    if not isinstance(y, tuple):
-        y = ([y], [])
-    add, mul = kinematics.poly_add, kinematics.poly_mul
-    (p, q), (r, s) = x, y
-    if not q and not s:
-        return mul(p, r), []
-    return add(mul(p, r), mul(mul(q, s), R)), add(mul(p, s), mul(q, r))
-
-
 def _at(x, z):
     """(P(z), Q(z)) of a quantity."""
     if not isinstance(x, tuple):
@@ -340,6 +339,195 @@ def _at(x, z):
 
 _Z = ([0.0, 1.0], [])
 _W = ([], [1.0])
+
+
+# The x3 build of an order-3 system is generated as straight-line code, one
+# function per kind (``_kind``), and compiled once (``_kernel``).  The code
+# makes the float operations of the number/pair arithmetic above, with a
+# number c taken as ([c], []), and of kinematics' ``poly_add`` and
+# ``poly_mul``, in their order.  The branches on the lengths of the lists
+# are taken while the code is generated, and so are the products of
+# coefficients known then (those of z and w) and x * 1.0, which is x.
+# ``poly_mul``'s skip of a zero coefficient a of its first factor is written
+# ``acc + (a * b if a else 0.0)``: its sums start at 0.0, so they are never
+# -0.0, and adding 0.0 leaves them as the skip does.
+
+def _lit(a):
+    """A symbol in code: a float known when the code is generated, or the
+    name of a local."""
+    return repr(a) if isinstance(a, float) else a
+
+
+def _product(a, b):
+    """a * b: a float, a or b itself (x * 1.0 is x), or an expression."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a * b
+    if a == 1.0:
+        return b
+    if b == 1.0:
+        return a
+    return f"{_lit(a)} * {_lit(b)}"
+
+
+class _Code:
+    """Straight-line code under construction: the lines of a function body,
+    each binding one local.  The rules take and give coefficient lists of
+    symbols (``_lit``), and pairs (P, Q) of them."""
+
+    def __init__(self):
+        self.lines = []
+        self.count = 0
+
+    def bind(self, expr):
+        name = f"v{self.count}"
+        self.count += 1
+        self.lines.append(f"    {name} = {expr}")
+        return name
+
+    def mul(self, a, b):
+        term = _product(a, b)
+        if isinstance(term, float) or term is a or term is b:
+            return term
+        return self.bind(term)
+
+    def poly_add(self, p, q, sign=1.0):
+        op = "+" if sign == 1.0 else "-"  # a + -1.0 * b is a - b
+        out = list(p) + [0.0] * (len(q) - len(p))
+        for i, c in enumerate(q):
+            out[i] = self.bind(f"{_lit(out[i])} {op} {_lit(c)}")
+        return out
+
+    def poly_mul(self, p, q):
+        if not p or not q:
+            return []
+        sums = [0.0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            if isinstance(a, float) and a == 0.0:
+                continue
+            for j, b in enumerate(q):
+                term = _product(a, b)
+                if isinstance(a, str):  # whether a != 0.0 is known at run time
+                    term = f"({_lit(term)} if {a} else 0.0)"
+                acc = sums[i + j]
+                if isinstance(acc, float) and isinstance(term, float):
+                    sums[i + j] = acc + term
+                else:
+                    sums[i + j] = f"{_lit(acc)} + {_lit(term)}"
+        return [s if isinstance(s, float) else self.bind(s) for s in sums]
+
+    def radd(self, x, y):
+        return self.poly_add(x[0], y[0]), self.poly_add(x[1], y[1])
+
+    def rscale(self, x, c):
+        return [self.mul(c, a) for a in x[0]], [self.mul(c, a) for a in x[1]]
+
+    def rmul(self, x, y, R):
+        (p, q), (r, s) = x, y
+        if not q and not s:
+            return self.poly_mul(p, r), []
+        return (self.poly_add(self.poly_mul(p, r),
+                              self.poly_mul(self.poly_mul(q, s), R)),
+                self.poly_add(self.poly_mul(p, s), self.poly_mul(q, r)))
+
+
+def _kind(system):
+    """The kind of an order-3 system's x3 build: the form of each stage's
+    start x1 and of each stage's duration, as ``_eliminate`` gives them,
+    and the length of R.  A form is "n" for a number, "z" or "w" for the
+    unknown itself, or (len P, len Q) for a pair (P, Q)."""
+    xs = ["n" if k is not None else None for k in system.x1]
+    ts = ["z" if i in system.cuts else None for i in range(len(system.signs))]
+    size_R = 0
+    for *_, unknowns in system.pieces:
+        if len(unknowns) == 1:  # solved in closed form
+            forms = ["n"]
+        else:  # z, and the second unknown from the x2 equation in z
+            size = 3 if unknowns[0][0] == "x" else 2
+            forms = ["z", "w" if unknowns[1][0] == "x" else (size, 0)]
+            if unknowns[1][0] == "x":
+                size_R = size
+        for (kind, k), form in zip(unknowns, forms):
+            (xs if kind == "x" else ts)[k] = form
+    sizes = {"n": (1, 0), "z": (2, 0), "w": (0, 1)}
+    for i, s in enumerate(system.signs):
+        if s:  # a bang lasts (x1 at its end - x1 at its start) / u
+            a, b = xs[i + 1], xs[i]
+            ts[i] = "n" if a == b == "n" else tuple(map(max, sizes[a],
+                                                        sizes[b]))
+    return tuple(xs[:-1]), tuple(ts), size_R
+
+
+def _target(names):
+    return "(" + ", ".join(names) + ("," if len(names) == 1 else "") + ")"
+
+
+def _kernel_source(kind):
+    """The source of ``kernel(us, xs, ts, x2, x3, R)``, the x3 build of one
+    kind of system: from each stage's control, start x1 and duration, x2
+    and x3 - (x3 at the goal) at the start and R, it gives (F, G, p), as
+    the recurrence x3 += t (x2 + t (x1 / 2 + u t / 6)),
+    x2 += t (x1 + u t / 2) on quantities P + w Q would."""
+    x1_forms, t_forms, size_R = kind
+    code = _Code()
+    m = len(t_forms)
+    code.lines += [f"    {_target([f'u{i}' for i in range(m)])} = us",
+                   f"    {_target([f'r{i}' for i in range(size_R)])} = R"]
+
+    def quantity(form, source, name):
+        if form == "n":
+            code.lines.append(f"    {name} = {source}")
+            return [name], []
+        if form == "z":
+            return list(_Z[0]), list(_Z[1])
+        if form == "w":
+            return list(_W[0]), list(_W[1])
+        P = [f"{name}p{i}" for i in range(form[0])]
+        Q = [f"{name}q{i}" for i in range(form[1])]
+        code.lines.append(f"    {_target(P)}, {_target(Q)} = {source}")
+        return P, Q
+
+    R = [f"r{i}" for i in range(size_R)]
+    x2, x3 = (["x2"], []), (["x3"], [])
+    for i in range(m):
+        x1 = quantity(x1_forms[i], f"xs[{i}]", f"x1_{i}")
+        t = quantity(t_forms[i], f"ts[{i}]", f"t{i}")
+        inner = code.radd(code.rscale(x1, 0.5),
+                          code.rscale(t, code.bind(f"u{i} / 6.0")))
+        x3 = code.radd(x3, code.rmul(t, code.radd(x2, code.rmul(t, inner, R)),
+                                     R))
+        if i < m - 1:  # x2 after the last stage is not needed
+            x2 = code.radd(x2, code.rmul(t, code.radd(
+                x1, code.rscale(t, code.bind(f"0.5 * u{i}"))), R))
+    F, G = x3
+    code.lines.append(f"    F = [{', '.join(map(_lit, F))}]")
+    # p = F^2 - R G^2 where any coefficient of G is nonzero, else F
+    always = any(isinstance(g, float) and g != 0.0 for g in G)
+    names = [g for g in G if isinstance(g, str)]
+    if always or names:
+        body, code.lines = code.lines, []
+        p = code.poly_add(code.poly_mul(F, F),
+                          code.poly_mul(R, code.poly_mul(G, G)), -1.0)
+        code.lines.append(f"    p = [{', '.join(map(_lit, p))}]")
+        block, code.lines = code.lines, body
+        if always:
+            code.lines += block
+        else:
+            code.lines += ([f"    if {' or '.join(names)}:"]
+                           + ["    " + line for line in block]
+                           + ["    else:", "        p = F"])
+    else:
+        code.lines.append("    p = F")
+    code.lines.append(f"    return F, [{', '.join(map(_lit, G))}], p")
+    return "\n".join(["def kernel(us, xs, ts, x2, x3, R):"] + code.lines)
+
+
+@cache
+def _kernel(kind):
+    """The compiled x3 build of one kind of system (``_kernel_source``)."""
+    namespace = {}
+    exec(compile(_kernel_source(kind), f"<x3 build of {kind}>", "exec"),
+         namespace)
+    return namespace["kernel"]
 
 
 def _companion_roots(polys):
@@ -518,19 +706,8 @@ def _eliminate(system, x0, xf, M, n):
         if goal[2] is None:  # order <= 2: every duration is a number
             out.append((durations, R, None, None, None))
             continue
-        # x3 += t (x2 + t (x1 / 2 + u t / 6)) and x2 += t (x1 + u t / 2),
-        # with x1 the junction where the stage starts
-        x2, x3 = start[1], start[2] - goal[2]
-        for u, x1, t in zip(us, xs, durations):
-            inner = _radd(_rscale(x1, 0.5), _rscale(t, u / 6.0))
-            x3 = _radd(x3, _rmul(t, _radd(x2, _rmul(t, inner, R)), R))
-            x2 = _radd(x2, _rmul(t, _radd(x1, _rscale(t, 0.5 * u)), R))
-        F, G = x3 if isinstance(x3, tuple) else ([x3], [])
-        if any(G):
-            mul = kinematics.poly_mul
-            p = kinematics.poly_add(mul(F, F), mul(R, mul(G, G)), -1.0)
-        else:
-            p = F
+        F, G, p = system.kernel(us, xs, durations, start[1],
+                                start[2] - goal[2], R)
         out.append((durations, R, F, G, p))
     return out
 
@@ -695,3 +872,11 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
     if best is None:
         raise OracleError("no catalog law admits a feasible solution")
     return OracleResult(best[0], best[1])
+
+
+# Every kind of x3 build is compiled at import, so that no search compiles
+# one.  Unbounded states only leave laws out, so the order-3 catalog with
+# every state bounded holds every kind
+for _system in _catalog(3, ())[0] + tuple(p[2] for p in _catalog(3, ())[1]):
+    _kernel(_kind(_system))
+del _system

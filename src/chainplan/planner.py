@@ -57,8 +57,12 @@ class PlanError(RuntimeError):
 class InfeasibleProblem(PlanError):
     """No trajectory exists: a boundary state provably cannot keep a bound.
 
-    Raised by ``Planner.plan`` before any search runs.  The message begins
-    with "no tangent-marker law", the message of the search it replaces.
+    Raised by ``Planner.plan``.  From order 3 on it is raised before any
+    search runs, and the message begins with "no tangent-marker law", the
+    message of the search it replaces.  At order 2 it is the closed form's
+    "position bound exceeded at order 2": an order-2 plan reaches no
+    farther than every trajectory must, where it stops at full control from
+    x0's velocity or before xf's.
     """
 
 
@@ -153,7 +157,12 @@ class Planner:
             return Trajectory((), 0.0, Asl(()), problem)
         if problem.n >= 3 and problem.M[3] is not None:
             self._raise_if_infeasible(problem)
-        p = self._plan(problem.n, problem.x0, problem.xf, problem.M)
+        try:
+            p = self._plan(problem.n, problem.x0, problem.xf, problem.M)
+        except PlanError as e:
+            if problem.n != 2:
+                raise
+            raise InfeasibleProblem(str(e)) from e
         return self._realize(p, problem)
 
     def _raise_if_infeasible(self, problem: Problem) -> None:

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import chainplan
+from chainplan import sampling
 from chainplan.cli import main, write_csv
 from chainplan.model import Behavior
-from chainplan.planner import Planner, _Plan
+from chainplan.planner import InfeasibleProblem, PlanError, Planner, _Plan
 
 from helpers import piecewise
 
@@ -190,6 +192,20 @@ class TestEnumerate:
         assert err == b""
 
 
+class TestStartup:
+    def test_import_loads_neither_the_oracle_nor_scipy(self):
+        # only plan --cross-check needs the oracle, which loads
+        # scipy.optimize and compiles its catalog
+        src = os.path.dirname(os.path.dirname(chainplan.__file__))
+        code = ("import sys, chainplan.cli; print(sorted({'chainplan.oracle', "
+                "'scipy.optimize'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestMetrics:
     def test_scores_planned_trajectory(self, tmp_path):
         inp = write_problem(tmp_path, FIG7A)
@@ -271,6 +287,41 @@ class TestBatch:
         assert report["aggregate"]["R_s"] == 1.0
         assert len(report["problems"]) == 4
         assert all(p["E_m"] == 0.0 for p in report["problems"])
+
+    def test_failures_are_counted_apart_from_infeasible_draws(self,
+                                                              tmp_path):
+        # seed 5's first order-3 draw fails verification and the next four
+        # are proven infeasible: "failed" counts the one, "rejected" the
+        # four, as the planner raises them on a replay of the draws
+        out = str(tmp_path / "r.json")
+        assert main(["batch", "--order", "3", "--count", "1", "--seed", "5",
+                     "--output", out]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        rng = np.random.default_rng(5)
+        rejected, failed = 0, []
+        while True:
+            problem = sampling.random_problem(3, sampling.default_bounds(3),
+                                              rng, 0.95)
+            try:
+                Planner().plan(problem)
+                break
+            except InfeasibleProblem:
+                rejected += 1
+            except PlanError as e:
+                failed.append(str(e))
+        assert failed[0].startswith("planned trajectory failed verification")
+        assert (report["rejected"], report["failed"]) == (rejected,
+                                                          len(failed))
+        assert len(report["problems"]) == 1
+
+    def test_order_2_fails_no_draw(self, tmp_path):
+        # seed 5's draws include one whose plan leaves the position bound,
+        # which proves it infeasible at order 2
+        out = str(tmp_path / "r.json")
+        assert main(["batch", "--order", "2", "--count", "20", "--seed", "5",
+                     "--output", out]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert (report["rejected"], report["failed"]) == (1, 0)
 
     def test_empty_batch(self, tmp_path):
         out = str(tmp_path / "r.json")

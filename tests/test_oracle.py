@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import islice, product
 from typing import Optional
@@ -121,6 +124,21 @@ class TestExhaustive:
               s * -9.313154695729189e-10)
         prob = Problem(3, x0, xf, (1.0, 1.0, 1.5, 4.0))
         assert exhaustive_tf(prob).t_f == pytest.approx(1.192093e-7, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [
+        pytest.param(1.0, marks=pytest.mark.xfail(
+            strict=True, reason="misses the 00200 solution (CHANGES)")),
+        -1.0])
+    def test_short_ramp_into_a_cruise(self, s):
+        # -0 +0 -2 +0 -0 with stage times (0, 1e-7, 0.53125, 0, 0), the
+        # cruise from (0, -1.5, 2.5): the mirror finds it, the problem
+        # itself only 000's 0.53443 s
+        x = (0.0, -1.5, 2.5)
+        x0 = kinematics.propagate(x, 1.0, -1e-7)
+        xf = kinematics.propagate(x, 0.0, 0.53125)
+        prob = Problem(3, tuple(s * v for v in x0), tuple(s * v for v in xf),
+                       (1.0, 1.0, 1.5, 4.0))
+        assert exhaustive_tf(prob).t_f == pytest.approx(0.5312501, abs=1e-12)
 
     def test_dynamically_infeasible_raises(self):
         prob = Problem(3, (0.52, -0.17, 2.73), (0.37, -1.16, 3.61),
@@ -847,6 +865,33 @@ def _hex(candidates):
     return [[float(t).hex() for t in times] for times in candidates]
 
 
+def _ref_x3(us, xs, ts, x2, x3, R):
+    """The reference elimination's x3 build from each stage's control,
+    start x1 and duration, x2 and x3 - (x3 at the goal) at the start and R:
+    (F, G, p), every quantity a (P, Q) pair, a number c as ([c], [])."""
+    def pair(x):
+        return x if isinstance(x, tuple) else _ref_const(x)
+
+    x2, x3 = pair(x2), pair(x3)
+    for u, x1, t in zip(us, map(pair, xs), map(pair, ts)):
+        inner = _ref_radd(_ref_rscale(x1, 0.5), _ref_rscale(t, u / 6.0))
+        x3 = _ref_radd(x3, _ref_rmul(
+            t, _ref_radd(x2, _ref_rmul(t, inner, R)), R))
+        x2 = _ref_radd(x2, _ref_rmul(
+            t, _ref_radd(x1, _ref_rscale(t, 0.5 * u)), R))
+    F, G = x3
+    if not any(G):
+        return F, G, F
+    mul = kinematics.poly_mul
+    return F, G, kinematics.poly_add(mul(F, F), mul(R, mul(G, G)), -1.0)
+
+
+_KINDS = sorted({oracle._kind(system) for system in
+                 set(oracle._catalog(3, ())[0])
+                 | {rest for _, _, rest in oracle._catalog(3, ())[1]}},
+                key=repr)
+
+
 _NONZERO = st.floats(0.1, 10.0).flatmap(
     lambda c: st.sampled_from([c, -c]))
 
@@ -915,8 +960,8 @@ class TestCompiledElimination:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_numbers_compute_as_pairs(self, data):
-        # a number c adds, scales, multiplies and evaluates as ([c], [])
-        # would, signed zeros included
+        # a number c adds, scales and evaluates as ([c], []) would, signed
+        # zeros included (the kernels multiply: test_kernels_compute_as_pairs)
         value = st.sampled_from([0.0, -0.0, 1.5, -0.5]) | st.floats(-4.0, 4.0)
 
         def quantity():
@@ -932,14 +977,86 @@ class TestCompiledElimination:
             return [[float(c).hex() for c in part] for part in pair(x)]
 
         x, y, c, z = quantity(), quantity(), data.draw(value), data.draw(value)
-        R = data.draw(st.lists(value, max_size=3))
         assert bits(oracle._radd(x, y)) == bits(_ref_radd(pair(x), pair(y)))
         assert bits(oracle._rscale(x, c)) == bits(_ref_rscale(pair(x), c))
-        assert bits(oracle._rmul(x, y, R)) == bits(
-            _ref_rmul(pair(x), pair(y), R))
         p, q = pair(x)
         assert [v.hex() for v in map(float, oracle._at(x, z))] == [
             kinematics.horner(p, z).hex(), kinematics.horner(q, z).hex()]
+
+    @pytest.mark.parametrize("kind", _KINDS, ids=repr)
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kernels_compute_as_pairs(self, kind, data):
+        # each kind's compiled x3 build gives the pair arithmetic's F, G and
+        # p, signed zeros included, and so does the kernel that takes one of
+        # its numbers as a one-coefficient list; sparse draws are mostly
+        # zeros, which poly_mul skips and which leave G zero
+        if data.draw(st.booleans()):
+            value = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.5])
+        else:
+            value = st.sampled_from([0.0, -0.0, 1.5, -0.5]) | st.floats(-4.0,
+                                                                       4.0)
+
+        def draw(form):
+            if form == "n":
+                return data.draw(value)
+            if form in ("z", "w"):
+                return oracle._Z if form == "z" else oracle._W
+            return tuple([data.draw(value) for _ in range(k)] for k in form)
+
+        def bits(result):
+            return [[float(c).hex() for c in part] for part in result]
+
+        x1_forms, t_forms, size_R = kind
+        us = [data.draw(value) for _ in t_forms]
+        xs, ts = [draw(f) for f in x1_forms], [draw(f) for f in t_forms]
+        x2, x3 = data.draw(value), data.draw(value)
+        R = [data.draw(value) for _ in range(size_R)]
+        got = bits(oracle._kernel(kind)(us, xs, ts, x2, x3, R))
+        assert got == bits(_ref_x3(us, xs, ts, x2, x3, R))
+        forms, args = [list(x1_forms), list(t_forms)], [xs, ts]
+        numbers = [(a, i) for a in (0, 1) for i, f in enumerate(forms[a])
+                   if f == "n"]
+        a, i = data.draw(st.sampled_from(numbers))
+        forms[a][i], args[a][i] = (1, 0), ([args[a][i]], [])
+        listed = oracle._kernel((*map(tuple, forms), size_R))
+        assert bits(listed(us, *args, x2, x3, R)) == got
+
+    def test_no_search_compiles_a_kernel(self):
+        # the kernels of every kind are compiled when the oracle is
+        # imported: with their generation made to fail after that, searches
+        # at orders 1 to 3 run on catalogs built afresh for every set of
+        # unbounded states
+        script = """if True:
+            from itertools import combinations
+            import numpy as np
+            from chainplan import oracle, sampling
+
+            def refuse(kind):
+                raise AssertionError(f"a search compiled the kernel of {kind}")
+
+            oracle._kernel_source = refuse
+            oracle._catalog.cache_clear()
+            rng = np.random.default_rng(3)
+            for n in (1, 2, 3):
+                for k in range(n + 1):
+                    for free in combinations(range(1, n + 1), k):
+                        M = tuple(None if i in free else m for i, m in
+                                  enumerate(sampling.default_bounds(n)))
+                        for _ in range(3):
+                            try:
+                                oracle.exhaustive_tf(
+                                    sampling.random_problem(n, M, rng, 0.8))
+                            except oracle.OracleError:
+                                pass
+            print(oracle._catalog.cache_info().currsize)
+        """
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(2 + 4 + 8)]
 
     def test_zero_motion_matches_zero_time_residual(self):
         # states on the pins, and off them by half RESIDUAL_TOL and by twice

@@ -561,7 +561,8 @@ def _certified_infeasible(prob):
 class TestInfeasibilityCertificate:
     """``Planner.plan`` proves a problem of order 3 or more infeasible when
     a boundary state of its order-3 projection, (x0[:3], xf[:3], M[:4]),
-    has a hardest brake that leaves |x3| <= M3."""
+    has a hardest brake that leaves |x3| <= M3, and one of order 2 when its
+    plan leaves |x2| <= M2."""
 
     @staticmethod
     def _draws(seed):
@@ -614,6 +615,24 @@ class TestInfeasibilityCertificate:
                                      r"(start|goal) of the order-3 projection "
                                      r"\(x1, x2, x3\)"):
                 plan(draws[i])
+
+    def test_order_2_position_bound(self):
+        # an order-2 plan turns at full control, as soon as any trajectory
+        # can, so one that leaves |x2| <= M2 proves the problem infeasible;
+        # the oracle finds no catalog law for any of these draws
+        rng = np.random.default_rng(5)
+        raised = 0
+        for _ in range(300):
+            prob = sampling.random_problem(2, sampling.default_bounds(2), rng,
+                                           0.95)
+            try:
+                plan(prob)
+            except InfeasibleProblem as e:
+                assert str(e).startswith("position bound exceeded at order 2")
+                with pytest.raises(oracle.OracleError):
+                    oracle.exhaustive_tf(prob)
+                raised += 1
+        assert raised == 26
 
     def test_mirror_gives_the_same_flag(self):
         for prob in self._draws(1):
