@@ -128,6 +128,8 @@ def cmd_plan(args) -> int:
     if not 0.0 < args.sample_dt < math.inf:
         return _fail(EXIT_IO, f"sample-dt must be positive and finite, "
                               f"got {args.sample_dt}")
+    if not 0.0 <= args.eps < math.inf:
+        return _fail(EXIT_IO, f"eps must be finite and >= 0, got {args.eps}")
     try:
         data = _load_json(args.input)
     except (OSError, json.JSONDecodeError) as e:
@@ -180,6 +182,8 @@ def cmd_enumerate(args) -> int:
 def cmd_metrics(args) -> int:
     if args.samples < 1:
         return _fail(EXIT_IO, f"samples must be >= 1, got {args.samples}")
+    if not 0.0 <= args.eps < math.inf:
+        return _fail(EXIT_IO, f"eps must be finite and >= 0, got {args.eps}")
     try:
         pdata = _load_json(args.problem)
         tdata = _load_json(args.trajectory)
@@ -196,6 +200,8 @@ def cmd_batch(args) -> int:
         return _fail(EXIT_IO, f"order must be >= 1, got {args.order}")
     if args.count < 0:
         return _fail(EXIT_IO, f"count must be >= 0, got {args.count}")
+    if args.seed < 0:
+        return _fail(EXIT_IO, f"seed must be >= 0, got {args.seed}")
     if not 0.0 < args.margin <= 1.0:
         return _fail(EXIT_IO, f"margin must lie in (0, 1], got {args.margin}")
     if args.bounds:

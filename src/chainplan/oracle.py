@@ -2,16 +2,15 @@
 
 Shares with the planning path only the law catalog, which the exhaustive
 search enumerates, and kinematics' exact primitives: ``propagate``, the
-stage step of its residuals and of its bound walk; ``horner`` and
-``poly_add``, its polynomial arithmetic, whose float operations its
-generated x3 build makes too, with ``poly_mul``'s; and
+stage step of its residuals and of its bound walk; ``horner``, its
+run-time polynomial arithmetic past the closed forms; and
 ``segment_bound_check``, which at orders up to 3 takes a state's extremes
-in closed form.  It calls
-no root solver of the planner (``kinematics.real_roots``, ``touch_roots``,
-``bracket_root``), no stage solver (``solver.assemble``,
-``solver.solve_times``) and not the planner, whose errors it must be able
-to catch: its closed forms are derived separately and its stage systems are
-built here from scratch.
+in closed form.  ``poly_add`` and ``poly_mul`` it only copies: its
+generated code makes their float operations.  It calls no root solver of
+the planner (``kinematics.real_roots``, ``touch_roots``, ``bracket_root``),
+no stage solver (``solver.assemble``, ``solver.solve_times``) and not the
+planner, whose errors it must be able to catch: its closed forms are
+derived separately and its stage systems are built here from scratch.
 
 ``exhaustive_tf`` takes every real solution of every signed catalog law of
 order up to 3.  The signed systems are compiled once per order and set of
@@ -22,13 +21,14 @@ system is solved by elimination, in closed form or through the real roots
 of one univariate polynomial of degree at most 6.  The polynomials of every
 system of a batch are rooted together: their companion matrices, built as
 ``np.roots`` builds them, are stacked into one ``np.linalg.eigvals`` call
-per size, which gives each root ``np.roots``' bits.  Each system's x3
-polynomial is built by a straight-line function generated for its kind,
-the forms of its stages' start x1 and durations and of R (``_kind``,
-``_kernel``): it makes the float operations of the general polynomial
-arithmetic, in its order, so it gives that arithmetic's bits.  The kernels
-of every kind of the order-3 catalog are compiled when the module is
-imported, and no search compiles one.  Each root with no
+per size, which gives each root ``np.roots``' bits.  Past its closed-form
+choices, each system's elimination, its bang durations and at order 3 its
+x3 polynomial, is a straight-line function generated for its kind, the
+forms of x1 at its stage boundaries, of its rides' durations and of R
+(``_kind``, ``_kernel``): it makes the float operations of the general
+polynomial arithmetic, in its order, so it gives that arithmetic's bits.
+The kernels of every kind of the catalogs of orders 1 to 3 are compiled
+when the module is imported, and no search compiles one.  Each root with no
 stage time below -BACKWARD_TOL max(1, max|t|) is polished once by a library
 root finder, MINPACK's hybrid Powell method (``scipy.optimize.root``,
 method "hybr"), on the system's own residual.  A root with such a time runs
@@ -137,8 +137,10 @@ class _System:
       (stage i, +-0.5, junction j) of its constant and each unknown
       junction's terms (j, ((i, +-0.5), ...)), in ``_eliminate``'s order,
       and its unknowns, ("x", j) for a junction and ("t", i) for a cruise;
-    - ``kernel``: at order 3, the compiled x3 build of its kind, which
-      every system of that kind shares.
+    - ``order``: the chain's order n; at 3 the elimination builds x3;
+    - ``kernel``: the compiled elimination of its kind past the
+      closed-form choices (``_kernel``), which every system of that kind
+      shares.
     """
 
     def __init__(self, elements, n):
@@ -188,10 +190,11 @@ class _System:
                            tuple((j, tuple(p)) for j, p in alphas.items()),
                            tuple(unknowns)))
         self.pieces = tuple(pieces)
+        self.order = n
 
     @cached_property
     def kernel(self):
-        """The compiled x3 build of the system's kind (``_kernel``)."""
+        """The compiled elimination of the system's kind (``_kernel``)."""
         return _kernel(_kind(self))
 
 
@@ -302,36 +305,22 @@ BACKWARD_TOL = 1e-3
 
 
 # Polynomials in the one unknown z are coefficient lists, item i multiplying
-# z^i, summed by kinematics' ``poly_add``.  A system with two free junctions
-# adjoins the second as w, with w^2 = R(z) from its x2 equation; its
-# quantities are pairs (P, Q), meaning P(z) + w Q(z).  A quantity that holds
-# neither z nor w is a number c, and computes as ([c], []) would, bit for
-# bit, without the lists.  The durations are summed and scaled here; the x3
-# build, which also multiplies (by ``poly_mul``, a product reduced by
-# w^2 = R), runs as generated code (``_kernel``).
-
-def _radd(x, y):
-    if not isinstance(x, tuple):
-        if not isinstance(y, tuple):
-            return x + y
-        p, q = y  # poly_add([x], p) and poly_add([], q)
-        return ([x + p[0]] + [0.0 + c for c in p[1:]] if p else [x],
-                [0.0 + c for c in q])
-    if not isinstance(y, tuple):
-        p, q = x  # poly_add(p, [y]) and poly_add(q, [])
-        return [p[0] + y] + p[1:] if p else [0.0 + y], list(q)
-    add = kinematics.poly_add
-    return add(x[0], y[0]), add(x[1], y[1]) if x[1] or y[1] else []
-
-
-def _rscale(x, c):
-    if not isinstance(x, tuple):
-        return c * x
-    return [c * a for a in x[0]], [c * a for a in x[1]] if x[1] else []
-
+# z^i.  A system with two free junctions adjoins the second as w, with
+# w^2 = R(z) from its x2 equation; its quantities are pairs (P, Q), meaning
+# P(z) + w Q(z).  What follows a system's closed-form choices, its bang
+# durations and at order 3 its x3 polynomial, is generated as straight-line
+# code, one function per kind (``_kind``), and compiled once (``_kernel``).
+# The code makes the float operations of kinematics' ``poly_add`` and
+# ``poly_mul`` on pairs, in their order, with a number c taken as ([c], []).
+# The branches on the lengths of the lists are taken while the code is
+# generated, and so are the products of coefficients known then (those of z
+# and w) and x * 1.0, which is x.  Where ``poly_mul`` skips a zero
+# coefficient of its first factor, the code adds the product, a signed zero,
+# to a sum that starts at 0.0 and so is never -0.0: the sum stays as it is.
 
 def _at(x, z):
-    """(P(z), Q(z)) of a quantity."""
+    """(P(z), Q(z)) of a stage duration: a pair (P, Q), or a number c,
+    which evaluates as ([c], []) would, bit for bit."""
     if not isinstance(x, tuple):
         return 0.0 * z + x, 0.0
     return kinematics.horner(x[0], z), kinematics.horner(x[1], z)
@@ -340,17 +329,6 @@ def _at(x, z):
 _Z = ([0.0, 1.0], [])
 _W = ([], [1.0])
 
-
-# The x3 build of an order-3 system is generated as straight-line code, one
-# function per kind (``_kind``), and compiled once (``_kernel``).  The code
-# makes the float operations of the number/pair arithmetic above, with a
-# number c taken as ([c], []), and of kinematics' ``poly_add`` and
-# ``poly_mul``, in their order.  The branches on the lengths of the lists
-# are taken while the code is generated, and so are the products of
-# coefficients known then (those of z and w) and x * 1.0, which is x.
-# ``poly_mul``'s skip of a zero coefficient a of its first factor is written
-# ``acc + (a * b if a else 0.0)``: its sums start at 0.0, so they are never
-# -0.0, and adding 0.0 leaves them as the skip does.
 
 def _lit(a):
     """A symbol in code: a float known when the code is generated, or the
@@ -406,8 +384,6 @@ class _Code:
                 continue
             for j, b in enumerate(q):
                 term = _product(a, b)
-                if isinstance(a, str):  # whether a != 0.0 is known at run time
-                    term = f"({_lit(term)} if {a} else 0.0)"
                 acc = sums[i + j]
                 if isinstance(acc, float) and isinstance(term, float):
                     sums[i + j] = acc + term
@@ -431,10 +407,12 @@ class _Code:
 
 
 def _kind(system):
-    """The kind of an order-3 system's x3 build: the form of each stage's
-    start x1 and of each stage's duration, as ``_eliminate`` gives them,
-    and the length of R.  A form is "n" for a number, "z" or "w" for the
-    unknown itself, or (len P, len Q) for a pair (P, Q)."""
+    """The kind of a system's elimination past its closed-form
+    choices: the form of x1 at each stage boundary and of each ride's
+    duration, as ``_eliminate`` gives them, the length of R, and whether
+    the x3 polynomial is built (at order 3).  A form is "n" for a number,
+    "z" or "w" for the unknown itself, or (len P, len Q) for a pair (P, Q);
+    a bang's is None, as the kernel builds its duration."""
     xs = ["n" if k is not None else None for k in system.x1]
     ts = ["z" if i in system.cuts else None for i in range(len(system.signs))]
     size_R = 0
@@ -448,13 +426,7 @@ def _kind(system):
                 size_R = size
         for (kind, k), form in zip(unknowns, forms):
             (xs if kind == "x" else ts)[k] = form
-    sizes = {"n": (1, 0), "z": (2, 0), "w": (0, 1)}
-    for i, s in enumerate(system.signs):
-        if s:  # a bang lasts (x1 at its end - x1 at its start) / u
-            a, b = xs[i + 1], xs[i]
-            ts[i] = "n" if a == b == "n" else tuple(map(max, sizes[a],
-                                                        sizes[b]))
-    return tuple(xs[:-1]), tuple(ts), size_R
+    return tuple(xs), tuple(ts), size_R, system.order == 3
 
 
 def _target(names):
@@ -462,15 +434,20 @@ def _target(names):
 
 
 def _kernel_source(kind):
-    """The source of ``kernel(us, xs, ts, x2, x3, R)``, the x3 build of one
-    kind of system: from each stage's control, start x1 and duration, x2
-    and x3 - (x3 at the goal) at the start and R, it gives (F, G, p), as
-    the recurrence x3 += t (x2 + t (x1 / 2 + u t / 6)),
-    x2 += t (x1 + u t / 2) on quantities P + w Q would."""
-    x1_forms, t_forms, size_R = kind
+    """The source of ``kernel(us, xs, ts, x2, x3, R)``, the elimination of
+    one kind of system past its closed-form choices: from each stage's
+    control, x1 at each stage boundary, each ride's duration (None at a
+    bang), x2 and x3 - (x3 at the goal) at the start and R.  It builds each
+    bang's duration, (x1 at its end - x1 at its start) / u, and returns None
+    where the durations that are numbers run a stage backward
+    (``_backward``); else the durations and, at order 3, (F, G, p), as the
+    recurrence x3 += t (x2 + t (x1 / 2 + u t / 6)),
+    x2 += t (x1 + u t / 2) on quantities P + w Q would (None below)."""
+    x1_forms, t_forms, size_R, build_x3 = kind
     code = _Code()
     m = len(t_forms)
-    code.lines += [f"    {_target([f'u{i}' for i in range(m)])} = us",
+    code.lines += ["def kernel(us, xs, ts, x2, x3, R):",
+                   f"    {_target([f'u{i}' for i in range(m)])} = us",
                    f"    {_target([f'r{i}' for i in range(size_R)])} = R"]
 
     def quantity(form, source, name):
@@ -486,11 +463,29 @@ def _kernel_source(kind):
         code.lines.append(f"    {_target(P)}, {_target(Q)} = {source}")
         return P, Q
 
+    def text(x):  # a number c, held as ([c], []), is returned as c
+        P, Q = x
+        if len(P) == 1 and not Q:
+            return _lit(P[0])
+        return f"([{', '.join(map(_lit, P))}], [{', '.join(map(_lit, Q))}])"
+
+    xs = [quantity(form, f"xs[{i}]", f"x1_{i}")
+          for i, form in enumerate(x1_forms)]
+    ts = [quantity(form, f"ts[{i}]", f"t{i}") if form is not None
+          else code.rscale(code.radd(xs[i + 1], code.rscale(xs[i], -1.0)),
+                           code.bind(f"1.0 / u{i}"))
+          for i, form in enumerate(t_forms)]
+    numbers = [text(t) for t in ts if len(t[0]) == 1 and not t[1]]
+    if numbers:
+        code.lines += [f"    if _backward([{', '.join(numbers)}]):",
+                       "        return None"]
+    durations = f"[{', '.join(map(text, ts))}]"
+    if not build_x3:
+        code.lines.append(f"    return {durations}, None, None, None")
+        return "\n".join(code.lines)
     R = [f"r{i}" for i in range(size_R)]
     x2, x3 = (["x2"], []), (["x3"], [])
-    for i in range(m):
-        x1 = quantity(x1_forms[i], f"xs[{i}]", f"x1_{i}")
-        t = quantity(t_forms[i], f"ts[{i}]", f"t{i}")
+    for i, (x1, t) in enumerate(zip(xs, ts)):
         inner = code.radd(code.rscale(x1, 0.5),
                           code.rscale(t, code.bind(f"u{i} / 6.0")))
         x3 = code.radd(x3, code.rmul(t, code.radd(x2, code.rmul(t, inner, R)),
@@ -517,15 +512,16 @@ def _kernel_source(kind):
                            + ["    else:", "        p = F"])
     else:
         code.lines.append("    p = F")
-    code.lines.append(f"    return F, [{', '.join(map(_lit, G))}], p")
-    return "\n".join(["def kernel(us, xs, ts, x2, x3, R):"] + code.lines)
+    code.lines.append(f"    return {durations}, F, "
+                      f"[{', '.join(map(_lit, G))}], p")
+    return "\n".join(code.lines)
 
 
 @cache
 def _kernel(kind):
-    """The compiled x3 build of one kind of system (``_kernel_source``)."""
-    namespace = {}
-    exec(compile(_kernel_source(kind), f"<x3 build of {kind}>", "exec"),
+    """The compiled elimination of one kind of system (``_kernel_source``)."""
+    namespace = {"_backward": _backward}
+    exec(compile(_kernel_source(kind), f"<elimination of {kind}>", "exec"),
          namespace)
     return namespace["kernel"]
 
@@ -634,18 +630,21 @@ def _eliminate(system, x0, xf, M, n):
     its real roots are those of F, or of F^2 - R G^2 with w = +-sqrt(R) of
     the sign that cancels.
 
-    A combination whose fixed durations (those with no z and no w) run a
-    stage backward (``_backward``) is dropped before its x3 polynomial is
-    built.  The -r branch of a +-2 cruise law's one-unknown piece is such a
-    choice.
+    Each combination of closed-form choices is finished by the system's
+    kernel (``_kernel_source``): it builds the bang durations and the x3
+    polynomial, and drops a combination whose fixed durations (those with no
+    z and no w) run a stage backward (``_backward``) before that polynomial
+    is built.  The -r branch of a +-2 cruise law's one-unknown piece is such
+    a choice.
     """
     M0 = M[0]
     us = [s * M0 if s else 0.0 for s in system.signs]
     start = tuple(x0) + (0.0,) * (3 - n)
     if xf is None:  # a marker leg: x2 = 0 and x3 = sigma M3 at the touch
         goal = (None, 0.0, system.touch * M[3])
-    else:
-        goal = tuple(xf) + (None,) * (3 - n)
+    else:  # padded as the start is: no elimination below order 3 reads
+        # the padding
+        goal = tuple(xf) + (0.0,) * (3 - n)
     X = [None if k is None else start[0] if k == "start"
          else goal[0] if k == "goal" else k * M[1] if k else 0.0
          for k in system.x1]
@@ -686,29 +685,20 @@ def _eliminate(system, x0, xf, M, n):
             else:
                 value = (rest, [])
             choices.append([(_Z, value)])
-    cruises = [None] * len(us)
-    for i in system.cuts:
-        cruises[i] = _Z
     out = []
     for combo in product(*choices):
-        xs, ts = list(X), list(cruises)
+        # a bang's duration is the kernel's, and a +-2 cruise's is z
+        xs, ts = list(X), [None] * len(us)
         for piece, values in zip(system.pieces, combo):
             for (kind, k), v in zip(piece[4], values):
                 if kind == "x":
                     xs[k] = v
                 else:
                     ts[k] = v
-        durations = [
-            _rscale(_radd(xs[i + 1], _rscale(xs[i], -1.0)), 1.0 / u) if s
-            else ts[i] for i, (s, u) in enumerate(zip(system.signs, us))]
-        if _backward([t for t in durations if not isinstance(t, tuple)]):
-            continue
-        if goal[2] is None:  # order <= 2: every duration is a number
-            out.append((durations, R, None, None, None))
-            continue
-        F, G, p = system.kernel(us, xs, durations, start[1],
-                                start[2] - goal[2], R)
-        out.append((durations, R, F, G, p))
+        found = system.kernel(us, xs, ts, start[1], start[2] - goal[2], R)
+        if found is not None:
+            durations, F, G, p = found
+            out.append((durations, R, F, G, p))
     return out
 
 
@@ -874,9 +864,11 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
     return OracleResult(best[0], best[1])
 
 
-# Every kind of x3 build is compiled at import, so that no search compiles
-# one.  Unbounded states only leave laws out, so the order-3 catalog with
-# every state bounded holds every kind
-for _system in _catalog(3, ())[0] + tuple(p[2] for p in _catalog(3, ())[1]):
-    _kernel(_kind(_system))
-del _system
+# Every kind of elimination is compiled at import, so that no search
+# compiles one.  Unbounded states only leave laws out, so the catalogs with
+# every state bounded hold every kind
+for _n in (1, 2, 3):
+    for _system in _catalog(_n, ())[0] + tuple(p[2] for p in
+                                                _catalog(_n, ())[1]):
+        _kernel(_kind(_system))
+del _n, _system

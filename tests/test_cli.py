@@ -23,6 +23,13 @@ FIG7A = {
 }
 
 
+# feasible, and the eps tests' subject
+FEASIBLE = {
+    "order": 3,
+    "x0": [0.0, 0.0, 0.0],
+    "xf": [0.1, 0.2, 1.0],
+    "M": [1.0, 1.0, 1.5, 4.0],
+}
 UNIT1 = {"order": 1, "x0": [0], "xf": [1], "M": [1, None]}
 NAN = float("nan")
 
@@ -154,6 +161,14 @@ class TestPlan:
                      "--sample-dt", dt]) == 3
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_bad_eps_exit_3(self, tmp_path, eps):
+        # a feasible problem: nan read as a proof of infeasibility, -1 as a
+        # planner failure and inf passed every bound check
+        inp = write_problem(tmp_path, FEASIBLE)
+        assert main(["plan", "--input", inp, "--eps", "1e-9"]) == 0
+        assert main(["plan", "--input", inp, "--eps", eps]) == 3
+
 
 class TestEnumerate:
     def test_order_two(self, capsys):
@@ -260,6 +275,15 @@ class TestMetrics:
         tpath = write_problem(tmp_path, trajectory, "traj.json")
         assert main(["metrics", "--trajectory", tpath, "--problem", inp]) == 3
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_bad_eps_exit_3(self, tmp_path, eps):
+        # nan and -1 scored a verified trajectory as no success
+        inp = write_problem(tmp_path, FEASIBLE)
+        tout = str(tmp_path / "t.json")
+        assert main(["plan", "--input", inp, "--output", tout]) == 0
+        assert main(["metrics", "--trajectory", tout, "--problem", inp,
+                     "--eps", eps]) == 3
+
     def test_zero_samples_exit_3(self, tmp_path):
         inp = write_problem(tmp_path, FIG7A)
         tout = str(tmp_path / "t.json")
@@ -343,8 +367,9 @@ class TestBatch:
         ["--order", "2", "--margin", "0"],
         ["--order", "2", "--margin", "-0.5"],
         ["--order", "2", "--count", "-1"],
+        ["--order", "2", "--seed", "-1"],
     ], ids=["order-0", "null-M0", "negative-M1", "margin-1.5", "margin-0",
-            "margin-negative", "negative-count"])
+            "margin-negative", "negative-count", "negative-seed"])
     def test_bad_arguments_exit_3(self, tmp_path, extra):
         assert main(["batch", "--count", "1"] + extra) == 3
 

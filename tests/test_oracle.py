@@ -886,9 +886,9 @@ def _ref_x3(us, xs, ts, x2, x3, R):
     return F, G, kinematics.poly_add(mul(F, F), mul(R, mul(G, G)), -1.0)
 
 
-_KINDS = sorted({oracle._kind(system) for system in
-                 set(oracle._catalog(3, ())[0])
-                 | {rest for _, _, rest in oracle._catalog(3, ())[1]}},
+_KINDS = sorted({oracle._kind(system) for n in (1, 2, 3) for system in
+                 set(oracle._catalog(n, ())[0])
+                 | {rest for _, _, rest in oracle._catalog(n, ())[1]}},
                 key=repr)
 
 
@@ -960,26 +960,17 @@ class TestCompiledElimination:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_numbers_compute_as_pairs(self, data):
-        # a number c adds, scales and evaluates as ([c], []) would, signed
-        # zeros included (the kernels multiply: test_kernels_compute_as_pairs)
+        # a duration that is a number c evaluates as ([c], []) would, signed
+        # zeros included (the kernels compute on it as on ([c], []):
+        # test_kernels_compute_as_pairs)
         value = st.sampled_from([0.0, -0.0, 1.5, -0.5]) | st.floats(-4.0, 4.0)
-
-        def quantity():
-            if data.draw(st.booleans()):
-                return data.draw(value)
-            return (data.draw(st.lists(value, max_size=4)),
-                    data.draw(st.lists(value, max_size=2)))
-
-        def pair(x):
-            return x if isinstance(x, tuple) else ([x], [])
-
-        def bits(x):
-            return [[float(c).hex() for c in part] for part in pair(x)]
-
-        x, y, c, z = quantity(), quantity(), data.draw(value), data.draw(value)
-        assert bits(oracle._radd(x, y)) == bits(_ref_radd(pair(x), pair(y)))
-        assert bits(oracle._rscale(x, c)) == bits(_ref_rscale(pair(x), c))
-        p, q = pair(x)
+        if data.draw(st.booleans()):
+            x = data.draw(value)
+        else:
+            x = (data.draw(st.lists(value, max_size=4)),
+                 data.draw(st.lists(value, max_size=2)))
+        z = data.draw(value)
+        p, q = x if isinstance(x, tuple) else ([x], [])
         assert [v.hex() for v in map(float, oracle._at(x, z))] == [
             kinematics.horner(p, z).hex(), kinematics.horner(q, z).hex()]
 
@@ -987,10 +978,12 @@ class TestCompiledElimination:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_kernels_compute_as_pairs(self, kind, data):
-        # each kind's compiled x3 build gives the pair arithmetic's F, G and
-        # p, signed zeros included, and so does the kernel that takes one of
-        # its numbers as a one-coefficient list; sparse draws are mostly
-        # zeros, which poly_mul skips and which leave G zero
+        # each kind's compiled elimination builds the pair arithmetic's bang
+        # durations and, at order 3, its F, G and p, signed zeros included,
+        # and gives None exactly where the durations that are numbers run a
+        # stage backward; so does the kernel that takes one of its numbers
+        # as a one-coefficient list.  Sparse draws are mostly zeros, which
+        # poly_mul skips and which leave G zero
         if data.draw(st.booleans()):
             value = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.5])
         else:
@@ -998,28 +991,50 @@ class TestCompiledElimination:
                                                                        4.0)
 
         def draw(form):
+            if form is None:  # a bang's duration, which the kernel builds
+                return None
             if form == "n":
                 return data.draw(value)
             if form in ("z", "w"):
-                return oracle._Z if form == "z" else oracle._W
+                return _REF_Z if form == "z" else _REF_W
             return tuple([data.draw(value) for _ in range(k)] for k in form)
 
-        def bits(result):
-            return [[float(c).hex() for c in part] for part in result]
+        def pair(x):
+            return x if isinstance(x, tuple) else _ref_const(x)
 
-        x1_forms, t_forms, size_R = kind
-        us = [data.draw(value) for _ in t_forms]
+        def bits(found):
+            if found is None:
+                return None
+            durations, *x3 = found
+            return ([[[float(c).hex() for c in part] for part in pair(t)]
+                     for t in durations],
+                    [None if v is None else [float(c).hex() for c in v]
+                     for v in x3])
+
+        x1_forms, t_forms, size_R, build_x3 = kind
+        # a bang's duration divides by its control
+        us = [data.draw(_NONZERO if f is None else value) for f in t_forms]
         xs, ts = [draw(f) for f in x1_forms], [draw(f) for f in t_forms]
         x2, x3 = data.draw(value), data.draw(value)
         R = [data.draw(value) for _ in range(size_R)]
+        durations = [
+            _ref_rscale(_ref_radd(pair(xs[i + 1]), _ref_rscale(pair(xs[i]),
+                                                               -1.0)),
+                        1.0 / us[i]) if t is None else pair(t)
+            for i, t in enumerate(ts)]
+        ref = None
+        if not oracle._backward([p[0] for p, q in durations
+                                 if len(p) == 1 and not q]):
+            ref = (durations, *(_ref_x3(us, xs, durations, x2, x3, R)
+                                if build_x3 else (None,) * 3))
         got = bits(oracle._kernel(kind)(us, xs, ts, x2, x3, R))
-        assert got == bits(_ref_x3(us, xs, ts, x2, x3, R))
+        assert got == bits(ref)
         forms, args = [list(x1_forms), list(t_forms)], [xs, ts]
         numbers = [(a, i) for a in (0, 1) for i, f in enumerate(forms[a])
                    if f == "n"]
         a, i = data.draw(st.sampled_from(numbers))
         forms[a][i], args[a][i] = (1, 0), ([args[a][i]], [])
-        listed = oracle._kernel((*map(tuple, forms), size_R))
+        listed = oracle._kernel((*map(tuple, forms), size_R, build_x3))
         assert bits(listed(us, *args, x2, x3, R)) == got
 
     def test_no_search_compiles_a_kernel(self):
