@@ -147,7 +147,10 @@ def cmd_plan(args) -> int:
         return _fail(EXIT_INFEASIBLE, f"infeasible input: {e}")
     except PlanError as e:
         return _fail(EXIT_PLANNER, f"planning failed: {e}")
-    if args.cross_check and problem.n <= 3:
+    if args.cross_check and problem.n > 3:
+        print(f"cross-check skipped: the exhaustive oracle covers orders "
+              f"1-3, not {problem.n}", file=sys.stderr)
+    elif args.cross_check:
         # imported here: the oracle loads scipy.optimize and compiles its
         # catalog, which no other command needs
         from . import oracle
@@ -191,7 +194,10 @@ def cmd_metrics(args) -> int:
         traj = trajectory_from_dict(tdata, problem)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         return _fail(EXIT_IO, f"cannot read inputs: {e}")
-    _dump_json(metrics.score(traj, args.samples, args.eps), args.output)
+    try:
+        _dump_json(metrics.score(traj, args.samples, args.eps), args.output)
+    except OSError as e:
+        return _fail(EXIT_IO, f"cannot write metrics: {e}")
     return 0
 
 

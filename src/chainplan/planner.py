@@ -28,8 +28,8 @@ that encodes interception does not occur in true optima).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache
+from typing import NamedTuple, Optional, Sequence
 
 from . import kinematics, laws, solver
 from .model import (
@@ -81,8 +81,38 @@ SOLVER_RESTARTS = 16
 MAX_MARKER_DEPTH = 8
 
 
-@dataclass(frozen=True)
-class _Plan:
+# Shared law elements: plans hold these rather than building their own.
+_UP, _DOWN = Behavior(0, 1), Behavior(0, -1)
+# plan2's laws by (stage count, first control > 0): a ramp, two opposite
+# ramps, or two around the cruise at the bound the first ramp heads for
+_PLAN2_ELEMENTS = {
+    (1, True): (_UP,), (1, False): (_DOWN,),
+    (2, True): (_UP, _DOWN), (2, False): (_DOWN, _UP),
+    (3, True): (_UP, Behavior(1, 1), _DOWN),
+    (3, False): (_DOWN, Behavior(1, -1), _UP),
+}
+
+
+@cache
+def _ride(m: int) -> Behavior:
+    """The cruise x_m = +M_m that an ascent rides."""
+    return Behavior(m, 1)
+
+
+@cache
+def _negated(e):
+    """A law element's negation, built once per distinct element."""
+    return e.negated()
+
+
+@cache
+def _group(members: tuple) -> tuple:
+    """The virtual group of these behaviors, simplified, as law elements
+    (none where simplification drops every member)."""
+    return laws.simplify(Asl((VirtualGroup(members),))).elements
+
+
+class _Plan(NamedTuple):
     """Internal planning result: (control, duration) stages and the realized
     law elements.  Stages map 1:1 onto Behavior elements; groups and markers
     carry no stage.  A plan holds no start state: the controls are the same
@@ -108,37 +138,23 @@ def _integral_top(x0, p: _Plan) -> float:
 def _negate(p: _Plan) -> _Plan:
     return _Plan(
         tuple((-u if u != 0.0 else 0.0, t) for u, t in p.stages),
-        tuple(e.negated() for e in p.elements),
-    )
-
-
-def _merge_elements(elements, stages):
-    """Fuse adjacent identical behaviors (same value and sign) and their
-    stages; needed where plans are spliced."""
-    out_e: list = []
-    out_s: list = []
-    si = 0
-    for e in elements:
-        if isinstance(e, Behavior):
-            s = stages[si]
-            si += 1
-            if out_e and isinstance(out_e[-1], Behavior) \
-                    and out_e[-1].value == e.value and out_e[-1].sign == e.sign:
-                prev = out_s[-1]
-                out_s[-1] = (prev[0], prev[1] + s[1])
-                continue
-            out_e.append(e)
-            out_s.append(s)
-        else:
-            out_e.append(e)
-    return tuple(out_e), tuple(out_s)
+        tuple(_negated(e) for e in p.elements))
 
 
 def _concat(*parts: _Plan) -> _Plan:
-    elements, stages = _merge_elements(
-        tuple(e for p in parts for e in p.elements),
-        tuple(s for p in parts for s in p.stages))
-    return _Plan(stages, elements)
+    """The parts in turn.  Every part is merged (a valid law holds no two
+    identical adjacent behaviors), so stages fuse only at a junction, where
+    a part's first behavior repeats the last one before it."""
+    stages: list = []
+    elements: list = []
+    for p in parts:
+        fuse = bool(elements and p.elements) and isinstance(
+            p.elements[0], Behavior) and elements[-1] == p.elements[0]
+        if fuse:
+            stages[-1] = (stages[-1][0], stages[-1][1] + p.stages[0][1])
+        stages.extend(p.stages[fuse:])
+        elements.extend(p.elements[fuse:])
+    return _Plan(tuple(stages), tuple(elements))
 
 
 class Planner:
@@ -226,21 +242,12 @@ class Planner:
         if delta == 0.0:
             return _Plan((), ())
         u = M0 if delta > 0 else -M0
-        return _Plan(((u, abs(delta) / M0),), (Behavior(0, 1 if u > 0 else -1),))
+        return _Plan(((u, abs(delta) / M0),), (_UP if delta > 0 else _DOWN,))
 
     def _plan2(self, x0, xf, M) -> _Plan:
         stages = self._plan2_top(x0, xf, M)[0]
-        elements = []
-        for u, _ in stages:
-            if u > 0.0:
-                elements.append(Behavior(0, 1))
-            elif u < 0.0:
-                elements.append(Behavior(0, -1))
-            else:
-                # plan2 cruises only between its two ramps, at the velocity
-                # bound the first ramp heads for
-                elements.append(Behavior(1, 1 if stages[0][0] > 0.0 else -1))
-        return _Plan(stages, tuple(elements))
+        return _Plan(stages, _PLAN2_ELEMENTS[len(stages), stages[0][0] > 0.0]
+                     if stages else ())
 
     def _plan2_top(self, x0, xf, M):
         """``kinematics.plan2_top`` on an order-2 (sub-)problem; raises
@@ -300,7 +307,7 @@ class Planner:
             stages.pop()
             elements.pop()
         stages.append((0.0, math.inf))
-        elements.append(Behavior(m, 1))
+        elements.append(_ride(m))
         j, tau, state = self._hand_over(n, x0, stages, gap, xf, M)
         cut = [i for i, e in enumerate(elements)
                if isinstance(e, Behavior)][j] + 1
@@ -310,8 +317,7 @@ class Planner:
         members = tuple(e for e in elements[cut:] if isinstance(e, Behavior))
         if not (members and cont.elements):
             return _concat(head, cont)
-        group = laws.simplify(Asl((VirtualGroup(members),))).elements
-        return _concat(head, _Plan((), group), cont)
+        return _concat(head, _Plan((), _group(members)), cont)
 
     # ---------------- interception ----------------
 
@@ -385,7 +391,7 @@ class Planner:
 
     def _bang(self, n: int, x0, xf, M0: float) -> _Plan:
         M_free = (M0,) + (None,) * n
-        base = Asl(tuple(Behavior(0) for _ in range(n)))
+        base = Asl((Behavior(0),) * n)
         best: Optional[_Plan] = None
         attempted = []
         for last in (1, -1):
@@ -451,7 +457,7 @@ class Planner:
                     if first is None or not isinstance(first, Behavior) \
                             or first.value != 0:
                         join = _Plan(((sigma * M[0], 0.0),),
-                                     (marker, Behavior(0, sigma)))
+                                     (marker, _UP if sigma > 0 else _DOWN))
                     else:
                         join = _Plan((), (marker,))
                     candidate = _concat(leg_plan, join, cont)

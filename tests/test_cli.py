@@ -124,6 +124,21 @@ class TestPlan:
                      "--cross-check"]) == 0
         assert "cross-check" in capsys.readouterr().err
 
+    def test_cross_check_above_order_3_says_it_was_skipped(self, tmp_path,
+                                                          capsys):
+        # the oracle covers orders 1-3; the plan is still written
+        data = {"order": 4, "x0": [0.0, 0.0, 0.0, 0.0],
+                "xf": [0.0, 0.0, 0.0, 1.0],
+                "M": [1.0, 1.0, 1.5, 4.0, 20.0]}
+        inp = write_problem(tmp_path, data)
+        out = tmp_path / "t.json"
+        assert main(["plan", "--input", inp, "--output", str(out),
+                     "--cross-check"]) == 0
+        assert capsys.readouterr().err == (
+            "cross-check skipped: the exhaustive oracle covers orders 1-3, "
+            "not 4\n")
+        assert json.loads(out.read_text())["segments"]
+
     def test_csv_sampling(self, tmp_path):
         inp = write_problem(tmp_path, FIG7A)
         out = str(tmp_path / "t.json")
@@ -283,6 +298,18 @@ class TestMetrics:
         assert main(["plan", "--input", inp, "--output", tout]) == 0
         assert main(["metrics", "--trajectory", tout, "--problem", inp,
                      "--eps", eps]) == 3
+
+    def test_unwritable_output_exit_3(self, tmp_path, capsys):
+        # it raised FileNotFoundError and exited 1, the infeasible-input code
+        inp = write_problem(tmp_path, FIG7A)
+        tout = str(tmp_path / "t.json")
+        assert main(["plan", "--input", inp, "--output", tout]) == 0
+        capsys.readouterr()
+        mout = str(tmp_path / "missing" / "m.json")
+        assert main(["metrics", "--trajectory", tout, "--problem", inp,
+                     "--output", mout]) == 3
+        assert capsys.readouterr().err.startswith(
+            "chainplan: cannot write metrics: ")
 
     def test_zero_samples_exit_3(self, tmp_path):
         inp = write_problem(tmp_path, FIG7A)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 from collections import namedtuple
@@ -5,9 +6,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainplan import kinematics, laws, oracle, sampling, solver
-from chainplan.model import Behavior, InfeasibleError, Problem, Trajectory, asl_parse
+from chainplan.model import (
+    Behavior,
+    InfeasibleError,
+    Problem,
+    Trajectory,
+    VirtualGroup,
+    asl_parse,
+)
 from chainplan.planner import (
     HIGHER,
     LOWER,
@@ -15,6 +24,7 @@ from chainplan.planner import (
     InfeasibleProblem,
     PlanError,
     Planner,
+    _concat,
     _integral_top,
     _Plan,
     plan,
@@ -1119,6 +1129,162 @@ class TestErrors:
         a = pl.plan(Problem(2, (0.0, 1.0), (0.0, 0.0), (1.0, 1.0, None)))
         b = pl.plan(Problem(2, (0.0, -1.0), (0.0, 0.0), (1.0, 1.0, None)))
         assert a.t_f == pytest.approx(b.t_f, abs=1e-12)
+
+
+def _ref_merge_elements(elements, stages):
+    """The rescan that ``_concat`` replaced: fuse every pair of adjacent
+    identical behaviors (same value and sign) and their stages."""
+    out_e: list = []
+    out_s: list = []
+    si = 0
+    for e in elements:
+        if isinstance(e, Behavior):
+            s = stages[si]
+            si += 1
+            if out_e and isinstance(out_e[-1], Behavior) \
+                    and out_e[-1].value == e.value and out_e[-1].sign == e.sign:
+                prev = out_s[-1]
+                out_s[-1] = (prev[0], prev[1] + s[1])
+                continue
+            out_e.append(e)
+            out_s.append(s)
+        else:
+            out_e.append(e)
+    return tuple(out_e), tuple(out_s)
+
+
+def _ref_concat(*parts: _Plan) -> _Plan:
+    elements, stages = _ref_merge_elements(
+        tuple(e for p in parts for e in p.elements),
+        tuple(s for p in parts for s in p.stages))
+    return _Plan(stages, elements)
+
+
+def _plan_bits(p: _Plan):
+    return [(u.hex(), t.hex()) for u, t in p.stages], p.elements
+
+
+# every signed law of the order 1-3 catalogs
+_SIGNED = [laws.assign_signs(law, s) for n in (1, 2, 3)
+           for law in laws.enumerate_af(n) for s in (1, -1)]
+
+
+@st.composite
+def _splice_parts(draw):
+    """Parts as the planner splices them: signed laws with one drawn stage
+    per behavior, virtual groups (of one to three signed behaviors) without
+    stages, and empty plans (a group that simplifies away)."""
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("law", "group", "empty")))
+        if kind == "law":
+            law = draw(st.sampled_from(_SIGNED))
+            stages = tuple(
+                (draw(st.sampled_from((1.0, -1.0, 0.0))),
+                 draw(st.floats(0.0, 10.0)))
+                for e in law.elements if isinstance(e, Behavior))
+            parts.append(_Plan(stages, law.elements))
+        elif kind == "group":
+            members = draw(st.lists(st.builds(
+                Behavior, st.integers(0, 3), st.sampled_from((1, -1))),
+                min_size=1, max_size=3))
+            parts.append(_Plan((), (VirtualGroup(tuple(members)),)))
+        else:
+            parts.append(_Plan((), ()))
+    return parts
+
+
+class TestConcat:
+    """``_concat`` fuses stages only where two parts meet.  It must give
+    the stages (bit for bit) and elements of the rescan it replaced, which
+    fused every adjacent identical pair."""
+
+    def test_fuses_across_an_empty_part(self):
+        up, down = Behavior(0, 1), Behavior(0, -1)
+        got = _concat(_Plan(((1.0, 0.25),), (up,)), _Plan((), ()),
+                      _Plan(((1.0, 0.5), (-1.0, 1.0)), (up, down)))
+        assert got == _Plan(((1.0, 0.75), (-1.0, 1.0)), (up, down))
+
+    @given(_splice_parts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rescan_on_catalog_splices(self, parts):
+        assert _plan_bits(_concat(*parts)) == _plan_bits(_ref_concat(*parts))
+
+    def test_matches_rescan_on_the_benchmark_corpora(self, monkeypatch):
+        # every splice that planning the plan3 and plan4 corpora (seed 1,
+        # each problem and its mirror) and the near-touch draws makes
+        splices = {"calls": 0, "fused": 0}
+
+        def checked(*parts):
+            got = _concat(*parts)
+            assert _plan_bits(got) == _plan_bits(_ref_concat(*parts))
+            splices["calls"] += 1
+            splices["fused"] += len(got.stages) < sum(
+                len(p.stages) for p in parts)
+            return got
+
+        monkeypatch.setattr("chainplan.planner._concat", checked)
+        probs = []
+        for n, count in ((3, 350), (4, 18)):
+            rng = np.random.default_rng(1)
+            probs += [sampling.random_problem(n, sampling.default_bounds(n),
+                                              rng, 0.8) for _ in range(count)]
+        probs += near_touch_draws(12)
+        for prob in probs:
+            for q in (prob, _mirror(prob)):
+                try:
+                    plan(q)
+                except PlanError:
+                    pass
+        assert splices["calls"] > 1000 and splices["fused"] > 0
+
+
+def _mirror(prob: Problem) -> Problem:
+    return Problem(prob.n, tuple(-v for v in prob.x0),
+                   tuple(-v for v in prob.xf), prob.M)
+
+
+def _pinned_runs():
+    """The bit pin's corpus: 60 order-3 and 6 order-4 draws at seed 1 with
+    their mirrors, near-touch draws (tangent-marker legs) and saturation-only
+    draws (``_bang``'s stage solve)."""
+    rng = np.random.default_rng(1)
+    probs = [sampling.random_problem(3, M3, rng, 0.8) for _ in range(60)]
+    probs += [sampling.random_problem(4, M4, rng, 0.8) for _ in range(6)]
+    runs = [partial(plan, q) for prob in probs for q in (prob, _mirror(prob))]
+    runs += [partial(plan, prob) for prob in near_touch_draws(4)]
+    rng = np.random.default_rng(9)
+    for n in (3, 3, 4):
+        x0, xf = tuple(rng.uniform(-1, 1, n)), tuple(rng.uniform(-1, 1, n))
+        runs.append(partial(plan_unconstrained, n, x0, xf, 1.0))
+    return runs
+
+
+class TestOutputBits:
+    """The planner's outputs on a small fixed corpus, pinned bit for bit:
+    each plan's law text, every segment's control and duration and t_f as
+    ``float.hex``, or a failure's class and message, hashed in order.  A
+    change that means to keep outputs bit-identical keeps this digest; one
+    that changes outputs on purpose updates the pin and records in CHANGES
+    what changed and why."""
+
+    DIGEST = "63a58470740a4da9"
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for run in _pinned_runs():
+            try:
+                traj = run()
+            except PlanError as e:
+                line = f"{type(e).__name__}: {e}"
+            else:
+                line = " ".join(
+                    [traj.asl.text()]
+                    + [f"{s.u.hex()},{s.duration.hex()}"
+                       for s in traj.segments]
+                    + [traj.t_f.hex()])
+            h.update(line.encode() + b"\n")
+        assert h.hexdigest()[:16] == self.DIGEST
 
 
 class TestKnownDefects:
