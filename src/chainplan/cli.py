@@ -151,8 +151,8 @@ def cmd_plan(args) -> int:
         print(f"cross-check skipped: the exhaustive oracle covers orders "
               f"1-3, not {problem.n}", file=sys.stderr)
     elif args.cross_check:
-        # imported here: the oracle loads scipy.optimize and compiles its
-        # catalog, which no other command needs
+        # imported here: the oracle compiles its catalog's elimination
+        # kernels at import, which no other command needs
         from . import oracle
         try:
             ref = oracle.exhaustive_tf(problem)

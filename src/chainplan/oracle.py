@@ -28,18 +28,19 @@ forms of x1 at its stage boundaries, of its rides' durations and of R
 (``_kind``, ``_kernel``): it makes the float operations of the general
 polynomial arithmetic, in its order, so it gives that arithmetic's bits.
 The kernels of every kind of the catalogs of orders 1 to 3 are compiled
-when the module is imported, and no search compiles one.  Each root with no
-stage time below -BACKWARD_TOL max(1, max|t|) is polished once by a library
-root finder, MINPACK's hybrid Powell method (``scipy.optimize.root``,
-method "hybr"), on the system's own residual.  A root with such a time runs
-a stage backward and is dropped unpolished, and so is every root of a
-closed-form choice whose fixed durations already do, before its polynomial
-is built.  So "no catalog law admits a feasible solution" is a statement
-about the catalog, not about a search's starts.  The residual is one view
-of the system's walk (``_law_walk``), which also gives each stage's start
-and the end state: a root is accepted on one walk, its residual, the bound
-check of its stages and its end state, and past ``_catalog`` no code reads
-a law's elements.
+when the module is imported, and no search compiles one.  A root with a
+stage time below -BACKWARD_TOL max(1, max|t|) runs a stage backward and is
+dropped unpolished, and so is every root of a closed-form choice whose
+fixed durations already do, before its polynomial is built.  Every other
+root is polished by Newton's method on the system's own residual and its
+exact Jacobian (``root``), and a root that only its negative times keep
+from the system is solved again with them held at zero (``_roots``).  So
+"no catalog law admits a feasible solution" is a statement about the
+catalog, not about a search's starts.  The residual and its Jacobian are
+one view of the system's walk (``_law_walk``), which also gives each
+stage's start and the end state: a root is accepted on one walk, its
+residual, the bound check of its stages and its end state, and past
+``_catalog`` no code reads a law's elements.
 
 A law with a tangent marker is solved in two parts, split at the touch: the
 leg (the stages up to the marker, pinned by its conditions) and the rest
@@ -48,9 +49,12 @@ starts with the same signed leg shares its solutions, so each leg is solved
 once per search.  The legs and the plain laws are solved in one batch, the
 rests from the legs' touches in a second.
 
-The planner's ``solver.solve_times`` calls the same MINPACK routine, but on
-residuals it assembles itself, from seeded starts.  At orders up to 3, only
-problems with no bounded interior state reach the planner's solver.
+The oracle imports no scipy.  The planner's ``solver.solve_times`` solves
+its stage systems with MINPACK's hybrid Powell method
+(``scipy.optimize.root``, method "hybr"), from seeded starts and with
+finite-difference Jacobians, on residuals it assembles itself.  At orders up
+to 3, only problems with no bounded interior state reach the planner's
+solver.
 """
 
 from __future__ import annotations
@@ -58,11 +62,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
-from math import sqrt
-from typing import Optional
+from math import isfinite, sqrt
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import root
 
 from . import kinematics, laws
 from .model import Behavior, Problem, TangentMarker
@@ -239,9 +242,10 @@ def _catalog(n, free):
 def _law_walk(system, x0, xf, M):
     """One walk of a compiled system, built directly on the chain's
     constant-control step, ``kinematics.propagate``: a closure that takes
-    any sequence of stage times and returns the residuals (an array), each
-    stage's (start state, control, time) and the end state.  MINPACK takes
-    the residuals alone; ``_solutions`` checks a solution on all three.
+    any sequence of stage times and returns the residuals (an array), their
+    Jacobian (None unless asked for), each stage's (start state, control,
+    time) and the end state.  The polish takes the residuals and the
+    Jacobian; ``_solutions`` checks a solution on the rest.
 
     A step (sign, pin) advances one stage under the control sign M0 (None
     for a marker, which has no stage of its own), then, if its pin
@@ -250,6 +254,13 @@ def _law_walk(system, x0, xf, M):
     state to ``xf``; with ``xf`` None there are none, and the pins of the
     law's last marker end the system (a marker leg).  The times run as
     Python floats: numpy scalars would give the same bits, only slower.
+
+    The Jacobian is exact.  At its stage's end, the column of stage j is
+    the chain's derivative there, (u_j, x1, ..., x_{n-1}); the chain is
+    linear in its state, so each later stage carries the column forward as
+    it carries a state under zero control, ``propagate(col, 0.0, t)``.  A
+    pin's or terminal row takes its component of each column walked so
+    far, and 0 for the stages still ahead.
     """
     M0 = M[0]
     steps = [(None if s is None else s * M0 if s else 0.0,
@@ -258,25 +269,36 @@ def _law_walk(system, x0, xf, M):
              for s, pin in system.steps]
     start = tuple(x0)
     goal = () if xf is None else tuple(xf)
+    stage_count = len(system.signs)
 
-    def walk(times):
+    def walk(times, jacobian=False):
         times = np.asarray(times, dtype=float).tolist()
         propagate = kinematics.propagate
-        res, stages = [], []
+        res, stages, cols, rows = [], [], [], []
         x = start
         ti = 0
         for u, pin in steps:
             if u is not None:
-                stages.append((x, u, times[ti]))
-                x = propagate(x, u, times[ti])
+                t = times[ti]
+                stages.append((x, u, t))
+                x = propagate(x, u, t)
                 ti += 1
+                if jacobian:
+                    cols = [propagate(c, 0.0, t) for c in cols]
+                    cols.append((u,) + x[:-1])
             if pin is not None:
                 k, target, zeros = pin
                 res.append(x[k] - target)
                 for j in zeros:
                     res.append(x[j])
+                if jacobian:
+                    rows += [[c[i] for c in cols] for i in (k, *zeros)]
         res += [a - b for a, b in zip(x, goal)]
-        return np.array(res), stages, x
+        jac = None
+        if jacobian:
+            rows += [[c[i] for c in cols] for i in range(len(goal))]
+            jac = [row + [0.0] * (stage_count - len(row)) for row in rows]
+        return np.array(res), jac, stages, x
 
     return walk
 
@@ -302,6 +324,96 @@ SAME_LEG_TOL = 1e-9
 # a start with a stage time below -BACKWARD_TOL max(1, max|t|) runs that
 # stage backward and is not polished (``_backward``)
 BACKWARD_TOL = 1e-3
+# the polish takes at most POLISH_STEPS Newton steps, and stops at the first
+# point whose step is at most POLISH_XTOL max(1, max|t|) (``root``)
+POLISH_STEPS = 30
+POLISH_XTOL = 1e-12
+# a pivot at most SINGULAR_TOL max|J| makes the polish's Jacobian J
+# singular (``_newton_step``)
+SINGULAR_TOL = 1e-13
+
+
+class Polish(NamedTuple):
+    """The point a polish (``root``) ends at, its residuals, and whether it
+    converged."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    success: bool
+
+
+def _newton_step(jac, res):
+    """The step d with J d = r, for J given as rows.  A square J is solved
+    by Gaussian elimination with partial pivoting; where a pivot is at most
+    SINGULAR_TOL max|J|, and where J has more rows than columns (a
+    Gauss-Newton step), d is ``np.linalg.lstsq``'s least-squares step of
+    least norm, with the singular values below SINGULAR_TOL times the
+    largest taken as zero.
+
+    J is singular at a solution with stages of zero length, and rounding
+    leaves its pivot there at about 1e-15 rather than zero: solving with
+    that pivot would step along the system's curve of solutions, to
+    negative times, where the least-squares step stays put."""
+    m = len(res)
+    if len(jac[0]) == m:
+        tiny = SINGULAR_TOL * max(abs(v) for row in jac for v in row)
+        a = [row + [r] for row, r in zip(jac, res)]
+        for k in range(m):
+            p = max(range(k, m), key=lambda i: abs(a[i][k]))
+            if abs(a[p][k]) <= tiny:
+                break
+            a[k], a[p] = a[p], a[k]
+            top = a[k]
+            for row in a[k + 1:]:
+                f = row[k] / top[k]
+                if f:
+                    for j in range(k + 1, m + 1):
+                        row[j] -= f * top[j]
+        else:
+            d = [0.0] * m
+            for k in reversed(range(m)):
+                row = a[k]
+                d[k] = (row[m] - sum(row[j] * d[j] for j in range(k + 1, m))
+                        ) / row[k]
+            return d
+    return np.linalg.lstsq(np.array(jac), np.array(res),
+                           rcond=SINGULAR_TOL)[0].tolist()
+
+
+def root(fun, x0) -> Polish:
+    """Newton's method from ``x0`` on a square system, or Gauss-Newton on
+    one with more residuals than unknowns (``_newton_step``):
+    ``fun(x, jacobian)`` gives the residuals and, where ``jacobian`` is
+    true, their Jacobian.
+
+    It succeeds at the first step of at most POLISH_XTOL max(1, max|x|),
+    and returns the point that step reaches.  Otherwise it ends, without
+    success, at a step that is not finite, after POLISH_STEPS steps, or,
+    from a point whose residual is at most RESIDUAL_TOL, at a step that
+    does not halve the largest residual, and returns the point before that
+    step.  At a point whose residual is rounding alone (the elimination's
+    candidates often are), a Newton step is rounding over the Jacobian's
+    smallest singular value; where stages of zero length make that value
+    small, such steps wander along the system's curve of solutions, to
+    negative times.  Farther out, near a double root, a first step can
+    raise the residual on its way to the root."""
+    x = [float(t) for t in x0]
+    res, jac = fun(x, True)
+    for _ in range(POLISH_STEPS):
+        step = _newton_step(jac, res.tolist())
+        size = max(map(abs, step))
+        if not isfinite(size):
+            break
+        new = [t - d for t, d in zip(x, step)]
+        done = size <= POLISH_XTOL * max(1.0, max(map(abs, new)))
+        new_res, new_jac = fun(new, not done)
+        if done:
+            return Polish(np.array(new), new_res, True)
+        last = float(np.max(np.abs(res)))
+        if last <= RESIDUAL_TOL and not np.max(np.abs(new_res)) <= 0.5 * last:
+            break
+        x, res, jac = new, new_res, new_jac
+    return Polish(np.array(x), res, False)
 
 
 # Polynomials in the one unknown z are coefficient lists, item i multiplying
@@ -744,17 +856,31 @@ def _roots(jobs, M, n):
     bounds.
 
     Every elimination candidate with no time below -BACKWARD_TOL
-    max(1, max|t|) (``_backward``) is polished once by ``root`` (MINPACK
-    hybr) on the residual, also one whose residual is already small, and the
-    polish replaces it when it converged or its residual is at most
-    RESIDUAL_TOL, and its times are >= -1e-9.  Otherwise the candidate is
-    kept when it meets the system itself: where stages of zero length make
-    the Jacobian singular, the polish can drift along the system's
-    near-solutions to negative times.  A time that is zero but for rounding
-    (at most 1e-7 max(1, max|t|), ``_backward``'s scale, where a double root
-    leaves its zero-length stages about 1e-8 long) starts the polish at
-    zero: MINPACK's forward differences step each time in proportion to it,
-    which near zero is lost in rounding, and by a fixed step at zero.
+    max(1, max|t|) (``_backward``) is polished by ``root``, Newton's method
+    on the walk's residual and exact Jacobian, also one whose residual is
+    already small.  The polish replaces it when it converged or its
+    residual is at most RESIDUAL_TOL, and its times are >= -1e-9.
+    Otherwise the candidate is kept when it meets the system itself: where
+    stages of zero length make the Jacobian singular, the system's
+    solutions form a curve, and Newton's steps can drift along it to
+    negative times (``TestExhaustive.test_ride_from_the_x1_bound``).
+
+    A candidate with a time that may be zero but for rounding, at most
+    1e-7 max(1, max|t|) (``_backward``'s scale, where a double root leaves
+    its zero-length stages about 1e-8 long), is polished twice: as it is,
+    and with those times set to zero.  Either start alone loses solutions:
+    the first a zero-motion 000 solution whose zero stages the elimination
+    left at 2e-10, where Newton's steps cycle to negative times; the second
+    a stage that is really 1e-8 long.  Each start is kept or dropped by the
+    rule above.
+
+    A kept root whose negative times, clipped to zero, leave a residual
+    above RESIDUAL_TOL (so that ``_solutions`` would drop it) is solved
+    again with those times held at zero, by Gauss-Newton on the others
+    (``_pinned``), and the result is kept by the same rule.  That moves a
+    root on a curve of solutions to its end at zero: a three-bang cruise
+    law's last two stages trade duration, and a polish that leaves them at
+    (7e-10, -3e-10) is moved to (1e-9, 0).
 
     The zero-time run is a start too when it meets the system (zero
     motion, ``_zero_motion``).  It is where the elimination fails: the 000
@@ -765,27 +891,67 @@ def _roots(jobs, M, n):
     for (system, x0, xf), starts in zip(jobs, _candidates(jobs, M, n)):
         walk = _law_walk(system, x0, xf, M)
 
-        def fun(times):  # the residuals, MINPACK's view of the walk
-            return walk(times)[0]
+        def fun(times, jacobian):  # the polish's view of the walk
+            return walk(times, jacobian)[:2]
 
-        stage_count = len(system.signs)
+        def residual(times):
+            return float(np.max(np.abs(walk(times)[0])))
+
         if _zero_motion(system, x0, xf, M):
-            starts.append([0.0] * stage_count)
+            starts.append([0.0] * len(system.signs))
         found = []
         for guess in starts:
             if _backward(guess):
                 continue
             tiny = 1e-7 * max(1.0, max(abs(t) for t in guess))
-            sol = root(fun, [0.0 if abs(t) <= tiny else t for t in guess],
-                       method="hybr", tol=1e-12,
-                       options={"maxfev": 40 * (stage_count + 1)})
-            if ((sol.success or float(np.max(np.abs(sol.fun))) <= RESIDUAL_TOL)
-                    and not np.any(sol.x < -1e-9)):
-                found.append(sol.x)
-            elif float(np.max(np.abs(fun(guess)))) <= RESIDUAL_TOL:
-                found.append(np.array(guess))
+            zeroed = [0.0 if abs(t) <= tiny else t for t in guess]
+            for start in [guess] + ([zeroed] if zeroed != guess else []):
+                sol = root(fun, start)
+                if _kept(sol):
+                    x = sol.x
+                elif residual(start) <= RESIDUAL_TOL:
+                    x = np.array(start)
+                else:
+                    continue
+                found.append(x)
+                pins = [i for i, t in enumerate(x.tolist()) if t < 0.0]
+                if (0 < len(pins) < len(x)
+                        and residual(np.clip(x, 0.0, None)) > RESIDUAL_TOL):
+                    view, full, y = _pinned(fun, x.tolist(), pins)
+                    sol = root(view, y)
+                    if _kept(sol):
+                        found.append(np.array(full(sol.x.tolist())))
         out.append((walk, found))
     return out
+
+
+def _kept(sol) -> bool:
+    """Whether ``_roots`` keeps a polish: it converged or its residual is at
+    most RESIDUAL_TOL, and its times are >= -1e-9."""
+    return ((sol.success or float(np.max(np.abs(sol.fun))) <= RESIDUAL_TOL)
+            and not np.any(sol.x < -1e-9))
+
+
+def _pinned(fun, x, pins):
+    """The polish's view ``fun`` with the times at ``pins`` held at zero:
+    (the view of the other times, the map from them to all times, the other
+    times of ``x``).  The view has more rows than unknowns, so ``root``
+    solves it by Gauss-Newton."""
+    free = [i for i in range(len(x)) if i not in pins]
+
+    def full(y):
+        times = [0.0] * len(x)
+        for i, t in zip(free, y):
+            times[i] = t
+        return times
+
+    def view(y, jacobian):
+        res, jac = fun(full(y), jacobian)
+        if jac is not None:
+            jac = [[row[i] for i in free] for row in jac]
+        return res, jac
+
+    return view, full, [x[i] for i in free]
 
 
 def _solutions(walk, M, found):
@@ -798,7 +964,7 @@ def _solutions(walk, M, found):
         if np.any(times < -1e-9):
             continue
         times = np.clip(times, 0.0, None)
-        res, stages, end = walk(times)
+        res, _, stages, end = walk(times)
         if float(np.max(np.abs(res))) > RESIDUAL_TOL:
             continue
         if any(kinematics.segment_bound_check(x, u, t, M, 1e-9)

@@ -5,8 +5,9 @@ saturation/riding stage and per virtual-group member, against the riding
 conditions, tangent-marker conditions, and the terminal state.  Intermediate
 states are eliminated by forward propagation, so the unknown vector holds
 durations only.  ``solve_times`` finds its roots with MINPACK's hybrid
-Powell method (``scipy.optimize.root``, method "hybr"), the routine the
-oracle uses, from a seeded ladder of starts.
+Powell method (``scipy.optimize.root``, method "hybr") from a seeded ladder
+of starts; it is the only user of scipy in the package, and imports it on
+its first call.
 
 A virtual group solves as a side branch: the branch re-runs the stage
 preceding the group from that stage's entry state for its own (longer)

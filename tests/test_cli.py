@@ -224,8 +224,9 @@ class TestEnumerate:
 
 class TestStartup:
     def test_import_loads_neither_the_oracle_nor_scipy(self):
-        # only plan --cross-check needs the oracle, which loads
-        # scipy.optimize and compiles its catalog
+        # only plan --cross-check needs the oracle, which compiles its
+        # catalog's kernels at import, and only the planner's stage solve
+        # needs scipy, which it imports on its first call
         src = os.path.dirname(os.path.dirname(chainplan.__file__))
         code = ("import sys, chainplan.cli; print(sorted({'chainplan.oracle', "
                 "'scipy.optimize'} & set(sys.modules)))")

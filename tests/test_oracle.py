@@ -125,20 +125,79 @@ class TestExhaustive:
         prob = Problem(3, x0, xf, (1.0, 1.0, 1.5, 4.0))
         assert exhaustive_tf(prob).t_f == pytest.approx(1.192093e-7, abs=1e-12)
 
-    @pytest.mark.parametrize("s", [
-        pytest.param(1.0, marks=pytest.mark.xfail(
-            strict=True, reason="misses the 00200 solution (CHANGES)")),
-        -1.0])
+    @pytest.mark.parametrize("s", [1.0, -1.0])
     def test_short_ramp_into_a_cruise(self, s):
         # -0 +0 -2 +0 -0 with stage times (0, 1e-7, 0.53125, 0, 0), the
-        # cruise from (0, -1.5, 2.5): the mirror finds it, the problem
-        # itself only 000's 0.53443 s
+        # cruise from (0, -1.5, 2.5), where the Jacobian is nearly singular:
+        # a polish by MINPACK's hybr left the last two stages at -5e-10 on
+        # one side of the mirror, and the oracle there gave only 000's
+        # 0.53443 s
         x = (0.0, -1.5, 2.5)
         x0 = kinematics.propagate(x, 1.0, -1e-7)
         xf = kinematics.propagate(x, 0.0, 0.53125)
         prob = Problem(3, tuple(s * v for v in x0), tuple(s * v for v in xf),
                        (1.0, 1.0, 1.5, 4.0))
         assert exhaustive_tf(prob).t_f == pytest.approx(0.5312501, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    @pytest.mark.parametrize("T", [1.375, 0.6672288772669746])
+    def test_ride_from_the_x1_bound(self, s, T):
+        # a ride at x1 = -+M1 for T s, which 0100 holds with stage times
+        # (0, 0, T, 0) and 0010 with (0, T, 0, 0), where the Jacobian is
+        # singular.  At T = 1.375 the elimination's candidate for 0100 is
+        # exact, but Gaussian elimination met a pivot of 1.2e-15 in place
+        # of zero, and its Newton step left for negative times; at
+        # T = 0.66723 the candidate meets the system with its zero stages
+        # 2.5e-8 long, and the polish drifts along the curve of solutions
+        # to -2.3e-9.  Without lstsq's step at a lost pivot, or without
+        # keeping a candidate that meets the system, one side of the mirror
+        # gives 0010 at T + 4 s
+        x0 = (-s, 0.0, 0.0)
+        prob = Problem(3, x0, kinematics.propagate(x0, 0.0, T),
+                       (1.0, 1.0, 1.5, 4.0))
+        assert exhaustive_tf(prob).t_f == pytest.approx(T, abs=1e-12)
+
+    @pytest.mark.parametrize("x0, xf, T", [
+        # 000 with stage times (1e-7, 0, 1e-7); hybr gave 01010 at 5.49 s
+        ((-0.18964078266477102, 0.8538475163225345, 0.1461712329699294),
+         (-0.18964098266477103, 0.8538474783943579, 0.14617140373942888),
+         2e-7),
+        # 002010 with (1e-8, 0, 0.06342, 1, 1e-8, 1e-9); hybr gave 000
+        ((1e-08, -1.5, -1.419501471265938),
+         (0.999999999, -0.999999989, -2.847961932783456),
+         1.06341808912279),
+        # 0010 with (0, 1e-7, 1.21857, 1e-7); hybr gave 0100 at 1.22191 s
+        ((-0.9999999, 1.1624433227094744, -1.3140155795664274),
+         (-0.9999999, -0.05612752723785213, -0.6399534899674181),
+         1.2185708499473367),
+        # 00200 with (0.39363, 0.29006, 0.11216, 1e-9, 0): Newton leaves
+        # the last two stages at (7e-10, -3e-10), on the curve along which
+        # they trade duration, and the re-solve with the last held at zero
+        # moves them to (1e-9, 0)
+        ((-0.10357782508595959, 1.4212321858653276, -2.817951373704373),
+         (-1e-09, 1.5, -1.6571184850152751), 0.7958432096949449),
+        # 00200 with (0, 1e-9, 1.15825, 1e-6, 1e-6)
+        ((1e-09, 1.5, -2.182648813227294),
+         (0.0, 1.499999999999, -0.4452768575252777), 1.1582479704680106),
+    ])
+    def test_planted_short_stages(self, x0, xf, T):
+        # solutions planted with stages from 0 to 1e-6 s long, which keep
+        # the bounds: no t_f of the problem, its mirror or its time reversal
+        # exceeds the planted time T
+        prob = Problem(3, x0, xf, (1.0, 1.0, 1.5, 4.0))
+        for p in (prob, _mirrored(prob), _time_reversed(prob)):
+            assert exhaustive_tf(p).t_f <= T + 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=OracleError,
+                       reason="tiny motion: no law found (CHANGES FOUND)")
+    def test_tiny_motion(self):
+        # one 1e-9 s bang from (0.5, 0, 0): the 000 system's solution is a
+        # triple root, its elimination candidates miss it, and the motion,
+        # 1e-9 in x1, is too large for the zero-time start
+        x0 = (0.5, 0.0, 0.0)
+        prob = Problem(3, x0, kinematics.propagate(x0, -1.0, 1e-9),
+                       (1.0, 1.0, 1.5, 4.0))
+        assert exhaustive_tf(prob).t_f <= 1e-9 + 1e-15
 
     def test_dynamically_infeasible_raises(self):
         prob = Problem(3, (0.52, -0.17, 2.73), (0.37, -1.16, 3.61),
@@ -150,6 +209,16 @@ class TestExhaustive:
 def _mirrored(prob):
     return Problem(prob.n, tuple(-v for v in prob.x0),
                    tuple(-v for v in prob.xf), prob.M)
+
+
+def _time_reversed(prob):
+    """The problem run backward: from R xf to R x0, R flipping the sign of
+    x2, x4, ...  A trajectory of it, run backward under -u, is one of the
+    problem, in the same time."""
+    def flip(x):
+        return tuple(-v if k % 2 else v for k, v in enumerate(x))
+
+    return Problem(prob.n, flip(prob.xf), flip(prob.x0), prob.M)
 
 
 class TestMarkerSplit:
@@ -269,7 +338,7 @@ class TestLawResiduals:
                     u = e.sign * M[0] if e.value == 0 else 0.0
                     ref.append((x, u, t))
                     x = kinematics.propagate(x, u, t)
-                _, got, end = walk(times)
+                _, _, got, end = walk(times)
                 assert got == ref
                 assert end == x
 
@@ -464,6 +533,140 @@ class TestElimination:
             return
         mirrored = exhaustive_tf(_mirrored(prob)).t_f
         assert mirrored == pytest.approx(tf, abs=1e-9)
+
+
+def _newton_view(walk):
+    """The polish's view of a walk: residuals and, when asked, Jacobian."""
+    return lambda times, jacobian: walk(times, jacobian)[:2]
+
+
+class TestPolish:
+    """The polish, ``oracle.root``, is Newton's method on the exact Jacobian
+    that the walk gives next to its residuals."""
+
+    @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_jacobian_matches_central_differences(self, n, elements, data):
+        # any boundary states and stage times, a quarter of them zero: the
+        # residuals are polynomials of degree n in the times, so a central
+        # difference misses the derivative only by h^2/6 times a third
+        # derivative and by the rounding of the residuals over h, both far
+        # below the tolerance here
+        M = _BOUNDS[n]
+        system = oracle._System(elements, n)
+
+        def state():
+            return tuple(data.draw(st.floats(-0.8 * M[k], 0.8 * M[k]))
+                         for k in range(1, n + 1))
+
+        x0 = state()
+        xf = None if isinstance(elements[-1], TangentMarker) else state()
+        times = np.array([max(0.0, data.draw(st.floats(-0.5, 1.5)))
+                          for _ in system.signs])
+        walk = _law_walk(system, x0, xf, M)
+        res, jac, stages, end = walk(times, True)
+        assert walk(times)[1] is None
+        assert res.tobytes() == walk(times)[0].tobytes()
+        assert (stages, end) == walk(times)[2:]
+        h = 1e-5
+        fd = np.array([(walk(times + h * e)[0] - walk(times - h * e)[0])
+                       / (2 * h) for e in np.eye(len(times))]).T
+        jac = np.array(jac)
+        assert jac.shape == fd.shape == (len(times), len(times))
+        assert float(np.max(np.abs(jac - fd))) <= 1e-7
+
+    @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
+    @given(st.data())
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_reaches_planted_solutions(self, n, elements, data):
+        # from within 1e-4 of a planted solution whose Jacobian keeps its
+        # smallest singular value above 1e-2, Newton's method converges to
+        # it quadratically
+        M = _BOUNDS[n]
+        x0, xf, times = _plant(n, elements, M, data.draw)
+        times = np.array(times)
+        walk = _law_walk(oracle._System(elements, n), x0, xf, M)
+        jac = np.array(walk(times, True)[1])
+        assume(np.linalg.svd(jac, compute_uv=False).min() > 1e-2)
+        start = times + [data.draw(st.floats(-1e-4, 1e-4)) for _ in times]
+        sol = oracle.root(_newton_view(walk), start)
+        assert sol.success
+        assert isinstance(sol.x, np.ndarray)
+        assert isinstance(sol.fun, np.ndarray)
+        assert sol.fun.tobytes() == walk(sol.x)[0].tobytes()
+        assert float(np.max(np.abs(sol.x - times))) <= 1e-9
+        assert float(np.max(np.abs(sol.fun))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_motion_on_a_singular_jacobian(self, n):
+        # at zero times the bangs of 000 (00 and 0 below order 3) have one
+        # column but for their controls' signs: at order 3 the first and
+        # last are equal, and the step is lstsq's
+        M = _BOUNDS[n]
+        law = next(law for law in laws.enumerate_af(n)
+                   if laws.canonical(law) == "0" * n)
+        elements = laws.assign_signs(law, 1).elements
+        x = tuple(0.3 * M[k] for k in range(1, n + 1))
+        walk = _law_walk(oracle._System(elements, n), x, x, M)
+        zero = [0.0] * n
+        if n == 3:
+            assert np.linalg.matrix_rank(np.array(walk(zero, True)[1])) < 3
+        sol = oracle.root(_newton_view(walk), zero)
+        assert sol.success
+        assert sol.x.tolist() == zero
+        assert not np.any(sol.fun)
+
+    def test_fails_where_there_is_no_root(self):
+        # x^2 + 1 has no real root: Newton's steps wander for POLISH_STEPS
+        # steps, and the point they reached is returned with its residual
+        def fun(x, jacobian):
+            return np.array([x[0] * x[0] + 1.0]), [[2.0 * x[0]]]
+
+        sol = oracle.root(fun, [0.3])
+        assert not sol.success
+        assert sol.fun.tolist() == [sol.x[0] * sol.x[0] + 1.0]
+
+    def test_step_is_elimination_with_partial_pivoting(self):
+        # a zero leading entry needs a row swap
+        assert oracle._newton_step([[0.0, 1.0], [2.0, 0.0]],
+                                   [3.0, 4.0]) == [2.0, 3.0]
+        rng = np.random.default_rng(11)
+        for m in range(1, 8):
+            for _ in range(20):
+                J, r = rng.normal(size=(m, m)), rng.normal(size=m)
+                d = oracle._newton_step(J.tolist(), r.tolist())
+                assert np.allclose(d, np.linalg.solve(J, r), rtol=1e-9,
+                                   atol=1e-9)
+        # a singular matrix takes lstsq's step of least norm, and so does
+        # one whose pivot is lost in rounding: the Jacobian of 0100 at
+        # times (0, 1.375, 0, 0) from (-1, 0, 0), whose last pivot is
+        # 1.2e-15 and whose step by that pivot is 0.18 long
+        singular = ([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+                    [1.0, 3.0, 2.0])
+        lost = ([[-1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 1.0, -1.0],
+                 [-2.375, -1.0, -1.0000000000000009, -1.0],
+                 [-2.3203125000000004, -1.375, -1.375, -1.375]],
+                [0.0, 0.0, 0.0, 1.1102230246251565e-16])
+        for J, r in (singular, lost):
+            assert oracle._newton_step(J, r) == np.linalg.lstsq(
+                np.array(J), np.array(r),
+                rcond=oracle.SINGULAR_TOL)[0].tolist()
+        assert max(map(abs, oracle._newton_step(*lost))) < 1e-15
+
+
+class TestImport:
+    def test_oracle_loads_no_scipy(self):
+        # the polish is the oracle's own, so a fresh import loads no scipy
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        code = ("import sys, chainplan.oracle; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 # the multistart search that the elimination replaced, kept as a reference:
