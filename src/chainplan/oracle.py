@@ -33,8 +33,9 @@ stage time below -BACKWARD_TOL max(1, max|t|) runs a stage backward and is
 dropped unpolished, and so is every root of a closed-form choice whose
 fixed durations already do, before its polynomial is built.  Every other
 root is polished by Newton's method on the system's own residual and its
-exact Jacobian (``root``), and a root that only its negative times keep
-from the system is solved again with them held at zero (``_roots``).  So
+exact Jacobian, each step a least-squares step with a rank cutoff
+(``root``), and a root that only its negative times keep from the system
+is solved again with them held at zero (``_roots``).  So
 "no catalog law admits a feasible solution" is a statement about the
 catalog, not about a search's starts.  The residual and its Jacobian are
 one view of the system's walk (``_law_walk``), which also gives each
@@ -62,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
-from math import isfinite, sqrt
+from math import sqrt
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -306,7 +307,9 @@ def _law_walk(system, x0, xf, M):
 def _zero_motion(system, x0, xf, M) -> bool:
     """Whether the zero-time run meets the system: with every stage time
     zero the chain stays at x0, so its residual is each pin taken at x0 and
-    x0 - xf, and each must be at most RESIDUAL_TOL."""
+    x0 - xf, and each must be at most RESIDUAL_TOL.  It gives the walk's
+    verdict at zero times without a walk: with a walk in its place,
+    perfbench's xcheck3 ran 15 % slower (CHANGES.md)."""
     res = [a - b for a, b in zip(x0, () if xf is None else xf)]
     for _, pin in system.steps:
         if pin is not None:
@@ -328,8 +331,8 @@ BACKWARD_TOL = 1e-3
 # point whose step is at most POLISH_XTOL max(1, max|t|) (``root``)
 POLISH_STEPS = 30
 POLISH_XTOL = 1e-12
-# a pivot at most SINGULAR_TOL max|J| makes the polish's Jacobian J
-# singular (``_newton_step``)
+# the polish's step takes the singular values of its Jacobian J below
+# SINGULAR_TOL times the largest as zero (``_newton_step``)
 SINGULAR_TOL = 1e-13
 
 
@@ -343,67 +346,46 @@ class Polish(NamedTuple):
 
 
 def _newton_step(jac, res):
-    """The step d with J d = r, for J given as rows.  A square J is solved
-    by Gaussian elimination with partial pivoting; where a pivot is at most
-    SINGULAR_TOL max|J|, and where J has more rows than columns (a
-    Gauss-Newton step), d is ``np.linalg.lstsq``'s least-squares step of
-    least norm, with the singular values below SINGULAR_TOL times the
-    largest taken as zero.
+    """The step d with J d = r, for J given as rows: ``np.linalg.lstsq``'s
+    least-squares step of least norm, with the singular values below
+    SINGULAR_TOL times the largest taken as zero.  One rule serves a square
+    J (Newton), a singular one and one with more rows than columns
+    (Gauss-Newton).
 
     J is singular at a solution with stages of zero length, and rounding
-    leaves its pivot there at about 1e-15 rather than zero: solving with
-    that pivot would step along the system's curve of solutions, to
-    negative times, where the least-squares step stays put."""
-    m = len(res)
-    if len(jac[0]) == m:
-        tiny = SINGULAR_TOL * max(abs(v) for row in jac for v in row)
-        a = [row + [r] for row, r in zip(jac, res)]
-        for k in range(m):
-            p = max(range(k, m), key=lambda i: abs(a[i][k]))
-            if abs(a[p][k]) <= tiny:
-                break
-            a[k], a[p] = a[p], a[k]
-            top = a[k]
-            for row in a[k + 1:]:
-                f = row[k] / top[k]
-                if f:
-                    for j in range(k + 1, m + 1):
-                        row[j] -= f * top[j]
-        else:
-            d = [0.0] * m
-            for k in reversed(range(m)):
-                row = a[k]
-                d[k] = (row[m] - sum(row[j] * d[j] for j in range(k + 1, m))
-                        ) / row[k]
-            return d
+    leaves its smallest singular value there at about 1e-15 rather than
+    zero: a step through that value would run along the system's curve of
+    solutions, to negative times, where the least-squares step stays put."""
     return np.linalg.lstsq(np.array(jac), np.array(res),
                            rcond=SINGULAR_TOL)[0].tolist()
 
 
 def root(fun, x0) -> Polish:
-    """Newton's method from ``x0`` on a square system, or Gauss-Newton on
-    one with more residuals than unknowns (``_newton_step``):
-    ``fun(x, jacobian)`` gives the residuals and, where ``jacobian`` is
-    true, their Jacobian.
+    """Newton's method from ``x0``, each step ``_newton_step``'s
+    least-squares step, which is Gauss-Newton's where there are more
+    residuals than unknowns: ``fun(x, jacobian)`` gives the residuals and,
+    where ``jacobian`` is true, their Jacobian.
 
     It succeeds at the first step of at most POLISH_XTOL max(1, max|x|),
-    and returns the point that step reaches.  Otherwise it ends, without
-    success, at a step that is not finite, after POLISH_STEPS steps, or,
-    from a point whose residual is at most RESIDUAL_TOL, at a step that
-    does not halve the largest residual, and returns the point before that
-    step.  At a point whose residual is rounding alone (the elimination's
-    candidates often are), a Newton step is rounding over the Jacobian's
-    smallest singular value; where stages of zero length make that value
-    small, such steps wander along the system's curve of solutions, to
-    negative times.  Farther out, near a double root, a first step can
+    and returns the point that step reaches.  Otherwise it ends without
+    success: at a point whose residuals are not finite, which it returns;
+    after POLISH_STEPS steps; or, from a point whose residual is at most
+    RESIDUAL_TOL, at a step that does not halve the largest residual, and
+    then returns the point before that step.  At a point whose residual is
+    rounding alone (the elimination's candidates often are), a step is
+    rounding over the Jacobian's smallest singular value kept; where stages
+    of zero length make that value small, such steps wander along the
+    system's curve of solutions, to negative times, and on the planted
+    probes of CHANGES.md the polish takes 1.6 to 1.8 times the steps
+    without that stop.  Farther out, near a double root, a first step can
     raise the residual on its way to the root."""
     x = [float(t) for t in x0]
     res, jac = fun(x, True)
     for _ in range(POLISH_STEPS):
-        step = _newton_step(jac, res.tolist())
-        size = max(map(abs, step))
-        if not isfinite(size):
+        if not np.isfinite(res).all():
             break
+        step = _newton_step(jac, res)
+        size = max(map(abs, step))
         new = [t - d for t, d in zip(x, step)]
         done = size <= POLISH_XTOL * max(1.0, max(map(abs, new)))
         new_res, new_jac = fun(new, not done)
@@ -669,9 +651,9 @@ def _real_zeros(polys):
     complex pair by rounding is kept, also at zero.  "Nearly" is a backward
     error |p(x)| / (|p| |(1, x, ..., x^d)|) of at most 1e-10.  Leading
     coefficients lost to cancellation are dropped first; they only stand
-    for roots far beyond any stage.  A linear polynomial is solved in closed
-    form; the others, those of every system of a batch, are rooted in one
-    ``_companion_roots`` call, one eigenvalue call per size."""
+    for roots far beyond any stage.  The polynomials of every system of a
+    batch are rooted in one ``_companion_roots`` call, one eigenvalue call
+    per size; a linear one's root is -p0 / p1 there too."""
     trimmed = []
     for p in polys:
         p = list(p)
@@ -679,15 +661,11 @@ def _real_zeros(polys):
         while p and abs(p[-1]) <= 1e-12 * big:
             p.pop()
         trimmed.append(p)
-    higher = [p for p in trimmed if len(p) > 2]
-    roots = iter(_companion_roots(higher))
+    roots = iter(_companion_roots([p for p in trimmed if len(p) > 1]))
     out = []
     for p in trimmed:
         if len(p) < 2:
             out.append([])
-            continue
-        if len(p) == 2:
-            out.append([-p[0] / p[1]])
             continue
         norm = sqrt(sum(c * c for c in p))
         keep = []
@@ -860,19 +838,22 @@ def _roots(jobs, M, n):
     on the walk's residual and exact Jacobian, also one whose residual is
     already small.  The polish replaces it when it converged or its
     residual is at most RESIDUAL_TOL, and its times are >= -1e-9.
-    Otherwise the candidate is kept when it meets the system itself: where
-    stages of zero length make the Jacobian singular, the system's
-    solutions form a curve, and Newton's steps can drift along it to
-    negative times (``TestExhaustive.test_ride_from_the_x1_bound``).
+    Otherwise the candidate is kept when it meets the system itself, and
+    goes on to the re-solve below: a 1e-7 s 000 whose candidate meets the
+    system exactly, with a stage 1.3e-9 s backward, which the polish keeps,
+    is found only so
+    (``TestExhaustive.test_tiny_motion_met_by_its_candidate``).
 
     A candidate with a time that may be zero but for rounding, at most
     1e-7 max(1, max|t|) (``_backward``'s scale, where a double root leaves
     its zero-length stages about 1e-8 long), is polished twice: as it is,
-    and with those times set to zero.  Either start alone loses solutions:
-    the first a zero-motion 000 solution whose zero stages the elimination
-    left at 2e-10, where Newton's steps cycle to negative times; the second
-    a stage that is really 1e-8 long.  Each start is kept or dropped by the
-    rule above.
+    and with those times set to zero.  Either start alone loses something:
+    the first alone leaves a tiny bang's outer stages at -+7e-11, on the
+    curve along which they trade duration, so that its t_f is that much
+    long (``TestExhaustive.test_tiny_bang_to_the_rounding_error``); the
+    second alone loses a stage that is really 1e-8 long
+    (``TestExhaustive.test_planted_short_stages``).  Each start is kept or
+    dropped by the rule above.
 
     A kept root whose negative times, clipped to zero, leave a residual
     above RESIDUAL_TOL (so that ``_solutions`` would drop it) is solved

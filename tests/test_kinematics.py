@@ -264,7 +264,11 @@ def _derivative(p):
     return tuple(i * c for i, c in enumerate(p) if i > 0)
 
 
+@pytest.mark.seeded
 class TestStatePolynomial:
+    """Seeded: it pins the coefficient sequences that segment_samples
+    takes."""
+
     def test_rest_to_motion(self):
         assert state_polynomial((0.0, 0.0), 1.0, 2) == (0.0, 0.0, 0.5)
 
@@ -294,7 +298,10 @@ class TestStatePolynomial:
             pytest.approx(propagate(x, u, t)[k - 1], rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.seeded
 class TestRealRoots:
+    """Seeded: it pins the coefficient sequences that real_roots takes."""
+
     def test_parabola(self):
         assert real_roots((-1.0, 0.0, 1.0), (0.0, 2.0)) == \
             [pytest.approx(1.0, abs=1e-12)]
@@ -433,9 +440,14 @@ _CUBE = (0.0, 0.0, 0.0, 1.0)
 _DOUBLE_AT_MIDPOINT = ((-3.25, 1.0, 8.0, -6.0, 0.25), -2.0, 4.0)
 
 
+@pytest.mark.seeded
 class TestBracketRoot:
     """The contract every caller relies on: a point within tol (plus the
-    relative term) of a sign change of f, inside the bracket."""
+    relative term) of a sign change of f, inside the bracket.
+
+    Seeded: hypothesis seeds found its three failure modes (the tol = 0
+    evaluation cap, a double root taken for a simple one, filtering that
+    tripped the health check)."""
 
     @given(bracketed_polynomials(), tols)
     @example(case=(_CUBE, -1.0, 2.0), tol=0.0)
@@ -585,8 +597,13 @@ def touch_legs(draw, n):
     return x, ua, ub, top, a, b
 
 
+@pytest.mark.seeded
 class TestTouchRoots:
-    """The exact two-duration touch solve behind degree-2 marker legs."""
+    """The exact two-duration touch solve behind degree-2 marker legs.
+
+    Seeded: TestBracketRoot's seeds and seeds 4 and 23 found order-5 legs
+    that its guarded Newton polish and its [0, 2 tau] resultant piece
+    missed."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @given(data=st.data())
@@ -685,9 +702,13 @@ def _derivatives(draw):
     return _from_roots(lead, roots, pair), T, roots
 
 
+@pytest.mark.seeded
 class TestStationaryPoints:
     """kinematics._stationary_points: the sign changes of a scanned state's
-    derivative, which segment_samples keeps inside (0, T)."""
+    derivative, which segment_samples keeps inside (0, T).
+
+    Seeded: it checks the closed-form stationary points of the bound scans
+    (derivatives of degree <= 3) against real_roots."""
 
     @staticmethod
     def inside(d, T):
@@ -760,7 +781,10 @@ class TestStationaryPoints:
         assert self.inside(d, 2.0) == real_roots(d, (0.0, 2.0))
 
 
+@pytest.mark.seeded
 class TestSegmentBoundCheck:
+    """Seeded: it checks the bound scans against dense sampling."""
+
     def test_peak_inside_bound(self):
         assert segment_bound_check((1.0, 0.0), -1.0, 2.0, (1.0, 1.0, 0.6)) is None
 
@@ -775,27 +799,38 @@ class TestSegmentBoundCheck:
     def test_unbounded_states_skipped(self):
         assert segment_bound_check((1.0, 0.0), 1.0, 50.0, (1.0, None, None)) is None
 
+    def test_flags_excess_below_the_grid_tolerance(self):
+        # x2 ends at -2.000000002, 2e-9 beyond M2 = 2: above eps = 1e-9,
+        # and below the 1e-7 that dense sampling can tell from rounding
+        assert segment_bound_check((-1e-9, 0.0), -1.0, 2.0, (1.0, 2.0, 2.0),
+                                   1e-9) == Violation(2, 2.0, -2.000000002)
+
     @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=2,
                     max_size=4),
            st.sampled_from((-1.0, 0.0, 1.0)),
            st.floats(min_value=0.01, max_value=4.0))
+    @example([-1e-9, 0.0], -1.0, 2.0)
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_sampling(self, x, u, T):
+        # the check flags excess above eps = 1e-9 at each state's extremes,
+        # and 10,001 grid points miss an extreme by at most h^2/8 times the
+        # state's second derivative (h = T / 10,000), below 3e-7 here.
+        # So every grid excess above 1e-7 is flagged, and every flagged
+        # excess above 1e-6 is seen on the grid; between them the two
+        # verdicts may differ
         x = tuple(x)
         n = len(x)
         M = (1.0,) + (2.0,) * n
         verdict = segment_bound_check(x, u, T, M, 1e-9)
-        dense_bad = None
+        excess = [-math.inf] * (n + 1)
         for i in range(10_001):
-            t = T * i / 10_000
-            s = propagate(x, u, t)
+            s = propagate(x, u, T * i / 10_000)
             for k in range(1, n + 1):
-                if abs(s[k - 1]) > 2.0 + 1e-7:
-                    dense_bad = (k, t)
-                    break
-            if dense_bad:
-                break
-        assert (verdict is None) == (dense_bad is None)
+                excess[k] = max(excess[k], abs(s[k - 1]) - 2.0)
+        if max(excess) > 1e-7:
+            assert verdict is not None
+        if verdict is not None and abs(verdict.value) - 2.0 > 1e-6:
+            assert excess[verdict.k] > 0.0
 
 
 def _generic_samples(x, u, T, k):
@@ -816,9 +851,12 @@ def _hex(samples):
     return [(t.hex(), v.hex()) for t, v in samples]
 
 
+@pytest.mark.seeded
 class TestScanBits:
     """The unrolled scans of states 1-3 must give the generic path's exact
-    bits: times and values, signed zeros included."""
+    bits: times and values, signed zeros included.
+
+    Seeded, although its draws are seeded, so every seed repeats them."""
 
     M0 = 1.5
     CONTROLS = (-M0, -0.0, 0.0, M0)

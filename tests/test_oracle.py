@@ -145,13 +145,13 @@ class TestExhaustive:
         # a ride at x1 = -+M1 for T s, which 0100 holds with stage times
         # (0, 0, T, 0) and 0010 with (0, T, 0, 0), where the Jacobian is
         # singular.  At T = 1.375 the elimination's candidate for 0100 is
-        # exact, but Gaussian elimination met a pivot of 1.2e-15 in place
-        # of zero, and its Newton step left for negative times; at
-        # T = 0.66723 the candidate meets the system with its zero stages
-        # 2.5e-8 long, and the polish drifts along the curve of solutions
-        # to -2.3e-9.  Without lstsq's step at a lost pivot, or without
-        # keeping a candidate that meets the system, one side of the mirror
-        # gives 0010 at T + 4 s
+        # exact, and rounding leaves the Jacobian's smallest singular value
+        # there at 2.5e-16 in place of zero: a step through it (Gaussian
+        # elimination's or np.linalg.solve's) is 0.2 long, to negative
+        # times, where the least-squares step stays put.  At T = 0.66723
+        # the candidate meets the system with its zero stages 2.5e-8 long,
+        # on the curve of solutions.  One side of the mirror once gave 0010
+        # at T + 4 s
         x0 = (-s, 0.0, 0.0)
         prob = Problem(3, x0, kinematics.propagate(x0, 0.0, T),
                        (1.0, 1.0, 1.5, 4.0))
@@ -187,6 +187,38 @@ class TestExhaustive:
         prob = Problem(3, x0, xf, (1.0, 1.0, 1.5, 4.0))
         for p in (prob, _mirrored(prob), _time_reversed(prob)):
             assert exhaustive_tf(p).t_f <= T + 1e-9
+
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_tiny_motion_met_by_its_candidate(self, s):
+        # 000 of 1.01e-7 s, as -0 +0 -0 (+0 -0 +0 on the mirror) with stage
+        # times near (1e-9, 1e-7, 0): the elimination's candidate meets the
+        # system exactly, but its last stage runs 1.3e-9 s backward, beyond
+        # the -1e-9 that a polish may keep, and the polish stays there.
+        # Kept because it meets the system, the candidate is solved again
+        # with that stage held at zero.  Without that rule both sides give
+        # 01010 at 4.353 s
+        x0 = (0.23298874073041653, 0.5611065014542589, 2.334068267181409)
+        xf = (0.23298883973041654, 0.5611065249861266, 2.334068323853167)
+        prob = Problem(3, tuple(s * v for v in x0), tuple(s * v for v in xf),
+                       (1.0, 1.0, 1.5, 4.0))
+        res = exhaustive_tf(prob)
+        assert res.law == "000"
+        assert res.t_f == pytest.approx(1.01e-7, abs=1e-12)
+
+    def test_tiny_bang_to_the_rounding_error(self):
+        # one 1.01e-7 s bang under u = +1, which -0 +0 -0 holds with stage
+        # times (0, 1.01e-7, 0): the elimination leaves the outer stages at
+        # -+7.2e-11, on the curve along which they trade duration, where
+        # the polish stays put and the clipped t_f is 7.2e-11 s long (8.5e-11
+        # s on the time reversal).  The start with those stages set to zero
+        # polishes to the bang alone, on the problem, its mirror and its
+        # time reversal
+        prob = Problem(3, (-0.20102855916546225, -0.6325621115644513,
+                           -0.4762152174753824),
+                       (-0.20102845816546225, -0.6325621318683307,
+                        -0.4762152813641567), (1.0, 1.0, 1.5, 4.0))
+        for p in (prob, _mirrored(prob), _time_reversed(prob)):
+            assert exhaustive_tf(p).t_f == pytest.approx(1.01e-7, abs=1e-12)
 
     @pytest.mark.xfail(strict=True, raises=OracleError,
                        reason="tiny motion: no law found (CHANGES FOUND)")
@@ -458,10 +490,12 @@ def _roots_of(elements, x0, xf, M, n):
     return fun, found
 
 
+@pytest.mark.seeded
 class TestElimination:
     """Every real solution of a signed system, by elimination, is found: a
     solution planted from drawn durations is among the system's polished
-    roots."""
+    roots.  Seeded: it plants a solution of every signed system of the
+    order-3 oracle."""
 
     @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
     @given(st.data())
@@ -542,12 +576,17 @@ def _newton_view(walk):
 
 class TestPolish:
     """The polish, ``oracle.root``, is Newton's method on the exact Jacobian
-    that the walk gives next to its residuals."""
+    that the walk gives next to its residuals, each step the least-squares
+    step of least norm (``np.linalg.lstsq`` with a rank cutoff)."""
 
+    @pytest.mark.seeded
     @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
     @given(st.data())
     @settings(max_examples=20, deadline=None)
     def test_jacobian_matches_central_differences(self, n, elements, data):
+        """Seeded: the walk's exact Jacobian must match central differences
+        of its residuals on every signed system of orders 1-3, marker legs
+        included."""
         # any boundary states and stage times, a quarter of them zero: the
         # residuals are polynomials of degree n in the times, so a central
         # difference misses the derivative only by h^2/6 times a third
@@ -576,11 +615,14 @@ class TestPolish:
         assert jac.shape == fd.shape == (len(times), len(times))
         assert float(np.max(np.abs(jac - fd))) <= 1e-7
 
+    @pytest.mark.seeded
     @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
     @given(st.data())
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     def test_reaches_planted_solutions(self, n, elements, data):
+        """Seeded: the polish, least-squares Newton steps, must reach
+        planted solutions from nearby starts."""
         # from within 1e-4 of a planted solution whose Jacobian keeps its
         # smallest singular value above 1e-2, Newton's method converges to
         # it quadratically
@@ -603,7 +645,7 @@ class TestPolish:
     def test_zero_motion_on_a_singular_jacobian(self, n):
         # at zero times the bangs of 000 (00 and 0 below order 3) have one
         # column but for their controls' signs: at order 3 the first and
-        # last are equal, and the step is lstsq's
+        # last are equal, and the Jacobian is singular
         M = _BOUNDS[n]
         law = next(law for law in laws.enumerate_af(n)
                    if laws.canonical(law) == "0" * n)
@@ -628,10 +670,40 @@ class TestPolish:
         assert not sol.success
         assert sol.fun.tolist() == [sol.x[0] * sol.x[0] + 1.0]
 
-    def test_step_is_elimination_with_partial_pivoting(self):
-        # a zero leading entry needs a row swap
+    def test_ends_where_the_residuals_are_not_finite(self):
+        # a step to x = 4.25 leaves the residual's domain: the polish ends
+        # there without success, and takes no step from residuals and a
+        # Jacobian that are not finite (np.linalg.lstsq raises on them)
+        def fun(x, jacobian):
+            if x[0] > 1.0:
+                return np.array([math.inf]), [[math.inf]]
+            return np.array([x[0] * x[0] - 4.0]), [[2.0 * x[0]]]
+
+        sol = oracle.root(fun, [0.5])
+        assert not sol.success
+        assert sol.x.tolist() == [4.25]
+        assert sol.fun.tolist() == [math.inf]
+
+    def test_stops_where_a_met_residual_does_not_halve(self):
+        # 1e-11 cos(x) from x = 0.1 meets the system (a residual of 1e-11,
+        # below RESIDUAL_TOL); Newton's step goes to x = 10.07, where the
+        # residual is 7.9e-12, not half of it.  The polish ends at the point
+        # before that step, without success; without the stop it goes on
+        # to the root at 3.5 pi, 10.9 away
+        def fun(x, jacobian):
+            return (np.array([1e-11 * math.cos(x[0])]),
+                    [[-1e-11 * math.sin(x[0])]])
+
+        sol = oracle.root(fun, [0.1])
+        assert not sol.success
+        assert sol.x.tolist() == [0.1]
+        assert sol.fun.tolist() == [1e-11 * math.cos(0.1)]
+
+    def test_step_is_least_squares(self):
+        # a zero leading entry
         assert oracle._newton_step([[0.0, 1.0], [2.0, 0.0]],
-                                   [3.0, 4.0]) == [2.0, 3.0]
+                                   [3.0, 4.0]) == pytest.approx([2.0, 3.0],
+                                                                abs=1e-15)
         rng = np.random.default_rng(11)
         for m in range(1, 8):
             for _ in range(20):
@@ -639,21 +711,24 @@ class TestPolish:
                 d = oracle._newton_step(J.tolist(), r.tolist())
                 assert np.allclose(d, np.linalg.solve(J, r), rtol=1e-9,
                                    atol=1e-9)
-        # a singular matrix takes lstsq's step of least norm, and so does
-        # one whose pivot is lost in rounding: the Jacobian of 0100 at
-        # times (0, 1.375, 0, 0) from (-1, 0, 0), whose last pivot is
-        # 1.2e-15 and whose step by that pivot is 0.18 long
+        # a singular matrix takes the step of least norm, and so does one
+        # that is singular but for rounding: the Jacobian of 0100 at times
+        # (0, 1.375, 0, 0) from (-1, 0, 0), whose smallest singular value
+        # is 2.5e-16 and whose step through it is 0.2 long
         singular = ([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
                     [1.0, 3.0, 2.0])
         lost = ([[-1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 1.0, -1.0],
                  [-2.375, -1.0, -1.0000000000000009, -1.0],
                  [-2.3203125000000004, -1.375, -1.375, -1.375]],
                 [0.0, 0.0, 0.0, 1.1102230246251565e-16])
-        for J, r in (singular, lost):
-            assert oracle._newton_step(J, r) == np.linalg.lstsq(
-                np.array(J), np.array(r),
-                rcond=oracle.SINGULAR_TOL)[0].tolist()
+        assert oracle._newton_step(*singular) == pytest.approx(
+            [0.7, 0.7, 2.0], abs=1e-12)
+        assert max(map(abs, np.linalg.solve(*map(np.array, lost)))) > 0.1
         assert max(map(abs, oracle._newton_step(*lost))) < 1e-15
+        # more rows than columns: the Gauss-Newton step
+        J, r = rng.normal(size=(5, 3)), rng.normal(size=5)
+        assert np.allclose(oracle._newton_step(J.tolist(), r.tolist()),
+                           np.linalg.pinv(J) @ r, rtol=1e-9, atol=1e-9)
 
 
 class TestImport:
@@ -873,10 +948,15 @@ class TestBackwardPrune:
         assert min(max(abs(x - y) for x, y in zip(t, (b, a, T, c, d)))
                    for t in pruned) <= 1e-9
 
+    @pytest.mark.seeded
     @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_roots_match_unpruned(self, n, elements, data):
+        """Seeded: the roots polished with the backward prune must be those
+        polished without it, bit for bit and in order, less only solutions
+        that kept starts also give or that lie on a zero-length stage's
+        curve of solutions."""
         # the starts kept are polished as before, so their solutions are the
         # unpruned ones in the same order, bit for bit.  A backward start
         # polishes to an accepted solution only where the plant's zero
@@ -940,8 +1020,6 @@ def _ref_real_zeros(p):
         p.pop()
     if len(p) < 2:
         return []
-    if len(p) == 2:
-        return [-p[0] / p[1]]
     norm = math.sqrt(sum(c * c for c in p))
     out = []
     for z in np.roots(p[::-1]):
@@ -1104,10 +1182,13 @@ class TestCompiledElimination:
     candidates of the reference elimination bit for bit and in order, and
     the compiled catalog is kept once per order and set of free bounds."""
 
+    @pytest.mark.seeded
     @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_candidates_match_reference(self, n, elements, data):
+        """Seeded: the compiled systems, rooted in one batch, must give the
+        reference elimination's candidates bit for bit and in order."""
         # the plant's system is batched with every system of its order from
         # the same states (a leg's touch for a leg's plant), so that their
         # polynomials share the eigenvalue calls
@@ -1126,9 +1207,13 @@ class TestCompiledElimination:
             ref = _reference_candidates(system.elements, a, b, M, n)
             assert _hex(got) == _hex(ref)
 
+    @pytest.mark.seeded
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_companion_roots_match_np_roots(self, data):
+        """Seeded: the stacked companion eigenvalues must give np.roots'
+        bits on drawn polynomials with roots at zero, repeated roots and
+        cancelled leading coefficients."""
         # one batch of polynomials of degree 2 to 6: drawn coefficients,
         # zero low coefficients (roots at zero), repeated roots, and a
         # leading coefficient nearly cancelled
@@ -1160,12 +1245,14 @@ class TestCompiledElimination:
             # where all of one polynomial's are zero
             assert np.array_equal(got.imag, ref.imag)
 
+    @pytest.mark.seeded
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_numbers_compute_as_pairs(self, data):
-        # a duration that is a number c evaluates as ([c], []) would, signed
-        # zeros included (the kernels compute on it as on ([c], []):
-        # test_kernels_compute_as_pairs)
+        """Seeded: a duration that is a number must evaluate as a
+        one-coefficient polynomial would, signed zeros included."""
+        # the kernels compute on a number c as on ([c], []):
+        # test_kernels_compute_as_pairs
         value = st.sampled_from([0.0, -0.0, 1.5, -0.5]) | st.floats(-4.0, 4.0)
         if data.draw(st.booleans()):
             x = data.draw(value)
@@ -1177,16 +1264,18 @@ class TestCompiledElimination:
         assert [v.hex() for v in map(float, oracle._at(x, z))] == [
             kinematics.horner(p, z).hex(), kinematics.horner(q, z).hex()]
 
+    @pytest.mark.seeded
     @pytest.mark.parametrize("kind", _KINDS, ids=repr)
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_kernels_compute_as_pairs(self, kind, data):
-        # each kind's compiled elimination builds the pair arithmetic's bang
-        # durations and, at order 3, its F, G and p, signed zeros included,
-        # and gives None exactly where the durations that are numbers run a
-        # stage backward; so does the kernel that takes one of its numbers
-        # as a one-coefficient list.  Sparse draws are mostly zeros, which
-        # poly_mul skips and which leave G zero
+        """Seeded: each kind's compiled elimination (orders 1-3) must give
+        the pair arithmetic's bang durations, and at order 3 its F, G and p,
+        bit for bit, and None exactly where the durations that are numbers
+        run a stage backward, also with one of its numbers taken as a
+        one-coefficient list.  Signed zeros included."""
+        # sparse draws are mostly zeros, which poly_mul skips and which
+        # leave G zero
         if data.draw(st.booleans()):
             value = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.5])
         else:

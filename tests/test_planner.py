@@ -1205,9 +1205,14 @@ class TestConcat:
                       _Plan(((1.0, 0.5), (-1.0, 1.0)), (up, down)))
         assert got == _Plan(((1.0, 0.75), (-1.0, 1.0)), (up, down))
 
+    @pytest.mark.seeded
     @given(_splice_parts())
     @settings(max_examples=300, deadline=None)
     def test_matches_rescan_on_catalog_splices(self, parts):
+        """Seeded: the junction-only splice must give the stages (bit for
+        bit) and elements of a rescan that fuses every adjacent identical
+        behavior, on drawn splices of signed catalog laws, virtual groups
+        and empty parts."""
         assert _plan_bits(_concat(*parts)) == _plan_bits(_ref_concat(*parts))
 
     def test_matches_rescan_on_the_benchmark_corpora(self, monkeypatch):
