@@ -19,8 +19,6 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
 from . import laws, metrics, sampling
 from .laws import LawEnumerationError
 from .model import (
@@ -217,6 +215,7 @@ def cmd_batch(args) -> int:
             return _fail(EXIT_IO, f"bad bounds JSON: {e}")
     else:
         M = sampling.default_bounds(args.order)
+    import numpy as np  # slow to import; only batch draws problems
     rng = np.random.default_rng(args.seed)
     records = []
     timings = []

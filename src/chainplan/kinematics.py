@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import partial
-from math import copysign, fabs, frexp, ldexp, sqrt
+from math import copysign, fabs, frexp, inf, ldexp, sqrt
 from typing import Optional
 
 # recorded by perfbench in its environment block; the kernels are pure Python
@@ -152,14 +152,16 @@ def plan2_top(v0, p0, vf, pf, M0, M1, M2, eps, bound_eps):
     return tuple(stages), total
 
 
-def brake_peak(x, M0, M1):
-    """Signed peak of x3 under the hardest brake from the order-3 state x.
+def brake_peak(x, M0, M1, until=inf):
+    """Signed peak of x3 under the hardest brake from the order-3 state x,
+    or its x3 at time ``until`` when the brake has not stopped by then.
 
     Let s be the sign of x2, or of x1 when x2 is 0 (a state with both 0 is
     at rest: its peak is x3).  In the s-frame (a, v, p) = s * (x1, x2, x3)
     the brake ramps a down at -M0 until v reaches 0 or a reaches -M1 (never
     when M1 is None), then rides a = -M1 until v reaches 0; the value
-    returned is s times p at that stop, the brake's extreme x3.
+    returned is s times p at that stop, the brake's extreme x3.  Until the
+    stop v >= 0, so the brake's p does not decrease.
 
     Why it bounds every trajectory: an admissible x1 falls no faster than
     M0 and never below -M1, so until the brake's x2 reaches 0 every
@@ -179,11 +181,15 @@ def brake_peak(x, M0, M1):
         return x3
     a, v, p = s * x1, s * x2, s * x3
     t = (a + sqrt(a * a + 2.0 * M0 * v)) / M0
-    if M1 is not None and t > (a + M1) / M0:
+    if M1 is not None and t > (a + M1) / M0 <= until:  # rides by until
         t = (a + M1) / M0
         v1 = v + a * t - M0 * t * t / 2.0
         p1 = p + v * t + a * t * t / 2.0 - M0 * t * t * t / 6.0
+        r = until - t
+        if r < v1 / M1:  # still riding
+            return s * (p1 + v1 * r - M1 * r * r / 2.0)
         return s * (p1 + v1 * v1 / (2.0 * M1))
+    t = min(t, until)
     return s * (p + v * t + a * t * t / 2.0 - M0 * t * t * t / 6.0)
 
 

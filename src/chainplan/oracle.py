@@ -50,12 +50,14 @@ starts with the same signed leg shares its solutions, so each leg is solved
 once per search.  The legs and the plain laws are solved in one batch, the
 rests from the legs' touches in a second.
 
-The oracle imports no scipy.  The planner's ``solver.solve_times`` solves
-its stage systems with MINPACK's hybrid Powell method
-(``scipy.optimize.root``, method "hybr"), from seeded starts and with
-finite-difference Jacobians, on residuals it assembles itself.  At orders up
-to 3, only problems with no bounded interior state reach the planner's
-solver.
+The oracle imports no scipy, and imports numpy only in the functions that
+call it: a process that imports the oracle but runs no search pays for the
+catalogs and the kernels' compile alone.  The planner's
+``solver.solve_times`` solves its stage systems with MINPACK's hybrid
+Powell method (``scipy.optimize.root``, method "hybr"), from seeded starts
+and with finite-difference Jacobians, on residuals it assembles itself.  At
+orders up to 3, only problems with no bounded interior state reach the
+planner's solver.
 """
 
 from __future__ import annotations
@@ -64,12 +66,13 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 from math import sqrt
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import kinematics, laws
 from .model import Behavior, Problem, TangentMarker
+
+if TYPE_CHECKING:  # numpy is slow to import; only a search calls it
+    import numpy as np
 
 
 class OracleError(RuntimeError):
@@ -263,6 +266,7 @@ def _law_walk(system, x0, xf, M):
     pin's or terminal row takes its component of each column walked so
     far, and 0 for the stages still ahead.
     """
+    import numpy as np
     M0 = M[0]
     steps = [(None if s is None else s * M0 if s else 0.0,
               None if pin is None else (pin[0] - 1, pin[1] * M[pin[0]],
@@ -356,6 +360,7 @@ def _newton_step(jac, res):
     leaves its smallest singular value there at about 1e-15 rather than
     zero: a step through that value would run along the system's curve of
     solutions, to negative times, where the least-squares step stays put."""
+    import numpy as np
     return np.linalg.lstsq(np.array(jac), np.array(res),
                            rcond=SINGULAR_TOL)[0].tolist()
 
@@ -379,6 +384,7 @@ def root(fun, x0) -> Polish:
     probes of CHANGES.md the polish takes 1.6 to 1.8 times the steps
     without that stop.  Farther out, near a double root, a first step can
     raise the residual on its way to the root."""
+    import numpy as np
     x = [float(t) for t in x0]
     res, jac = fun(x, True)
     for _ in range(POLISH_STEPS):
@@ -626,6 +632,7 @@ def _companion_roots(polys):
     matrices built as ``np.roots`` builds them, then a root at zero for each
     zero low coefficient.  The matrices of one size are stacked into one
     ``np.linalg.eigvals`` call, which runs LAPACK on each as on one alone."""
+    import numpy as np
     roots, sizes = [], {}
     for p in polys:
         low = next(k for k, c in enumerate(p) if c != 0.0)
@@ -868,6 +875,7 @@ def _roots(jobs, M, n):
     law's solutions then form a curve through it (no middle stage, the last
     stage undoing the first), and its polynomial vanishes.
     """
+    import numpy as np
     out = []
     for (system, x0, xf), starts in zip(jobs, _candidates(jobs, M, n)):
         walk = _law_walk(system, x0, xf, M)
@@ -909,6 +917,7 @@ def _roots(jobs, M, n):
 def _kept(sol) -> bool:
     """Whether ``_roots`` keeps a polish: it converged or its residual is at
     most RESIDUAL_TOL, and its times are >= -1e-9."""
+    import numpy as np
     return ((sol.success or float(np.max(np.abs(sol.fun))) <= RESIDUAL_TOL)
             and not np.any(sol.x < -1e-9))
 
@@ -941,6 +950,7 @@ def _solutions(walk, M, found):
     solution is accepted when its times are >= -1e-9 (then clipped to
     zero), its residual is at most RESIDUAL_TOL and every stage keeps the
     bounds; each is walked once."""
+    import numpy as np
     for times in found:
         if np.any(times < -1e-9):
             continue
@@ -962,6 +972,7 @@ def _solve(jobs, M, n):
 
 def _leg_touches(solutions):
     """Every distinct solution of a marker leg: (leg time, touch state)."""
+    import numpy as np
     found = []
     for times, end in solutions:
         if all(float(np.max(np.abs(times - other))) > SAME_LEG_TOL
@@ -983,6 +994,7 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
     order.  Only orders up to 3 are supported (the catalog is exact there);
     ``OracleError`` means that no catalog law has a feasible real solution.
     """
+    import numpy as np
     n = problem.n
     if n > 3:
         raise OracleError("exhaustive search supports orders 1..3")

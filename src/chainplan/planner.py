@@ -195,10 +195,18 @@ class Planner:
         high on the same side; so a peak beyond M3 proves nothing while the
         other boundary state's brake peaks as high there (less bound_eps,
         against rounding).
+
+        Where that peer check proves nothing, the time x1 needs may: every
+        trajectory lasts at least T = |xf1 - x01| / M0, and one that keeps
+        |x3| <= M3 ends before the brake stops, so it ends at or beyond the
+        brake's x3 at T (or at the stop, if sooner) on the brake's side,
+        where the brake's x3 does not decrease.  The other boundary state's
+        x3 short of that (less bound_eps) proves the problem infeasible.
         """
         M = problem.M
         lim = M[3] + self.bound_eps
         x0, xf = problem.x0, problem.xf
+        reach = abs(xf[0] - x0[0]) / M[0]
         back0 = (x0[0], -x0[1], x0[2])
         backf = (xf[0], -xf[1], xf[2])
         for end, where, state, other in (
@@ -209,13 +217,18 @@ class Planner:
                 continue
             side = 1.0 if peak > 0.0 else -1.0
             peer = kinematics.brake_peak(other, M[0], M[1])
+            why = f"hardest brake peaks at {peak:.6g}"
             if side * peer >= side * peak - self.bound_eps:
-                continue
+                passed = kinematics.brake_peak(state, M[0], M[1], reach)
+                if side * other[2] >= side * passed - self.bound_eps:
+                    continue
+                why += (f" and passes x3 = {passed:.6g} in the {reach:.6g} s"
+                        " that x1 needs")
             if problem.n > 3:
                 end += " of the order-3 projection (x1, x2, x3)"
             raise InfeasibleProblem(
                 f"no tangent-marker law exists: the {end} {where} "
-                f"|x3| <= M3 (hardest brake peaks at {peak:.6g})")
+                f"|x3| <= M3 ({why})")
 
     # ------------------------------------------------------------------
     # recursion

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .model import Problem
+
+if TYPE_CHECKING:  # numpy is slow to import, and the callers pass its rng
+    import numpy as np
 
 
 def default_bounds(n: int) -> tuple[Optional[float], ...]:

@@ -6,8 +6,9 @@ conditions, tangent-marker conditions, and the terminal state.  Intermediate
 states are eliminated by forward propagation, so the unknown vector holds
 durations only.  ``solve_times`` finds its roots with MINPACK's hybrid
 Powell method (``scipy.optimize.root``, method "hybr") from a seeded ladder
-of starts; it is the only user of scipy in the package, and imports it on
-its first call.
+of starts; it is the only user of scipy in the package.  It imports scipy,
+and numpy for its restarts' draws, on its first call, so that importing the
+planner loads neither.
 
 A virtual group solves as a side branch: the branch re-runs the stage
 preceding the group from that stage's entry state for its own (longer)
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import kinematics
 from .model import Asl, Behavior, TangentMarker, Trajectory
@@ -226,7 +225,8 @@ def solve_times(system: StageSystem, max_restarts: int = 8,
     further (systems can have several roots).  Returns the shortest in
     total time of the first three hits, or None when no start yields one.
     """
-    from scipy.optimize import root  # slow to import; few plans get here
+    import numpy as np  # slow to import, like scipy; few plans get here
+    from scipy.optimize import root
     T = system.num_unknowns
     tau = _seed_scale(system)
     starts = [[tau] * T]

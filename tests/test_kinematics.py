@@ -237,6 +237,25 @@ class TestBrakePeak:
         assert best <= s * peak + 1e-9
         assert s * peak <= best + tol
 
+    @given(brake_cases(), st.floats(min_value=0.0, max_value=8.0))
+    @settings(max_examples=150, deadline=None)
+    def test_until_follows_the_brake(self, case, until):
+        # the brake's x3 at ``until`` while its x2 keeps its side, then its
+        # peak, which no earlier value exceeds
+        x, M0, M1 = case
+        assume(x[0] != 0.0 or x[1] != 0.0)
+        s = 1.0 if x[1] > 0.0 or (x[1] == 0.0 and x[0] > 0.0) else -1.0
+        ramp = None if M1 is None else (s * x[0] + M1) / M0
+        if ramp is None or until <= ramp:
+            state = propagate(x, -s * M0, until)
+        else:
+            state = propagate(propagate(x, -s * M0, ramp), 0.0, until - ramp)
+        value = brake_peak(x, M0, M1, until)
+        peak = brake_peak(x, M0, M1)
+        expected = state[2] if s * state[1] >= 0.0 else peak
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-9)
+        assert s * value <= s * peak + 1e-12
+
     @given(brake_cases())
     @settings(max_examples=150, deadline=None)
     def test_mirror_negates_to_the_bit(self, case):

@@ -732,11 +732,17 @@ class TestPolish:
 
 
 class TestImport:
-    def test_oracle_loads_no_scipy(self):
-        # the polish is the oracle's own, so a fresh import loads no scipy
+    @pytest.mark.parametrize("statement", [
+        "import chainplan.oracle",
+        # perfbench's set-up import
+        "from chainplan import laws, metrics, oracle, planner, sampling",
+    ])
+    def test_import_loads_neither_numpy_nor_scipy(self, statement):
+        # the polish is the oracle's own, so a fresh import loads no scipy,
+        # and only a search imports numpy
         src = os.path.dirname(os.path.dirname(oracle.__file__))
-        code = ("import sys, chainplan.oracle; print(sorted(m for m in "
-                "sys.modules if m.split('.')[0] == 'scipy'))")
+        code = (f"import sys; {statement}; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": src})

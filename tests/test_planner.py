@@ -660,18 +660,51 @@ class TestInfeasibilityCertificate:
         assert traj.t_f == pytest.approx(0.1, abs=1e-3)
         assert solver.verify(traj, M3, 1e-9) is None
 
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.9])
+    def test_time_to_reach_is_tight(self, tau):
+        # tau s of the hardest brake, whose x3 passes M3 later, reach xf in
+        # exactly the time x1 needs and at exactly the brake's x3 then, so
+        # the time-to-reach rule proves nothing, forward or time-reversed
+        # (R x flips x2); a longer time would flag both
+        M = (1.0, 1.0, None, 4.0)
+        x0 = (0.0, 2.0, 2.0)
+        xf = kinematics.propagate(x0, -1.0, tau)
+        assert kinematics.brake_peak(x0, 1.0, 1.0) > 4.0
+        for prob in (Problem(3, x0, xf, M),
+                     Problem(3, (xf[0], -xf[1], xf[2]),
+                             (x0[0], -x0[1], x0[2]), M)):
+            assert not _certified_infeasible(prob)
+            assert plan(prob).t_f == pytest.approx(tau, abs=1e-12)
+
     def test_unbounded_velocity_draws(self):
         # 58 draws fail with "no tangent-marker law"; 17 and 20 plan
-        # (TestRidePath).  Draw 11 is infeasible too (the oracle finds no
-        # law), but both of its reversed states' brakes peak beyond M3 on one
-        # side, and that proves nothing
+        # (TestRidePath).  Both of draw 11's reversed states' brakes peak
+        # beyond M3 on one side, which proves nothing, but in the time x1
+        # needs the goal's brake passes x3 beyond x0's; the oracle finds no
+        # law for it either
         draws = _seed5_draws(3, (1.0, 1.0, None, 4.0), 60)
         flagged = {i for i, p in enumerate(draws) if _certified_infeasible(p)}
-        assert flagged == set(range(60)) - {11, 17, 20}
+        assert flagged == set(range(60)) - {17, 20}
         with pytest.raises(oracle.OracleError):
             oracle.exhaustive_tf(draws[11])
-        with pytest.raises(PlanError, match="^no tangent-marker law reaches"):
+        with pytest.raises(InfeasibleProblem,
+                           match="^no tangent-marker law exists: the goal "
+                                 r".* in the [0-9.]+ s that x1 needs\)$"):
             plan(draws[11])
+
+    def test_time_to_reach_order_4(self):
+        # draws 1, 6 and 9 failed the marker search ("no tangent-marker law
+        # reaches x3") until the time x1 needs proved them infeasible; no
+        # draw that plans is flagged
+        draws = _seed5_draws(4, (1.0, 1.0, None, 4.0, 20.0), 60)
+        flagged = {i for i, p in enumerate(draws) if _certified_infeasible(p)}
+        assert flagged == set(range(60)) - {20, 28, 33, 35, 49}
+        for i in (20, 28, 33, 35, 49):
+            assert solver.verify(plan(draws[i]), draws[i].M, 1e-9) is None
+        for i in (1, 6, 9):
+            with pytest.raises(InfeasibleProblem,
+                               match=r"s that x1 needs\)$"):
+                plan(draws[i])
 
 
 class TestRidePath:
