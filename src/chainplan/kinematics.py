@@ -7,11 +7,15 @@ coefficient sequence whose item i multiplies t**i, which ``horner``
 evaluates and ``poly_add`` and ``poly_mul`` combine; a state's samples at a
 segment's ends and stationary points, which are found in closed form while
 the derivative is at most cubic, and whose scan of states 1-3 is unrolled
-into closed forms; bound violation checks), ``bracket_root``, the one root
-solver (it polishes polynomial roots and solves the manifold interception),
-and ``touch_roots``, the exact two-duration solve of degree-2
-tangent-marker legs.  Callers reach the kernels as ``kinematics.<name>``
-so that a profiler can wrap them here.
+into closed forms; bound violation checks), ``bracket_root``, the one
+scalar root solver (it polishes polynomial roots and solves the manifold
+interception), ``touch_roots``, the exact two-duration solve of degree-2
+tangent-marker legs, and the one Newton polish of stage systems, which the
+planner's stage solve and the oracle share: ``stage_columns``, the column
+rule of a walk's exact Jacobian, and ``root``, Newton's method with
+least-squares steps, which alone imports numpy, on its first call.
+Callers reach the kernels as ``kinematics.<name>`` so that a profiler can
+wrap them here.
 """
 
 from __future__ import annotations
@@ -20,7 +24,10 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from math import copysign, fabs, frexp, inf, ldexp, sqrt
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
+
+if TYPE_CHECKING:  # numpy is slow to import; only the polish calls it
+    import numpy as np
 
 # recorded by perfbench in its environment block; the kernels are pure Python
 BACKEND: str = "python"
@@ -76,6 +83,18 @@ def integral_top(x, u, t):
         term *= t / (i + 1)
     acc += u * term
     return acc
+
+
+def stage_columns(cols, u, t, x):
+    """The Jacobian columns of a chain's state after one more stage (u, t),
+    which ends at x, by the stage times: the columns ``cols`` of the state
+    before the stage, each carried through it, then the stage's own.
+
+    The column of a stage's time is the chain's derivative at the stage's
+    end, (u, x1, ..., x_{n-1}).  The chain is linear in its state, so a
+    later stage carries a column as it carries a state under zero control,
+    ``propagate(col, 0.0, t)``."""
+    return [propagate(c, 0.0, t) for c in cols] + [(u,) + x[:-1]]
 
 
 def plan2(v0, p0, vf, pf, M0, M1, eps):
@@ -300,6 +319,83 @@ def bracket_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
     return b
 
 
+# the polish takes at most POLISH_STEPS Newton steps, and stops at the first
+# point whose step is at most POLISH_XTOL max(1, max|x|) (``root``)
+POLISH_STEPS = 30
+POLISH_XTOL = 1e-12
+# a point whose residuals are all at most POLISH_FTOL meets its system: from
+# there, a step that does not halve the largest residual ends the polish
+POLISH_FTOL = 1e-10
+# the polish's step takes the singular values of its Jacobian J below
+# SINGULAR_TOL times the largest as zero (``_newton_step``)
+SINGULAR_TOL = 1e-13
+
+
+class Polish(NamedTuple):
+    """The point a polish (``root``) ends at, its residuals, and whether it
+    converged."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    success: bool
+
+
+def _newton_step(jac, res):
+    """The step d with J d = r, for J given as rows: ``np.linalg.lstsq``'s
+    least-squares step of least norm, with the singular values below
+    SINGULAR_TOL times the largest taken as zero.  One rule serves a square
+    J (Newton), a singular one and one with more rows than columns
+    (Gauss-Newton).
+
+    J is singular at a solution with stages of zero length, and rounding
+    leaves its smallest singular value there at about 1e-15 rather than
+    zero: a step through that value would run along the system's curve of
+    solutions, to negative times, where the least-squares step stays put."""
+    import numpy as np
+    return np.linalg.lstsq(np.array(jac), np.array(res),
+                           rcond=SINGULAR_TOL)[0].tolist()
+
+
+def root(fun, x0) -> Polish:
+    """Newton's method from ``x0``, each step ``_newton_step``'s
+    least-squares step, which is Gauss-Newton's where there are more
+    residuals than unknowns (Nocedal & Wright, *Numerical Optimization*,
+    2006, ch. 11): ``fun(x, jacobian)`` gives the residuals and, where
+    ``jacobian`` is true, their Jacobian as rows.
+
+    It succeeds at the first step of at most POLISH_XTOL max(1, max|x|),
+    and returns the point that step reaches.  Otherwise it ends without
+    success: at a point whose residuals are not finite, which it returns;
+    after POLISH_STEPS steps; or, from a point whose residual is at most
+    POLISH_FTOL, at a step that does not halve the largest residual, and
+    then returns the point before that step.  At a point whose residual is
+    rounding alone, a step is rounding over the Jacobian's smallest
+    singular value kept; where stages of zero length make that value
+    small, such steps wander along the system's curve of solutions, to
+    negative times, and on the oracle's planted probes of CHANGES.md the
+    polish takes 1.6 to 1.8 times the steps without that stop.  Farther
+    out, near a double root, a first step can raise the residual on its
+    way to the root."""
+    import numpy as np
+    x = [float(t) for t in x0]
+    res, jac = fun(x, True)
+    for _ in range(POLISH_STEPS):
+        if not np.isfinite(res).all():
+            break
+        step = _newton_step(jac, res)
+        size = max(map(abs, step))
+        new = [t - d for t, d in zip(x, step)]
+        done = size <= POLISH_XTOL * max(1.0, max(map(abs, new)))
+        new_res, new_jac = fun(new, not done)
+        if done:
+            return Polish(np.array(new), new_res, True)
+        last = float(np.max(np.abs(res)))
+        if last <= POLISH_FTOL and not np.max(np.abs(new_res)) <= 0.5 * last:
+            break
+        x, res, jac = new, new_res, new_jac
+    return Polish(np.array(x), res, False)
+
+
 ROOT_TOL = 1e-12
 ROOT_DEDUP = 1e-10
 
@@ -420,11 +516,8 @@ def _touch_step(x, ua, ub, top, a, b):
     n = len(x)
     y = propagate(x, ua, a)
     z = propagate(y, ub, b)
-    # d z / d a is the switch state's rate under ua, (ua, y_1, ...,
-    # y_{n-1}), carried through the last stage; d z / d b is the end
-    # state's rate under ub
-    ja = propagate((ua,) + y[:-1], 0.0, b)
-    jb = (ub,) + z[:-1]
+    # d z / d a and d z / d b, the two stages' columns
+    ja, jb = stage_columns(stage_columns((), ua, a, y), ub, b, z)
     det = ja[n - 2] * jb[n - 1] - jb[n - 2] * ja[n - 1]
     if det == 0.0:
         return None

@@ -1,16 +1,19 @@
 """Independent ground-truth solvers used by tests and cross-checks.
 
 Shares with the planning path only the law catalog, which the exhaustive
-search enumerates, and kinematics' exact primitives: ``propagate``, the
-stage step of its residuals and of its bound walk; ``horner``, its
-run-time polynomial arithmetic past the closed forms; and
-``segment_bound_check``, which at orders up to 3 takes a state's extremes
-in closed form.  ``poly_add`` and ``poly_mul`` it only copies: its
-generated code makes their float operations.  It calls no root solver of
-the planner (``kinematics.real_roots``, ``touch_roots``, ``bracket_root``),
-no stage solver (``solver.assemble``, ``solver.solve_times``) and not the
-planner, whose errors it must be able to catch: its closed forms are
-derived separately and its stage systems are built here from scratch.
+search enumerates, and kinematics' shared primitives: ``propagate``, the
+stage step of its residuals and of its bound walk; ``stage_columns``, the
+column rule of its residuals' Jacobian; ``root``, the polish, Newton's
+method with least-squares steps; ``horner``, its run-time polynomial
+arithmetic past the closed forms; and ``segment_bound_check``, which at
+orders up to 3 takes a state's extremes in closed form.  ``poly_add`` and
+``poly_mul`` it only copies: its generated code makes their float
+operations.  It calls no root solver of the planner's own
+(``kinematics.real_roots``, ``touch_roots``, ``bracket_root``), no stage
+solver (``solver.assemble``, ``solver.solve_times``) and not the planner,
+whose errors it must be able to catch: its closed forms are derived
+separately, its stage systems are built here from scratch, and it accepts
+a polished point only by its own rule (``_kept``, ``_solutions``).
 
 ``exhaustive_tf`` takes every real solution of every signed catalog law of
 order up to 3.  The signed systems are compiled once per order and set of
@@ -53,11 +56,10 @@ rests from the legs' touches in a second.
 The oracle imports no scipy, and imports numpy only in the functions that
 call it: a process that imports the oracle but runs no search pays for the
 catalogs and the kernels' compile alone.  The planner's
-``solver.solve_times`` solves its stage systems with MINPACK's hybrid
-Powell method (``scipy.optimize.root``, method "hybr"), from seeded starts
-and with finite-difference Jacobians, on residuals it assembles itself.  At
-orders up to 3, only problems with no bounded interior state reach the
-planner's solver.
+``solver.solve_times`` polishes seeded starts with the same ``root`` on
+residuals it assembles itself, and accepts by its own rule.  At orders up
+to 3, only problems with no bounded interior state reach the planner's
+solver.
 """
 
 from __future__ import annotations
@@ -66,13 +68,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 from math import sqrt
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import Optional
 
 from . import kinematics, laws
 from .model import Behavior, Problem, TangentMarker
-
-if TYPE_CHECKING:  # numpy is slow to import; only a search calls it
-    import numpy as np
 
 
 class OracleError(RuntimeError):
@@ -259,12 +258,12 @@ def _law_walk(system, x0, xf, M):
     law's last marker end the system (a marker leg).  The times run as
     Python floats: numpy scalars would give the same bits, only slower.
 
-    The Jacobian is exact.  At its stage's end, the column of stage j is
-    the chain's derivative there, (u_j, x1, ..., x_{n-1}); the chain is
-    linear in its state, so each later stage carries the column forward as
-    it carries a state under zero control, ``propagate(col, 0.0, t)``.  A
-    pin's or terminal row takes its component of each column walked so
-    far, and 0 for the stages still ahead.
+    The Jacobian is exact, its columns those of ``kinematics.stage_columns``:
+    at its stage's end, the column of stage j is the chain's derivative
+    there, (u_j, x1, ..., x_{n-1}), and each later stage carries it forward
+    as it carries a state under zero control.  A pin's or terminal row
+    takes its component of each column walked so far, and 0 for the stages
+    still ahead.
     """
     import numpy as np
     M0 = M[0]
@@ -289,8 +288,7 @@ def _law_walk(system, x0, xf, M):
                 x = propagate(x, u, t)
                 ti += 1
                 if jacobian:
-                    cols = [propagate(c, 0.0, t) for c in cols]
-                    cols.append((u,) + x[:-1])
+                    cols = kinematics.stage_columns(cols, u, t, x)
             if pin is not None:
                 k, target, zeros = pin
                 res.append(x[k] - target)
@@ -331,77 +329,10 @@ SAME_LEG_TOL = 1e-9
 # a start with a stage time below -BACKWARD_TOL max(1, max|t|) runs that
 # stage backward and is not polished (``_backward``)
 BACKWARD_TOL = 1e-3
-# the polish takes at most POLISH_STEPS Newton steps, and stops at the first
-# point whose step is at most POLISH_XTOL max(1, max|t|) (``root``)
-POLISH_STEPS = 30
-POLISH_XTOL = 1e-12
-# the polish's step takes the singular values of its Jacobian J below
-# SINGULAR_TOL times the largest as zero (``_newton_step``)
-SINGULAR_TOL = 1e-13
-
-
-class Polish(NamedTuple):
-    """The point a polish (``root``) ends at, its residuals, and whether it
-    converged."""
-
-    x: np.ndarray
-    fun: np.ndarray
-    success: bool
-
-
-def _newton_step(jac, res):
-    """The step d with J d = r, for J given as rows: ``np.linalg.lstsq``'s
-    least-squares step of least norm, with the singular values below
-    SINGULAR_TOL times the largest taken as zero.  One rule serves a square
-    J (Newton), a singular one and one with more rows than columns
-    (Gauss-Newton).
-
-    J is singular at a solution with stages of zero length, and rounding
-    leaves its smallest singular value there at about 1e-15 rather than
-    zero: a step through that value would run along the system's curve of
-    solutions, to negative times, where the least-squares step stays put."""
-    import numpy as np
-    return np.linalg.lstsq(np.array(jac), np.array(res),
-                           rcond=SINGULAR_TOL)[0].tolist()
-
-
-def root(fun, x0) -> Polish:
-    """Newton's method from ``x0``, each step ``_newton_step``'s
-    least-squares step, which is Gauss-Newton's where there are more
-    residuals than unknowns: ``fun(x, jacobian)`` gives the residuals and,
-    where ``jacobian`` is true, their Jacobian.
-
-    It succeeds at the first step of at most POLISH_XTOL max(1, max|x|),
-    and returns the point that step reaches.  Otherwise it ends without
-    success: at a point whose residuals are not finite, which it returns;
-    after POLISH_STEPS steps; or, from a point whose residual is at most
-    RESIDUAL_TOL, at a step that does not halve the largest residual, and
-    then returns the point before that step.  At a point whose residual is
-    rounding alone (the elimination's candidates often are), a step is
-    rounding over the Jacobian's smallest singular value kept; where stages
-    of zero length make that value small, such steps wander along the
-    system's curve of solutions, to negative times, and on the planted
-    probes of CHANGES.md the polish takes 1.6 to 1.8 times the steps
-    without that stop.  Farther out, near a double root, a first step can
-    raise the residual on its way to the root."""
-    import numpy as np
-    x = [float(t) for t in x0]
-    res, jac = fun(x, True)
-    for _ in range(POLISH_STEPS):
-        if not np.isfinite(res).all():
-            break
-        step = _newton_step(jac, res)
-        size = max(map(abs, step))
-        new = [t - d for t, d in zip(x, step)]
-        done = size <= POLISH_XTOL * max(1.0, max(map(abs, new)))
-        new_res, new_jac = fun(new, not done)
-        if done:
-            return Polish(np.array(new), new_res, True)
-        last = float(np.max(np.abs(res)))
-        if last <= RESIDUAL_TOL and not np.max(np.abs(new_res)) <= 0.5 * last:
-            break
-        x, res, jac = new, new_res, new_jac
-    return Polish(np.array(x), res, False)
+# the polish: Newton's method on a walk's residuals and exact Jacobian,
+# each step a least-squares step (``kinematics.root``).  The searches call it
+# by this module's name, where a profiler can wrap it
+root = kinematics.root
 
 
 # Polynomials in the one unknown z are coefficient lists, item i multiplying

@@ -75,8 +75,8 @@ PROPER = "proper"
 EPS_PROPER = 1e-9
 # the tolerance to which interception and cruise-ride crossings are solved
 INTERCEPT_TOL = 1e-13
-# randomized restarts of solver.solve_times per saturation-only solve (marker
-# legs get twice)
+# randomized restarts of solver.solve_times per saturation-only solve, each
+# a Newton polish (kinematics.root) from a seeded start; marker legs get twice
 SOLVER_RESTARTS = 16
 MAX_MARKER_DEPTH = 8
 

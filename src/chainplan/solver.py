@@ -4,11 +4,11 @@ A law plus boundary states induces a square system: one duration per
 saturation/riding stage and per virtual-group member, against the riding
 conditions, tangent-marker conditions, and the terminal state.  Intermediate
 states are eliminated by forward propagation, so the unknown vector holds
-durations only.  ``solve_times`` finds its roots with MINPACK's hybrid
-Powell method (``scipy.optimize.root``, method "hybr") from a seeded ladder
-of starts; it is the only user of scipy in the package.  It imports scipy,
-and numpy for its restarts' draws, on its first call, so that importing the
-planner loads neither.
+durations only.  ``solve_times`` finds its roots from a seeded ladder of
+starts, each polished by Newton's method on the walk's exact Jacobian with
+least-squares steps: ``kinematics.root``, the polish the oracle uses too.
+It imports numpy, which the polish and its restarts' draws need, on its
+first call, so that importing the planner does not load it.
 
 A virtual group solves as a side branch: the branch re-runs the stage
 preceding the group from that stage's entry state for its own (longer)
@@ -61,24 +61,48 @@ class StageSystem:
     num_unknowns: int                    # durations: behaviors + group members
     num_equations: int                   # scaled residuals
 
-    def walk(self, times: Sequence[float]) -> tuple[list[float], list]:
-        """Scaled residuals at the given durations, and the real chain's
-        state after each of its stages.  Pass Python floats: numpy scalars
-        would make every propagate step run in numpy."""
+    def walk(self, times: Sequence[float], jacobian: bool = False
+             ) -> tuple[list[float], Optional[list[list[float]]], list]:
+        """Scaled residuals at the given durations, their Jacobian as rows
+        (None unless asked for), and the real chain's state after each of
+        its stages.  Pass Python floats: numpy scalars would make every
+        propagate step run in numpy.
+
+        The Jacobian is exact, its columns those of
+        ``kinematics.stage_columns``, one per duration in program order.  A
+        virtual branch's duration moves only the branch, so the real chain
+        gives it a zero column; the branch carries the columns as they
+        stood before the last real stage, whose duration it does not run,
+        and adds its own.  A pin's row is its state's component of each
+        column over the pin's scale, and 0 for the durations still ahead."""
         propagate = kinematics.propagate
+        columns = kinematics.stage_columns
         out = []
+        rows = []
         states = []
         cur = prev = self.x0
+        cols = prev_cols = []
         for code, u, i, pins in self.program:
+            t = times[i]
             if code == _ADV:
                 prev = cur
-                x = cur = propagate(cur, u, times[i])
+                x = cur = propagate(cur, u, t)
                 states.append(cur)
+                if jacobian:
+                    prev_cols = cols
+                    cols = x_cols = columns(cols, u, t, x)
             else:
-                x = propagate(prev, u, times[i])
+                x = propagate(prev, u, t)
+                if jacobian:
+                    zero = (0.0,) * self.n
+                    x_cols = columns(prev_cols + [zero], u, t, x)
+                    cols = cols + [zero]
             for k, target, scale in pins:
                 out.append((x[k] - target) / scale)
-        return out, states
+                if jacobian:
+                    row = [c[k] / scale for c in x_cols]
+                    rows.append(row + [0.0] * (self.num_unknowns - len(row)))
+        return out, rows if jacobian else None, states
 
     def stages(self, times: Sequence[float]) -> tuple[tuple[float, float], ...]:
         """The real chain's (control, duration) stages at the given
@@ -218,15 +242,19 @@ RESTART_SEED = 0
 
 def solve_times(system: StageSystem, max_restarts: int = 8,
                 accept=None) -> Optional[Solved]:
-    """Solve the stage system by MINPACK's hybrid Powell method
-    (``scipy.optimize.root``, method "hybr") from seeded randomized starts.
+    """Solve the stage system from seeded randomized starts, each polished
+    by ``kinematics.root``, Newton's method with least-squares steps on the
+    walk's exact Jacobian.
 
     A root must pass ``accepted``; the optional ``accept`` filters these
     further (systems can have several roots).  Returns the shortest in
     total time of the first three hits, or None when no start yields one.
     """
-    import numpy as np  # slow to import, like scipy; few plans get here
-    from scipy.optimize import root
+    import numpy as np  # slow to import; few plans get here
+
+    def fun(times, jacobian):  # the polish's view of the walk
+        return system.walk(times, jacobian)[:2]
+
     T = system.num_unknowns
     tau = _seed_scale(system)
     starts = [[tau] * T]
@@ -240,11 +268,7 @@ def solve_times(system: StageSystem, max_restarts: int = 8,
     best: Optional[Solved] = None
     hits = 0
     for start in starts:
-        # hybr's default tol (a relative step of 1.5e-8) stops with residuals
-        # far above RESIDUAL_TOL; iterate to near machine precision instead
-        x = root(lambda t: system.walk(t.tolist())[0], start,
-                 method="hybr", tol=1e-14).x
-        sol = accepted(system, x.tolist())
+        sol = accepted(system, kinematics.root(fun, start).x.tolist())
         if sol is None:
             continue
         if accept is not None and not accept(sol):
@@ -264,7 +288,7 @@ def accepted(system: StageSystem, t: Sequence[float]) -> Optional[Solved]:
     if not all(v >= -1e-12 for v in t):
         return None
     times = [max(0.0, v) for v in t]
-    residuals, states = system.walk(times)
+    residuals, _, states = system.walk(times)
     if not all(abs(r) < RESIDUAL_TOL for r in residuals):
         return None
     return Solved(tuple(times), tuple(states))

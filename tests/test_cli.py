@@ -225,12 +225,12 @@ class TestEnumerate:
 class TestStartup:
     def test_import_loads_no_oracle_numpy_or_scipy(self):
         # only plan --cross-check needs the oracle, which compiles its
-        # catalog's kernels at import; only the planner's stage solve needs
-        # scipy, and only it, batch and the oracle's searches need numpy,
-        # which each imports on its first call
+        # catalog's kernels at import; the package uses no scipy, and only
+        # the planner's stage solve, batch and the oracle's searches need
+        # numpy, which each imports on its first call
         src = os.path.dirname(os.path.dirname(chainplan.__file__))
         code = ("import sys, chainplan.cli; print(sorted({'chainplan.oracle', "
-                "'numpy', 'scipy.optimize'} & set(sys.modules)))")
+                "'numpy', 'scipy'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": src})

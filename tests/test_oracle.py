@@ -575,9 +575,10 @@ def _newton_view(walk):
 
 
 class TestPolish:
-    """The polish, ``oracle.root``, is Newton's method on the exact Jacobian
-    that the walk gives next to its residuals, each step the least-squares
-    step of least norm (``np.linalg.lstsq`` with a rank cutoff)."""
+    """The polish, ``oracle.root`` (``kinematics.root``), is Newton's method
+    on the exact Jacobian that the walk gives next to its residuals, each
+    step the least-squares step of least norm (``np.linalg.lstsq`` with a
+    rank cutoff)."""
 
     @pytest.mark.seeded
     @pytest.mark.parametrize("n, elements", _params(_SYSTEMS))
@@ -686,7 +687,7 @@ class TestPolish:
 
     def test_stops_where_a_met_residual_does_not_halve(self):
         # 1e-11 cos(x) from x = 0.1 meets the system (a residual of 1e-11,
-        # below RESIDUAL_TOL); Newton's step goes to x = 10.07, where the
+        # below POLISH_FTOL); Newton's step goes to x = 10.07, where the
         # residual is 7.9e-12, not half of it.  The polish ends at the point
         # before that step, without success; without the stop it goes on
         # to the root at 3.5 pi, 10.9 away
@@ -701,14 +702,14 @@ class TestPolish:
 
     def test_step_is_least_squares(self):
         # a zero leading entry
-        assert oracle._newton_step([[0.0, 1.0], [2.0, 0.0]],
-                                   [3.0, 4.0]) == pytest.approx([2.0, 3.0],
-                                                                abs=1e-15)
+        assert kinematics._newton_step([[0.0, 1.0], [2.0, 0.0]],
+                                       [3.0, 4.0]) == pytest.approx(
+            [2.0, 3.0], abs=1e-15)
         rng = np.random.default_rng(11)
         for m in range(1, 8):
             for _ in range(20):
                 J, r = rng.normal(size=(m, m)), rng.normal(size=m)
-                d = oracle._newton_step(J.tolist(), r.tolist())
+                d = kinematics._newton_step(J.tolist(), r.tolist())
                 assert np.allclose(d, np.linalg.solve(J, r), rtol=1e-9,
                                    atol=1e-9)
         # a singular matrix takes the step of least norm, and so does one
@@ -721,13 +722,13 @@ class TestPolish:
                  [-2.375, -1.0, -1.0000000000000009, -1.0],
                  [-2.3203125000000004, -1.375, -1.375, -1.375]],
                 [0.0, 0.0, 0.0, 1.1102230246251565e-16])
-        assert oracle._newton_step(*singular) == pytest.approx(
+        assert kinematics._newton_step(*singular) == pytest.approx(
             [0.7, 0.7, 2.0], abs=1e-12)
         assert max(map(abs, np.linalg.solve(*map(np.array, lost)))) > 0.1
-        assert max(map(abs, oracle._newton_step(*lost))) < 1e-15
+        assert max(map(abs, kinematics._newton_step(*lost))) < 1e-15
         # more rows than columns: the Gauss-Newton step
         J, r = rng.normal(size=(5, 3)), rng.normal(size=5)
-        assert np.allclose(oracle._newton_step(J.tolist(), r.tolist()),
+        assert np.allclose(kinematics._newton_step(J.tolist(), r.tolist()),
                            np.linalg.pinv(J) @ r, rtol=1e-9, atol=1e-9)
 
 
@@ -738,7 +739,7 @@ class TestImport:
         "from chainplan import laws, metrics, oracle, planner, sampling",
     ])
     def test_import_loads_neither_numpy_nor_scipy(self, statement):
-        # the polish is the oracle's own, so a fresh import loads no scipy,
+        # the polish is kinematics' own, so a fresh import loads no scipy,
         # and only a search imports numpy
         src = os.path.dirname(os.path.dirname(oracle.__file__))
         code = (f"import sys; {statement}; print(sorted(m for m in "

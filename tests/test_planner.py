@@ -288,6 +288,19 @@ class TestPlanUnconstrained:
                            if a.u != b.u and a.duration > 0 and b.duration > 0)
             assert switches <= 3, i
 
+    def test_order5_draw_91_plans(self):
+        # draw 91 failed with "saturation-only system did not converge"
+        # while the stage solve's Jacobian came from finite differences
+        rng = np.random.default_rng(1005)
+        for _ in range(92):
+            x0 = rng.uniform(-3, 3, 5).tolist()
+            xf = rng.uniform(-3, 3, 5).tolist()
+        traj = plan_unconstrained(5, x0, xf, 1.0)
+        assert solver.verify(traj, (1.0,) + (None,) * 5, 1e-9) is None
+        switches = sum(1 for a, b in zip(traj.segments, traj.segments[1:])
+                       if a.u != b.u and a.duration > 0 and b.duration > 0)
+        assert switches <= 4
+
     def test_second_order_is_the_closed_form(self, monkeypatch):
         # order 2 takes plan2, as plan does, not a stage solve
         calls, solve = [], solver.solve_times
@@ -546,8 +559,8 @@ class TestMarkerLegSolves:
         walk = solver.StageSystem.walk
         monkeypatch.setattr(
             solver.StageSystem, "walk",
-            lambda self, times: ([0.0] * self.num_equations,
-                                 walk(self, times)[1]))
+            lambda self, times: ([0.0] * self.num_equations, None,
+                                 walk(self, times)[2]))
         leg = Planner()._marker_leg(5, (-0.5, 0.0, 0.0, 0.0, 0.0), M, law, 1,
                                     4)
         assert leg is not None
@@ -1306,7 +1319,7 @@ class TestOutputBits:
     that changes outputs on purpose updates the pin and records in CHANGES
     what changed and why."""
 
-    DIGEST = "63a58470740a4da9"
+    DIGEST = "a0b44fec872ccaa3"
 
     def test_digest(self):
         h = hashlib.sha256()

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chainplan
 from chainplan import kinematics, laws, oracle, solver
 from chainplan.model import Asl, Behavior, Problem, Segment, Trajectory, asl_parse
 from chainplan.solver import AssembleError, assemble, solve_times, verify
@@ -189,6 +193,49 @@ class TestResidualScalars:
                 got = [v.hex() for v in sys.walk(times)[0]]
                 monkeypatch.setattr(kinematics, "propagate", on_numpy_scalars)
                 assert got == [float(v).hex() for v in sys.walk(times)[0]]
+
+
+class TestJacobian:
+    def test_matches_central_differences(self):
+        # the residuals are polynomials in each duration, so a central
+        # difference misses the derivative only by h^2/6 times a third
+        # derivative and by the rounding of the residuals over h, both far
+        # below the tolerance here
+        rng = np.random.default_rng(17)
+        h = 1e-5
+        systems = list(TestResidualScalars._systems())
+        assert any(step[0] == solver._VSTART
+                   for sys in systems for step in sys.program)
+        for sys in systems:
+            for _ in range(3):
+                times = rng.uniform(0.0, 3.0, sys.num_unknowns)
+                res, jac, states = sys.walk(times.tolist(), True)
+                assert (res, None, states) == sys.walk(times.tolist())
+                fd = np.array([
+                    (np.array(sys.walk((times + h * e).tolist())[0])
+                     - np.array(sys.walk((times - h * e).tolist())[0]))
+                    / (2 * h) for e in np.eye(sys.num_unknowns)]).T
+                jac = np.array(jac)
+                assert jac.shape == fd.shape == (sys.num_equations,
+                                                 sys.num_unknowns)
+                scale = float(np.max(np.abs(jac)))
+                assert float(np.max(np.abs(jac - fd))) <= 1e-6 * scale
+
+
+class TestStartup:
+    def test_stage_solve_loads_neither_scipy_nor_the_oracle(self):
+        # the stage solve polishes with kinematics' Newton step, so a plan
+        # that solves a stage system loads numpy, and no scipy or oracle
+        src = os.path.dirname(os.path.dirname(chainplan.__file__))
+        code = ("import sys; from chainplan import planner; "
+                "planner.plan_unconstrained(3, (0.3, -0.2, 0.5), "
+                "(0.0, 0.0, 0.0), 1.0); print(sorted({'chainplan.oracle', "
+                "'numpy', 'scipy'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['numpy']"
 
 
 class TestRealizeAndVerify:
