@@ -7,7 +7,9 @@ coefficient sequence whose item i multiplies t**i, which ``horner``
 evaluates and ``poly_add`` and ``poly_mul`` combine; a state's samples at a
 segment's ends and stationary points, which are found in closed form while
 the derivative is at most cubic, and whose scan of states 1-3 is unrolled
-into closed forms; bound violation checks), ``bracket_root``, the one
+into closed forms; their least and largest value, ``segment_range``, on
+which the bound checks decide without building the samples; bound
+violation checks), ``bracket_root``, the one
 scalar root solver (it polishes polynomial roots and solves the manifold
 interception), ``touch_roots``, the exact two-duration solve of degree-2
 tangent-marker legs, and the one Newton polish of stage systems, which the
@@ -104,25 +106,23 @@ def plan2(v0, p0, vf, pf, M0, M1, eps):
     Returns a tuple of (control, duration) stages; empty for start == goal.
     The position is unconstrained here; callers layer position handling.
     """
+    if v0 >= vf:
+        disp = (v0 * v0 - vf * vf) / (2.0 * M0)
+    else:
+        disp = (vf * vf - v0 * v0) / (2.0 * M0)
+    pstar = pf - disp
+    gap = p0 - pstar
+    scale = fabs(pstar)
+    if fabs(gap) <= eps * (scale if scale > 1.0 else 1.0):
+        if v0 == vf and p0 == pf:
+            return ()
+        return ((M0 if vf >= v0 else -M0, fabs(vf - v0) / M0),)
+    # a start above the manifold plans the mirror, whose disp, pstar and gap
+    # are the exact negatives of these: it is off its manifold and below it
     mirror = 1.0
-    while True:
-        if v0 >= vf:
-            disp = (v0 * v0 - vf * vf) / (2.0 * M0)
-        else:
-            disp = (vf * vf - v0 * v0) / (2.0 * M0)
-        pstar = pf - disp
-        gap = p0 - pstar
-        scale = max(1.0, fabs(pstar))
-        if fabs(gap) <= eps * scale:
-            if v0 == vf and p0 == pf:
-                return ()
-            u = mirror * M0 if vf >= v0 else -mirror * M0
-            return ((u, fabs(vf - v0) / M0),)
-        if gap > 0.0:
-            v0, p0, vf, pf = -v0, -p0, -vf, -pf
-            mirror = -mirror
-            continue
-        break
+    if gap > 0.0:
+        v0, p0, vf, pf = -v0, -p0, -vf, -pf
+        mirror = -1.0
     w2 = M0 * (pf - p0) + 0.5 * (v0 * v0 + vf * vf)
     if w2 < 0.0:
         w2 = 0.0
@@ -150,12 +150,14 @@ def plan2_top(v0, p0, vf, pf, M0, M1, M2, eps, bound_eps):
     bounded = M2 is not None
     if bounded:
         lim = M2 + bound_eps
-    stages = []
+    stages = plan2(v0, p0, vf, pf, M0, M1, eps)
+    clip = False
     total = 0.0
     v, p = v0, p0
-    for u, t in plan2(v0, p0, vf, pf, M0, M1, eps):
-        t = t if t > 0.0 else 0.0
-        stages.append((u, t))
+    for u, t in stages:
+        if not t > 0.0:
+            t = 0.0
+            clip = True
         if bounded:
             if fabs(p) > lim:
                 return None
@@ -168,7 +170,9 @@ def plan2_top(v0, p0, vf, pf, M0, M1, M2, eps, bound_eps):
         v, p = 0.0 + v + u * t, 0.0 + p + v * t + u * t2
     if bounded and fabs(p) > lim:
         return None
-    return tuple(stages), total
+    if clip:
+        stages = tuple([(u, t if t > 0.0 else 0.0) for u, t in stages])
+    return stages, total
 
 
 def brake_peak(x, M0, M1, until=inf):
@@ -720,13 +724,14 @@ def segment_samples(x, u: float, T: float, k: int) -> list[tuple[float, float]]:
     and at its interior stationary points, in time order: where state k
     takes its extremes on the segment.
 
-    States 1-3 are unrolled, the hot state 3 tested first.  x1 is sampled
-    at the ends only, x2 also at -x1/u, and x3 also at the closed-form
-    roots of x2; each value is ``horner``'s expression written out on
-    ``state_polynomial``'s coefficients (x_k, ..., x1/(k-1)!, u/k!), so
-    they give the generic path's bits, signed zeros included.  They append
-    in plain loops: on Python 3.11 a comprehension costs a function call."""
+    States 1-3 are unrolled.  x1 is sampled at the ends only, x2 also at
+    -x1/u, and x3 also at the closed-form roots of x2; each value is
+    ``horner``'s expression written out on ``state_polynomial``'s
+    coefficients (x_k, ..., x1/(k-1)!, u/k!), so they give the generic
+    path's bits, signed zeros included.  ``segment_range`` repeats these
+    times and values for the bound scans."""
     n = len(x)
+    times = (T, 0.0) if T < 0.0 else (0.0, T)
     if k == 3 and n >= 3:
         x1, x2, x3 = x[0], x[1], x[2]
         if T > 0.0:
@@ -735,40 +740,21 @@ def segment_samples(x, u: float, T: float, k: int) -> list[tuple[float, float]]:
             if a != 0.0:
                 roots = _quadratic_roots(x2, x1, a)
                 roots.sort()
-            elif x1 != 0.0:
-                roots = (-x2 / x1,)
             else:
-                roots = ()
-            times = [0.0]
+                roots = (-x2 / x1,) if x1 != 0.0 else ()
             for t in roots:
                 if 0.0 < t < T:
-                    times.append(t)
-            times.append(T)
-        else:
-            times = (T, 0.0) if T < 0.0 else (0.0, T)
+                    times = times[:-1] + (t, T)
         c2, c3 = x1 / 2.0, u / 6.0
-        out = []
-        for t in times:
-            out.append((t, (((0.0 * t + c3) * t + c2) * t + x2) * t + x3))
-        return out
+        return [(t, (((0.0 * t + c3) * t + c2) * t + x2) * t + x3)
+                for t in times]
     if k == 2 and n >= 2:
-        x1, x2 = x[0], x[1]
-        if T > 0.0 and u != 0.0:
-            ts = -x1 / u
-            times = (0.0, ts, T) if 0.0 < ts < T else (0.0, T)
-        else:
-            times = (T, 0.0) if T < 0.0 else (0.0, T)
-        c2 = u / 2.0
-        out = []
-        for t in times:
-            out.append((t, ((0.0 * t + c2) * t + x1) * t + x2))
-        return out
+        x1, x2, c2 = x[0], x[1], u / 2.0
+        if T > 0.0 and u != 0.0 and 0.0 < -x1 / u < T:
+            times = (0.0, -x1 / u, T)
+        return [(t, ((0.0 * t + c2) * t + x1) * t + x2) for t in times]
     if k == 1 and n >= 1:
-        x1 = x[0]
-        out = []
-        for t in ((T, 0.0) if T < 0.0 else (0.0, T)):
-            out.append((t, (0.0 * t + u) * t + x1))
-        return out
+        return [(t, (0.0 * t + u) * t + x[0]) for t in times]
     poly = state_polynomial(x, u, k)
     times = [0.0, T]
     if T > 0.0 and k >= 2:
@@ -779,11 +765,64 @@ def segment_samples(x, u: float, T: float, k: int) -> list[tuple[float, float]]:
     return [(t, horner(poly, t)) for t in times]
 
 
+def segment_range(x, u: float, T: float, k: int) -> tuple[float, float]:
+    """The least and the largest of ``segment_samples(x, u, T, k)``'s
+    values as min and max give them (the first of equal values), NaN
+    skipped; (inf, -inf) where all are NaN.  States 1-3 evaluate its
+    expressions at its times in its order and build no list: the bound
+    checks decide on this alone."""
+    lo, hi = inf, -inf
+    n = len(x)
+    times = (T, 0.0) if T < 0.0 else (0.0, T)
+    if k == 3 and n >= 3:
+        x1, x2, x3 = x[0], x[1], x[2]
+        if T > 0.0:
+            a = u / 2.0
+            if a != 0.0:
+                roots = _quadratic_roots(x2, x1, a)
+                roots.sort()
+            else:
+                roots = (-x2 / x1,) if x1 != 0.0 else ()
+            for t in roots:
+                if 0.0 < t < T:
+                    times = times[:-1] + (t, T)
+        c2, c3 = x1 / 2.0, u / 6.0
+        for t in times:
+            v = (((0.0 * t + c3) * t + c2) * t + x2) * t + x3
+            if v < lo:
+                lo = v
+            if v > hi:
+                hi = v
+        return lo, hi
+    if k == 2 and n >= 2:
+        x1, x2, c2 = x[0], x[1], u / 2.0
+        if T > 0.0 and u != 0.0 and 0.0 < -x1 / u < T:
+            times = (0.0, -x1 / u, T)
+        for t in times:
+            v = ((0.0 * t + c2) * t + x1) * t + x2
+            if v < lo:
+                lo = v
+            if v > hi:
+                hi = v
+        return lo, hi
+    if k == 1 and n >= 1:
+        for t in times:
+            v = (0.0 * t + u) * t + x[0]
+            if v < lo:
+                lo = v
+            if v > hi:
+                hi = v
+        return lo, hi
+    values = [v for _, v in segment_samples(x, u, T, k) if v == v]
+    return (min(values), max(values)) if values else (inf, -inf)
+
+
 def segment_bound_check(x, u: float, T: float, M, eps: float = 1e-9) -> Optional[Violation]:
     """Check |xk(t)| <= Mk + eps along one constant-control segment.
 
-    Evaluates each bounded state at its ``segment_samples`` (enough for
-    polynomials); returns the first violation or None.
+    Decides on each bounded state's ``segment_range`` (its samples at the
+    ends and stationary points suffice for polynomials); returns the first
+    of its ``segment_samples`` past the bound as a violation, or None.
     """
     if T < 0.0:
         raise ValueError(f"segment duration must be >= 0, got {T}")
@@ -791,7 +830,10 @@ def segment_bound_check(x, u: float, T: float, M, eps: float = 1e-9) -> Optional
         bound = M[k]
         if bound is None:
             continue
-        for t, v in segment_samples(x, u, T, k):
-            if abs(v) > bound + eps:
-                return Violation(k, t, v)
+        lim = bound + eps
+        lo, hi = segment_range(x, u, T, k)
+        if hi > lim or -lo > lim:
+            for t, v in segment_samples(x, u, T, k):
+                if abs(v) > lim:
+                    return Violation(k, t, v)
     return None

@@ -79,6 +79,8 @@ INTERCEPT_TOL = 1e-13
 # a Newton polish (kinematics.root) from a seeded start; marker legs get twice
 SOLVER_RESTARTS = 16
 MAX_MARKER_DEPTH = 8
+_P2_BOUND = ("position bound exceeded at order 2; no marker structure exists "
+             "below order 3")
 
 
 # Shared law elements: plans hold these rather than building their own.
@@ -136,9 +138,22 @@ def _integral_top(x0, p: _Plan) -> float:
 
 
 def _negate(p: _Plan) -> _Plan:
-    return _Plan(
-        tuple((-u if u != 0.0 else 0.0, t) for u, t in p.stages),
-        tuple(_negated(e) for e in p.elements))
+    return _Plan(tuple([(-u if u != 0.0 else 0.0, t) for u, t in p.stages]),
+                 tuple([_negated(e) for e in p.elements]))
+
+
+def _stage_root(gap, start, u, lo, g_lo, hi, g_hi):
+    """(tau, state) where gap(propagate(start, u, tau)) changes sign on
+    [lo, hi]; a gap that raises PlanError ends the search at the best
+    iterate."""
+    def f(t):
+        try:
+            return gap(kinematics.propagate(start, u, t))
+        except PlanError:
+            return None
+
+    tau = kinematics.bracket_root(f, lo, g_lo, hi, g_hi, INTERCEPT_TOL)
+    return tau, kinematics.propagate(start, u, tau)
 
 
 def _concat(*parts: _Plan) -> _Plan:
@@ -239,7 +254,7 @@ class Planner:
             return self._plan1(x0, xf, M[0])
         if n == 2:
             return self._plan2(x0, xf, M)
-        if all(M[k] is None for k in range(1, n)):
+        if M[1:n].count(None) == n - 1:
             # saturation only: no bounded interior state to ascend toward
             plan = self._bang(n, x0, xf, M[0])
         else:
@@ -269,8 +284,7 @@ class Planner:
             x0[0], x0[1], xf[0], xf[1], M[0],
             M[1], M[2], EPS_PROPER, self.bound_eps)
         if top is None:
-            raise PlanError("position bound exceeded at order 2; no marker "
-                            "structure exists below order 3")
+            raise PlanError(_P2_BOUND)
         return top
 
     def _pstar(self, n: int, sub_state, xf, M) -> float:
@@ -295,8 +309,8 @@ class Planner:
             return self._plan(n - 1, x0[:-1], xf[:-1], M[:n])
         if kind == HIGHER:
             # the mirrored start lies below the mirrored manifold by -gap
-            return _negate(self._plan_lower(n, tuple(-v for v in x0),
-                                            tuple(-v for v in xf), M, -gap))
+            return _negate(self._plan_lower(n, tuple([-v for v in x0]),
+                                            tuple([-v for v in xf]), M, -gap))
         return self._plan_lower(n, x0, xf, M, gap)
 
     def _plan_lower(self, n: int, x0, xf, M, gap: float) -> _Plan:
@@ -311,7 +325,7 @@ class Planner:
         they move nothing); its last stage is the ride, unbounded until the
         hand-over cuts it.  The behaviors that the cut skips join the
         lower-order plan's virtual group."""
-        m = max(k for k in range(1, n) if M[k] is not None)
+        m = max([k for k in range(1, n) if M[k] is not None])
         ascent = self._plan(m, x0[:m], (0.0,) * (m - 1) + (M[m],),
                             M[:m + 1])
         stages, elements = list(ascent.stages), list(ascent.elements)
@@ -327,22 +341,31 @@ class Planner:
         head = _Plan(tuple(stages[:j]) + ((stages[j][0], tau),),
                      tuple(elements[:cut]))
         cont = self._plan(n - 1, state[: n - 1], xf[:-1], M[:n])
-        members = tuple(e for e in elements[cut:] if isinstance(e, Behavior))
+        members = tuple([e for e in elements[cut:] if isinstance(e, Behavior)])
         if not (members and cont.elements):
             return _concat(head, cont)
         return _concat(head, _Plan((), _group(members)), cont)
 
     # ---------------- interception ----------------
 
-    def _gap_at(self, n: int, state, xf, M) -> float:
-        return state[n - 1] - self._pstar(n, state[: n - 1], xf, M)
+    def _gap_of(self, n: int, xf, M):
+        """The gap x_n - p* as a function of the order-n state, raising
+        PlanError where the lower-order plan fails: the hook of every gap
+        evaluation.  At order 3 it makes ``_pstar``'s ``plan2_top`` call and
+        arithmetic itself, so an evaluation is one call."""
+        if n != 3:
+            return lambda s: s[n - 1] - self._pstar(n, s[: n - 1], xf, M)
+        vf, pf, top, M0, M1, M2 = xf[0], xf[1], xf[2], M[0], M[1], M[2]
+        bound_eps = self.bound_eps
 
-    def _gap_or_none(self, n: int, state, xf, M) -> Optional[float]:
-        """The gap, or None where the lower-order plan fails."""
-        try:
-            return self._gap_at(n, state, xf, M)
-        except PlanError:
-            return None
+        def gap(state):
+            found = kinematics.plan2_top(state[0], state[1], vf, pf, M0, M1,
+                                         M2, EPS_PROPER, bound_eps)
+            if found is None:
+                raise PlanError(_P2_BOUND)
+            return state[2] - (top - found[1])
+
+        return gap
 
     def _hand_over(self, n: int, x0, stages, g, xf, M):
         """Where the manifold intercepts the path from x0, whose gap is
@@ -356,23 +379,26 @@ class Planner:
         bracket.  On the ride the gap closes linearly when the cruise state
         is x_{n-1}; otherwise the ride time doubles until the gap changes sign.
         """
+        gap = self._gap_of(n, xf, M)
         cur = x0
         for j, (u, dur) in enumerate(stages[:-1]):
             if dur <= 0.0:
                 continue
             end = kinematics.propagate(cur, u, dur)
-            g_end = self._gap_or_none(n, end, xf, M)
+            try:
+                g_end = gap(end)
+            except PlanError:
+                g_end = None
             if g_end == 0.0:
                 return j, dur, end
             if g is not None and g_end is not None \
                     and (g < 0.0) != (g_end < 0.0):
-                return (j,) + self._stage_root(n, cur, u, 0.0, g, dur, g_end,
-                                               xf, M)
+                return (j,) + _stage_root(gap, cur, u, 0.0, g, dur, g_end)
             cur, g = end, g_end
         j = len(stages) - 1
         if g is None:
             # no lower-order plan there; fail with its error
-            g = self._gap_at(n, cur, xf, M)
+            g = gap(cur)
         if g > 0.0:
             raise PlanError("ascent prefix overshot the manifold")
         if M[n - 1] is not None:
@@ -381,24 +407,14 @@ class Planner:
             return j, tau, kinematics.propagate(cur, 0.0, tau)
         lo, hi = 0.0, 1.0
         for _ in range(120):
-            g_hi = self._gap_at(n, kinematics.propagate(cur, 0.0, hi), xf, M)
+            g_hi = gap(kinematics.propagate(cur, 0.0, hi))
             if g_hi == 0.0 or (g < 0.0) != (g_hi < 0.0):
                 break
             lo, g = hi, g_hi
             hi *= 2.0
         else:
             raise PlanError("cruise ride never reaches the manifold")
-        return (j,) + self._stage_root(n, cur, 0.0, lo, g, hi, g_hi, xf, M)
-
-    def _stage_root(self, n, start, u, lo, g_lo, hi, g_hi, xf, M):
-        """(tau, state) where the gap of propagate(start, u, tau) changes
-        sign on [lo, hi]; a gap evaluation without a lower-order plan ends
-        the search at the best iterate."""
-        tau = kinematics.bracket_root(
-            lambda t: self._gap_or_none(n, kinematics.propagate(start, u, t),
-                                        xf, M),
-            lo, g_lo, hi, g_hi, INTERCEPT_TOL)
-        return tau, kinematics.propagate(start, u, tau)
+        return (j,) + _stage_root(gap, cur, 0.0, lo, g, hi, g_hi)
 
     # ---------------- saturation-only systems ----------------
 
@@ -428,11 +444,11 @@ class Planner:
         lo_hit = hi_hit = False
         cur = x0
         for u, dur in p.stages:
-            for _, v in kinematics.segment_samples(cur, u, dur, n):
-                if v > lim:
-                    hi_hit = True
-                elif v < -lim:
-                    lo_hit = True
+            lo, hi = kinematics.segment_range(cur, u, dur, n)
+            if hi > lim:
+                hi_hit = True
+            if lo < -lim:
+                lo_hit = True
             cur = kinematics.propagate(cur, u, dur)
         sides = []
         if hi_hit:

@@ -17,6 +17,10 @@ reaches.  The real chain continues from the point where the preceding stage
 actually stopped, so group durations never contribute to the realized
 trajectory.  The only group in a catalog that can be built is the single
 ride ``(3)``, so a group of more than one member is not assembled.
+
+``verify`` checks any trajectory, planned or read from a file, in one pass
+over its segments: each segment's bounds by ``kinematics.segment_bound_check``
+and its end by its own ``propagate``, independent of the planner's scans.
 """
 
 from __future__ import annotations
@@ -312,42 +316,39 @@ def verify(trajectory: Trajectory, M, eps: float = 1e-9) -> Optional[VerifyFailu
     problem = trajectory.problem
     xf = problem.xf
     tols = [eps * s for s in _scales(M, (xf,))]
-
-    def off(x, target) -> int:
-        """The first state k where x misses target by more than eps, or 0;
-        a NaN misses."""
-        k = 0
-        for a, b, tol in zip(x, target, tols):
-            k += 1
-            if not abs(a - b) <= tol:
-                return k
-        return 0
-
+    lim0 = M[0] + eps
     t_off = 0.0
     end = problem.x0
     for seg in trajectory.segments:
-        if not (math.isfinite(seg.u) and math.isfinite(seg.duration)):
+        u, dur, start = seg.u, seg.duration, seg.start
+        if not (math.isfinite(u) and math.isfinite(dur)):
             return VerifyFailure("non-finite control or duration", t=t_off)
-        if seg.duration < -1e-12:
-            return VerifyFailure("negative duration", t=seg.duration)
-        if abs(seg.u) > M[0] + eps:
-            return VerifyFailure("input bound exceeded", t=t_off, value=seg.u)
-        k = off(seg.start, end)
-        if k:
-            return VerifyFailure("segment start off the path", k=k, t=t_off,
-                                 value=seg.start[k - 1])
-        dur = max(0.0, seg.duration)
-        v = kinematics.segment_bound_check(seg.start, seg.u, dur, M, eps)
+        if dur < -1e-12:
+            return VerifyFailure("negative duration", t=dur)
+        if abs(u) > lim0:
+            return VerifyFailure("input bound exceeded", t=t_off, value=u)
+        # the first state k that misses the path by more than its tol (a
+        # NaN misses)
+        k = 0
+        for a, b, tol in zip(start, end, tols):
+            k += 1
+            if not abs(a - b) <= tol:
+                return VerifyFailure("segment start off the path", k=k,
+                                     t=t_off, value=a)
+        T = dur if dur > 0.0 else 0.0
+        v = kinematics.segment_bound_check(start, u, T, M, eps)
         if v is not None:
             return VerifyFailure("state bound exceeded", k=v.k,
                                  t=t_off + v.t, value=v.value)
-        t_off += dur
-        end = kinematics.propagate(seg.start, seg.u, seg.duration)
+        t_off += T
+        end = kinematics.propagate(start, u, dur)
     t_f = trajectory.t_f
-    k = off(end, xf)
-    if k:
-        return VerifyFailure("terminal state off target", k=k, t=t_f,
-                             value=end[k - 1])
+    k = 0
+    for a, b, tol in zip(end, xf, tols):
+        k += 1
+        if not abs(a - b) <= tol:
+            return VerifyFailure("terminal state off target", k=k, t=t_f,
+                                 value=a)
     total = sum(seg.duration for seg in trajectory.segments)
     if not abs(t_f - total) <= eps * max(1.0, abs(t_f)):
         return VerifyFailure("t_f differs from the summed durations", t=t_f,

@@ -18,6 +18,7 @@ from chainplan.kinematics import (
     propagate,
     real_roots,
     segment_bound_check,
+    segment_range,
     segment_samples,
     state_polynomial,
     touch_roots,
@@ -180,6 +181,99 @@ class TestPlan2Top:
             for vf, pf in ((0.0, 0.0), (-0.0, 0.5), (0.5, -0.0)):
                 for M2 in (None, 1.0):
                     self._check(v0, p0, vf, pf, 1.0, 1.0, M2)
+
+
+def _two_pass_plan2(v0, p0, vf, pf, M0, M1, eps):
+    """``plan2`` as it stood with its mirror loop: a start above the
+    manifold ran the manifold test again on the mirrored start."""
+    mirror = 1.0
+    while True:
+        if v0 >= vf:
+            disp = (v0 * v0 - vf * vf) / (2.0 * M0)
+        else:
+            disp = (vf * vf - v0 * v0) / (2.0 * M0)
+        pstar = pf - disp
+        gap = p0 - pstar
+        scale = max(1.0, math.fabs(pstar))
+        if math.fabs(gap) <= eps * scale:
+            if v0 == vf and p0 == pf:
+                return ()
+            u = mirror * M0 if vf >= v0 else -mirror * M0
+            return ((u, math.fabs(vf - v0) / M0),)
+        if gap > 0.0:
+            v0, p0, vf, pf = -v0, -p0, -vf, -pf
+            mirror = -mirror
+            continue
+        break
+    w2 = M0 * (pf - p0) + 0.5 * (v0 * v0 + vf * vf)
+    if w2 < 0.0:
+        w2 = 0.0
+    w = math.sqrt(w2)
+    if M1 is None or w <= M1:
+        return ((mirror * M0, (w - v0) / M0), (-mirror * M0, (w - vf) / M0))
+    t1 = (M1 - v0) / M0
+    t3 = (M1 - vf) / M0
+    tr = (pf - p0 - (M1 * M1 - v0 * v0) / (2.0 * M0)
+          - (M1 * M1 - vf * vf) / (2.0 * M0)) / M1
+    return ((mirror * M0, t1), (0.0, tr), (-mirror * M0, t3))
+
+
+@st.composite
+def plan2_cases(draw):
+    """Order-2 problems, among them equal velocities, signed zeros and
+    starts on the ramp's manifold (the one-ramp case), or beside it by
+    less than eps or by a little more, on either side."""
+    M0 = draw(st.floats(min_value=0.2, max_value=3.0))
+    M1 = draw(st.one_of(st.none(), st.floats(min_value=0.2, max_value=3.0)))
+    vel = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
+                    st.sampled_from((0.0, -0.0)))
+    pos = st.one_of(st.floats(min_value=-6.0, max_value=6.0),
+                    st.sampled_from((0.0, -0.0)))
+    v0, pf = draw(vel), draw(pos)
+    vf = draw(st.one_of(vel, st.just(v0), st.just(-v0)))
+    where = draw(st.sampled_from(("free", "on", "beside", "goal")))
+    if where == "goal":
+        return vf, pf, vf, pf, M0, M1
+    if where == "free":
+        return v0, draw(pos), vf, pf, M0, M1
+    disp = (v0 * v0 - vf * vf) if v0 >= vf else (vf * vf - v0 * v0)
+    p0 = pf - disp / (2.0 * M0)
+    if where == "beside":
+        p0 += draw(st.sampled_from((-2e-9, -5e-10, 5e-10, 2e-9)))
+    return v0, p0, vf, pf, M0, M1
+
+
+@pytest.mark.seeded
+class TestPlan2OnePass:
+    """Seeded: ``plan2`` tests the manifold once and mirrors a start above
+    it in place, where the mirror loop tested the mirrored start again.
+    Its stages must be the loop's, bit for bit."""
+
+    EPS = 1e-9
+
+    @staticmethod
+    def _stage_bits(stages):
+        return [_bits(s) for s in stages]
+
+    @given(plan2_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_mirror_loop(self, case):
+        assert self._stage_bits(plan2(*case, self.EPS)) == \
+            self._stage_bits(_two_pass_plan2(*case, self.EPS))
+
+    def test_each_branch_is_reached(self):
+        rng = np.random.default_rng(37)
+        seen = set()
+        for _ in range(2000):
+            v0, vf = (float(v) for v in rng.uniform(-1.0, 1.0, 2))
+            p0, pf = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+            for M1 in (None, 0.5):
+                stages = plan2(v0, p0, vf, pf, 1.0, M1, self.EPS)
+                assert self._stage_bits(stages) == self._stage_bits(
+                    _two_pass_plan2(v0, p0, vf, pf, 1.0, M1, self.EPS))
+                seen.add((len(stages), stages[0][0] > 0.0))
+        # two ramps and the cruise, each from below and mirrored from above
+        assert seen >= {(2, True), (2, False), (3, True), (3, False)}
 
 
 def _stepped_brake(x, M0, M1, count=4000):
@@ -954,3 +1048,60 @@ class TestScanBits:
                     hits += 1
                 assert got == expected
         assert hits > 100
+
+
+def _sample_range(x, u, T, k):
+    """The least and the largest of the samples' values by min and max,
+    NaN skipped; (inf, -inf) where every value is NaN."""
+    values = [v for _, v in segment_samples(x, u, T, k) if v == v]
+    if not values:
+        return math.inf, -math.inf
+    return min(values), max(values)
+
+
+# a state component: finite, a signed zero, tiny or NaN
+_component = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
+                       st.sampled_from((0.0, -0.0, 5e-324, math.nan)))
+
+
+@pytest.mark.seeded
+class TestSegmentRange:
+    """Seeded: ``segment_range`` must give the bits of min and max of the
+    ``segment_samples`` values (the first of equal ones, so +0.0 and -0.0
+    as min and max give them), with NaN values skipped, for states 1-5."""
+
+    @given(st.lists(_component, min_size=1, max_size=5),
+           st.one_of(st.sampled_from((-1.5, -0.0, 0.0, 1.5, 5e-324)),
+                     st.floats(min_value=-2.0, max_value=2.0)),
+           st.one_of(st.sampled_from((0.0, -0.0, -1.0)),
+                     st.floats(min_value=0.0, max_value=4.0)))
+    @example([0.0, -0.0, -0.0], 0.0, 0.0)
+    @example([math.nan, 0.5, 1.0], 1.5, 2.0)
+    @example([math.nan, math.nan, math.nan], 1.5, 2.0)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_samples(self, x, u, T):
+        x = tuple(x)
+        for k in range(1, len(x) + 1):
+            assert _bits(segment_range(x, u, T, k)) == \
+                _bits(_sample_range(x, u, T, k)), (x, u, T, k)
+
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_random_chains(self, n):
+        rng = np.random.default_rng(110 + n)
+        for _ in range(300):
+            x = tuple(float(rng.choice((0.0, -0.0, rng.uniform(-3.0, 3.0))))
+                      for _ in range(n))
+            T = float(rng.choice((0.0, rng.uniform(0.0, 4.0))))
+            for u in TestScanBits.CONTROLS:
+                for k in range(1, n + 1):
+                    assert _bits(segment_range(x, u, T, k)) == \
+                        _bits(_sample_range(x, u, T, k))
+
+    @pytest.mark.parametrize("u, first", [(-1.0, -0.0), (1.0, 0.0)])
+    def test_signed_zero_ties_keep_the_first(self, u, first):
+        # at T = -0.0 state 1 reads -0.0 and +0.0, in an order set by u:
+        # both the least and the largest are the first of the two
+        x = (-0.0, 0.0, 0.0)
+        values = [v for _, v in segment_samples(x, u, -0.0, 1)]
+        assert values == [0.0, 0.0] and _bits(values[:1]) == _bits((first,))
+        assert _bits(segment_range(x, u, -0.0, 1)) == _bits((first, first))

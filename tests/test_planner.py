@@ -59,7 +59,7 @@ def intercept_time(prefix: Trajectory, xf, M):
     x0 = prefix.segments[0].start
     n, xf, M = len(xf), tuple(map(float, xf)), tuple(M)
     pl = Planner()
-    g = pl._gap_at(n, x0, xf, M)
+    g = pl._gap_of(n, xf, M)(x0)
     if g > 0.0:
         x0, xf, g = tuple(-v for v in x0), tuple(-v for v in xf), -g
         stages = [(-u, dur) for u, dur in stages]
@@ -828,8 +828,11 @@ class _GridScanPlanner(Planner):
         end = x0
         for u, dur in ascent.stages:
             end = kinematics.propagate(end, u, dur)
-        _, tau, state = super()._hand_over(
-            n, end, stages[-1:], self._gap_or_none(n, end, xf, M), xf, M)
+        try:
+            g_end = self._gap_of(n, xf, M)(end)
+        except PlanError:
+            g_end = None
+        _, tau, state = super()._hand_over(n, end, stages[-1:], g_end, xf, M)
         return len(stages) - 1, tau, state
 
     def _scan_over(self, n, prefix, xf, M, grid, refine=0):
@@ -845,7 +848,7 @@ class _GridScanPlanner(Planner):
                     samples.append((tau, kinematics.propagate(cur, u, tau)))
             for tau, state in samples:
                 try:
-                    g = self._gap_at(n, state, xf, M)
+                    g = self._gap_of(n, xf, M)(state)
                 except PlanError:
                     g_prev = None
                     continue
@@ -877,7 +880,7 @@ class _GridScanPlanner(Planner):
     def _solve(self, n, prefix, xf, M, lo, g_lo, hi, g_hi):
         def g_of(t):
             try:
-                return self._gap_at(n, self._state_at(prefix, t), xf, M)
+                return self._gap_of(n, xf, M)(self._state_at(prefix, t))
             except PlanError:
                 return None
 
@@ -901,7 +904,7 @@ class _GridScanPlanner(Planner):
         for i in range(1, grid + 1):
             t_next = lo + i * step
             try:
-                g_next = self._gap_at(n, self._state_at(prefix, t_next), xf, M)
+                g_next = self._gap_of(n, xf, M)(self._state_at(prefix, t_next))
             except PlanError:
                 return None
             if g_next == 0.0 or (g_t < 0.0) != (g_next < 0.0):
@@ -948,14 +951,19 @@ class TestInterceptBoundaryPass:
         # x1 - 1.5; where no lower-order plan exists at x1 = 2, the ends at
         # x1 = 1 and x1 = 3 must not form a bracket
         class Line(Planner):
-            def _gap_at(self, n, state, xf, M):
-                return state[0] - 1.5
+            def _gap_of(self, n, xf, M):
+                return lambda state: state[0] - 1.5
 
         class Gappy(Line):
-            def _gap_at(self, n, state, xf, M):
-                if state[0] == 2.0:
-                    raise PlanError("no lower-order plan")
-                return super()._gap_at(n, state, xf, M)
+            def _gap_of(self, n, xf, M):
+                line = super()._gap_of(n, xf, M)
+
+                def gap(state):
+                    if state[0] == 2.0:
+                        raise PlanError("no lower-order plan")
+                    return line(state)
+
+                return gap
 
         x0, stages = (0.0, 0.0), [(1.0, 1.0)] * 3 + [(0.0, math.inf)]
         j, tau, _ = Line()._hand_over(2, x0, stages, -1.5, None, None)
@@ -970,10 +978,13 @@ class TestInterceptBoundaryPass:
         # lower-order plan at x1 = 1: the end at x1 = 2 lies on the manifold
         # although no bracket leads to it
         class Gappy(Planner):
-            def _gap_at(self, n, state, xf, M):
-                if state[0] == 1.0:
-                    raise PlanError("no lower-order plan")
-                return state[0] - 2.0
+            def _gap_of(self, n, xf, M):
+                def gap(state):
+                    if state[0] == 1.0:
+                        raise PlanError("no lower-order plan")
+                    return state[0] - 2.0
+
+                return gap
 
         x0, stages = (0.0, 0.0), [(1.0, 1.0)] * 3 + [(0.0, math.inf)]
         end = kinematics.propagate(kinematics.propagate(x0, 1.0, 1.0), 1.0, 1.0)
@@ -986,10 +997,13 @@ class TestInterceptBoundaryPass:
         # crossing in [2, 4], and the solve's first evaluation, at 3, finds
         # no lower-order plan, so it stops at the best iterate
         class Gappy(Planner):
-            def _gap_at(self, n, state, xf, M):
-                if 2.5 < state[1] < 3.5:
-                    raise PlanError("no lower-order plan")
-                return state[1] - 3.0
+            def _gap_of(self, n, xf, M):
+                def gap(state):
+                    if 2.5 < state[1] < 3.5:
+                        raise PlanError("no lower-order plan")
+                    return state[1] - 3.0
+
+                return gap
 
         hit = Gappy()._hand_over(2, (1.0, 0.0), [(0.0, math.inf)], -3.0,
                                  None, (1.0, None, None))
@@ -999,13 +1013,77 @@ class TestInterceptBoundaryPass:
         # below the manifold, the ascent to x2 = M2 meets no lower-order plan
         # at any stage end: the ride fails with that plan's own error
         class Gappy(Planner):
-            def _gap_at(self, n, state, xf, M):
-                raise PlanError("no lower-order plan")
+            def _gap_of(self, n, xf, M):
+                def gap(state):
+                    raise PlanError("no lower-order plan")
+
+                return gap
 
         prob = Problem(3, (0.0, 0.0, -2.0), (0.0, 0.0, 0.0), M3)
         assert classify(prob.x0, prob.xf, prob.M) == LOWER
         with pytest.raises(PlanError, match="^no lower-order plan$"):
             Gappy()._plan_free(3, prob.x0, prob.xf, prob.M)
+
+
+def _pstar_gap(pl, n, state, xf, M):
+    """The gap as the planner evaluated it before ``_gap_of``, through
+    ``_pstar``: ("gap", its bits) or ("error", the lower-order plan's
+    message)."""
+    try:
+        pstar = pl._pstar(n, state[: n - 1], xf, M)
+    except PlanError as e:
+        return "error", str(e)
+    return "gap", (state[n - 1] - pstar).hex()
+
+
+@pytest.mark.seeded
+class TestGapFunction:
+    """Seeded: the order-3 gap function calls ``kinematics.plan2_top`` in
+    place of the ``_pstar`` chain.  Along the ascents and rides that plan3's
+    corpus hands over on, each gap must be that chain's to the bit, and
+    each failure its error."""
+
+    def test_order3_matches_pstar_chain(self, monkeypatch):
+        hand_over = Planner._hand_over
+        walks = []
+
+        def spy(self, n, x0, stages, g, xf, M):
+            if n == 3:
+                walks.append((x0, stages, xf, M))
+            return hand_over(self, n, x0, stages, g, xf, M)
+
+        monkeypatch.setattr(Planner, "_hand_over", spy)
+        rng = np.random.default_rng(1)
+        M = sampling.default_bounds(3)
+        for _ in range(350):
+            prob = sampling.random_problem(3, M, rng, 0.8)
+            for q in (prob, _mirror(prob)):
+                _outcome(Planner(), q)
+        pl = Planner()
+        kinds = {"gap": 0, "error": 0}
+
+        def check(gap, state, xf, M):
+            try:
+                got = "gap", gap(state).hex()
+            except PlanError as e:
+                got = "error", str(e)
+            assert got == _pstar_gap(pl, 3, state, xf, M)
+            kinds[got[0]] += 1
+
+        for x0, stages, xf, M in walks:
+            gap = pl._gap_of(3, xf, M)
+            cur = x0
+            # each ascent stage and 4 s of the ride, at 8 steps each
+            for u, dur in list(stages[:-1]) + [(0.0, 4.0)]:
+                for i in range(9):
+                    state = kinematics.propagate(cur, u, dur * i / 8)
+                    check(gap, state, xf, M)
+                cur = kinematics.propagate(cur, u, dur)
+            # x1 pushing x2 out past its bound: no order-2 plan
+            for sign in (1.0, -1.0):
+                check(gap, (sign * M[1], sign * M[2], x0[2]), xf, M)
+        assert len(walks) > 300
+        assert kinds["gap"] > 10_000 and kinds["error"] > 300
 
 
 class TestGapEvaluations:
@@ -1016,18 +1094,34 @@ class TestGapEvaluations:
 
     @pytest.mark.parametrize("n, count", [(3, 100), (4, 4)])
     def test_no_lower_order_plan_repeats(self, n, count, monkeypatch):
-        pstar = Planner._pstar
+        # every lower-order plan of a sub-state: the classification's and
+        # each gap evaluation's (the hook ``_gap_of``, whose order-3 gap
+        # calls no ``_pstar``)
+        classify, gap_of = Planner._classify, Planner._gap_of
         last, calls, repeats = {}, [0], []
 
-        def spy(self, k, sub_state, xf, M):
+        def spy(k, sub_state, xf):
             key = (tuple(sub_state), tuple(xf))
             calls[0] += 1
             if last.get(k) == key:
                 repeats.append(k)
             last[k] = key
-            return pstar(self, k, sub_state, xf, M)
 
-        monkeypatch.setattr(Planner, "_pstar", spy)
+        def classify_spy(self, k, x0, xf, M):
+            spy(k, x0[:-1], xf)
+            return classify(self, k, x0, xf, M)
+
+        def gap_of_spy(self, k, xf, M):
+            gap = gap_of(self, k, xf, M)
+
+            def spied(state):
+                spy(k, state[:-1], xf)
+                return gap(state)
+
+            return spied
+
+        monkeypatch.setattr(Planner, "_classify", classify_spy)
+        monkeypatch.setattr(Planner, "_gap_of", gap_of_spy)
         rng = np.random.default_rng(1)
         M = sampling.default_bounds(n)
         for _ in range(count):
@@ -1082,7 +1176,7 @@ class TestRootCounts:
 
     def test_evaluations_per_root(self, monkeypatch):
         solve = kinematics.bracket_root
-        sample = kinematics.segment_samples
+        scan = kinematics.segment_range
         counts = {"gap": [0, 0], "poly": [0, 0]}
         scans = []
 
@@ -1100,10 +1194,10 @@ class TestRootCounts:
         def scanned(x, u, T, k):
             if T > 0.0 and k >= 2:
                 scans.append((kinematics.state_polynomial(x, u, k - 1), T))
-            return sample(x, u, T, k)
+            return scan(x, u, T, k)
 
         monkeypatch.setattr(kinematics, "bracket_root", counted)
-        monkeypatch.setattr(kinematics, "segment_samples", scanned)
+        monkeypatch.setattr(kinematics, "segment_range", scanned)
         rng = np.random.default_rng(1)
         M = sampling.default_bounds(3)
         for _ in range(100):

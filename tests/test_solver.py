@@ -2,16 +2,17 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import chainplan
-from chainplan import kinematics, laws, oracle, solver
+from chainplan import kinematics, laws, oracle, planner, sampling, solver
 from chainplan.model import Asl, Behavior, Problem, Segment, Trajectory, asl_parse
 from chainplan.solver import AssembleError, assemble, solve_times, verify
 
-from helpers import stage_trajectory
+from helpers import near_touch_draws, stage_trajectory
 
 M2 = (1.0, 1.0, None)
 
@@ -339,3 +340,130 @@ class TestRealizeAndVerify:
                 zip(sys.controls, sol.times), sol.states):
             cur = kinematics.propagate(cur, u, dur)
             assert cur == pytest.approx(expected, abs=1e-9)
+
+
+def _reference_verify(trajectory, M, eps=1e-9):
+    """``verify`` as it stood with its ``off`` closure, called per segment:
+    the reference that the flat loop must match."""
+    problem = trajectory.problem
+    xf = problem.xf
+    tols = [eps * s for s in solver._scales(M, (xf,))]
+
+    def off(x, target):
+        k = 0
+        for a, b, tol in zip(x, target, tols):
+            k += 1
+            if not abs(a - b) <= tol:
+                return k
+        return 0
+
+    t_off = 0.0
+    end = problem.x0
+    for seg in trajectory.segments:
+        if not (math.isfinite(seg.u) and math.isfinite(seg.duration)):
+            return solver.VerifyFailure("non-finite control or duration",
+                                        t=t_off)
+        if seg.duration < -1e-12:
+            return solver.VerifyFailure("negative duration", t=seg.duration)
+        if abs(seg.u) > M[0] + eps:
+            return solver.VerifyFailure("input bound exceeded", t=t_off,
+                                        value=seg.u)
+        k = off(seg.start, end)
+        if k:
+            return solver.VerifyFailure("segment start off the path", k=k,
+                                        t=t_off, value=seg.start[k - 1])
+        dur = max(0.0, seg.duration)
+        v = kinematics.segment_bound_check(seg.start, seg.u, dur, M, eps)
+        if v is not None:
+            return solver.VerifyFailure("state bound exceeded", k=v.k,
+                                        t=t_off + v.t, value=v.value)
+        t_off += dur
+        end = kinematics.propagate(seg.start, seg.u, seg.duration)
+    t_f = trajectory.t_f
+    k = off(end, xf)
+    if k:
+        return solver.VerifyFailure("terminal state off target", k=k, t=t_f,
+                                    value=end[k - 1])
+    total = sum(seg.duration for seg in trajectory.segments)
+    if not abs(t_f - total) <= eps * max(1.0, abs(t_f)):
+        return solver.VerifyFailure("t_f differs from the summed durations",
+                                    t=t_f, value=total)
+    return None
+
+
+def _failure_bits(failure):
+    if failure is None:
+        return None
+    return failure.reason, failure.k, failure.t.hex(), failure.value.hex()
+
+
+def _perturbed(traj, rng):
+    """Copies of a planned trajectory, each broken one way, with the bounds
+    to verify it under: every failure reason of ``verify`` and NaNs."""
+    segs = traj.segments
+    prob, M = traj.problem, traj.problem.M
+    i = int(rng.integers(len(segs)))
+    k = int(rng.integers(prob.n))
+
+    def with_segment(**change):
+        return replace(traj, segments=segs[:i] + (replace(segs[i], **change),)
+                       + segs[i + 1:])
+
+    moved = list(segs[i].start)
+    moved[k] += float(rng.choice((1e-3, 1e-10, math.nan)))
+    # x_{k+1}'s bound just below its largest value along the path
+    peak = max(abs(v) for s in segs
+               for _, v in kinematics.segment_samples(
+                   s.start, s.u, max(0.0, s.duration), k + 1))
+    tight = M[:k + 1] + (0.999 * peak,) + M[k + 2:]
+    xf = list(prob.xf)
+    xf[k] += 1e-6
+    return [
+        (with_segment(u=float(rng.choice((math.nan, math.inf)))), M),
+        (with_segment(duration=float(rng.choice((math.nan, -math.inf)))), M),
+        (with_segment(duration=-1e-3), M),
+        (with_segment(duration=-1e-13), M),
+        (with_segment(u=1.0001 * M[0]), M),
+        (with_segment(start=tuple(moved)), M),
+        (traj, tight),
+        (replace(traj, problem=replace(prob, xf=tuple(xf))), M),
+        (replace(traj, t_f=traj.t_f * (1.0 + 1e-6) + 1e-6), M),
+        (replace(traj, t_f=math.nan), M),
+    ]
+
+
+@pytest.mark.seeded
+class TestFlatVerify:
+    """Seeded: ``verify`` runs its checks in one flat loop; its result must
+    be the reference's, field by field to the bit, on planned trajectories
+    of orders 2-4 and on copies broken to reach every failure reason."""
+
+    def test_matches_reference(self):
+        probs = []
+        for n, count in ((2, 30), (3, 120), (4, 6)):
+            rng = np.random.default_rng(1)
+            M = sampling.default_bounds(n)
+            probs += [sampling.random_problem(n, M, rng, 0.8)
+                      for _ in range(count)]
+        probs += near_touch_draws(6)
+        rng = np.random.default_rng(41)
+        reasons = set()
+        planned = 0
+        for prob in probs:
+            try:
+                traj = planner.plan(prob)
+            except planner.PlanError:
+                continue
+            planned += 1
+            assert verify(traj, prob.M, 1e-9) is None
+            for bad, M in _perturbed(traj, rng):
+                got = verify(bad, M, 1e-9)
+                assert _failure_bits(got) == \
+                    _failure_bits(_reference_verify(bad, M, 1e-9))
+                reasons.add(got.reason if got is not None else None)
+        assert planned > 100
+        assert reasons >= {
+            "non-finite control or duration", "negative duration",
+            "input bound exceeded", "segment start off the path",
+            "state bound exceeded", "terminal state off target",
+            "t_f differs from the summed durations"}
