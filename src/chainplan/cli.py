@@ -44,11 +44,14 @@ def _fail(code: int, message: str) -> int:
 
 def problem_from_dict(data: dict) -> Problem:
     try:
-        n = int(data["order"])
+        order = data["order"]
+        n = int(order)
+        if isinstance(order, bool) or n != float(order):
+            raise ValueError(f"order must be an integer, got {order!r}")
         x0 = tuple(float(v) for v in data["x0"])
         xf = tuple(float(v) for v in data["xf"])
         M = tuple(None if v is None else float(v) for v in data["M"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"problem JSON missing or malformed field: {e}") from e
     return Problem(n, x0, xf, M)
 

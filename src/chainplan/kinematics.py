@@ -6,9 +6,9 @@ the order-2 closed form ``plan2`` and its bound-checked, integrated form
 coefficient sequence whose item i multiplies t**i, which ``horner``
 evaluates and ``poly_add`` and ``poly_mul`` combine; a state's samples at a
 segment's ends and stationary points, which are found in closed form while
-the derivative is at most cubic, and whose scan of states 1-3 is unrolled
-into closed forms; their least and largest value, ``segment_range``, on
-which the bound checks decide without building the samples; bound
+the derivative is at most cubic; their least and largest value,
+``segment_range``, whose scan of states 1-3 is unrolled into closed forms,
+and on which the bound checks decide without building the samples; bound
 violation checks), ``bracket_root``, the one
 scalar root solver (it polishes polynomial roots and solves the manifold
 interception), ``touch_roots``, the exact two-duration solve of degree-2
@@ -722,39 +722,7 @@ def _stationary_points(d, T: float) -> list[float]:
 def segment_samples(x, u: float, T: float, k: int) -> list[tuple[float, float]]:
     """(t, x_k(t)) at the ends of a constant-control segment of duration T
     and at its interior stationary points, in time order: where state k
-    takes its extremes on the segment.
-
-    States 1-3 are unrolled.  x1 is sampled at the ends only, x2 also at
-    -x1/u, and x3 also at the closed-form roots of x2; each value is
-    ``horner``'s expression written out on ``state_polynomial``'s
-    coefficients (x_k, ..., x1/(k-1)!, u/k!), so they give the generic
-    path's bits, signed zeros included.  ``segment_range`` repeats these
-    times and values for the bound scans."""
-    n = len(x)
-    times = (T, 0.0) if T < 0.0 else (0.0, T)
-    if k == 3 and n >= 3:
-        x1, x2, x3 = x[0], x[1], x[2]
-        if T > 0.0:
-            # x2's coefficients are (x2, x1, u/2): its true degree decides
-            a = u / 2.0
-            if a != 0.0:
-                roots = _quadratic_roots(x2, x1, a)
-                roots.sort()
-            else:
-                roots = (-x2 / x1,) if x1 != 0.0 else ()
-            for t in roots:
-                if 0.0 < t < T:
-                    times = times[:-1] + (t, T)
-        c2, c3 = x1 / 2.0, u / 6.0
-        return [(t, (((0.0 * t + c3) * t + c2) * t + x2) * t + x3)
-                for t in times]
-    if k == 2 and n >= 2:
-        x1, x2, c2 = x[0], x[1], u / 2.0
-        if T > 0.0 and u != 0.0 and 0.0 < -x1 / u < T:
-            times = (0.0, -x1 / u, T)
-        return [(t, ((0.0 * t + c2) * t + x1) * t + x2) for t in times]
-    if k == 1 and n >= 1:
-        return [(t, (0.0 * t + u) * t + x[0]) for t in times]
+    takes its extremes on the segment."""
     poly = state_polynomial(x, u, k)
     times = [0.0, T]
     if T > 0.0 and k >= 2:
@@ -768,9 +736,11 @@ def segment_samples(x, u: float, T: float, k: int) -> list[tuple[float, float]]:
 def segment_range(x, u: float, T: float, k: int) -> tuple[float, float]:
     """The least and the largest of ``segment_samples(x, u, T, k)``'s
     values as min and max give them (the first of equal values), NaN
-    skipped; (inf, -inf) where all are NaN.  States 1-3 evaluate its
-    expressions at its times in its order and build no list: the bound
-    checks decide on this alone."""
+    skipped; (inf, -inf) where all are NaN.  States 1-3 build no list: x1
+    is read at the ends, x2 also at -x1/u and x3 also at the closed-form
+    roots of x2, in time order, each by ``horner``'s expression written out
+    on ``state_polynomial``'s coefficients (x_k, ..., x1/(k-1)!, u/k!), so
+    with the generic scan's bits, signed zeros included."""
     lo, hi = inf, -inf
     n = len(x)
     times = (T, 0.0) if T < 0.0 else (0.0, T)
@@ -820,9 +790,9 @@ def segment_range(x, u: float, T: float, k: int) -> tuple[float, float]:
 def segment_bound_check(x, u: float, T: float, M, eps: float = 1e-9) -> Optional[Violation]:
     """Check |xk(t)| <= Mk + eps along one constant-control segment.
 
-    Decides on each bounded state's ``segment_range`` (its samples at the
+    Decides on each bounded state's ``segment_range`` (its values at the
     ends and stationary points suffice for polynomials); returns the first
-    of its ``segment_samples`` past the bound as a violation, or None.
+    of the generic ``segment_samples`` past the bound, or None.
     """
     if T < 0.0:
         raise ValueError(f"segment duration must be >= 0, got {T}")

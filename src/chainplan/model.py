@@ -319,12 +319,12 @@ def check_state(x, n: int) -> tuple[float, ...]:
 
 
 def check_bounds(M, n: int) -> tuple[Optional[float], ...]:
-    """Validate and normalize a bound tuple (M0..Mn, None for unbounded)."""
+    """Validate and normalize a bound tuple (M0..Mn; None, +inf: unbounded)."""
     if len(M) != n + 1:
         raise ValueError(f"bound vector has {len(M)} entries, expected {n + 1}")
     out = []
     for k, v in enumerate(M):
-        if v is None or (isinstance(v, float) and math.isinf(v)):
+        if v is None or (isinstance(v, float) and v == math.inf):
             if k == 0:
                 raise ValueError("the input bound M0 must be finite")
             out.append(None)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -167,6 +168,24 @@ class TestPlan:
             times = [float(row[0]) for row in list(csv.reader(fh))[1:]]
         assert times[-1] == traj.t_f
         assert times[-2] < 0.25
+
+    def test_negative_infinite_bound_exit_3(self, tmp_path, capsys):
+        # only +inf means unbounded; -inf is a bound that is not positive
+        inp = write_problem(tmp_path,
+                            dict(FIG7A, M=[1.0, -math.inf, 1.5, 4.0]))
+        assert main(["plan", "--input", inp]) == 3
+        assert "bound M1 must be strictly positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [1.9, True, math.inf, math.nan])
+    def test_non_integral_order_exit_3(self, tmp_path, capsys, order):
+        # read as int, 1.9 and true would plan UNIT1 as an order-1 problem
+        inp = write_problem(tmp_path, dict(UNIT1, order=order))
+        assert main(["plan", "--input", inp]) == 3
+        assert "bad problem data" in capsys.readouterr().err
+
+    def test_integral_float_order_plans(self, tmp_path):
+        inp = write_problem(tmp_path, dict(UNIT1, order=1.0))
+        assert main(["plan", "--input", inp]) == 0
 
     @pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
     def test_bad_sample_dt_exit_3(self, tmp_path, dt):
@@ -392,12 +411,14 @@ class TestBatch:
         ["--order", "0"],
         ["--order", "2", "--bounds", "[null, 1, 1]"],
         ["--order", "2", "--bounds", "[1, -1, 1]"],
+        ["--order", "3", "--bounds", "[1, -Infinity, 1.5, 4]"],
         ["--order", "2", "--margin", "1.5"],
         ["--order", "2", "--margin", "0"],
         ["--order", "2", "--margin", "-0.5"],
         ["--order", "2", "--count", "-1"],
         ["--order", "2", "--seed", "-1"],
-    ], ids=["order-0", "null-M0", "negative-M1", "margin-1.5", "margin-0",
+    ], ids=["order-0", "null-M0", "negative-M1", "minus-infinity-M1",
+            "margin-1.5", "margin-0",
             "margin-negative", "negative-count", "negative-seed"])
     def test_bad_arguments_exit_3(self, tmp_path, extra):
         assert main(["batch", "--count", "1"] + extra) == 3

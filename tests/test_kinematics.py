@@ -946,28 +946,20 @@ class TestSegmentBoundCheck:
             assert excess[verdict.k] > 0.0
 
 
-def _generic_samples(x, u, T, k):
-    """``segment_samples``' generic path, which states 1-3 skip: the
-    state's coefficients, the stationary points of state k - 1 inside
-    (0, T), and ``horner`` at each sorted time."""
-    poly = state_polynomial(x, u, k)
-    times = [0.0, T]
-    if T > 0.0 and k >= 2:
-        deriv = state_polynomial(x, u, k - 1)
-        times.extend(t for t in kinematics._stationary_points(deriv, T)
-                     if 0.0 < t < T)
-    times.sort()
-    return [(t, horner(poly, t)) for t in times]
-
-
-def _hex(samples):
-    return [(t.hex(), v.hex()) for t, v in samples]
+def _sample_range(x, u, T, k):
+    """The least and the largest of the samples' values by min and max,
+    NaN skipped; (inf, -inf) where every value is NaN."""
+    values = [v for _, v in segment_samples(x, u, T, k) if v == v]
+    if not values:
+        return math.inf, -math.inf
+    return min(values), max(values)
 
 
 @pytest.mark.seeded
 class TestScanBits:
-    """The unrolled scans of states 1-3 must give the generic path's exact
-    bits: times and values, signed zeros included.
+    """``segment_range``'s unrolled scans of states 1-3 must give the bits
+    of min and max over the generic ``segment_samples``, signed zeros
+    included.
 
     Seeded, although its draws are seeded, so every seed repeats them."""
 
@@ -977,8 +969,8 @@ class TestScanBits:
     @staticmethod
     def _check(x, u, T):
         for k in (1, 2, 3):
-            assert _hex(segment_samples(x, u, T, k)) == \
-                _hex(_generic_samples(x, u, T, k)), (x, u, T, k)
+            assert _bits(segment_range(x, u, T, k)) == \
+                _bits(_sample_range(x, u, T, k)), (x, u, T, k)
 
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_random_chains(self, n):
@@ -1021,8 +1013,8 @@ class TestScanBits:
 
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_violation_matches_reference(self, n):
-        # segment_bound_check reports the first (k, t, value) that the
-        # generic samples put past the bound, to the bit
+        # segment_bound_check reports the first (k, t, value) that
+        # segment_samples puts past the bound, to the bit
         rng = np.random.default_rng(100 + n)
         hits = 0
         for _ in range(300):
@@ -1038,7 +1030,7 @@ class TestScanBits:
                     if M[k] is None:
                         continue
                     expected = next(((k, t.hex(), v.hex())
-                                     for t, v in _generic_samples(x, u, T, k)
+                                     for t, v in segment_samples(x, u, T, k)
                                      if abs(v) > M[k] + 1e-9), None)
                     if expected:
                         break
@@ -1048,15 +1040,6 @@ class TestScanBits:
                     hits += 1
                 assert got == expected
         assert hits > 100
-
-
-def _sample_range(x, u, T, k):
-    """The least and the largest of the samples' values by min and max,
-    NaN skipped; (inf, -inf) where every value is NaN."""
-    values = [v for _, v in segment_samples(x, u, T, k) if v == v]
-    if not values:
-        return math.inf, -math.inf
-    return min(values), max(values)
 
 
 # a state component: finite, a signed zero, tiny or NaN

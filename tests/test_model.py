@@ -177,6 +177,15 @@ class TestProblem:
         p = Problem(1, (0.0,), (0.5,), (1.0, float("inf")))
         assert p.M[1] is None
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_negative_infinity_is_not_unbounded(self, k):
+        # only +inf means unbounded: -inf is a bound that is not positive
+        M = [1.0, 1.0, 1.5, 4.0]
+        M[k] = -math.inf
+        with pytest.raises(ValueError,
+                           match=f"bound M{k} must be strictly positive"):
+            Problem(3, (0.0, 0.0, 0.0), (0.5, 0.3, 1.0), tuple(M))
+
 
 def scan_state_at(traj, t):
     """State at t by a linear scan over the segments, summing durations as

@@ -1172,13 +1172,19 @@ class TestRootCounts:
     polynomial root, any other a manifold-gap root.  Planning them brackets
     no polynomial root, since their bound scans solve derivatives of degree
     <= 2 in closed form; so the polynomial roots counted are those of
-    ``kinematics.real_roots`` on every derivative that the scans took."""
+    ``kinematics.real_roots`` on every derivative that the scans took.
+    No plan lists a segment's samples: the bound scans read
+    ``segment_range`` alone, and at order 3 ``segment_samples`` runs only
+    to report a failed ``segment_bound_check``, which none of these draws
+    has."""
 
     def test_evaluations_per_root(self, monkeypatch):
         solve = kinematics.bracket_root
         scan = kinematics.segment_range
+        samples = kinematics.segment_samples
         counts = {"gap": [0, 0], "poly": [0, 0]}
         scans = []
+        listings = []
 
         def counted(f, *args):
             poly = isinstance(f, partial) and f.func is kinematics.horner
@@ -1196,13 +1202,19 @@ class TestRootCounts:
                 scans.append((kinematics.state_polynomial(x, u, k - 1), T))
             return scan(x, u, T, k)
 
+        def listed(*args):
+            listings.append(args)
+            return samples(*args)
+
         monkeypatch.setattr(kinematics, "bracket_root", counted)
         monkeypatch.setattr(kinematics, "segment_range", scanned)
+        monkeypatch.setattr(kinematics, "segment_samples", listed)
         rng = np.random.default_rng(1)
         M = sampling.default_bounds(3)
         for _ in range(100):
             _outcome(Planner(), sampling.random_problem(3, M, rng, 0.8))
         assert counts["poly"] == [0, 0]
+        assert listings == []
         for deriv, T in scans:
             if any(deriv):
                 kinematics.real_roots(deriv, (0.0, T))
