@@ -28,6 +28,7 @@ from .model import (
     Trajectory,
     asl_parse,
     check_bounds,
+    check_number,
     check_state,
 )
 from .planner import InfeasibleProblem, PlanError, Planner
@@ -43,17 +44,18 @@ def _fail(code: int, message: str) -> int:
 
 
 def problem_from_dict(data: dict) -> Problem:
+    """The problem, read by ``Problem``: InfeasibleError for a boundary
+    state beyond its bound, ValueError for other malformed data."""
     try:
         order = data["order"]
         n = int(order)
         if isinstance(order, bool) or n != float(order):
             raise ValueError(f"order must be an integer, got {order!r}")
-        x0 = tuple(float(v) for v in data["x0"])
-        xf = tuple(float(v) for v in data["xf"])
-        M = tuple(None if v is None else float(v) for v in data["M"])
+        return Problem(n, data["x0"], data["xf"], data["M"])
+    except InfeasibleError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"problem JSON missing or malformed field: {e}") from e
-    return Problem(n, x0, xf, M)
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
@@ -70,11 +72,11 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 def trajectory_from_dict(data: dict, problem: Problem) -> Trajectory:
     try:
         segs = tuple(
-            Segment(float(s["u"]), float(s["duration"]),
+            Segment(check_number(s["u"]), check_number(s["duration"]),
                     check_state(s["start"], problem.n))
             for s in data["segments"]
         )
-        t_f = float(data["t_f"])
+        t_f = check_number(data["t_f"])
         # JSON's NaN and +/-Infinity are as malformed as a string
         if not all(map(math.isfinite, [t_f] + [v for s in segs
                                                for v in (s.u, s.duration)])):

@@ -1,5 +1,5 @@
-"""Switching-law algebra: dimension, signs, simplification, and full
-enumeration of the order-n catalog of augmented switching laws.
+"""Switching-law algebra: signs, simplification, and full enumeration of
+the order-n catalog of augmented switching laws.
 
 The catalog has one filter beyond ``Asl`` construction (which rejects
 adjacent bound-riding behaviors, markers not flanked by saturation stages
@@ -39,23 +39,6 @@ class LawEnumerationError(RuntimeError):
         super().__init__(f"enumeration of order {order} exceeded cap {cap}")
         self.order = order
         self.cap = cap
-
-
-def dimension(asl: Asl) -> int:
-    """Degrees of freedom carried by a law.
-
-    Each plain behavior contributes 1 minus its value, each virtual-group
-    member does the same, and a tangent marker removes its degree.
-    """
-    total = 0
-    for e in asl.elements:
-        if isinstance(e, Behavior):
-            total += 1 - e.value
-        elif isinstance(e, VirtualGroup):
-            total += sum(1 - m.value for m in e.members)
-        else:
-            total -= e.degree
-    return total
 
 
 @cache

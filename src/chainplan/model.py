@@ -216,9 +216,6 @@ class Asl:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def negated(self) -> "Asl":
-        return Asl(tuple(e.negated() for e in self.elements))
-
     def unsigned(self) -> "Asl":
         def strip(e):
             if isinstance(e, Behavior):
@@ -308,9 +305,16 @@ def asl_parse(text: str) -> Asl:
     return Asl(tuple(elements))
 
 
+def check_number(v) -> float:
+    """float(v); a boolean is no number, though Python counts it as one."""
+    if isinstance(v, bool):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def check_state(x, n: int) -> tuple[float, ...]:
     """Validate and normalize a state tuple of the given order."""
-    xs = tuple(float(v) for v in x)
+    xs = tuple(check_number(v) for v in x)
     if len(xs) != n:
         raise ValueError(f"state has {len(xs)} components, expected {n}")
     if not all(math.isfinite(v) for v in xs):
@@ -329,7 +333,7 @@ def check_bounds(M, n: int) -> tuple[Optional[float], ...]:
                 raise ValueError("the input bound M0 must be finite")
             out.append(None)
             continue
-        v = float(v)
+        v = check_number(v)
         if not math.isfinite(v) or v <= 0.0:
             raise ValueError(f"bound M{k} must be strictly positive, got {v}")
         out.append(v)

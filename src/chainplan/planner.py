@@ -2,11 +2,13 @@
 
 The planner reduces an order-n problem to order n-1: it projects the start
 onto the lower-order manifold of states that finish the remaining problem
-exactly (the proper position) and classifies the start once per order, as
-on, above or below that manifold.  On it, the lower-order plan's controls
-run unchanged on the order-n chain.  Above it, the planner plans the
-mirrored start, which lies below, and negates that plan.  Below it, the
-planner follows one path, the ascent and its ride: the order-m plan that
+exactly (the proper position p*) and classifies the start once per order,
+as on, above or below that manifold, by the gap x_n - p*: one function,
+``Planner._gap_of``, gives that gap to classifications and interceptions
+alike.  On the manifold, the lower-order plan's controls run unchanged on
+the order-n chain.  Above it, the planner plans the mirrored start, which
+lies below, and negates that plan.  Below it, the planner follows one
+path, the ascent and its ride: the order-m plan that
 brings x_m, the highest bounded state below the top, to its cruise
 x_m = M_m, then the ride along that cruise as the path's last stage.  It
 hands over to the lower-order plan the moment the manifold intercepts the
@@ -126,15 +128,6 @@ class _Plan(NamedTuple):
     @property
     def tf(self) -> float:
         return sum(t for _, t in self.stages)
-
-
-def _integral_top(x0, p: _Plan) -> float:
-    total = 0.0
-    cur = x0
-    for u, t in p.stages:
-        total += kinematics.integral_top(cur, u, t)
-        cur = kinematics.propagate(cur, u, t)
-    return total
 
 
 def _negate(p: _Plan) -> _Plan:
@@ -273,31 +266,19 @@ class Planner:
         return _Plan(((u, abs(delta) / M0),), (_UP if delta > 0 else _DOWN,))
 
     def _plan2(self, x0, xf, M) -> _Plan:
-        stages = self._plan2_top(x0, xf, M)[0]
+        top = kinematics.plan2_top(x0[0], x0[1], xf[0], xf[1], M[0], M[1],
+                                   M[2], EPS_PROPER, self.bound_eps)
+        if top is None:
+            raise PlanError(_P2_BOUND)
+        stages = top[0]
         return _Plan(stages, _PLAN2_ELEMENTS[len(stages), stages[0][0] > 0.0]
                      if stages else ())
 
-    def _plan2_top(self, x0, xf, M):
-        """``kinematics.plan2_top`` on an order-2 (sub-)problem; raises
-        PlanError where the plan leaves the position bound M[2]."""
-        top = kinematics.plan2_top(
-            x0[0], x0[1], xf[0], xf[1], M[0],
-            M[1], M[2], EPS_PROPER, self.bound_eps)
-        if top is None:
-            raise PlanError(_P2_BOUND)
-        return top
-
-    def _pstar(self, n: int, sub_state, xf, M) -> float:
-        if n == 3:
-            return xf[2] - self._plan2_top(sub_state, xf, M)[1]
-        sub = self._plan(n - 1, sub_state, xf[: n - 1], M[:n])
-        return xf[n - 1] - _integral_top(sub_state, sub)
-
     def _classify(self, n: int, x0, xf, M) -> tuple[str, float]:
-        """PROPER, HIGHER or LOWER for the float state x0, with its gap."""
-        p_star = self._pstar(n, x0[:-1], xf, M)
-        gap = x0[n - 1] - p_star
-        scale = max(1.0, abs(M[n] if M[n] is not None else p_star))
+        """PROPER, HIGHER or LOWER for the float state x0, with its gap
+        (``_gap_of``), to a tolerance scaled by M[n] or, where None, by p*."""
+        gap = self._gap_of(n, xf, M)(x0)
+        scale = max(1.0, abs(M[n] if M[n] is not None else x0[n - 1] - gap))
         if abs(gap) <= EPS_PROPER * scale:
             return PROPER, gap
         return (HIGHER if gap > 0.0 else LOWER), gap
@@ -350,11 +331,20 @@ class Planner:
 
     def _gap_of(self, n: int, xf, M):
         """The gap x_n - p* as a function of the order-n state, raising
-        PlanError where the lower-order plan fails: the hook of every gap
-        evaluation.  At order 3 it makes ``_pstar``'s ``plan2_top`` call and
-        arithmetic itself, so an evaluation is one call."""
+        PlanError where the lower-order plan fails: the hook of every
+        classification and gap evaluation.  p* (x_n's goal less x_{n-1}'s
+        integral along the order-(n-1) plan) is computed here only: at
+        order 3 by one ``plan2_top`` call, above along the planned stages."""
         if n != 3:
-            return lambda s: s[n - 1] - self._pstar(n, s[: n - 1], xf, M)
+            def gap(state):
+                cur = state[: n - 1]
+                total = 0.0
+                for u, t in self._plan(n - 1, cur, xf[: n - 1], M[:n]).stages:
+                    total += kinematics.integral_top(cur, u, t)
+                    cur = kinematics.propagate(cur, u, t)
+                return state[n - 1] - (xf[n - 1] - total)
+
+            return gap
         vf, pf, top, M0, M1, M2 = xf[0], xf[1], xf[2], M[0], M[1], M[2]
         bound_eps = self.bound_eps
 

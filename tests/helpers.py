@@ -3,7 +3,31 @@
 import numpy as np
 
 from chainplan import kinematics, planner, sampling
-from chainplan.model import Asl, Problem, Segment, Trajectory
+from chainplan.model import (
+    Asl,
+    Behavior,
+    Problem,
+    Segment,
+    Trajectory,
+    VirtualGroup,
+)
+
+
+def dimension(asl: Asl) -> int:
+    """Degrees of freedom carried by a law.
+
+    Each plain behavior contributes 1 minus its value, each virtual-group
+    member does the same, and a tangent marker removes its degree.
+    """
+    total = 0
+    for e in asl.elements:
+        if isinstance(e, Behavior):
+            total += 1 - e.value
+        elif isinstance(e, VirtualGroup):
+            total += sum(1 - m.value for m in e.members)
+        else:
+            total -= e.degree
+    return total
 
 
 def draw_feasible(n, M, rng, margin=0.8):

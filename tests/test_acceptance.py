@@ -10,7 +10,7 @@ import numpy as np
 
 from chainplan import laws, metrics, oracle, planner, sampling, solver
 from chainplan.model import Problem
-from helpers import draw_feasible
+from helpers import dimension, draw_feasible
 
 M3 = (1.0, 1.0, 1.5, 4.0)
 M4 = (1.0, 1.0, 1.5, 4.0, 20.0)
@@ -87,7 +87,7 @@ def test_criterion_4_dimension_spot_checks():
         "0102010": 3,
         "010(4,2)0102010(3)0102010": 4,
     }
-    got = {text: laws.dimension(asl_parse(text)) for text in checks}
+    got = {text: dimension(asl_parse(text)) for text in checks}
     report(4, "dimension spot checks", got == checks, f"{got}")
 
 

@@ -187,6 +187,38 @@ class TestPlan:
         inp = write_problem(tmp_path, dict(UNIT1, order=1.0))
         assert main(["plan", "--input", inp]) == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("x0", [False]), ("xf", [True]), ("M", [True, None]),
+    ], ids=["x0", "xf", "M"])
+    def test_boolean_exit_3(self, tmp_path, capsys, field, value):
+        # read as numbers, false and true planned UNIT1's 0 -> 1 at M0 = 1
+        inp = write_problem(tmp_path, dict(UNIT1, **{field: value}))
+        assert main(["plan", "--input", inp]) == 3
+        assert "expected a number, got" in capsys.readouterr().err
+
+    def test_unwritable_output_exit_3(self, tmp_path, capsys):
+        inp = write_problem(tmp_path, UNIT1)
+        out = str(tmp_path / "missing" / "t.json")
+        assert main(["plan", "--input", inp, "--output", out]) == 3
+        assert capsys.readouterr().err.startswith(
+            "chainplan: cannot write output: ")
+
+    def test_failed_cross_check_still_writes_the_plan(self, tmp_path, capsys,
+                                                      monkeypatch):
+        from chainplan import oracle
+
+        def fail(problem):
+            raise oracle.OracleError("no law converged")
+
+        monkeypatch.setattr(oracle, "exhaustive_tf", fail)
+        inp = write_problem(tmp_path, FIG7A)
+        out = tmp_path / "t.json"
+        assert main(["plan", "--input", inp, "--output", str(out),
+                     "--cross-check"]) == 0
+        assert capsys.readouterr().err == \
+            "cross-check failed: no law converged\n"
+        assert json.loads(out.read_text())["segments"]
+
     @pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
     def test_bad_sample_dt_exit_3(self, tmp_path, dt):
         # a period <= 0 would sample the CSV forever
@@ -218,6 +250,10 @@ class TestEnumerate:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 24
         assert lines == sorted(lines)
+
+    def test_order_zero_exit_3(self, capsys):
+        assert main(["enumerate", "--order", "0"]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_order_five_exceeds_the_cap_exit_2(self, capsys):
         assert main(["enumerate", "--order", "5"]) == 2
@@ -303,9 +339,16 @@ class TestMetrics:
         (UNIT1, _two_ramps(extra={"u": 0.0, "duration": NAN,
                                   "start": [0.5]})),
         (UNIT1, _two_ramps(t_f=NAN)),
+        # JSON's true and false are no numbers
+        (UNIT1, _two_ramps(u=True)),
+        (UNIT1, _two_ramps(duration=True)),
+        (UNIT1, _two_ramps(t_f=True)),
+        (UNIT1, {"t_f": 1.0, "segments": [{"u": 1.0, "duration": 1.0,
+                                           "start": [False]}]}),
     ], ids=["null-duration", "segments-not-a-list", "short-start",
             "nan-duration", "infinite-duration", "nan-control",
-            "extra-nan-segment", "nan-t_f"])
+            "extra-nan-segment", "nan-t_f", "boolean-control",
+            "boolean-duration", "boolean-t_f", "boolean-start"])
     def test_malformed_trajectory_exit_3(self, tmp_path, problem, trajectory):
         inp = write_problem(tmp_path, problem)
         tpath = write_problem(tmp_path, trajectory, "traj.json")
@@ -412,16 +455,40 @@ class TestBatch:
         ["--order", "2", "--bounds", "[null, 1, 1]"],
         ["--order", "2", "--bounds", "[1, -1, 1]"],
         ["--order", "3", "--bounds", "[1, -Infinity, 1.5, 4]"],
+        ["--order", "2", "--bounds", "[true, 1, null]"],
         ["--order", "2", "--margin", "1.5"],
         ["--order", "2", "--margin", "0"],
         ["--order", "2", "--margin", "-0.5"],
         ["--order", "2", "--count", "-1"],
         ["--order", "2", "--seed", "-1"],
     ], ids=["order-0", "null-M0", "negative-M1", "minus-infinity-M1",
-            "margin-1.5", "margin-0",
+            "boolean-M0", "margin-1.5", "margin-0",
             "margin-negative", "negative-count", "negative-seed"])
     def test_bad_arguments_exit_3(self, tmp_path, extra):
         assert main(["batch", "--count", "1"] + extra) == 3
+
+    def test_unwritable_output_exit_3(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "r.json")
+        assert main(["batch", "--order", "2", "--count", "1",
+                     "--bounds", "[1, 1, null]", "--output", out]) == 3
+        assert capsys.readouterr().err.startswith(
+            "chainplan: cannot write report: ")
+
+    def test_too_many_failed_draws_exit_2(self, capsys, monkeypatch):
+        # every draw fails: batch gives up after 50 redraws per problem
+        calls = []
+
+        def fail(self, problem):
+            calls.append(problem)
+            raise PlanError("no plan")
+
+        monkeypatch.setattr(Planner, "plan", fail)
+        assert main(["batch", "--order", "2", "--count", "1",
+                     "--bounds", "[1, 1, null]"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("chainplan: too many infeasible or failed draws")
+        assert len(calls) == 51
 
     def test_timing_flag_adds_section(self, tmp_path):
         out = str(tmp_path / "r.json")

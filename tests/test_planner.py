@@ -18,6 +18,7 @@ from chainplan.model import (
     asl_parse,
 )
 from chainplan.planner import (
+    EPS_PROPER,
     HIGHER,
     LOWER,
     PROPER,
@@ -25,7 +26,6 @@ from chainplan.planner import (
     PlanError,
     Planner,
     _concat,
-    _integral_top,
     _Plan,
     plan,
     plan_unconstrained,
@@ -39,9 +39,10 @@ M4 = (1.0, 1.0, 1.5, 4.0, 20.0)
 
 def proper_position(x0, xf, M):
     """p*: the position placing (x0_1..x0_{n-1}, p*) on the lower-order
-    manifold of xf."""
-    return Planner()._pstar(len(x0), tuple(map(float, x0[:-1])),
-                            tuple(map(float, xf)), tuple(M))
+    manifold of xf; the gap x_n - p* at x_n = 0 is -p* exactly."""
+    state = tuple(map(float, x0[:-1])) + (0.0,)
+    return -Planner()._gap_of(len(x0), tuple(map(float, xf)),
+                              tuple(M))(state)
 
 
 def classify(x0, xf, M):
@@ -165,24 +166,35 @@ class TestProperPosition:
         assert classify((1.0, p_star + 0.1), (0.0, 0.0), M) == HIGHER
         assert classify((1.0, p_star - 0.1), (0.0, 0.0), M) == LOWER
 
+    def test_unbounded_top_tolerance_scales_with_pstar(self):
+        # with x3 unbounded, a start lies on the manifold within EPS_PROPER
+        # of p* relative to |p*| (about 100 here), not to 1
+        M, xf = (1.0, 1.0, 1.5, None), (0.0, 0.0, 100.0)
+        p_star = proper_position((0.5, 0.0, 0.0), xf, M)
+        assert 99.0 < p_star < 100.0
+        assert classify((0.5, 0.0, p_star + 50 * EPS_PROPER), xf, M) == \
+            PROPER
+        assert classify((0.5, 0.0, p_star - 150 * EPS_PROPER), xf, M) == \
+            LOWER
+
     def test_third_order_pstar_bits(self):
-        # the order-3 proper position is the goal minus the integral of the
+        # the order-3 gap is x3 less the goal minus the integral of the
         # order-2 sub-plan, to the bit, and fails exactly where that plan does
         M = sampling.default_bounds(3)
-        rng = np.random.default_rng(31)
+        rng, tops = np.random.default_rng(31), np.random.default_rng(32)
         pl = Planner()
         raised = 0
         for _ in range(2000):
             s = tuple(float(rng.uniform(-b, b)) for b in M[1:3])
             xf = tuple(float(rng.uniform(-b, b)) for b in M[1:4])
-            try:
-                ref = xf[2] - _integral_top(s, pl._plan(2, s, xf[:2], M))
-            except PlanError:
+            state = s + (float(tops.uniform(-M[3], M[3])),)
+            ref = _sub_plan_gap(pl, state, xf, M)
+            if ref[0] == "error":
                 raised += 1
                 with pytest.raises(PlanError, match="position bound"):
-                    pl._pstar(3, s, xf, M)
+                    pl._gap_of(3, xf, M)(state)
                 continue
-            assert pl._pstar(3, s, xf, M).hex() == ref.hex()
+            assert pl._gap_of(3, xf, M)(state).hex() == ref[1]
         assert 0 < raised < 2000
 
     def test_third_order_manifold_membership(self):
@@ -1012,38 +1024,50 @@ class TestInterceptBoundaryPass:
     def test_failed_end_gap_fails_the_ride_with_its_error(self):
         # below the manifold, the ascent to x2 = M2 meets no lower-order plan
         # at any stage end: the ride fails with that plan's own error
+        prob = Problem(3, (0.0, 0.0, -2.0), (0.0, 0.0, 0.0), M3)
+
         class Gappy(Planner):
             def _gap_of(self, n, xf, M):
+                real = super()._gap_of(n, xf, M)
+
                 def gap(state):
+                    # the start classifies as before; no later state has a
+                    # lower-order plan
+                    if state == prob.x0:
+                        return real(state)
                     raise PlanError("no lower-order plan")
 
                 return gap
 
-        prob = Problem(3, (0.0, 0.0, -2.0), (0.0, 0.0, 0.0), M3)
         assert classify(prob.x0, prob.xf, prob.M) == LOWER
         with pytest.raises(PlanError, match="^no lower-order plan$"):
             Gappy()._plan_free(3, prob.x0, prob.xf, prob.M)
 
 
-def _pstar_gap(pl, n, state, xf, M):
-    """The gap as the planner evaluated it before ``_gap_of``, through
-    ``_pstar``: ("gap", its bits) or ("error", the lower-order plan's
-    message)."""
+def _sub_plan_gap(pl, state, xf, M):
+    """The order-3 gap by its definition: x3 less the goal minus the
+    integral of x2 along the order-2 plan of the sub-state, ("gap", its
+    bits), or ("error", that plan's message) where it fails."""
+    cur = state[:2]
     try:
-        pstar = pl._pstar(n, state[: n - 1], xf, M)
+        stages = pl._plan(2, cur, xf[:2], M).stages
     except PlanError as e:
         return "error", str(e)
-    return "gap", (state[n - 1] - pstar).hex()
+    total = 0.0
+    for u, t in stages:
+        total += kinematics.integral_top(cur, u, t)
+        cur = kinematics.propagate(cur, u, t)
+    return "gap", (state[2] - (xf[2] - total)).hex()
 
 
 @pytest.mark.seeded
 class TestGapFunction:
-    """Seeded: the order-3 gap function calls ``kinematics.plan2_top`` in
-    place of the ``_pstar`` chain.  Along the ascents and rides that plan3's
-    corpus hands over on, each gap must be that chain's to the bit, and
-    each failure its error."""
+    """Seeded: the order-3 gap function takes p* from one
+    ``kinematics.plan2_top`` call.  Along the ascents and rides that plan3's
+    corpus hands over on, each gap must be the integral along the order-2
+    plan's, to the bit, and each failure that plan's error."""
 
-    def test_order3_matches_pstar_chain(self, monkeypatch):
+    def test_order3_matches_sub_plan_integral(self, monkeypatch):
         hand_over = Planner._hand_over
         walks = []
 
@@ -1067,7 +1091,7 @@ class TestGapFunction:
                 got = "gap", gap(state).hex()
             except PlanError as e:
                 got = "error", str(e)
-            assert got == _pstar_gap(pl, 3, state, xf, M)
+            assert got == _sub_plan_gap(pl, state, xf, M)
             kinds[got[0]] += 1
 
         for x0, stages, xf, M in walks:
@@ -1094,10 +1118,9 @@ class TestGapEvaluations:
 
     @pytest.mark.parametrize("n, count", [(3, 100), (4, 4)])
     def test_no_lower_order_plan_repeats(self, n, count, monkeypatch):
-        # every lower-order plan of a sub-state: the classification's and
-        # each gap evaluation's (the hook ``_gap_of``, whose order-3 gap
-        # calls no ``_pstar``)
-        classify, gap_of = Planner._classify, Planner._gap_of
+        # every lower-order plan of a sub-state: each gap evaluation's,
+        # the classification's among them (the hook ``_gap_of``)
+        gap_of = Planner._gap_of
         last, calls, repeats = {}, [0], []
 
         def spy(k, sub_state, xf):
@@ -1106,10 +1129,6 @@ class TestGapEvaluations:
             if last.get(k) == key:
                 repeats.append(k)
             last[k] = key
-
-        def classify_spy(self, k, x0, xf, M):
-            spy(k, x0[:-1], xf)
-            return classify(self, k, x0, xf, M)
 
         def gap_of_spy(self, k, xf, M):
             gap = gap_of(self, k, xf, M)
@@ -1120,7 +1139,6 @@ class TestGapEvaluations:
 
             return spied
 
-        monkeypatch.setattr(Planner, "_classify", classify_spy)
         monkeypatch.setattr(Planner, "_gap_of", gap_of_spy)
         rng = np.random.default_rng(1)
         M = sampling.default_bounds(n)
@@ -1442,6 +1460,42 @@ class TestOutputBits:
                     + [traj.t_f.hex()])
             h.update(line.encode() + b"\n")
         assert h.hexdigest()[:16] == self.DIGEST
+
+
+def _digest(runs) -> str:
+    """``TestOutputBits``' hash of the runs' outputs, in order."""
+    h = hashlib.sha256()
+    for run in runs:
+        try:
+            traj = run()
+        except PlanError as e:
+            line = f"{type(e).__name__}: {e}"
+        else:
+            line = " ".join(
+                [traj.asl.text()]
+                + [f"{s.u.hex()},{s.duration.hex()}" for s in traj.segments]
+                + [traj.t_f.hex()])
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()[:16]
+
+
+class TestUnboundedTopBits:
+    """The planner's outputs, pinned as ``TestOutputBits`` pins them, where
+    a level's top state is unbounded and its classification scales its
+    tolerance by p* instead of the bound: 40 order-3 draws at
+    (1, 1, 1.5, None) and 20 order-4 draws at (1, 1, 1.5, None, 20), whose
+    order-3 sub-level has no x3 bound, each with its mirror."""
+
+    DIGEST = "9cf28bfe9833a7d0"
+
+    def test_digest(self):
+        rng = np.random.default_rng(1)
+        probs = [sampling.random_problem(3, (1.0, 1.0, 1.5, None), rng, 0.8)
+                 for _ in range(40)]
+        probs += [sampling.random_problem(4, (1.0, 1.0, 1.5, None, 20.0),
+                                          rng, 0.8) for _ in range(20)]
+        assert _digest([partial(plan, q) for prob in probs
+                        for q in (prob, _mirror(prob))]) == self.DIGEST
 
 
 class TestKnownDefects:
