@@ -47,9 +47,9 @@ def problem_from_dict(data: dict) -> Problem:
     """The problem, read by ``Problem``: InfeasibleError for a boundary
     state beyond its bound, ValueError for other malformed data."""
     try:
-        order = data["order"]
+        order = check_number(data["order"])
         n = int(order)
-        if isinstance(order, bool) or n != float(order):
+        if n != order:
             raise ValueError(f"order must be an integer, got {order!r}")
         return Problem(n, data["x0"], data["xf"], data["M"])
     except InfeasibleError:

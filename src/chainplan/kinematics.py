@@ -9,15 +9,15 @@ segment's ends and stationary points, which are found in closed form while
 the derivative is at most cubic; their least and largest value,
 ``segment_range``, whose scan of states 1-3 is unrolled into closed forms,
 and on which the bound checks decide without building the samples; bound
-violation checks), ``bracket_root``, the one
-scalar root solver (it polishes polynomial roots and solves the manifold
-interception), ``touch_roots``, the exact two-duration solve of degree-2
-tangent-marker legs, and the one Newton polish of stage systems, which the
-planner's stage solve and the oracle share: ``stage_columns``, the column
-rule of a walk's exact Jacobian, and ``root``, Newton's method with
-least-squares steps, which alone imports numpy, on its first call.
-Callers reach the kernels as ``kinematics.<name>`` so that a profiler can
-wrap them here.
+violation checks), ``bracket_root``, the one scalar root solver (it polishes
+polynomial roots and solves the manifold interception), ``touch_roots``,
+the exact two-duration solve of degree-2 tangent-marker legs, and the one
+Newton polish of stage systems, which the planner's stage solve and the
+oracle share: ``stage_columns``, the column rule of a walk's exact
+Jacobian, and ``root``, Newton's method with least-squares steps on lists
+of floats, whose step alone imports numpy (LAPACK's least-squares solve),
+on its first call.  Callers reach the kernels as ``kinematics.<name>`` so
+that a profiler can wrap them here.
 """
 
 from __future__ import annotations
@@ -25,16 +25,16 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import partial
-from math import copysign, fabs, frexp, inf, ldexp, sqrt
-from typing import TYPE_CHECKING, NamedTuple, Optional
-
-if TYPE_CHECKING:  # numpy is slow to import; only the polish calls it
-    import numpy as np
+from math import copysign, fabs, frexp, inf, isfinite, ldexp, sqrt
+from typing import NamedTuple, Optional
 
 # recorded by perfbench in its environment block; the kernels are pure Python
 BACKEND: str = "python"
 
 _EPS = sys.float_info.epsilon
+# a start within EPS_PROPER (relative to max(1, bound or |p*|)) of the proper
+# position counts as on the manifold (``plan2``, ``Planner._classify``)
+EPS_PROPER = 1e-9
 
 
 def propagate(x, u, t):
@@ -99,7 +99,7 @@ def stage_columns(cols, u, t, x):
     return [propagate(c, 0.0, t) for c in cols] + [(u,) + x[:-1]]
 
 
-def plan2(v0, p0, vf, pf, M0, M1, eps):
+def plan2(v0, p0, vf, pf, M0, M1):
     """Plan the two-state problem under |u| <= M0 and velocity bound M1
     (None: unbounded).
 
@@ -113,7 +113,7 @@ def plan2(v0, p0, vf, pf, M0, M1, eps):
     pstar = pf - disp
     gap = p0 - pstar
     scale = fabs(pstar)
-    if fabs(gap) <= eps * (scale if scale > 1.0 else 1.0):
+    if fabs(gap) <= EPS_PROPER * (scale if scale > 1.0 else 1.0):
         if v0 == vf and p0 == pf:
             return ()
         return ((M0 if vf >= v0 else -M0, fabs(vf - v0) / M0),)
@@ -136,7 +136,7 @@ def plan2(v0, p0, vf, pf, M0, M1, eps):
     return ((mirror * M0, t1), (0.0, tr), (-mirror * M0, t3))
 
 
-def plan2_top(v0, p0, vf, pf, M0, M1, M2, eps, bound_eps):
+def plan2_top(v0, p0, vf, pf, M0, M1, M2, bound_eps):
     """Order-2 plan with its position bound and top-state integral.
 
     Returns ``(stages, integral)``: ``plan2``'s stages with durations
@@ -150,7 +150,7 @@ def plan2_top(v0, p0, vf, pf, M0, M1, M2, eps, bound_eps):
     bounded = M2 is not None
     if bounded:
         lim = M2 + bound_eps
-    stages = plan2(v0, p0, vf, pf, M0, M1, eps)
+    stages = plan2(v0, p0, vf, pf, M0, M1)
     clip = False
     total = 0.0
     v, p = v0, p0
@@ -336,11 +336,11 @@ SINGULAR_TOL = 1e-13
 
 
 class Polish(NamedTuple):
-    """The point a polish (``root``) ends at, its residuals, and whether it
-    converged."""
+    """The point a polish (``root``) ends at as a list of floats, its
+    residuals, and whether it converged."""
 
-    x: np.ndarray
-    fun: np.ndarray
+    x: list
+    fun: list
     success: bool
 
 
@@ -356,8 +356,7 @@ def _newton_step(jac, res):
     zero: a step through that value would run along the system's curve of
     solutions, to negative times, where the least-squares step stays put."""
     import numpy as np
-    return np.linalg.lstsq(np.array(jac), np.array(res),
-                           rcond=SINGULAR_TOL)[0].tolist()
+    return np.linalg.lstsq(jac, res, rcond=SINGULAR_TOL)[0].tolist()
 
 
 def root(fun, x0) -> Polish:
@@ -379,12 +378,11 @@ def root(fun, x0) -> Polish:
     negative times, and on the oracle's planted probes of CHANGES.md the
     polish takes 1.6 to 1.8 times the steps without that stop.  Farther
     out, near a double root, a first step can raise the residual on its
-    way to the root."""
-    import numpy as np
+    way to the root.  A step to a NaN residual does not halve it."""
     x = [float(t) for t in x0]
     res, jac = fun(x, True)
     for _ in range(POLISH_STEPS):
-        if not np.isfinite(res).all():
+        if not all(isfinite(r) for r in res):
             break
         step = _newton_step(jac, res)
         size = max(map(abs, step))
@@ -392,12 +390,13 @@ def root(fun, x0) -> Polish:
         done = size <= POLISH_XTOL * max(1.0, max(map(abs, new)))
         new_res, new_jac = fun(new, not done)
         if done:
-            return Polish(np.array(new), new_res, True)
-        last = float(np.max(np.abs(res)))
-        if last <= POLISH_FTOL and not np.max(np.abs(new_res)) <= 0.5 * last:
+            return Polish(new, new_res, True)
+        last = max(map(abs, res))
+        if last <= POLISH_FTOL and not all(abs(r) <= 0.5 * last
+                                           for r in new_res):
             break
         x, res, jac = new, new_res, new_jac
-    return Polish(np.array(x), res, False)
+    return Polish(x, res, False)
 
 
 ROOT_TOL = 1e-12

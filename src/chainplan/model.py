@@ -306,8 +306,8 @@ def asl_parse(text: str) -> Asl:
 
 
 def check_number(v) -> float:
-    """float(v); a boolean is no number, though Python counts it as one."""
-    if isinstance(v, bool):
+    """float(v); a boolean or a string is no number, though float() takes it."""
+    if isinstance(v, (bool, str, bytes)):
         raise ValueError(f"expected a number, got {v!r}")
     return float(v)
 

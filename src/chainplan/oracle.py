@@ -53,13 +53,13 @@ starts with the same signed leg shares its solutions, so each leg is solved
 once per search.  The legs and the plain laws are solved in one batch, the
 rests from the legs' touches in a second.
 
-The oracle imports no scipy, and imports numpy only in the functions that
-call it: a process that imports the oracle but runs no search pays for the
-catalogs and the kernels' compile alone.  The planner's
-``solver.solve_times`` polishes seeded starts with the same ``root`` on
-residuals it assembles itself, and accepts by its own rule.  At orders up
-to 3, only problems with no bounded interior state reach the planner's
-solver.
+The oracle imports no scipy, and numpy only for LAPACK's eigenvalues
+(``_companion_roots``): its searches run on lists of floats, and a process
+that imports the oracle but runs no search pays for the catalogs and the
+kernels' compile alone.  The planner's ``solver.solve_times`` polishes
+seeded starts with the same ``root`` on residuals it assembles itself, and
+accepts by its own rule.  At orders up to 3, only problems with no bounded
+interior state reach the planner's solver.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def _catalog(n, free):
 def _law_walk(system, x0, xf, M):
     """One walk of a compiled system, built directly on the chain's
     constant-control step, ``kinematics.propagate``: a closure that takes
-    any sequence of stage times and returns the residuals (an array), their
+    any sequence of stage times and returns the residuals (a list), their
     Jacobian (None unless asked for), each stage's (start state, control,
     time) and the end state.  The polish takes the residuals and the
     Jacobian; ``_solutions`` checks a solution on the rest.
@@ -265,7 +265,6 @@ def _law_walk(system, x0, xf, M):
     takes its component of each column walked so far, and 0 for the stages
     still ahead.
     """
-    import numpy as np
     M0 = M[0]
     steps = [(None if s is None else s * M0 if s else 0.0,
               None if pin is None else (pin[0] - 1, pin[1] * M[pin[0]],
@@ -276,7 +275,7 @@ def _law_walk(system, x0, xf, M):
     stage_count = len(system.signs)
 
     def walk(times, jacobian=False):
-        times = np.asarray(times, dtype=float).tolist()
+        times = [float(t) for t in times]
         propagate = kinematics.propagate
         res, stages, cols, rows = [], [], [], []
         x = start
@@ -301,7 +300,7 @@ def _law_walk(system, x0, xf, M):
         if jacobian:
             rows += [[c[i] for c in cols] for i in range(len(goal))]
             jac = [row + [0.0] * (stage_count - len(row)) for row in rows]
-        return np.array(res), jac, stages, x
+        return res, jac, stages, x
 
     return walk
 
@@ -318,11 +317,18 @@ def _zero_motion(system, x0, xf, M) -> bool:
             k, sign, zeros = pin
             res.append(x0[k - 1] - sign * M[k])
             res += [x0[j] for j in zeros]
-    return all(abs(r) <= RESIDUAL_TOL for r in res)
+    return _meets(res)
 
 
 # the largest residual a solution may keep
 RESIDUAL_TOL = 1e-10
+
+
+def _meets(res) -> bool:
+    """Whether every residual is at most RESIDUAL_TOL; a NaN is not."""
+    return all(abs(r) <= RESIDUAL_TOL for r in res)
+
+
 # two solutions of one marker leg whose stage times all agree this closely
 # are the same touch
 SAME_LEG_TOL = 1e-9
@@ -806,16 +812,12 @@ def _roots(jobs, M, n):
     law's solutions then form a curve through it (no middle stage, the last
     stage undoing the first), and its polynomial vanishes.
     """
-    import numpy as np
     out = []
     for (system, x0, xf), starts in zip(jobs, _candidates(jobs, M, n)):
         walk = _law_walk(system, x0, xf, M)
 
         def fun(times, jacobian):  # the polish's view of the walk
             return walk(times, jacobian)[:2]
-
-        def residual(times):
-            return float(np.max(np.abs(walk(times)[0])))
 
         if _zero_motion(system, x0, xf, M):
             starts.append([0.0] * len(system.signs))
@@ -829,28 +831,32 @@ def _roots(jobs, M, n):
                 sol = root(fun, start)
                 if _kept(sol):
                     x = sol.x
-                elif residual(start) <= RESIDUAL_TOL:
-                    x = np.array(start)
+                elif _meets(walk(start)[0]):
+                    x = start
                 else:
                     continue
                 found.append(x)
-                pins = [i for i, t in enumerate(x.tolist()) if t < 0.0]
+                pins = [i for i, t in enumerate(x) if t < 0.0]
                 if (0 < len(pins) < len(x)
-                        and residual(np.clip(x, 0.0, None)) > RESIDUAL_TOL):
-                    view, full, y = _pinned(fun, x.tolist(), pins)
+                        and not _meets(walk(_clipped(x))[0])):
+                    view, full, y = _pinned(fun, x, pins)
                     sol = root(view, y)
                     if _kept(sol):
-                        found.append(np.array(full(sol.x.tolist())))
+                        found.append(full(sol.x))
         out.append((walk, found))
     return out
 
 
 def _kept(sol) -> bool:
     """Whether ``_roots`` keeps a polish: it converged or its residual is at
-    most RESIDUAL_TOL, and its times are >= -1e-9."""
-    import numpy as np
-    return ((sol.success or float(np.max(np.abs(sol.fun))) <= RESIDUAL_TOL)
-            and not np.any(sol.x < -1e-9))
+    most RESIDUAL_TOL, and none of its times is below -1e-9."""
+    return ((sol.success or _meets(sol.fun))
+            and not any(t < -1e-9 for t in sol.x))
+
+
+def _clipped(times):
+    """``times`` with each at most zero set to +0.0; a NaN stays NaN."""
+    return [0.0 if t <= 0.0 else t for t in times]
 
 
 def _pinned(fun, x, pins):
@@ -881,13 +887,12 @@ def _solutions(walk, M, found):
     solution is accepted when its times are >= -1e-9 (then clipped to
     zero), its residual is at most RESIDUAL_TOL and every stage keeps the
     bounds; each is walked once."""
-    import numpy as np
     for times in found:
-        if np.any(times < -1e-9):
+        if any(t < -1e-9 for t in times):
             continue
-        times = np.clip(times, 0.0, None)
+        times = _clipped(times)
         res, _, stages, end = walk(times)
-        if float(np.max(np.abs(res))) > RESIDUAL_TOL:
+        if not _meets(res):
             continue
         if any(kinematics.segment_bound_check(x, u, t, M, 1e-9)
                for x, u, t in stages):
@@ -903,13 +908,12 @@ def _solve(jobs, M, n):
 
 def _leg_touches(solutions):
     """Every distinct solution of a marker leg: (leg time, touch state)."""
-    import numpy as np
     found = []
     for times, end in solutions:
-        if all(float(np.max(np.abs(times - other))) > SAME_LEG_TOL
+        if all(any(abs(a - b) > SAME_LEG_TOL for a, b in zip(times, other))
                for other, _ in found):
             found.append((times, end))
-    return [(float(np.sum(times)), end) for times, end in found]
+    return [(sum(times), end) for times, end in found]
 
 
 def exhaustive_tf(problem: Problem) -> OracleResult:
@@ -925,7 +929,6 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
     order.  Only orders up to 3 are supported (the catalog is exact there);
     ``OracleError`` means that no catalog law has a feasible real solution.
     """
-    import numpy as np
     n = problem.n
     if n > 3:
         raise OracleError("exhaustive search supports orders 1..3")
@@ -946,7 +949,7 @@ def exhaustive_tf(problem: Problem) -> OracleResult:
                 else [(t_leg, next(rests)) for t_leg, _ in touches[leg]])
         for t_leg, solutions in runs:
             for times, _ in solutions:
-                tf = t_leg + float(np.sum(times))
+                tf = t_leg + sum(times)
                 if best is None or tf < best[0] - 1e-15:
                     best = (tf, law)
     if best is None:

@@ -72,9 +72,6 @@ HIGHER = "higher"
 LOWER = "lower"
 PROPER = "proper"
 
-# a start within EPS_PROPER (relative to max(1, bound or |p*|)) of the proper
-# position counts as on the manifold
-EPS_PROPER = 1e-9
 # the tolerance to which interception and cruise-ride crossings are solved
 INTERCEPT_TOL = 1e-13
 # randomized restarts of solver.solve_times per saturation-only solve, each
@@ -267,7 +264,7 @@ class Planner:
 
     def _plan2(self, x0, xf, M) -> _Plan:
         top = kinematics.plan2_top(x0[0], x0[1], xf[0], xf[1], M[0], M[1],
-                                   M[2], EPS_PROPER, self.bound_eps)
+                                   M[2], self.bound_eps)
         if top is None:
             raise PlanError(_P2_BOUND)
         stages = top[0]
@@ -279,7 +276,7 @@ class Planner:
         (``_gap_of``), to a tolerance scaled by M[n] or, where None, by p*."""
         gap = self._gap_of(n, xf, M)(x0)
         scale = max(1.0, abs(M[n] if M[n] is not None else x0[n - 1] - gap))
-        if abs(gap) <= EPS_PROPER * scale:
+        if abs(gap) <= kinematics.EPS_PROPER * scale:
             return PROPER, gap
         return (HIGHER if gap > 0.0 else LOWER), gap
 
@@ -350,7 +347,7 @@ class Planner:
 
         def gap(state):
             found = kinematics.plan2_top(state[0], state[1], vf, pf, M0, M1,
-                                         M2, EPS_PROPER, bound_eps)
+                                         M2, bound_eps)
             if found is None:
                 raise PlanError(_P2_BOUND)
             return state[2] - (top - found[1])

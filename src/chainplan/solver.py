@@ -7,8 +7,8 @@ states are eliminated by forward propagation, so the unknown vector holds
 durations only.  ``solve_times`` finds its roots from a seeded ladder of
 starts, each polished by Newton's method on the walk's exact Jacobian with
 least-squares steps: ``kinematics.root``, the polish the oracle uses too.
-It imports numpy, which the polish and its restarts' draws need, on its
-first call, so that importing the planner does not load it.
+It imports numpy, for its restarts' seeded draws, on its first call, so
+that importing the planner does not load it.
 
 A virtual group solves as a side branch: the branch re-runs the stage
 preceding the group from that stage's entry state for its own (longer)
@@ -272,7 +272,7 @@ def solve_times(system: StageSystem, max_restarts: int = 8,
     best: Optional[Solved] = None
     hits = 0
     for start in starts:
-        sol = accepted(system, kinematics.root(fun, start).x.tolist())
+        sol = accepted(system, kinematics.root(fun, start).x)
         if sol is None:
             continue
         if accept is not None and not accept(sol):

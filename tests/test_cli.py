@@ -196,6 +196,16 @@ class TestPlan:
         assert main(["plan", "--input", inp]) == 3
         assert "expected a number, got" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("order", "1"), ("x0", "0"), ("xf", ["1"]), ("M", ["1", None]),
+    ], ids=["order", "x0", "xf", "M"])
+    def test_string_exit_3(self, tmp_path, capsys, field, value):
+        # read as numbers, the strings planned UNIT1; a string state was
+        # read character by character
+        inp = write_problem(tmp_path, dict(UNIT1, **{field: value}))
+        assert main(["plan", "--input", inp]) == 3
+        assert "expected a number, got '" in capsys.readouterr().err
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         inp = write_problem(tmp_path, UNIT1)
         out = str(tmp_path / "missing" / "t.json")
@@ -345,10 +355,18 @@ class TestMetrics:
         (UNIT1, _two_ramps(t_f=True)),
         (UNIT1, {"t_f": 1.0, "segments": [{"u": 1.0, "duration": 1.0,
                                            "start": [False]}]}),
+        # nor are strings
+        (UNIT1, _two_ramps(u="1")),
+        (UNIT1, _two_ramps(duration="0.5")),
+        (UNIT1, _two_ramps(t_f="1")),
+        (UNIT1, {"t_f": 1.0, "segments": [{"u": 1.0, "duration": 1.0,
+                                           "start": ["0"]}]}),
     ], ids=["null-duration", "segments-not-a-list", "short-start",
             "nan-duration", "infinite-duration", "nan-control",
             "extra-nan-segment", "nan-t_f", "boolean-control",
-            "boolean-duration", "boolean-t_f", "boolean-start"])
+            "boolean-duration", "boolean-t_f", "boolean-start",
+            "string-control", "string-duration", "string-t_f",
+            "string-start"])
     def test_malformed_trajectory_exit_3(self, tmp_path, problem, trajectory):
         inp = write_problem(tmp_path, problem)
         tpath = write_problem(tmp_path, trajectory, "traj.json")
@@ -456,13 +474,14 @@ class TestBatch:
         ["--order", "2", "--bounds", "[1, -1, 1]"],
         ["--order", "3", "--bounds", "[1, -Infinity, 1.5, 4]"],
         ["--order", "2", "--bounds", "[true, 1, null]"],
+        ["--order", "2", "--bounds", '["1", 1, null]'],
         ["--order", "2", "--margin", "1.5"],
         ["--order", "2", "--margin", "0"],
         ["--order", "2", "--margin", "-0.5"],
         ["--order", "2", "--count", "-1"],
         ["--order", "2", "--seed", "-1"],
     ], ids=["order-0", "null-M0", "negative-M1", "minus-infinity-M1",
-            "boolean-M0", "margin-1.5", "margin-0",
+            "boolean-M0", "string-M0", "margin-1.5", "margin-0",
             "margin-negative", "negative-count", "negative-seed"])
     def test_bad_arguments_exit_3(self, tmp_path, extra):
         assert main(["batch", "--count", "1"] + extra) == 3

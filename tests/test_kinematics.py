@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from chainplan import kinematics
 from chainplan.kinematics import (
+    EPS_PROPER,
     Violation,
     bracket_root,
     brake_peak,
@@ -129,8 +130,8 @@ class TestPlan2Top:
 
     def _check(self, v0, p0, vf, pf, M0, M1, M2):
         stages = tuple((u, max(0.0, t)) for u, t in
-                       plan2(v0, p0, vf, pf, M0, M1, self.EPS))
-        got = plan2_top(v0, p0, vf, pf, M0, M1, M2, self.EPS, self.EPS)
+                       plan2(v0, p0, vf, pf, M0, M1))
+        got = plan2_top(v0, p0, vf, pf, M0, M1, M2, self.EPS)
         if M2 is not None:
             try:
                 _check_p2_bound((v0, p0), stages, M2, self.EPS)
@@ -183,7 +184,7 @@ class TestPlan2Top:
                     self._check(v0, p0, vf, pf, 1.0, 1.0, M2)
 
 
-def _two_pass_plan2(v0, p0, vf, pf, M0, M1, eps):
+def _two_pass_plan2(v0, p0, vf, pf, M0, M1):
     """``plan2`` as it stood with its mirror loop: a start above the
     manifold ran the manifold test again on the mirrored start."""
     mirror = 1.0
@@ -195,7 +196,7 @@ def _two_pass_plan2(v0, p0, vf, pf, M0, M1, eps):
         pstar = pf - disp
         gap = p0 - pstar
         scale = max(1.0, math.fabs(pstar))
-        if math.fabs(gap) <= eps * scale:
+        if math.fabs(gap) <= EPS_PROPER * scale:
             if v0 == vf and p0 == pf:
                 return ()
             u = mirror * M0 if vf >= v0 else -mirror * M0
@@ -249,8 +250,6 @@ class TestPlan2OnePass:
     it in place, where the mirror loop tested the mirrored start again.
     Its stages must be the loop's, bit for bit."""
 
-    EPS = 1e-9
-
     @staticmethod
     def _stage_bits(stages):
         return [_bits(s) for s in stages]
@@ -258,8 +257,8 @@ class TestPlan2OnePass:
     @given(plan2_cases())
     @settings(max_examples=600, deadline=None)
     def test_matches_mirror_loop(self, case):
-        assert self._stage_bits(plan2(*case, self.EPS)) == \
-            self._stage_bits(_two_pass_plan2(*case, self.EPS))
+        assert self._stage_bits(plan2(*case)) == \
+            self._stage_bits(_two_pass_plan2(*case))
 
     def test_each_branch_is_reached(self):
         rng = np.random.default_rng(37)
@@ -268,9 +267,9 @@ class TestPlan2OnePass:
             v0, vf = (float(v) for v in rng.uniform(-1.0, 1.0, 2))
             p0, pf = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
             for M1 in (None, 0.5):
-                stages = plan2(v0, p0, vf, pf, 1.0, M1, self.EPS)
+                stages = plan2(v0, p0, vf, pf, 1.0, M1)
                 assert self._stage_bits(stages) == self._stage_bits(
-                    _two_pass_plan2(v0, p0, vf, pf, 1.0, M1, self.EPS))
+                    _two_pass_plan2(v0, p0, vf, pf, 1.0, M1))
                 seen.add((len(stages), stages[0][0] > 0.0))
         # two ramps and the cruise, each from below and mirrored from above
         assert seen >= {(2, True), (2, False), (3, True), (3, False)}

@@ -306,7 +306,7 @@ class TestMarkerSplit:
         times = [0.7, 0.4]
         x = kinematics.propagate(kinematics.propagate(x0, -1.0, 0.7), 1.0, 0.4)
         got = _law_walk(oracle._System(leg, 3), x0, None, M)(times)[0]
-        assert got.tolist() == [x[2] - 4.0, x[1]]
+        assert got == [x[2] - 4.0, x[1]]
 
 
 def _reference_residuals(elements, x0, xf, M, n):
@@ -336,6 +336,11 @@ def _reference_residuals(elements, x0, xf, M, n):
     return fun
 
 
+def _bits(values):
+    """Each value's bits in hex, the sign of a zero included."""
+    return [float(v).hex() for v in values]
+
+
 class TestLawResiduals:
     def test_bits_match_on_arrays_lists_and_numpy_scalars(self):
         M = (1.0, 1.0, 1.5, 4.0)
@@ -350,8 +355,10 @@ class TestLawResiduals:
                 for _ in range(20):
                     times = rng.uniform(0.0, 3.0, stages)
                     got = walk(times)[0]
-                    assert got.tobytes() == walk(times.tolist())[0].tobytes()
-                    assert got.tobytes() == ref(times).tobytes()
+                    # an array's times walk as Python floats, into a list
+                    assert all(type(r) is float for r in got)
+                    assert _bits(got) == _bits(walk(times.tolist())[0])
+                    assert _bits(got) == _bits(ref(times))
 
     def test_walk_gives_each_stage_and_the_end_state(self):
         # the stages' (start, control, time) and the end state are those of
@@ -387,7 +394,7 @@ class TestLawResiduals:
                 ref = _reference_residuals(elements, x0, xf, M, n)
                 for _ in range(20):
                     times = rng.uniform(0.0, 3.0, stages)
-                    assert walk(times)[0].tobytes() == ref(times).tobytes()
+                    assert _bits(walk(times)[0]) == _bits(ref(times))
 
 
 _BOUNDS = {1: (1.0, 1.0), 2: (1.0, 1.0, 1.5), 3: (1.0, 1.0, 1.5, 4.0)}
@@ -480,14 +487,15 @@ def _candidates_of(elements, x0, xf, M, n):
 
 
 def _roots_of(elements, x0, xf, M, n):
-    """One system's residual and polished roots: a batch of one."""
+    """One system's residual and polished roots: a batch of one, as arrays
+    for the tests' arithmetic."""
     walk, found = oracle._roots([(oracle._System(elements, n), x0, xf)],
                                 M, n)[0]
 
     def fun(times):
-        return walk(times)[0]
+        return np.array(walk(times)[0])
 
-    return fun, found
+    return fun, [np.array(t) for t in found]
 
 
 @pytest.mark.seeded
@@ -607,10 +615,11 @@ class TestPolish:
         walk = _law_walk(system, x0, xf, M)
         res, jac, stages, end = walk(times, True)
         assert walk(times)[1] is None
-        assert res.tobytes() == walk(times)[0].tobytes()
+        assert _bits(res) == _bits(walk(times)[0])
         assert (stages, end) == walk(times)[2:]
         h = 1e-5
-        fd = np.array([(walk(times + h * e)[0] - walk(times - h * e)[0])
+        fd = np.array([(np.array(walk(times + h * e)[0])
+                        - np.array(walk(times - h * e)[0]))
                        / (2 * h) for e in np.eye(len(times))]).T
         jac = np.array(jac)
         assert jac.shape == fd.shape == (len(times), len(times))
@@ -636,9 +645,10 @@ class TestPolish:
         start = times + [data.draw(st.floats(-1e-4, 1e-4)) for _ in times]
         sol = oracle.root(_newton_view(walk), start)
         assert sol.success
-        assert isinstance(sol.x, np.ndarray)
-        assert isinstance(sol.fun, np.ndarray)
-        assert sol.fun.tobytes() == walk(sol.x)[0].tobytes()
+        # lists of Python floats, also from a start given as an array
+        assert isinstance(sol.x, list) and isinstance(sol.fun, list)
+        assert all(type(t) is float for t in sol.x + sol.fun)
+        assert _bits(sol.fun) == _bits(walk(sol.x)[0])
         assert float(np.max(np.abs(sol.x - times))) <= 1e-9
         assert float(np.max(np.abs(sol.fun))) <= 1e-12
 
@@ -658,18 +668,18 @@ class TestPolish:
             assert np.linalg.matrix_rank(np.array(walk(zero, True)[1])) < 3
         sol = oracle.root(_newton_view(walk), zero)
         assert sol.success
-        assert sol.x.tolist() == zero
+        assert sol.x == zero
         assert not np.any(sol.fun)
 
     def test_fails_where_there_is_no_root(self):
         # x^2 + 1 has no real root: Newton's steps wander for POLISH_STEPS
         # steps, and the point they reached is returned with its residual
         def fun(x, jacobian):
-            return np.array([x[0] * x[0] + 1.0]), [[2.0 * x[0]]]
+            return [x[0] * x[0] + 1.0], [[2.0 * x[0]]]
 
         sol = oracle.root(fun, [0.3])
         assert not sol.success
-        assert sol.fun.tolist() == [sol.x[0] * sol.x[0] + 1.0]
+        assert sol.fun == [sol.x[0] * sol.x[0] + 1.0]
 
     def test_ends_where_the_residuals_are_not_finite(self):
         # a step to x = 4.25 leaves the residual's domain: the polish ends
@@ -677,13 +687,13 @@ class TestPolish:
         # Jacobian that are not finite (np.linalg.lstsq raises on them)
         def fun(x, jacobian):
             if x[0] > 1.0:
-                return np.array([math.inf]), [[math.inf]]
-            return np.array([x[0] * x[0] - 4.0]), [[2.0 * x[0]]]
+                return [math.inf], [[math.inf]]
+            return [x[0] * x[0] - 4.0], [[2.0 * x[0]]]
 
         sol = oracle.root(fun, [0.5])
         assert not sol.success
-        assert sol.x.tolist() == [4.25]
-        assert sol.fun.tolist() == [math.inf]
+        assert sol.x == [4.25]
+        assert sol.fun == [math.inf]
 
     def test_stops_where_a_met_residual_does_not_halve(self):
         # 1e-11 cos(x) from x = 0.1 meets the system (a residual of 1e-11,
@@ -692,13 +702,12 @@ class TestPolish:
         # before that step, without success; without the stop it goes on
         # to the root at 3.5 pi, 10.9 away
         def fun(x, jacobian):
-            return (np.array([1e-11 * math.cos(x[0])]),
-                    [[-1e-11 * math.sin(x[0])]])
+            return [1e-11 * math.cos(x[0])], [[-1e-11 * math.sin(x[0])]]
 
         sol = oracle.root(fun, [0.1])
         assert not sol.success
-        assert sol.x.tolist() == [0.1]
-        assert sol.fun.tolist() == [1e-11 * math.cos(0.1)]
+        assert sol.x == [0.1]
+        assert sol.fun == [1e-11 * math.cos(0.1)]
 
     def test_step_is_least_squares(self):
         # a zero leading entry
@@ -778,7 +787,7 @@ def _multistart_solutions(elements, x0, xf, M, n, tau, rng):
             continue
         for times, end in oracle._solutions(walk, M, [sol.x]):
             hits += 1
-            yield times, end
+            yield np.array(times), end
 
 
 def _multistart_tf(problem):
@@ -882,6 +891,31 @@ class TestBoundary:
             monkeypatch.setattr(mod, name, forbidden)
         assert [_outcome(prob) for prob in probs] == free
         assert any(law != "OracleError" for law, _ in free)
+
+
+class TestAcceptance:
+    def test_nan_residual_is_no_solution(self):
+        # a NaN residual meets no bound: no solution, and no polish kept
+        def walk(times):
+            return [math.nan, 0.0], None, [], (0.0,)
+
+        assert list(oracle._solutions(walk, (1.0, None), [[0.5]])) == []
+        assert not oracle._kept(kinematics.Polish([0.5], [math.nan], False))
+
+    def test_every_system_has_fewer_than_8_stages(self):
+        # a solution's time is the sum of its stage times: Python 3.11's sum
+        # adds them in order, as np.sum does below 8 values (from 8 on it
+        # sums pairwise)
+        for n in (1, 2, 3):
+            legs, plans = oracle._catalog(n, ())
+            for system in legs + tuple(rest for _, _, rest in plans):
+                assert len(system.signs) < 8
+        rng = np.random.default_rng(13)
+        for k in range(1, 8):
+            for _ in range(50):
+                scales = 10.0 ** rng.integers(-9, 2, k)
+                times = rng.uniform(0.0, 3.0, k) * scales
+                assert sum(times.tolist()).hex() == float(np.sum(times)).hex()
 
 
 def _accepted(found):

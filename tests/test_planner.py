@@ -17,8 +17,8 @@ from chainplan.model import (
     VirtualGroup,
     asl_parse,
 )
+from chainplan.kinematics import EPS_PROPER
 from chainplan.planner import (
-    EPS_PROPER,
     HIGHER,
     LOWER,
     PROPER,
