@@ -48,13 +48,12 @@ def problem_from_dict(data: dict) -> Problem:
     state beyond its bound, ValueError for other malformed data."""
     try:
         order = check_number(data["order"])
-        n = int(order)
-        if n != order:
+        if not order.is_integer():
             raise ValueError(f"order must be an integer, got {order!r}")
-        return Problem(n, data["x0"], data["xf"], data["M"])
+        return Problem(int(order), data["x0"], data["xf"], data["M"])
     except InfeasibleError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"problem JSON missing or malformed field: {e}") from e
 
 

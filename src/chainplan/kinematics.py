@@ -1,8 +1,9 @@
 """Exact kinematics of chain-of-integrators under constant control.
 
 The hot kernels of manifold interception (``propagate``, ``integral_top``,
-the order-2 closed form ``plan2`` and its bound-checked, integrated form
-``plan2_top``), the per-segment machinery (state polynomials, each a plain
+the order-2 closed form ``plan2``, its bound-checked, integrated form
+``plan2_top`` and ``plan2_branch``, the test that picks its profile), the
+per-segment machinery (state polynomials, each a plain
 coefficient sequence whose item i multiplies t**i, which ``horner``
 evaluates and ``poly_add`` and ``poly_mul`` combine; a state's samples at a
 segment's ends and stationary points, which are found in closed form while
@@ -99,13 +100,12 @@ def stage_columns(cols, u, t, x):
     return [propagate(c, 0.0, t) for c in cols] + [(u,) + x[:-1]]
 
 
-def plan2(v0, p0, vf, pf, M0, M1):
-    """Plan the two-state problem under |u| <= M0 and velocity bound M1
-    (None: unbounded).
-
-    Returns a tuple of (control, duration) stages; empty for start == goal.
-    The position is unconstrained here; callers layer position handling.
-    """
+def plan2_branch(v0, p0, vf, pf, M0):
+    """``plan2``'s branch for the start (v0, p0): 1 above the manifold of
+    starts that one ramp takes to (vf, pf) (the mirrored profile), -1 below
+    it, 0 on it, within EPS_PROPER relative to max(1, |p*|).  It reads the
+    velocity and position only, so a caller can follow it along a stage for
+    a few flops a point."""
     if v0 >= vf:
         disp = (v0 * v0 - vf * vf) / (2.0 * M0)
     else:
@@ -114,13 +114,30 @@ def plan2(v0, p0, vf, pf, M0, M1):
     gap = p0 - pstar
     scale = fabs(pstar)
     if fabs(gap) <= EPS_PROPER * (scale if scale > 1.0 else 1.0):
+        return 0
+    return 1 if gap > 0.0 else -1
+
+
+def plan2(v0, p0, vf, pf, M0, M1):
+    """Plan the two-state problem under |u| <= M0 and velocity bound M1
+    (None: unbounded).
+
+    Returns a tuple of (control, duration) stages; empty for start == goal.
+    The position is unconstrained here; callers layer position handling.
+    The profile is chosen by ``plan2_branch``: one ramp on the manifold,
+    else two ramps (around the cruise |v| = M1 where the peak passes it),
+    mirrored above.
+    """
+    branch = plan2_branch(v0, p0, vf, pf, M0)
+    if branch == 0:
         if v0 == vf and p0 == pf:
             return ()
         return ((M0 if vf >= v0 else -M0, fabs(vf - v0) / M0),)
     # a start above the manifold plans the mirror, whose disp, pstar and gap
-    # are the exact negatives of these: it is off its manifold and below it
+    # (those of plan2_branch) are their exact negatives: it is off its
+    # manifold and below it
     mirror = 1.0
-    if gap > 0.0:
+    if branch > 0:
         v0, p0, vf, pf = -v0, -p0, -vf, -pf
         mirror = -1.0
     w2 = M0 * (pf - p0) + 0.5 * (v0 * v0 + vf * vf)

@@ -306,10 +306,15 @@ def asl_parse(text: str) -> Asl:
 
 
 def check_number(v) -> float:
-    """float(v); a boolean or a string is no number, though float() takes it."""
+    """float(v); a boolean or a string is no number, though float() takes it,
+    and an integer beyond the float range is none, though JSON reads it."""
     if isinstance(v, (bool, str, bytes)):
         raise ValueError(f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError("expected a number, got an integer too large "
+                         "for a float") from None
 
 
 def check_state(x, n: int) -> tuple[float, ...]:

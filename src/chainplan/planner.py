@@ -16,7 +16,11 @@ path.  That moment is found in stage-local time, as a stage index, a time
 into that stage and the state there: the manifold gap is evaluated at the
 ascent's stage ends and the first sign change is solved inside its stage;
 on the ride the gap closes linearly when x_m is x_{n-1}, and otherwise
-doubling the ride time brackets the crossing.  When the top-state bound
+doubling the ride time brackets the crossing.  At order 3 the gap can jump
+where ``plan2`` switches to its mirrored profile; a bracket whose ends lie
+on different profiles, where x1 and the goal's x1 can both be positive, is
+first searched at that switch, located by bisecting the profile test
+alone, and a jump found there is returned without a root search.  When the top-state bound
 still activates, the planner searches tangent-marker constructions: reach
 the bound with a low-order catalog law pinning the touch conditions, then
 continue from the touch state.  With no bounded state below the top there
@@ -132,18 +136,74 @@ def _negate(p: _Plan) -> _Plan:
                  tuple([_negated(e) for e in p.elements]))
 
 
-def _stage_root(gap, start, u, lo, g_lo, hi, g_hi):
+def _stage_root(gap, start, u, lo, g_lo, hi, g_hi, goal2=None):
     """(tau, state) where gap(propagate(start, u, tau)) changes sign on
     [lo, hi]; a gap that raises PlanError ends the search at the best
-    iterate."""
+    iterate.
+
+    At order 3, goal2 is plan2's goal and control bound (vf, pf, M0).  Where
+    the ends lie on different plan2 branches, the gap may jump at the branch
+    change instead of crossing zero, and Brent's method can only bisect a
+    jump, in about 50 evaluations.  So the change is located first
+    (``_branch_change``) and the gap is evaluated at the two points around
+    it.  Where each keeps the sign of its end of [lo, hi], they bracket the
+    sign change within INTERCEPT_TOL, and the one with the smaller |gap| is
+    returned.  Otherwise ``kinematics.bracket_root`` solves [lo, hi] as if
+    no check had run, so an ordinary root keeps its bits."""
     def f(t):
         try:
             return gap(kinematics.propagate(start, u, t))
         except PlanError:
             return None
 
+    change = None if goal2 is None else \
+        _branch_change(start, u, lo, hi, *goal2)
+    if change is not None:
+        a, b = change
+        g_a, g_b = f(a), f(b)
+        if g_a is not None and g_b is not None \
+                and (g_a < 0.0) == (g_lo < 0.0) and (g_b < 0.0) == (g_hi < 0.0):
+            tau = a if abs(g_a) <= abs(g_b) else b
+            return tau, kinematics.propagate(start, u, tau)
     tau = kinematics.bracket_root(f, lo, g_lo, hi, g_hi, INTERCEPT_TOL)
     return tau, kinematics.propagate(start, u, tau)
+
+
+def _branch_change(start, u, lo, hi, vf, pf, M0):
+    """(a, b) around a point of the stage (start, u) where plan2 from its
+    (x1, x2) to (vf, pf) switches between the mirrored branch and the
+    others: a on lo's side, b on hi's, at most INTERCEPT_TOL apart (or
+    adjacent floats).  None where lo and hi lie on the same side, or where
+    the profiles on the two sides meet at the switch.
+
+    At the switch, the mirrored profile is the one ramp that the others
+    end in, unless x1 and vf are both positive: then it first turns x1
+    down, and only there can the gap jump.  x1 is linear along the stage,
+    so no switch is sought unless vf > 0 and x1 > 0 at lo or hi.  The
+    branch (``kinematics.plan2_branch``) reads x1 and x2 alone, taken here
+    with ``propagate``'s float operations, so a bisection step costs a few
+    flops where a gap evaluation costs a ``propagate`` and a ``plan2_top``."""
+    s1, s2 = start[0], start[1]
+    if not (vf > 0.0 and (0.0 + s1 + u * lo > 0.0 or 0.0 + s1 + u * hi > 0.0)):
+        return None
+    branch = kinematics.plan2_branch
+
+    def mirrored(t):
+        return branch(0.0 + s1 + u * t, 0.0 + s2 + s1 * t + u * (t * (t / 2)),
+                      vf, pf, M0) > 0
+
+    side = mirrored(lo)
+    if mirrored(hi) == side:
+        return None
+    while hi - lo > INTERCEPT_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mirrored(mid) == side:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _concat(*parts: _Plan) -> _Plan:
@@ -365,8 +425,11 @@ class Planner:
         state.  A stage end where the lower-order plan fails starts a new
         bracket.  On the ride the gap closes linearly when the cruise state
         is x_{n-1}; otherwise the ride time doubles until the gap changes sign.
+        At order 3 ``_stage_root`` first looks for a jump of the gap at a
+        change of plan2's branch, on stage and ride brackets alike.
         """
         gap = self._gap_of(n, xf, M)
+        goal2 = (xf[0], xf[1], M[0]) if n == 3 else None
         cur = x0
         for j, (u, dur) in enumerate(stages[:-1]):
             if dur <= 0.0:
@@ -380,7 +443,8 @@ class Planner:
                 return j, dur, end
             if g is not None and g_end is not None \
                     and (g < 0.0) != (g_end < 0.0):
-                return (j,) + _stage_root(gap, cur, u, 0.0, g, dur, g_end)
+                return (j,) + _stage_root(gap, cur, u, 0.0, g, dur, g_end,
+                                          goal2)
             cur, g = end, g_end
         j = len(stages) - 1
         if g is None:
@@ -401,7 +465,7 @@ class Planner:
             hi *= 2.0
         else:
             raise PlanError("cruise ride never reaches the manifold")
-        return (j,) + _stage_root(gap, cur, 0.0, lo, g, hi, g_hi)
+        return (j,) + _stage_root(gap, cur, 0.0, lo, g, hi, g_hi, goal2)
 
     # ---------------- saturation-only systems ----------------
 

@@ -33,6 +33,8 @@ FEASIBLE = {
 }
 UNIT1 = {"order": 1, "x0": [0], "xf": [1], "M": [1, None]}
 NAN = float("nan")
+# a JSON integer that no float holds: float() raises OverflowError on it
+BIG = 10 ** 400
 
 
 def _two_ramps(u=1.0, duration=0.5, extra=None, t_f=1.0):
@@ -206,6 +208,15 @@ class TestPlan:
         assert main(["plan", "--input", inp]) == 3
         assert "expected a number, got '" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("x0", [BIG]), ("M", [1, BIG]),
+    ], ids=["x0", "M"])
+    def test_integer_beyond_float_range_exit_3(self, tmp_path, capsys, field,
+                                               value):
+        inp = write_problem(tmp_path, dict(UNIT1, **{field: value}))
+        assert main(["plan", "--input", inp]) == 3
+        assert "integer too large for a float" in capsys.readouterr().err
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         inp = write_problem(tmp_path, UNIT1)
         out = str(tmp_path / "missing" / "t.json")
@@ -361,12 +372,20 @@ class TestMetrics:
         (UNIT1, _two_ramps(t_f="1")),
         (UNIT1, {"t_f": 1.0, "segments": [{"u": 1.0, "duration": 1.0,
                                            "start": ["0"]}]}),
+        # nor are integers beyond the float range, which raised
+        # OverflowError
+        (UNIT1, _two_ramps(u=BIG)),
+        (UNIT1, _two_ramps(duration=BIG)),
+        (UNIT1, _two_ramps(t_f=BIG)),
+        (UNIT1, {"t_f": 1.0, "segments": [{"u": 1.0, "duration": 1.0,
+                                           "start": [BIG]}]}),
     ], ids=["null-duration", "segments-not-a-list", "short-start",
             "nan-duration", "infinite-duration", "nan-control",
             "extra-nan-segment", "nan-t_f", "boolean-control",
             "boolean-duration", "boolean-t_f", "boolean-start",
             "string-control", "string-duration", "string-t_f",
-            "string-start"])
+            "string-start", "huge-control", "huge-duration", "huge-t_f",
+            "huge-start"])
     def test_malformed_trajectory_exit_3(self, tmp_path, problem, trajectory):
         inp = write_problem(tmp_path, problem)
         tpath = write_problem(tmp_path, trajectory, "traj.json")
@@ -475,13 +494,14 @@ class TestBatch:
         ["--order", "3", "--bounds", "[1, -Infinity, 1.5, 4]"],
         ["--order", "2", "--bounds", "[true, 1, null]"],
         ["--order", "2", "--bounds", '["1", 1, null]'],
+        ["--order", "2", "--bounds", f"[1, {BIG}, null]"],
         ["--order", "2", "--margin", "1.5"],
         ["--order", "2", "--margin", "0"],
         ["--order", "2", "--margin", "-0.5"],
         ["--order", "2", "--count", "-1"],
         ["--order", "2", "--seed", "-1"],
     ], ids=["order-0", "null-M0", "negative-M1", "minus-infinity-M1",
-            "boolean-M0", "string-M0", "margin-1.5", "margin-0",
+            "boolean-M0", "string-M0", "huge-M1", "margin-1.5", "margin-0",
             "margin-negative", "negative-count", "negative-seed"])
     def test_bad_arguments_exit_3(self, tmp_path, extra):
         assert main(["batch", "--count", "1"] + extra) == 3

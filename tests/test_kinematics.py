@@ -15,6 +15,7 @@ from chainplan.kinematics import (
     brake_peak,
     horner,
     plan2,
+    plan2_branch,
     plan2_top,
     propagate,
     real_roots,
@@ -273,6 +274,41 @@ class TestPlan2OnePass:
                 seen.add((len(stages), stages[0][0] > 0.0))
         # two ramps and the cruise, each from below and mirrored from above
         assert seen >= {(2, True), (2, False), (3, True), (3, False)}
+
+
+class TestPlan2Branch:
+    """``plan2_branch`` names the profile that ``plan2`` returns: 0 for one
+    ramp (or none, at the goal), 1 for the mirrored two-ramp or cruise
+    profile, whose first ramp is -M0, and -1 for the other, at +M0."""
+
+    @staticmethod
+    def _shape(stages):
+        if len(stages) <= 1:
+            return 0
+        return 1 if stages[0][0] < 0.0 else -1
+
+    @given(plan2_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_names_the_profile(self, case):
+        assert plan2_branch(*case[:5]) == self._shape(plan2(*case))
+
+    def test_each_branch_is_reached(self):
+        rng = np.random.default_rng(41)
+        seen = set()
+        for _ in range(600):
+            v0, vf = (float(v) for v in rng.uniform(-1.0, 1.0, 2))
+            pf = float(rng.uniform(-2.0, 2.0))
+            disp = (v0 * v0 - vf * vf) if v0 >= vf else (vf * vf - v0 * v0)
+            # on the manifold, beside it within EPS_PROPER, or off it
+            for off in (0.0, 5e-10, -5e-10, 1e-3, -1e-3,
+                        float(rng.uniform(-2.0, 2.0))):
+                p0 = pf - disp / 2.0 + off
+                for M1 in (None, 0.5):
+                    branch = plan2_branch(v0, p0, vf, pf, 1.0)
+                    assert branch == self._shape(
+                        plan2(v0, p0, vf, pf, 1.0, M1))
+                    seen.add(branch)
+        assert seen == {-1, 0, 1}
 
 
 def _stepped_brake(x, M0, M1, count=4000):

@@ -20,6 +20,7 @@ from chainplan.model import (
 from chainplan.kinematics import EPS_PROPER
 from chainplan.planner import (
     HIGHER,
+    INTERCEPT_TOL,
     LOWER,
     PROPER,
     InfeasibleProblem,
@@ -27,6 +28,7 @@ from chainplan.planner import (
     Planner,
     _concat,
     _Plan,
+    _stage_root,
     plan,
     plan_unconstrained,
 )
@@ -1243,6 +1245,126 @@ class TestRootCounts:
         assert poly_evals <= 3 * poly_roots
 
 
+def _plan3_draws(count):
+    """The first ``count`` problems of the plan3 corpus: seed 1,
+    ``default_bounds(3)``, margin 0.8."""
+    rng = np.random.default_rng(1)
+    M = sampling.default_bounds(3)
+    return [sampling.random_problem(3, M, rng, 0.8) for _ in range(count)]
+
+
+def _mirrored(state, xf, M):
+    """Whether plan2 takes (x1, x2) of the state to xf's by its mirrored
+    profile, read from the stages it returns: two or three, the first at
+    -M0."""
+    stages = kinematics.plan2(state[0], state[1], xf[0], xf[1], M[0], M[1])
+    return len(stages) > 1 and stages[0][0] < 0.0
+
+
+def _spy_stage_roots(monkeypatch):
+    """Record each order-3 ``_stage_root`` call, its arguments and result,
+    in the list returned."""
+    calls = []
+
+    def spied(gap, start, u, lo, g_lo, hi, g_hi, *rest):
+        tau, state = _stage_root(gap, start, u, lo, g_lo, hi, g_hi, *rest)
+        if len(start) == 3:
+            calls.append((gap, start, u, lo, g_lo, hi, g_hi, tau, state))
+        return tau, state
+
+    monkeypatch.setattr("chainplan.planner._stage_root", spied)
+    return calls
+
+
+class TestGapJump:
+    """The order-3 gap jumps where plan2 switches to its mirrored profile
+    (ROADMAP item 4).  Draw 16 of the plan3 corpus hands over at such a
+    jump, from -0.045 to +0.487 at tau = 1.19039.  Brent's method bisected
+    it in about 50 gap evaluations; the hand-over now locates the branch
+    change and takes the jump there.  It still fails verification: the
+    jump is located, not mended."""
+
+    @pytest.fixture(scope="class")
+    def draw16(self):
+        return _plan3_draws(17)[16]
+
+    def test_few_gap_evaluations(self, monkeypatch, draw16):
+        hand_over, gap_of = Planner._hand_over, Planner._gap_of
+        inside, counts = [], []
+
+        def hand_over_spy(self, n, *args):
+            inside.append(n == 3)
+            if n == 3:
+                counts.append(0)
+            try:
+                return hand_over(self, n, *args)
+            finally:
+                inside.pop()
+
+        def gap_of_spy(self, n, xf, M):
+            gap = gap_of(self, n, xf, M)
+
+            def counted(state):
+                if inside and inside[-1]:
+                    counts[-1] += 1
+                return gap(state)
+
+            return counted
+
+        monkeypatch.setattr(Planner, "_hand_over", hand_over_spy)
+        monkeypatch.setattr(Planner, "_gap_of", gap_of_spy)
+        _outcome(Planner(), draw16)
+        assert counts and max(counts) <= 12
+
+    def test_hand_over_at_a_sign_change(self, monkeypatch, draw16):
+        calls = _spy_stage_roots(monkeypatch)
+        _outcome(Planner(), draw16)
+        (gap, start, u, *_, tau, state), = calls
+
+        def below(t):
+            return gap(kinematics.propagate(start, u, t)) < 0.0
+
+        # a jump, not a root
+        assert abs(gap(state)) > 1e-3
+        assert below(tau - INTERCEPT_TOL) != below(tau) \
+            or below(tau) != below(tau + INTERCEPT_TOL)
+
+    def test_still_fails_verification(self, draw16):
+        with pytest.raises(PlanError, match=r"VerifyFailure\(reason='terminal "
+                                            r"state off target', k=3,"):
+            plan(draw16)
+
+    def test_ordinary_roots_keep_brent_bits(self, monkeypatch):
+        # a bracket across a branch change that holds an ordinary root is
+        # solved by Brent's method on the whole bracket, as if no check ran
+        calls = _spy_stage_roots(monkeypatch)
+        checked = 0
+        for prob in _plan3_draws(350):
+            calls.clear()
+            _outcome(Planner(), prob)
+            for gap, start, u, lo, g_lo, hi, g_hi, tau, state in calls:
+                if _mirrored(kinematics.propagate(start, u, lo), prob.xf,
+                             prob.M) == _mirrored(kinematics.propagate(
+                                 start, u, hi), prob.xf, prob.M):
+                    continue
+
+                def f(t):
+                    try:
+                        return gap(kinematics.propagate(start, u, t))
+                    except PlanError:
+                        return None
+
+                ref = kinematics.bracket_root(f, lo, g_lo, hi, g_hi,
+                                              INTERCEPT_TOL)
+                g_ref = f(ref)
+                if g_ref is None or abs(g_ref) > 1e-9:
+                    continue  # a jump
+                checked += 1
+                assert tau.hex() == ref.hex()
+                assert state == kinematics.propagate(start, u, ref)
+        assert checked >= 40
+
+
 class TestInvariants:
     def test_feasibility_and_terminal(self):
         rng = np.random.default_rng(21)
@@ -1443,7 +1565,7 @@ class TestOutputBits:
     that changes outputs on purpose updates the pin and records in CHANGES
     what changed and why."""
 
-    DIGEST = "a0b44fec872ccaa3"
+    DIGEST = "5f6e64a9c71e68f3"
 
     def test_digest(self):
         h = hashlib.sha256()
