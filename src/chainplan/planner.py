@@ -16,11 +16,15 @@ path.  That moment is found in stage-local time, as a stage index, a time
 into that stage and the state there: the manifold gap is evaluated at the
 ascent's stage ends and the first sign change is solved inside its stage;
 on the ride the gap closes linearly when x_m is x_{n-1}, and otherwise
-doubling the ride time brackets the crossing.  At order 3 the gap can jump
-where ``plan2`` switches to its mirrored profile; a bracket whose ends lie
-on different profiles, where x1 and the goal's x1 can both be positive, is
-first searched at that switch, located by bisecting the profile test
-alone, and a jump found there is returned without a root search.  When the top-state bound
+doubling the ride time brackets the crossing.  The gap can jump where the
+lower-order plan switches to its mirror: at order 3 where ``plan2``
+switches to its mirrored profile, above where the order-(n-1) start
+classifies HIGHER.  A bracket whose ends lie on different sides of that
+switch is first searched there, by one bisection (``_switch``) of the
+lower level's own test, and a jump found there is returned without a root
+search.  At order 3 that test is plan2's profile test, sought where x1 and
+the goal's x1 can both be positive; above, it is the lower level's
+classification, sought where x_1..x_{n-2} move.  When the top-state bound
 still activates, the planner searches tangent-marker constructions: reach
 the bound with a low-order catalog law pinning the touch conditions, then
 continue from the touch state.  With no bounded state below the top there
@@ -136,31 +140,43 @@ def _negate(p: _Plan) -> _Plan:
                  tuple([_negated(e) for e in p.elements]))
 
 
-def _stage_root(gap, start, u, lo, g_lo, hi, g_hi, goal2=None):
+def _kind(gap: float, bound, top: float) -> str:
+    """PROPER, HIGHER or LOWER for an order-n start whose top state is top
+    and whose gap (``Planner._gap_of``) is gap: PROPER within EPS_PROPER of
+    the manifold, relative to max(1, |M_n|), or to max(1, |p*|) where M_n
+    (bound) is None.  ``Planner._classify`` and the order-n hand-over's
+    switch search (``Planner._switch_of``) share this rule."""
+    scale = max(1.0, abs(bound if bound is not None else top - gap))
+    if abs(gap) <= kinematics.EPS_PROPER * scale:
+        return PROPER
+    return HIGHER if gap > 0.0 else LOWER
+
+
+def _stage_root(gap, start, u, lo, g_lo, hi, g_hi, switch=None):
     """(tau, state) where gap(propagate(start, u, tau)) changes sign on
     [lo, hi]; a gap that raises PlanError ends the search at the best
     iterate.
 
-    At order 3, goal2 is plan2's goal and control bound (vf, pf, M0).  Where
-    the ends lie on different plan2 branches, the gap may jump at the branch
-    change instead of crossing zero, and Brent's method can only bisect a
-    jump, in about 50 evaluations.  So the change is located first
-    (``_branch_change``) and the gap is evaluated at the two points around
-    it.  Where each keeps the sign of its end of [lo, hi], they bracket the
-    sign change within INTERCEPT_TOL, and the one with the smaller |gap| is
-    returned.  Otherwise ``kinematics.bracket_root`` solves [lo, hi] as if
-    no check had run, so an ordinary root keeps its bits."""
+    From order 3 on, the gap may jump where the lower-order plan switches
+    to its mirror (the order-2 plan to its mirrored branch, a higher-order
+    one to planning the mirrored start), instead of crossing zero, and
+    Brent's method can only bisect a jump, in about 50 evaluations.  So
+    where switch is given (``Planner._switch_of``), switch(start, u, lo, hi)
+    first seeks such a switch between lo and hi, and the gap is evaluated at
+    the two points around it, in the order switch gives them.  Where each
+    keeps the sign of its end of [lo, hi], they bracket the sign change
+    within INTERCEPT_TOL, and the one with the smaller |gap| is returned.
+    Otherwise ``kinematics.bracket_root`` solves [lo, hi] as if no search
+    had run, so an ordinary root keeps its bits."""
     def f(t):
         try:
             return gap(kinematics.propagate(start, u, t))
         except PlanError:
             return None
 
-    change = None if goal2 is None else \
-        _branch_change(start, u, lo, hi, *goal2)
+    change = None if switch is None else switch(start, u, lo, hi)
     if change is not None:
-        a, b = change
-        g_a, g_b = f(a), f(b)
+        (a, g_a), (b, g_b) = sorted([(t, f(t)) for t in change])
         if g_a is not None and g_b is not None \
                 and (g_a < 0.0) == (g_lo < 0.0) and (g_b < 0.0) == (g_hi < 0.0):
             tau = a if abs(g_a) <= abs(g_b) else b
@@ -169,12 +185,30 @@ def _stage_root(gap, start, u, lo, g_lo, hi, g_hi, goal2=None):
     return tau, kinematics.propagate(start, u, tau)
 
 
+def _switch(side, lo, hi):
+    """(a, b) around a point of [lo, hi] where the predicate side changes
+    value: a on lo's side, b on hi's, at most INTERCEPT_TOL apart (or
+    adjacent floats), by bisection.  None where side(lo) == side(hi).  side
+    is read at lo, then at hi, then at each midpoint."""
+    at_lo = side(lo)
+    if side(hi) == at_lo:
+        return None
+    while hi - lo > INTERCEPT_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if side(mid) == at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _branch_change(start, u, lo, hi, vf, pf, M0):
-    """(a, b) around a point of the stage (start, u) where plan2 from its
+    """``_switch`` of the order-3 stage (start, u) where plan2 from its
     (x1, x2) to (vf, pf) switches between the mirrored branch and the
-    others: a on lo's side, b on hi's, at most INTERCEPT_TOL apart (or
-    adjacent floats).  None where lo and hi lie on the same side, or where
-    the profiles on the two sides meet at the switch.
+    others; None also where the profiles on the two sides meet at the
+    switch.
 
     At the switch, the mirrored profile is the one ramp that the others
     end in, unless x1 and vf are both positive: then it first turns x1
@@ -192,18 +226,7 @@ def _branch_change(start, u, lo, hi, vf, pf, M0):
         return branch(0.0 + s1 + u * t, 0.0 + s2 + s1 * t + u * (t * (t / 2)),
                       vf, pf, M0) > 0
 
-    side = mirrored(lo)
-    if mirrored(hi) == side:
-        return None
-    while hi - lo > INTERCEPT_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if mirrored(mid) == side:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return _switch(mirrored, lo, hi)
 
 
 def _concat(*parts: _Plan) -> _Plan:
@@ -332,13 +355,10 @@ class Planner:
                      if stages else ())
 
     def _classify(self, n: int, x0, xf, M) -> tuple[str, float]:
-        """PROPER, HIGHER or LOWER for the float state x0, with its gap
-        (``_gap_of``), to a tolerance scaled by M[n] or, where None, by p*."""
+        """PROPER, HIGHER or LOWER for the float state x0 (``_kind``), with
+        its gap (``_gap_of``)."""
         gap = self._gap_of(n, xf, M)(x0)
-        scale = max(1.0, abs(M[n] if M[n] is not None else x0[n - 1] - gap))
-        if abs(gap) <= kinematics.EPS_PROPER * scale:
-            return PROPER, gap
-        return (HIGHER if gap > 0.0 else LOWER), gap
+        return _kind(gap, M[n], x0[n - 1]), gap
 
     def _plan_free(self, n: int, x0, xf, M) -> _Plan:
         """Plan order n with the top-state bound ignored."""
@@ -414,6 +434,55 @@ class Planner:
 
         return gap
 
+    def _switch_of(self, n: int, xf, M):
+        """The switch search of ``_stage_root`` for an order-n hand-over to
+        xf, or None where the lower-order plan has no mirror to switch to.
+
+        At order 3 it is ``_branch_change``.  Above, the order-(n-1) plan
+        plans the mirrored start where that start classifies HIGHER
+        (``_plan_free``), so the search bisects that test, ``_kind`` of the
+        order-(n-1) gap of the sub-state x_1..x_{n-1}.  A step costs one
+        order-(n-1) gap evaluation where a step of Brent's method costs an
+        order-n one, which plans a whole order-(n-1) problem; a bracket
+        whose ends agree costs two.  The order-(n-1) gap is built at the
+        first search.  None is returned where that gap fails or where
+        x_1..x_{n-2} stay fixed along the stage (its first n-3 states and
+        its control 0): every step would then plan the same sub-state, as
+        the next order-n gap evaluation would again.  The two points are
+        given with the one the search read last second, so that no
+        order-(n-1) gap is evaluated twice in a row on one sub-state."""
+        if n == 3:
+            vf, pf, M0 = xf[0], xf[1], M[0]
+            return lambda start, u, lo, hi: _branch_change(
+                start, u, lo, hi, vf, pf, M0)
+        if n < 3 or M[1:n - 1].count(None) == n - 2:
+            return None  # the lower level is a stage solve, unclassified
+        sub_gap, bound = None, M[n - 1]
+
+        def switch(start, u, lo, hi):
+            nonlocal sub_gap
+            if u == 0.0 and not any(start[:n - 3]):
+                return None
+            if sub_gap is None:
+                sub_gap = self._gap_of(n - 1, xf[:n - 1], M[:n])
+            head, last = start[:n - 1], hi
+
+            def higher(t):
+                nonlocal last
+                last = t
+                sub = kinematics.propagate(head, u, t)
+                return _kind(sub_gap(sub), bound, sub[-1]) == HIGHER
+
+            try:
+                change = _switch(higher, lo, hi)
+            except PlanError:
+                return None
+            if change is None or last != change[0]:
+                return change
+            return change[::-1]
+
+        return switch
+
     def _hand_over(self, n: int, x0, stages, g, xf, M):
         """Where the manifold intercepts the path from x0, whose gap is
         g < 0: (j, tau, state), the crossing tau into stage j.  The path's
@@ -425,11 +494,12 @@ class Planner:
         state.  A stage end where the lower-order plan fails starts a new
         bracket.  On the ride the gap closes linearly when the cruise state
         is x_{n-1}; otherwise the ride time doubles until the gap changes sign.
-        At order 3 ``_stage_root`` first looks for a jump of the gap at a
-        change of plan2's branch, on stage and ride brackets alike.
+        From order 3 on, ``_stage_root`` first looks for a jump of the gap
+        where the lower-order plan switches to its mirror (``_switch_of``),
+        on stage and ride brackets alike.
         """
         gap = self._gap_of(n, xf, M)
-        goal2 = (xf[0], xf[1], M[0]) if n == 3 else None
+        switch = self._switch_of(n, xf, M)
         cur = x0
         for j, (u, dur) in enumerate(stages[:-1]):
             if dur <= 0.0:
@@ -444,7 +514,7 @@ class Planner:
             if g is not None and g_end is not None \
                     and (g < 0.0) != (g_end < 0.0):
                 return (j,) + _stage_root(gap, cur, u, 0.0, g, dur, g_end,
-                                          goal2)
+                                          switch)
             cur, g = end, g_end
         j = len(stages) - 1
         if g is None:
@@ -465,7 +535,7 @@ class Planner:
             hi *= 2.0
         else:
             raise PlanError("cruise ride never reaches the manifold")
-        return (j,) + _stage_root(gap, cur, 0.0, lo, g, hi, g_hi, goal2)
+        return (j,) + _stage_root(gap, cur, 0.0, lo, g, hi, g_hi, switch)
 
     # ---------------- saturation-only systems ----------------
 

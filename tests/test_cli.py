@@ -185,6 +185,15 @@ class TestPlan:
         assert main(["plan", "--input", inp]) == 3
         assert "bad problem data" in capsys.readouterr().err
 
+    def test_huge_order_exit_3(self, tmp_path, capsys):
+        # an integral order far beyond the state's length was printed as a
+        # 301-digit integer in the state-length message
+        inp = write_problem(tmp_path, {"order": 1e300, "x0": [0, 0, 0],
+                                       "xf": [0, 0, 1], "M": [1, 1, 1.5, 4]})
+        assert main(["plan", "--input", inp]) == 3
+        err = capsys.readouterr().err
+        assert "bad problem data" in err and len(err) < 200
+
     def test_integral_float_order_plans(self, tmp_path):
         inp = write_problem(tmp_path, dict(UNIT1, order=1.0))
         assert main(["plan", "--input", inp]) == 0

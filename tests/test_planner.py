@@ -29,6 +29,7 @@ from chainplan.planner import (
     _concat,
     _Plan,
     _stage_root,
+    _switch,
     plan,
     plan_unconstrained,
 )
@@ -1363,6 +1364,168 @@ class TestGapJump:
                 assert tau.hex() == ref.hex()
                 assert state == kinematics.propagate(start, u, ref)
         assert checked >= 40
+
+
+class TestSwitchSearch:
+    """``planner._switch`` bisects a predicate to the point where it changes
+    value, the search that both the order-3 and the higher-order hand-over
+    run before Brent's method."""
+
+    @pytest.mark.parametrize("lo, hi, at", [
+        (0.0, 1.0, 0.3), (0.0, 1.0, 1e-14), (0.0, 1.0, 1.0 - 1e-14),
+        (-3.0, 2.5, -1.25), (0.0, 2e-13, 1e-13), (1e6, 2e6, 1.5e6 + 1e-7),
+    ])
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_brackets_the_change(self, lo, hi, at, rising):
+        reads = []
+
+        def side(t):
+            reads.append(t)
+            return (t > at) == rising
+
+        a, b = _switch(side, lo, hi)
+        assert reads[:2] == [lo, hi]
+        assert lo <= a < b <= hi
+        assert side(a) == side(lo) and side(b) == side(hi)
+        # at most INTERCEPT_TOL apart, or adjacent floats where the spacing
+        # of floats there is wider
+        assert b - a <= INTERCEPT_TOL or b == math.nextafter(a, math.inf)
+
+    @pytest.mark.parametrize("side", [
+        lambda t: True, lambda t: False, lambda t: 0.2 < t < 0.7,
+    ], ids=["true", "false", "same-at-both-ends"])
+    def test_none_where_the_ends_agree(self, side):
+        assert _switch(side, 0.0, 1.0) is None
+
+
+def _spy_order4_roots(monkeypatch):
+    """Record each order-4 ``_stage_root`` call with the goal and bounds of
+    its hand-over, its arguments and result, in the list returned."""
+    hand_over, stage_root = Planner._hand_over, _stage_root
+    goals, calls = [], []
+
+    def hand_over_spy(self, n, x0, stages, g, xf, M):
+        goals.append((xf, M))
+        try:
+            return hand_over(self, n, x0, stages, g, xf, M)
+        finally:
+            goals.pop()
+
+    def spied(gap, start, u, lo, g_lo, hi, g_hi, *rest):
+        tau, state = stage_root(gap, start, u, lo, g_lo, hi, g_hi, *rest)
+        if len(start) == 4:
+            calls.append((goals[-1], gap, start, u, lo, g_lo, hi, g_hi, tau,
+                          state))
+        return tau, state
+
+    monkeypatch.setattr(Planner, "_hand_over", hand_over_spy)
+    monkeypatch.setattr("chainplan.planner._stage_root", spied)
+    return calls
+
+
+def _order4_jump_draws():
+    """plan4 #13 and seed-5 #13 at (1, 1, 1.5, None, 20): the order-4
+    hand-over of each meets a jump of the gap where the order-3 sub-state
+    starts to classify HIGHER (ROADMAP item 8)."""
+    return [_plan4_corpus()[13],
+            _seed5_draws(4, (1.0, 1.0, 1.5, None, 20.0), 14)[13]]
+
+
+class TestOrder4GapJump:
+    """The order-4 gap jumps where the order-3 plan of the sub-state
+    (x1, x2, x3) switches to planning its mirror.  Brent's method bisected
+    the jumps of plan4 #13 and seed-5 #13 in 45 and 46 order-4 gap
+    evaluations, each of which plans an order-3 problem; the hand-over now
+    locates the switch by the order-3 HIGHER test alone.  Both draws still
+    fail verification: the jump is located, not mended."""
+
+    @pytest.fixture(params=[0, 1], ids=["plan4-13", "seed5-13"])
+    def draw(self, request):
+        return _order4_jump_draws()[request.param]
+
+    def test_few_gap_evaluations(self, monkeypatch, draw):
+        hand_over, gap_of = Planner._hand_over, Planner._gap_of
+        inside, counts = [], []
+
+        def hand_over_spy(self, n, *args):
+            inside.append(n == 4)
+            if n == 4:
+                counts.append(0)
+            try:
+                return hand_over(self, n, *args)
+            finally:
+                inside.pop()
+
+        def gap_of_spy(self, n, xf, M):
+            gap = gap_of(self, n, xf, M)
+
+            def counted(state):
+                if n == 4 and inside and inside[-1]:
+                    counts[-1] += 1
+                return gap(state)
+
+            return counted
+
+        monkeypatch.setattr(Planner, "_hand_over", hand_over_spy)
+        monkeypatch.setattr(Planner, "_gap_of", gap_of_spy)
+        _outcome(Planner(), draw)
+        assert counts and max(counts) <= 8
+
+    def test_hand_over_at_a_sign_change(self, monkeypatch, draw):
+        calls = _spy_order4_roots(monkeypatch)
+        _outcome(Planner(), draw)
+        (_, gap, start, u, *_, tau, state), = calls
+
+        def below(t):
+            return gap(kinematics.propagate(start, u, t)) < 0.0
+
+        # a jump, not a root
+        assert abs(gap(state)) > 1e-3
+        assert below(tau - INTERCEPT_TOL) != below(tau) \
+            or below(tau) != below(tau + INTERCEPT_TOL)
+
+    def test_still_fails_verification(self, draw):
+        with pytest.raises(PlanError, match=r"VerifyFailure\(reason='terminal "
+                                            r"state off target', k=4,"):
+            plan(draw)
+
+    def test_ordinary_roots_keep_brent_bits(self, monkeypatch):
+        # a bracket whose ends differ in the order-3 HIGHER test and that
+        # holds an ordinary root is solved by Brent's method on the whole
+        # bracket, as if no search ran
+        calls = _spy_order4_roots(monkeypatch)
+        rng = np.random.default_rng(1)
+        M = sampling.default_bounds(4)
+        for prob in _plan4_corpus() + [sampling.random_problem(4, M, rng, 0.8)
+                                       for _ in range(60)]:
+            _outcome(Planner(), prob)
+        pl = Planner()
+
+        def higher(state, xf, M):
+            return pl._classify(3, state[:3], xf[:3], M[:4])[0] == HIGHER
+
+        checked = searched = 0
+        for (xf, M), gap, start, u, lo, g_lo, hi, g_hi, tau, state in calls:
+            if higher(kinematics.propagate(start, u, lo), xf, M) == higher(
+                    kinematics.propagate(start, u, hi), xf, M):
+                continue
+
+            def f(t):
+                try:
+                    return gap(kinematics.propagate(start, u, t))
+                except PlanError:
+                    return None
+
+            ref = kinematics.bracket_root(f, lo, g_lo, hi, g_hi, INTERCEPT_TOL)
+            g_ref = f(ref)
+            if g_ref is None or abs(g_ref) > 1e-9:
+                continue  # a jump
+            checked += 1
+            # searched: x1 or u moves the sub-state's (x1, x2) (_switch_of)
+            searched += u != 0.0 or start[0] != 0.0
+            assert tau.hex() == ref.hex()
+            assert state == kinematics.propagate(start, u, ref)
+        assert checked >= 8 and searched >= 3
 
 
 class TestInvariants:
