@@ -45,18 +45,12 @@ def _fail(code: int, message: str) -> int:
 
 def problem_from_dict(data: dict) -> Problem:
     """The problem, read by ``Problem``: InfeasibleError for a boundary
-    state beyond its bound, ValueError for other malformed data.  The order
-    is checked against x0's length first, so that an order as large as
-    1e300 is named in its float form, not as a 301-digit integer."""
+    state beyond its bound, ValueError for other malformed data."""
     try:
         order = check_number(data["order"])
         if not order.is_integer():
             raise ValueError(f"order must be an integer, got {order!r}")
-        x0 = data["x0"]
-        if order != len(x0):
-            raise ValueError(f"order {order:g} does not match x0, which has "
-                             f"{len(x0)} components")
-        return Problem(int(order), x0, data["xf"], data["M"])
+        return Problem(int(order), data["x0"], data["xf"], data["M"])
     except InfeasibleError:
         raise
     except (KeyError, TypeError, ValueError) as e:

@@ -318,10 +318,12 @@ def check_number(v) -> float:
 
 
 def check_state(x, n: int) -> tuple[float, ...]:
-    """Validate and normalize a state tuple of the given order."""
+    """Validate and normalize a state tuple of the given order.  The order
+    is named compactly (``:g``), so an order of 1e300 is not printed as a
+    301-digit integer."""
     xs = tuple(check_number(v) for v in x)
     if len(xs) != n:
-        raise ValueError(f"state has {len(xs)} components, expected {n}")
+        raise ValueError(f"state has {len(xs)} components, expected {n:g}")
     if not all(math.isfinite(v) for v in xs):
         raise ValueError(f"state components must be finite, got {xs}")
     return xs

@@ -18,16 +18,17 @@ ascent's stage ends and the first sign change is solved inside its stage;
 on the ride the gap closes linearly when x_m is x_{n-1}, and otherwise
 doubling the ride time brackets the crossing.  The gap can jump where the
 lower-order plan switches to its mirror: at order 3 where ``plan2``
-switches to its mirrored profile, above where the order-(n-1) start
+switches to its mirrored profile, at order 4 where the order-3 start
 classifies HIGHER.  A bracket whose ends lie on different sides of that
 switch is first searched there, by one bisection (``_switch``) of the
 lower level's own test, and a jump found there is returned without a root
 search.  At order 3 that test is plan2's profile test, sought where x1 and
-the goal's x1 can both be positive; above, it is the lower level's
-classification, sought where x_1..x_{n-2} move.  When the top-state bound
-still activates, the planner searches tangent-marker constructions: reach
-the bound with a low-order catalog law pinning the touch conditions, then
-continue from the touch state.  With no bounded state below the top there
+the goal's x1 can both be positive; at order 4, it is the order-3
+classification, sought where x1 or the control is nonzero.  Above order 4
+no switch is sought.  When the top-state bound still activates, the
+planner searches tangent-marker constructions: reach the bound with a
+low-order catalog law pinning the touch conditions, then continue from
+the touch state.  With no bounded state below the top there
 is no cruise to ascend toward: from order 3 on, such a problem is solved as
 one bang-bang stage system, unclassified.
 
@@ -144,7 +145,7 @@ def _kind(gap: float, bound, top: float) -> str:
     """PROPER, HIGHER or LOWER for an order-n start whose top state is top
     and whose gap (``Planner._gap_of``) is gap: PROPER within EPS_PROPER of
     the manifold, relative to max(1, |M_n|), or to max(1, |p*|) where M_n
-    (bound) is None.  ``Planner._classify`` and the order-n hand-over's
+    (bound) is None.  ``Planner._classify`` and the order-4 hand-over's
     switch search (``Planner._switch_of``) share this rule."""
     scale = max(1.0, abs(bound if bound is not None else top - gap))
     if abs(gap) <= kinematics.EPS_PROPER * scale:
@@ -157,17 +158,17 @@ def _stage_root(gap, start, u, lo, g_lo, hi, g_hi, switch=None):
     [lo, hi]; a gap that raises PlanError ends the search at the best
     iterate.
 
-    From order 3 on, the gap may jump where the lower-order plan switches
-    to its mirror (the order-2 plan to its mirrored branch, a higher-order
-    one to planning the mirrored start), instead of crossing zero, and
+    At orders 3 and 4, the gap may jump where the lower-order plan switches
+    to its mirror (the order-2 plan to its mirrored branch, the order-3 one
+    to planning the mirrored start), instead of crossing zero, and
     Brent's method can only bisect a jump, in about 50 evaluations.  So
     where switch is given (``Planner._switch_of``), switch(start, u, lo, hi)
     first seeks such a switch between lo and hi, and the gap is evaluated at
-    the two points around it, in the order switch gives them.  Where each
-    keeps the sign of its end of [lo, hi], they bracket the sign change
-    within INTERCEPT_TOL, and the one with the smaller |gap| is returned.
-    Otherwise ``kinematics.bracket_root`` solves [lo, hi] as if no search
-    had run, so an ordinary root keeps its bits."""
+    the two points around it.  Where each keeps the sign of its end of
+    [lo, hi], they bracket the sign change within INTERCEPT_TOL, and the one
+    with the smaller |gap| is returned.  Otherwise ``kinematics.bracket_root``
+    solves [lo, hi] as if no search had run, so an ordinary root keeps its
+    bits."""
     def f(t):
         try:
             return gap(kinematics.propagate(start, u, t))
@@ -176,7 +177,8 @@ def _stage_root(gap, start, u, lo, g_lo, hi, g_hi, switch=None):
 
     change = None if switch is None else switch(start, u, lo, hi)
     if change is not None:
-        (a, g_a), (b, g_b) = sorted([(t, f(t)) for t in change])
+        a, b = change
+        g_a, g_b = f(a), f(b)
         if g_a is not None and g_b is not None \
                 and (g_a < 0.0) == (g_lo < 0.0) and (g_b < 0.0) == (g_hi < 0.0):
             tau = a if abs(g_a) <= abs(g_b) else b
@@ -250,6 +252,9 @@ class Planner:
 
     def __init__(self, bound_eps: float = 1e-9):
         self.bound_eps = bound_eps
+        # order-3 gaps by (3, state, goal, bounds) that the last order-4
+        # switch search read around the switch (``_switch_of``)
+        self._switch_gaps = {}
 
     # ------------------------------------------------------------------
     # public operations
@@ -356,8 +361,12 @@ class Planner:
 
     def _classify(self, n: int, x0, xf, M) -> tuple[str, float]:
         """PROPER, HIGHER or LOWER for the float state x0 (``_kind``), with
-        its gap (``_gap_of``)."""
-        gap = self._gap_of(n, xf, M)(x0)
+        its gap (``_gap_of``), or the gap that the last order-4 switch
+        search read there (``_switch_of``), taken once."""
+        gap = self._switch_gaps.pop((n, x0, xf, M), None) \
+            if self._switch_gaps else None
+        if gap is None:
+            gap = self._gap_of(n, xf, M)(x0)
         return _kind(gap, M[n], x0[n - 1]), gap
 
     def _plan_free(self, n: int, x0, xf, M) -> _Plan:
@@ -436,50 +445,53 @@ class Planner:
 
     def _switch_of(self, n: int, xf, M):
         """The switch search of ``_stage_root`` for an order-n hand-over to
-        xf, or None where the lower-order plan has no mirror to switch to.
+        xf, or None where none is sought.
 
-        At order 3 it is ``_branch_change``.  Above, the order-(n-1) plan
+        At order 3 it is ``_branch_change``.  At order 4, the order-3 plan
         plans the mirrored start where that start classifies HIGHER
         (``_plan_free``), so the search bisects that test, ``_kind`` of the
-        order-(n-1) gap of the sub-state x_1..x_{n-1}.  A step costs one
-        order-(n-1) gap evaluation where a step of Brent's method costs an
-        order-n one, which plans a whole order-(n-1) problem; a bracket
-        whose ends agree costs two.  The order-(n-1) gap is built at the
-        first search.  None is returned where that gap fails or where
-        x_1..x_{n-2} stay fixed along the stage (its first n-3 states and
-        its control 0): every step would then plan the same sub-state, as
-        the next order-n gap evaluation would again.  The two points are
-        given with the one the search read last second, so that no
-        order-(n-1) gap is evaluated twice in a row on one sub-state."""
+        order-3 gap of the sub-state (x1, x2, x3).  A step costs one order-3
+        gap evaluation where a step of Brent's method costs an order-4 one,
+        which plans a whole order-3 problem; a bracket whose ends agree
+        costs two.  The order-3 gaps read at the two points returned are
+        kept for ``_classify``, so the order-4 gap evaluations there do not
+        evaluate them again.  The order-3 gap is built at the first search.
+        None is returned where that gap fails or where x1 = 0 and the
+        control is 0: (x1, x2) is then fixed along the stage, so every step
+        would plan the same order-2 sub-state, as the next order-4 gap
+        evaluation would again.  Above order 4 no switch is sought: a step
+        there would cost an order-4 gap evaluation, a cost not measured."""
         if n == 3:
             vf, pf, M0 = xf[0], xf[1], M[0]
             return lambda start, u, lo, hi: _branch_change(
                 start, u, lo, hi, vf, pf, M0)
-        if n < 3 or M[1:n - 1].count(None) == n - 2:
-            return None  # the lower level is a stage solve, unclassified
-        sub_gap, bound = None, M[n - 1]
+        if n != 4 or M[1:3].count(None) == 2:
+            return None  # order 3 below is a stage solve, unclassified
+        sub_gap, sub_xf, sub_M = None, xf[:3], M[:4]
 
         def switch(start, u, lo, hi):
             nonlocal sub_gap
-            if u == 0.0 and not any(start[:n - 3]):
+            if u == 0.0 and start[0] == 0.0:
                 return None
             if sub_gap is None:
-                sub_gap = self._gap_of(n - 1, xf[:n - 1], M[:n])
-            head, last = start[:n - 1], hi
+                sub_gap = self._gap_of(3, sub_xf, sub_M)
+            head, last = start[:3], {}
 
             def higher(t):
-                nonlocal last
-                last = t
                 sub = kinematics.propagate(head, u, t)
-                return _kind(sub_gap(sub), bound, sub[-1]) == HIGHER
+                gap = sub_gap(sub)
+                side = _kind(gap, M[3], sub[2]) == HIGHER
+                # a and b are the last points read on their sides
+                last[side] = (3, sub, sub_xf, sub_M), gap
+                return side
 
             try:
                 change = _switch(higher, lo, hi)
             except PlanError:
                 return None
-            if change is None or last != change[0]:
-                return change
-            return change[::-1]
+            if change is not None:
+                self._switch_gaps = dict(last.values())
+            return change
 
         return switch
 
@@ -494,7 +506,7 @@ class Planner:
         state.  A stage end where the lower-order plan fails starts a new
         bracket.  On the ride the gap closes linearly when the cruise state
         is x_{n-1}; otherwise the ride time doubles until the gap changes sign.
-        From order 3 on, ``_stage_root`` first looks for a jump of the gap
+        At orders 3 and 4, ``_stage_root`` first looks for a jump of the gap
         where the lower-order plan switches to its mirror (``_switch_of``),
         on stage and ride brackets alike.
         """

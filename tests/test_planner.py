@@ -1484,6 +1484,38 @@ class TestOrder4GapJump:
         assert below(tau - INTERCEPT_TOL) != below(tau) \
             or below(tau) != below(tau + INTERCEPT_TOL)
 
+    def test_each_sub_state_evaluated_once(self, monkeypatch, draw):
+        # the order-4 gap evaluations at the two points around the switch
+        # classify their order-3 sub-states with the gaps that the search
+        # read there, instead of evaluating them again
+        gap_of, stage_root = Planner._gap_of, _stage_root
+        inside, seen = [], []
+
+        def gap_of_spy(self, n, xf, M):
+            gap = gap_of(self, n, xf, M)
+
+            def spied(state):
+                if n == 3 and inside:
+                    seen.append(tuple(state))
+                return gap(state)
+
+            return spied
+
+        def spied_root(gap, start, *rest):
+            if len(start) != 4:
+                return stage_root(gap, start, *rest)
+            inside.append(start)
+            try:
+                return stage_root(gap, start, *rest)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Planner, "_gap_of", gap_of_spy)
+        monkeypatch.setattr("chainplan.planner._stage_root", spied_root)
+        _outcome(Planner(), draw)
+        assert len(seen) > 20
+        assert len(set(seen)) == len(seen)
+
     def test_still_fails_verification(self, draw):
         with pytest.raises(PlanError, match=r"VerifyFailure\(reason='terminal "
                                             r"state off target', k=4,"):
